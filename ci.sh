@@ -19,6 +19,10 @@ fi
 go vet ./...
 go build ./...
 go test ./...
+# The benchmark is a module of its own that imports internal packages
+# (npu, compiler, serving, ...); the root module's vet and test do not
+# reach it, so an API change that breaks it must fail here.
+(cd bench && go vet ./... && go test -short ./...)
 
 # Domain invariants (determinism, facade boundary, write-once
 # registries, must-check errors, no-copy state): the repo must lint

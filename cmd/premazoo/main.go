@@ -84,7 +84,7 @@ func main() {
 			profile = fmt.Sprintf("%s (in=%d out~%d)", m.SeqProfile, inLen, outLen)
 		}
 		fmt.Printf("%-10s %-5s %-7d %-10.2f %-11.1f %-12.3f %-12s\n",
-			m.Name, m.Class, prog.Layers,
+			m.Name, m.Class, prog.Layers(),
 			float64(prog.TotalMACs)/1e9,
 			float64(m.TotalWeightBytes(inLen, outLen))/(1<<20),
 			cfg.Millis(prog.TotalCycles), profile)

@@ -15,6 +15,14 @@
 // layers whose activations exceed UBUF, and vector-unit epilogues for
 // fused activations. These residues are what give PREMA's predictor its
 // small but non-zero estimation error (Section VI-A reports 1.6%).
+//
+// A layer's block depends only on its shape and the batch size, never on
+// its name or position, so Compile lowers each distinct (layer with its
+// name cleared, batch) once per program and points every repeat at the
+// same block of the program's pool (see npu.Program). An RNN unrolled to
+// hundreds of timesteps therefore stores one block per distinct cell and
+// projection, plus one span per instantiated layer; its flattened stream
+// is the one lowering every layer in turn would have produced.
 package compiler
 
 import (
@@ -55,17 +63,33 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 		Batch:  batch,
 		InLen:  inLen,
 		OutLen: outLen,
-		Layers: len(layers),
+		Spans:  make([]npu.Span, 0, len(layers)),
 	}
-	for idx, l := range layers {
-		if err := l.Validate(); err != nil {
-			return nil, fmt.Errorf("compiler: %w", err)
+	// Layers that differ only in name lower to the same block.
+	type block struct {
+		span   npu.Span
+		cycles int64
+	}
+	blocks := make(map[dnn.Layer]block)
+	for _, l := range layers {
+		key := l
+		key.Name = ""
+		b, ok := blocks[key]
+		if !ok {
+			if err := l.Validate(); err != nil {
+				return nil, fmt.Errorf("compiler: %w", err)
+			}
+			off := len(prog.Instrs)
+			c.lowerLayer(prog, l, batch)
+			b.span = npu.Span{Off: int32(off), Len: int32(len(prog.Instrs) - off)}
+			for _, in := range prog.Instrs[off:] {
+				b.cycles += int64(in.Cycles)
+			}
+			blocks[key] = b
 		}
-		c.lowerLayer(prog, int32(idx), l, batch)
+		prog.Spans = append(prog.Spans, b.span)
+		prog.TotalCycles += b.cycles
 		prog.TotalMACs += l.MACs(batch)
-	}
-	for _, in := range prog.Instrs {
-		prog.TotalCycles += int64(in.Cycles)
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -73,13 +97,13 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 	return prog, nil
 }
 
-// lowerLayer appends the instruction sequence for one layer.
-func (c *Compiler) lowerLayer(prog *npu.Program, idx int32, l dnn.Layer, batch int) {
+// lowerLayer appends one layer's block to the program's pool.
+func (c *Compiler) lowerLayer(prog *npu.Program, l dnn.Layer, batch int) {
 	switch l.Kind {
 	case dnn.Conv, dnn.FC, dnn.LSTM:
-		c.lowerGEMM(prog, idx, l, batch)
+		c.lowerGEMM(prog, l, batch)
 	case dnn.DWConv, dnn.Pool, dnn.Act:
-		c.lowerVector(prog, idx, l, batch)
+		c.lowerVector(prog, l, batch)
 	}
 }
 
@@ -125,7 +149,7 @@ func tile(cfg npu.Config, g dnn.GEMMShape) gemmTiles {
 // the pipeline is empty), one CONV_OP/GEMM_OP per tile with the
 // double-buffered effective latency, an optional STORE_TILE spill when
 // outputs exceed UBUF, and a VECTOR_OP epilogue for fused activations.
-func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch int) {
+func (c *Compiler) lowerGEMM(prog *npu.Program, l dnn.Layer, batch int) {
 	g, ok := l.GEMM(batch)
 	if !ok || !g.Valid() {
 		return
@@ -145,7 +169,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 	preBytes := dnn.Bytes(int64(cfg.SH) * int64(cfg.SW))
 	pre := cfg.MemCycles(preBytes) + cfg.MemLatencyCycles
 	prog.Instrs = append(prog.Instrs, npu.Instr{
-		Op: npu.LoadTile, Layer: idx,
+		Op:        npu.LoadTile,
 		Cycles:    clampCycles(pre),
 		LiveBytes: liveBytes(cfg, inBytes, 0),
 	})
@@ -165,7 +189,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 		emitted++
 		produced := int64(float64(outBytes) * float64(emitted) / float64(totalTiles))
 		prog.Instrs = append(prog.Instrs, npu.Instr{
-			Op: op, Layer: idx,
+			Op:        op,
 			Cycles:    clampCycles(cycles),
 			LiveBytes: liveBytes(cfg, inBytes, produced),
 		})
@@ -191,7 +215,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 		// overlap with further compute.
 		drain := cfg.MemCycles(dnn.Bytes(int64(cfg.SW)*int64(cfg.ACC))) + cfg.MemLatencyCycles
 		prog.Instrs = append(prog.Instrs, npu.Instr{
-			Op: npu.StoreTile, Layer: idx,
+			Op:        npu.StoreTile,
 			Cycles:    clampCycles(drain),
 			LiveBytes: liveBytes(cfg, 0, outBytes),
 		})
@@ -204,7 +228,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, idx int32, l dnn.Layer, batch in
 		ep := l.OutputElems(batch) / int64(cfg.VectorLanes) / 4
 		if ep > 0 {
 			prog.Instrs = append(prog.Instrs, npu.Instr{
-				Op: npu.VectorOp, Layer: idx,
+				Op:        npu.VectorOp,
 				Cycles:    clampCycles(ep),
 				LiveBytes: liveBytes(cfg, 0, outBytes),
 			})
@@ -221,7 +245,7 @@ func memOnly(cfg npu.Config, kTile, n int) int64 {
 // array: depthwise convolutions, pooling, standalone activations. The
 // latency is element throughput bound by the vector lanes, or by memory
 // when the layer is bandwidth bound.
-func (c *Compiler) lowerVector(prog *npu.Program, idx int32, l dnn.Layer, batch int) {
+func (c *Compiler) lowerVector(prog *npu.Program, l dnn.Layer, batch int) {
 	cfg := c.cfg
 	macs := l.MACs(batch)
 	compute := stats.CeilDiv64(macs, int64(cfg.VectorLanes))
@@ -248,7 +272,7 @@ func (c *Compiler) lowerVector(prog *npu.Program, idx int32, l dnn.Layer, batch 
 		}
 		produced := int64(float64(outBytes) * float64(i+1) / float64(chunks))
 		prog.Instrs = append(prog.Instrs, npu.Instr{
-			Op: npu.VectorOp, Layer: idx,
+			Op:        npu.VectorOp,
 			Cycles:    clampCycles(cyc),
 			LiveBytes: liveBytes(cfg, inBytes, produced),
 		})

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,9 +239,9 @@ func TestDepthwiseRoutedToVectorUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	layers := dnn.MobileNet().Static
-	for _, in := range prog.Instrs {
-		if layers[in.Layer].Kind == dnn.DWConv && in.Op != npu.VectorOp {
-			t.Fatalf("depthwise layer %s emitted %v", layers[in.Layer].Name, in.Op)
+	for layer, in := range prog.Stream() {
+		if layers[layer].Kind == dnn.DWConv && in.Op != npu.VectorOp {
+			t.Fatalf("depthwise layer %s emitted %v", layers[layer].Name, in.Op)
 		}
 	}
 }
@@ -258,13 +259,9 @@ func TestCompileDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalCycles != b.TotalCycles || len(a.Instrs) != len(b.Instrs) {
+	if a.TotalCycles != b.TotalCycles || !slices.Equal(a.Instrs, b.Instrs) ||
+		!slices.Equal(a.Spans, b.Spans) {
 		t.Fatal("compilation is not deterministic")
-	}
-	for i := range a.Instrs {
-		if a.Instrs[i] != b.Instrs[i] {
-			t.Fatalf("instruction %d differs", i)
-		}
 	}
 }
 

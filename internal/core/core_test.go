@@ -9,8 +9,8 @@ import (
 )
 
 func makeTask(id int, prio sched.Priority, arrival, total int64) *sched.Task {
-	prog := &npu.Program{Model: "synthetic", Batch: 1, TotalCycles: total,
-		Instrs: []npu.Instr{{Op: npu.GEMMOp, Cycles: int32(total)}}}
+	prog := &npu.Program{Model: "synthetic", Batch: 1}
+	prog.AppendLayer(npu.Instr{Op: npu.GEMMOp, Cycles: int32(total)})
 	return sched.NewTask(id, "synthetic", 1, prio, arrival, npu.NewExecution(prog), total)
 }
 

@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -213,5 +214,44 @@ func TestClassString(t *testing.T) {
 	}
 	if Class(7).String() == "" {
 		t.Error("unknown class should render")
+	}
+}
+
+// The zoo is built once: lookups share the same models, while every
+// Suite/All call hands out a slice of its own. The first lookups race
+// each other, as the experiment engine's workers do.
+func TestZooBuiltOnce(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([]*Model, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = ByName("RNN-MT2")
+			_ = append(Suite(), All()...)
+		}()
+	}
+	wg.Wait()
+	for _, m := range got {
+		if m == nil || m != got[0] {
+			t.Fatal("concurrent first lookups returned different models")
+		}
+	}
+	a, b := Suite(), Suite()
+	a[0] = nil
+	if b[0] == nil || Suite()[0] == nil {
+		t.Fatal("Suite slices must not alias")
+	}
+	all := All()
+	for i, m := range b {
+		if all[i] != m {
+			t.Errorf("Suite()[%d] and All()[%d] are different models", i, i)
+		}
+	}
+	for _, m := range all {
+		got, err := ByName(m.Name)
+		if err != nil || got != m {
+			t.Errorf("ByName(%q) = %p, %v; want the zoo's %p", m.Name, got, err, m)
+		}
 	}
 }

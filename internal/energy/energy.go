@@ -87,7 +87,7 @@ func (m Model) Program(cfg npu.Config, p *npu.Program) Breakdown {
 	// share. We instead charge the architectural traffic directly:
 	// weights once, activations in and out per layer.
 	var bytes int64
-	for _, in := range p.Instrs {
+	for _, in := range p.Stream() {
 		switch in.Op {
 		case npu.LoadTile, npu.StoreTile:
 			bytes += int64(float64(in.Cycles) * cfg.BytesPerCycle())

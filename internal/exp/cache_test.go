@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -252,5 +253,40 @@ func TestFingerprintHelpers(t *testing.T) {
 	}
 	if fpO, ok := specFingerprint(workload.Spec{Tasks: 8, Estimator: workload.Oracle()}); !ok || fpO == fp1 {
 		t.Error("oracle estimator must fingerprint distinctly from analytic")
+	}
+}
+
+// TestFullSweepLiveHeapCeiling bounds what a Suite keeps live after a
+// full sweep: every registered experiment at Runs=2 through one
+// cache-enabled Suite, then a GC with the Suite still reachable. The
+// generator's program cache and the run cache never evict, so this is
+// the heap a long sweep settles at. Measured at 32 MB (Go 1.24,
+// linux/amd64, 2 CPUs); the ceiling is twice that. Before compiled
+// programs shared repeated layer blocks, every cached RNN program held
+// each unrolled timestep's instructions separately, and a sweep kept
+// gigabytes live.
+func TestFullSweepLiveHeapCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep skipped in -short mode")
+	}
+	const ceilingMB = 64
+	s, err := NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Runs = 2
+	for _, e := range All() {
+		if _, err := e.Run(s); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(s)
+	live := float64(ms.HeapAlloc) / 1e6
+	t.Logf("live heap after a full sweep: %.1f MB (ceiling %d MB)", live, ceilingMB)
+	if live > ceilingMB {
+		t.Errorf("live heap %.1f MB after a full sweep exceeds %d MB", live, ceilingMB)
 	}
 }

@@ -16,7 +16,10 @@
 //	bytes 20-23 CRC-free checksum of the preceding fields (uint32)
 //
 // A program stream is prefixed with a 16-byte header: magic "PRMA",
-// version, instruction count, and total cycles.
+// version, instruction count, and total cycles. The stream is the
+// program's flattened one: a block that several layers share is written
+// once per layer, with that layer's index, and the count is the
+// flattened length.
 package isa
 
 import (
@@ -51,43 +54,44 @@ func checksum(b []byte) uint32 {
 	return ^sum
 }
 
-// EncodeInstr serializes one instruction.
-func EncodeInstr(in npu.Instr) [instrSize]byte {
+// EncodeInstr serializes one instruction of the given layer.
+func EncodeInstr(layer int, in npu.Instr) [instrSize]byte {
 	var b [instrSize]byte
 	b[0] = byte(in.Op)
-	binary.LittleEndian.PutUint32(b[4:8], uint32(in.Layer))
+	binary.LittleEndian.PutUint32(b[4:8], uint32(layer))
 	binary.LittleEndian.PutUint32(b[8:12], uint32(in.Cycles))
 	binary.LittleEndian.PutUint64(b[12:20], uint64(in.LiveBytes))
 	binary.LittleEndian.PutUint32(b[20:24], checksum(b[:20]))
 	return b
 }
 
-// DecodeInstr deserializes one instruction, verifying its checksum.
-func DecodeInstr(b []byte) (npu.Instr, error) {
+// DecodeInstr deserializes one instruction and its layer index, verifying
+// its checksum.
+func DecodeInstr(b []byte) (layer int, in npu.Instr, err error) {
 	if len(b) < instrSize {
-		return npu.Instr{}, fmt.Errorf("isa: short instruction (%d bytes)", len(b))
+		return 0, npu.Instr{}, fmt.Errorf("isa: short instruction (%d bytes)", len(b))
 	}
 	if got, want := binary.LittleEndian.Uint32(b[20:24]), checksum(b[:20]); got != want {
-		return npu.Instr{}, fmt.Errorf("isa: instruction checksum mismatch (%08x != %08x)", got, want)
+		return 0, npu.Instr{}, fmt.Errorf("isa: instruction checksum mismatch (%08x != %08x)", got, want)
 	}
 	op := npu.Op(b[0])
 	if op > npu.StoreTile {
-		return npu.Instr{}, fmt.Errorf("isa: unknown opcode %d", b[0])
+		return 0, npu.Instr{}, fmt.Errorf("isa: unknown opcode %d", b[0])
 	}
-	return npu.Instr{
+	return int(binary.LittleEndian.Uint32(b[4:8])), npu.Instr{
 		Op:        op,
-		Layer:     int32(binary.LittleEndian.Uint32(b[4:8])),
 		Cycles:    int32(binary.LittleEndian.Uint32(b[8:12])),
 		LiveBytes: int64(binary.LittleEndian.Uint64(b[12:20])),
 	}, nil
 }
 
-// Write serializes a full program stream.
+// Write serializes a program's flattened stream: each instruction is
+// written once per layer that executes it, tagged with that layer's index.
 func Write(w io.Writer, p *npu.Program) error {
 	var hdr [headerSize]byte
 	copy(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint16(hdr[4:6], Version)
-	binary.LittleEndian.PutUint32(hdr[6:10], uint32(len(p.Instrs)))
+	binary.LittleEndian.PutUint32(hdr[6:10], uint32(p.StreamLen()))
 	// Total cycles are clamped into 48 bits (6 bytes) — far beyond any
 	// real program.
 	total := uint64(p.TotalCycles)
@@ -104,8 +108,8 @@ func Write(w io.Writer, p *npu.Program) error {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	for _, in := range p.Instrs {
-		enc := EncodeInstr(in)
+	for layer, in := range p.Stream() {
+		enc := EncodeInstr(layer, in)
 		if _, err := bw.Write(enc[:]); err != nil {
 			return err
 		}
@@ -113,8 +117,9 @@ func Write(w io.Writer, p *npu.Program) error {
 	return bw.Flush()
 }
 
-// Read deserializes a program stream. Model/batch metadata is not part of
-// the binary format; callers may set those fields afterwards.
+// Read deserializes a program stream, one block per layer in the order the
+// layer indices appear (which must not decrease). Model/batch metadata is
+// not part of the binary format; callers may set those fields afterwards.
 func Read(r io.Reader) (*npu.Program, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -133,16 +138,32 @@ func Read(r io.Reader) (*npu.Program, error) {
 	p := &npu.Program{Model: "(loaded)", Batch: 1}
 	br := bufio.NewReader(r)
 	buf := make([]byte, instrSize)
+	var block []npu.Instr
+	cur := 0 // layer of block
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("isa: reading instruction %d: %w", i, err)
 		}
-		in, err := DecodeInstr(buf)
+		layer, in, err := DecodeInstr(buf)
 		if err != nil {
 			return nil, fmt.Errorf("isa: instruction %d: %w", i, err)
 		}
-		p.Instrs = append(p.Instrs, in)
-		p.TotalCycles += int64(in.Cycles)
+		if layer < cur {
+			return nil, fmt.Errorf("isa: instruction %d returns to layer %d after layer %d", i, layer, cur)
+		}
+		if layer > int(count) {
+			// Each layer index opens a span; bounding indices by the
+			// stream length bounds the span table a stream can demand.
+			return nil, fmt.Errorf("isa: instruction %d names layer %d of a %d-instruction stream", i, layer, count)
+		}
+		for ; cur < layer; cur++ {
+			p.AppendLayer(block...)
+			block = block[:0]
+		}
+		block = append(block, in)
+	}
+	if count > 0 {
+		p.AppendLayer(block...)
 	}
 	if p.TotalCycles != int64(total) {
 		return nil, fmt.Errorf("isa: header total %d != instruction sum %d", total, p.TotalCycles)
@@ -156,25 +177,28 @@ func Read(r io.Reader) (*npu.Program, error) {
 func Disassemble(p *npu.Program, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "; program %s batch=%d layers=%d instrs=%d total=%d cycles\n",
-		p.Model, p.Batch, p.Layers, len(p.Instrs), p.TotalCycles)
-	i := 0
-	for i < len(p.Instrs) {
-		in := p.Instrs[i]
-		j := i
-		var runCycles int64
-		for j < len(p.Instrs) && p.Instrs[j].Op == in.Op && p.Instrs[j].Layer == in.Layer {
-			runCycles += int64(p.Instrs[j].Cycles)
-			j++
+		p.Model, p.Batch, p.Layers(), p.StreamLen(), p.TotalCycles)
+	// Runs never cross a layer boundary, so each layer's block is
+	// collapsed on its own.
+	for layer := range p.Spans {
+		block := p.Block(layer)
+		for i := 0; i < len(block); {
+			in := block[i]
+			j := i
+			var runCycles int64
+			for j < len(block) && block[j].Op == in.Op {
+				runCycles += int64(block[j].Cycles)
+				j++
+			}
+			if n := j - i; n == 1 {
+				fmt.Fprintf(bw, "%-10s layer=%-4d cycles=%-8d live=%d\n",
+					in.Op, layer, in.Cycles, in.LiveBytes)
+			} else {
+				fmt.Fprintf(bw, "%-10s layer=%-4d x%-6d cycles=%-10d live<=%d\n",
+					in.Op, layer, n, runCycles, block[j-1].LiveBytes)
+			}
+			i = j
 		}
-		n := j - i
-		if n == 1 {
-			fmt.Fprintf(bw, "%-10s layer=%-4d cycles=%-8d live=%d\n",
-				in.Op, in.Layer, in.Cycles, in.LiveBytes)
-		} else {
-			fmt.Fprintf(bw, "%-10s layer=%-4d x%-6d cycles=%-10d live<=%d\n",
-				in.Op, in.Layer, n, runCycles, p.Instrs[j-1].LiveBytes)
-		}
-		i = j
 	}
 	return bw.Flush()
 }

@@ -2,6 +2,10 @@ package isa
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,29 +16,29 @@ import (
 )
 
 func TestInstrRoundTrip(t *testing.T) {
-	in := npu.Instr{Op: npu.ConvOp, Layer: 42, Cycles: 123456, LiveBytes: 7 << 20}
-	enc := EncodeInstr(in)
-	got, err := DecodeInstr(enc[:])
+	in := npu.Instr{Op: npu.ConvOp, Cycles: 123456, LiveBytes: 7 << 20}
+	enc := EncodeInstr(42, in)
+	layer, got, err := DecodeInstr(enc[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != in {
-		t.Errorf("round trip: %+v != %+v", got, in)
+	if got != in || layer != 42 {
+		t.Errorf("round trip: layer %d %+v != layer 42 %+v", layer, got, in)
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	in := npu.Instr{Op: npu.GEMMOp, Layer: 1, Cycles: 100, LiveBytes: 4096}
-	enc := EncodeInstr(in)
+	in := npu.Instr{Op: npu.GEMMOp, Cycles: 100, LiveBytes: 4096}
+	enc := EncodeInstr(1, in)
 	enc[9] ^= 0xFF // corrupt the cycle field
-	if _, err := DecodeInstr(enc[:]); err == nil {
+	if _, _, err := DecodeInstr(enc[:]); err == nil {
 		t.Error("corrupted instruction should fail its checksum")
 	}
-	if _, err := DecodeInstr(enc[:10]); err == nil {
+	if _, _, err := DecodeInstr(enc[:10]); err == nil {
 		t.Error("short buffer should be rejected")
 	}
-	bad := EncodeInstr(npu.Instr{Op: npu.Op(99), Cycles: 1})
-	if _, err := DecodeInstr(bad[:]); err == nil {
+	bad := EncodeInstr(0, npu.Instr{Op: npu.Op(99), Cycles: 1})
+	if _, _, err := DecodeInstr(bad[:]); err == nil {
 		t.Error("unknown opcode should be rejected")
 	}
 }
@@ -59,12 +63,13 @@ func TestProgramStreamRoundTrip(t *testing.T) {
 	if loaded.TotalCycles != prog.TotalCycles {
 		t.Errorf("total cycles %d != %d", loaded.TotalCycles, prog.TotalCycles)
 	}
-	if len(loaded.Instrs) != len(prog.Instrs) {
-		t.Fatalf("instruction count %d != %d", len(loaded.Instrs), len(prog.Instrs))
+	if loaded.StreamLen() != prog.StreamLen() || loaded.Layers() != prog.Layers() {
+		t.Fatalf("loaded %d instructions in %d layers, want %d in %d",
+			loaded.StreamLen(), loaded.Layers(), prog.StreamLen(), prog.Layers())
 	}
-	for i := range loaded.Instrs {
-		if loaded.Instrs[i] != prog.Instrs[i] {
-			t.Fatalf("instruction %d differs", i)
+	for layer := range prog.Spans {
+		if !slices.Equal(loaded.Block(layer), prog.Block(layer)) {
+			t.Fatalf("layer %d differs", layer)
 		}
 	}
 	// A loaded program executes identically.
@@ -117,9 +122,88 @@ func TestDisassembleCollapsesTileRuns(t *testing.T) {
 		t.Error("tile runs should be collapsed with repeat counts")
 	}
 	lines := strings.Count(text, "\n")
-	if lines >= len(prog.Instrs) {
+	if lines >= prog.StreamLen() {
 		t.Errorf("disassembly (%d lines) should be far shorter than %d instructions",
-			lines, len(prog.Instrs))
+			lines, prog.StreamLen())
+	}
+}
+
+// compileMT2 compiles the RNN-MT2 instance the listing golden records:
+// its unrolled timesteps share blocks, so the encoders must flatten.
+func compileMT2(t *testing.T) *npu.Program {
+	t.Helper()
+	c, err := compiler.New(npu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dnn.ByName("RNN-MT2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := c.Compile(m, 4, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Instrs) >= prog.StreamLen() {
+		t.Fatalf("pool %d not smaller than stream %d: no shared blocks", len(prog.Instrs), prog.StreamLen())
+	}
+	return prog
+}
+
+// The listing and the binary encoding of a program whose layers share
+// blocks are byte-identical to those recorded before programs shared
+// blocks; a written-and-read program disassembles the same.
+func TestSharedBlockEncodingGolden(t *testing.T) {
+	prog := compileMT2(t)
+	want, err := os.ReadFile("testdata/rnn-mt2-b4-in6-out9.lst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lst bytes.Buffer
+	if err := Disassemble(prog, &lst); err != nil {
+		t.Fatal(err)
+	}
+	if lst.String() != string(want) {
+		t.Errorf("listing changed:\n%s", lst.String())
+	}
+	var bin bytes.Buffer
+	if err := Write(&bin, prog); err != nil {
+		t.Fatal(err)
+	}
+	const wantBin = "701bddf80f9634cbd5e96a5894c11d84dcd2be1915c84646d2b35271edfeccee 128824"
+	if got := fmt.Sprintf("%x %d", sha256.Sum256(bin.Bytes()), bin.Len()); got != wantBin {
+		t.Errorf("encoding = %s, want %s", got, wantBin)
+	}
+	loaded, err := Read(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.Model, loaded.Batch = prog.Model, prog.Batch
+	var relst bytes.Buffer
+	if err := Disassemble(loaded, &relst); err != nil {
+		t.Fatal(err)
+	}
+	if relst.String() != string(want) {
+		t.Error("read-back program disassembles differently")
+	}
+}
+
+func TestReadRejectsBadLayerIndices(t *testing.T) {
+	var buf bytes.Buffer
+	p := &npu.Program{Model: "x", Batch: 1}
+	p.AppendLayer(npu.Instr{Op: npu.GEMMOp, Cycles: 1})
+	p.AppendLayer(npu.Instr{Op: npu.GEMMOp, Cycles: 1})
+	if err := Write(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	first := raw[headerSize : headerSize+instrSize]
+	for _, layer := range []int{2, 1 << 30} {
+		enc := EncodeInstr(layer, npu.Instr{Op: npu.GEMMOp, Cycles: 1})
+		copy(first, enc[:]) // then layer 1
+		if _, err := Read(bytes.NewReader(raw)); err == nil {
+			t.Errorf("a stream naming layer %d, then layer 1, should be rejected", layer)
+		}
 	}
 }
 
@@ -144,13 +228,12 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(op uint8, layer int32, cycles int32, live int64) bool {
 		in := npu.Instr{
 			Op:        npu.Op(op % 5),
-			Layer:     abs32(layer),
 			Cycles:    abs32(cycles),
 			LiveBytes: abs64(live),
 		}
-		enc := EncodeInstr(in)
-		got, err := DecodeInstr(enc[:])
-		return err == nil && got == in
+		enc := EncodeInstr(int(abs32(layer)), in)
+		gotLayer, got, err := DecodeInstr(enc[:])
+		return err == nil && got == in && gotLayer == int(abs32(layer))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -11,8 +11,8 @@ import (
 // doneTask fabricates a completed task with a given isolated time and
 // turnaround.
 func doneTask(id int, prio sched.Priority, isolated, turnaround int64) *sched.Task {
-	prog := &npu.Program{Model: "m", Batch: 1, TotalCycles: isolated,
-		Instrs: []npu.Instr{{Op: npu.GEMMOp, Cycles: int32(isolated)}}}
+	prog := &npu.Program{Model: "m", Batch: 1}
+	prog.AppendLayer(npu.Instr{Op: npu.GEMMOp, Cycles: int32(isolated)})
 	exec := npu.NewExecution(prog)
 	t := sched.NewTask(id, "m", 1, prio, 0, exec, isolated)
 	t.MarkRunning(0)

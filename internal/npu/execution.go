@@ -8,12 +8,24 @@ import "fmt"
 // checkpointable live state, and resets it when the KILL mechanism discards
 // in-flight work.
 //
+// The cursor walks the program's span table: it holds the in-flight
+// layer's span position and the pool index of the in-flight instruction,
+// and moves to the next span when a block is exhausted. Everything it
+// reports is defined on the flattened stream, so a program whose layers
+// share blocks executes exactly as its flattened copy would.
+//
 // The zero value is not usable; construct with NewExecution.
 type Execution struct {
-	prog *Program
-	pc   int   // index of the instruction currently in flight
-	rem  int64 // cycles remaining in the in-flight instruction
-	done int64 // cycles executed so far
+	prog  *Program
+	layer int   // span position of the in-flight instruction; len(Spans) once done
+	pc    int   // pool index of the in-flight instruction
+	end   int   // pool index one past the in-flight layer's block
+	rem   int64 // cycles remaining in the in-flight instruction
+	done  int64 // cycles executed so far
+	live  int64 // LiveBytes of the instruction preceding the cursor in the stream
+	// layerDone and layerLive are done and live as the in-flight layer
+	// began: the state KillToLayerStart rewinds to.
+	layerDone, layerLive int64
 }
 
 // NewExecution returns a cursor positioned at the start of prog.
@@ -24,23 +36,30 @@ func NewExecution(prog *Program) *Execution {
 }
 
 func (e *Execution) reset() {
-	e.pc = 0
-	e.done = 0
-	e.rem = 0
-	if len(e.prog.Instrs) > 0 {
-		e.rem = int64(e.prog.Instrs[0].Cycles)
-	}
-	e.skipZero()
+	e.layer, e.pc, e.end = -1, 0, 0
+	e.done, e.live = 0, 0
+	e.settle()
 }
 
-// skipZero advances past zero-latency instructions so the cursor always
-// rests on work (or the end of the program).
-func (e *Execution) skipZero() {
-	for e.pc < len(e.prog.Instrs) && e.rem == 0 {
-		e.pc++
-		if e.pc < len(e.prog.Instrs) {
-			e.rem = int64(e.prog.Instrs[e.pc].Cycles)
+// settle moves the cursor past zero-latency instructions and exhausted
+// layers so it always rests on work (or the end of the program). The
+// cursor's pc must point at an instruction nothing of which has executed.
+func (e *Execution) settle() {
+	for {
+		for ; e.pc < e.end; e.pc++ {
+			in := &e.prog.Instrs[e.pc]
+			if e.rem = int64(in.Cycles); e.rem > 0 {
+				return
+			}
+			e.live = in.LiveBytes
 		}
+		e.layer++
+		if e.layer >= len(e.prog.Spans) {
+			return
+		}
+		s := e.prog.Spans[e.layer]
+		e.pc, e.end = int(s.Off), int(s.Off+s.Len)
+		e.layerDone, e.layerLive = e.done, e.live
 	}
 }
 
@@ -48,7 +67,7 @@ func (e *Execution) skipZero() {
 func (e *Execution) Program() *Program { return e.prog }
 
 // Done reports whether the program has fully committed.
-func (e *Execution) Done() bool { return e.pc >= len(e.prog.Instrs) }
+func (e *Execution) Done() bool { return e.layer >= len(e.prog.Spans) }
 
 // Executed returns the cycles executed so far.
 func (e *Execution) Executed() int64 { return e.done }
@@ -75,11 +94,9 @@ func (e *Execution) Advance(budget int64) int64 {
 		used += step
 		budget -= step
 		if e.rem == 0 {
+			e.live = e.prog.Instrs[e.pc].LiveBytes
 			e.pc++
-			if e.pc < len(e.prog.Instrs) {
-				e.rem = int64(e.prog.Instrs[e.pc].Cycles)
-			}
-			e.skipZero()
+			e.settle()
 		}
 	}
 	return used
@@ -105,20 +122,9 @@ func (e *Execution) CyclesToBoundary() int64 {
 // LiveBytes returns the checkpointable on-chip context at the last
 // committed instruction boundary. Callers must advance to a boundary
 // (CyclesToBoundary() == 0) before checkpointing; LiveBytes tolerates
-// mid-instruction cursors by reporting the previously committed state.
-func (e *Execution) LiveBytes() int64 {
-	idx := e.pc
-	if !e.Done() && e.rem < int64(e.prog.Instrs[e.pc].Cycles) {
-		// In-flight instruction has partially executed; its commit
-		// state is not yet architecturally visible.
-		idx = e.pc
-	}
-	// The state after the previous commit is attached to instrs[pc-1].
-	if idx == 0 {
-		return 0
-	}
-	return e.prog.Instrs[idx-1].LiveBytes
-}
+// mid-instruction cursors by reporting the previously committed state,
+// which may belong to an earlier layer.
+func (e *Execution) LiveBytes() int64 { return e.live }
 
 // Kill discards all progress: the KILL preemption mechanism terminates the
 // task immediately without checkpointing, and the inference later restarts
@@ -135,21 +141,10 @@ func (e *Execution) KillToLayerStart() (wasted int64) {
 	if e.Done() {
 		return 0
 	}
-	layer := e.prog.Instrs[e.pc].Layer
-	start := e.pc
-	for start > 0 && e.prog.Instrs[start-1].Layer == layer {
-		start--
-	}
-	// Cycles completed within the layer: full instructions since start
-	// plus the partially executed one.
-	for i := start; i < e.pc; i++ {
-		wasted += int64(e.prog.Instrs[i].Cycles)
-	}
-	wasted += int64(e.prog.Instrs[e.pc].Cycles) - e.rem
-	e.pc = start
-	e.done -= wasted
-	e.rem = int64(e.prog.Instrs[start].Cycles)
-	e.skipZero()
+	wasted = e.done - e.layerDone
+	e.done, e.live = e.layerDone, e.layerLive
+	e.pc = int(e.prog.Spans[e.layer].Off)
+	e.settle()
 	return wasted
 }
 
@@ -167,5 +162,5 @@ func (e *Execution) CurrentLayer() int {
 	if e.Done() {
 		return -1
 	}
-	return int(e.prog.Instrs[e.pc].Layer)
+	return e.layer
 }

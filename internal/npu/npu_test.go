@@ -119,10 +119,7 @@ func TestOpString(t *testing.T) {
 func testProgram(cycles ...int32) *Program {
 	p := &Program{Model: "test", Batch: 1}
 	for i, c := range cycles {
-		p.Instrs = append(p.Instrs, Instr{
-			Op: GEMMOp, Layer: int32(i), Cycles: c, LiveBytes: int64(i) * 100,
-		})
-		p.TotalCycles += int64(c)
+		p.AppendLayer(Instr{Op: GEMMOp, Cycles: c, LiveBytes: int64(i) * 100})
 	}
 	return p
 }
@@ -205,12 +202,13 @@ func TestExecutionKill(t *testing.T) {
 }
 
 func TestExecutionSkipsZeroCycleInstrs(t *testing.T) {
-	p := &Program{Model: "z", Batch: 1, Instrs: []Instr{
-		{Op: LoadTile, Cycles: 0},
-		{Op: GEMMOp, Cycles: 10},
-		{Op: VectorOp, Cycles: 0},
-		{Op: GEMMOp, Cycles: 5},
-	}, TotalCycles: 15}
+	p := &Program{Model: "z", Batch: 1}
+	p.AppendLayer(
+		Instr{Op: LoadTile, Cycles: 0},
+		Instr{Op: GEMMOp, Cycles: 10},
+		Instr{Op: VectorOp, Cycles: 0},
+		Instr{Op: GEMMOp, Cycles: 5},
+	)
 	e := NewExecution(p)
 	if e.CurrentLayer() != 0 {
 		t.Errorf("should rest on first real instruction")
@@ -286,12 +284,10 @@ func TestBoundaryProperty(t *testing.T) {
 }
 
 func TestKillToLayerStart(t *testing.T) {
-	p := &Program{Model: "kl", Batch: 1, Instrs: []Instr{
-		{Op: GEMMOp, Layer: 0, Cycles: 100},
-		{Op: GEMMOp, Layer: 0, Cycles: 100},
-		{Op: GEMMOp, Layer: 1, Cycles: 100},
-		{Op: GEMMOp, Layer: 1, Cycles: 100},
-	}, TotalCycles: 400}
+	p := &Program{Model: "kl", Batch: 1}
+	gemm := Instr{Op: GEMMOp, Cycles: 100}
+	p.AppendLayer(gemm, gemm)
+	p.AppendLayer(gemm, gemm)
 	e := NewExecution(p)
 	e.Advance(250) // 50 cycles into layer 1's first instruction
 	wasted := e.KillToLayerStart()

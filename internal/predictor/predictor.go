@@ -164,8 +164,8 @@ func (p *Profile) Observe(model, layer string, batch int, cycles int64) {
 // inferences" workflow of Section V-B).
 func (p *Profile) ObserveProgram(m *dnn.Model, prog *npu.Program, layers []dnn.Layer) {
 	perLayer := make([]int64, len(layers))
-	for _, in := range prog.Instrs {
-		perLayer[in.Layer] += int64(in.Cycles)
+	for layer, in := range prog.Stream() {
+		perLayer[layer] += int64(in.Cycles)
 	}
 	for i, l := range layers {
 		p.Observe(m.Name, l.Name, prog.Batch, perLayer[i])

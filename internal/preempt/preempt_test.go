@@ -7,15 +7,15 @@ import (
 )
 
 func testProgram(cycles []int32, live []int64) *npu.Program {
-	p := &npu.Program{Model: "t", Batch: 1}
+	block := make([]npu.Instr, len(cycles))
 	for i, c := range cycles {
-		lb := int64(0)
+		block[i] = npu.Instr{Op: npu.GEMMOp, Cycles: c}
 		if i < len(live) {
-			lb = live[i]
+			block[i].LiveBytes = live[i]
 		}
-		p.Instrs = append(p.Instrs, npu.Instr{Op: npu.GEMMOp, Layer: 0, Cycles: c, LiveBytes: lb})
-		p.TotalCycles += int64(c)
 	}
+	p := &npu.Program{Model: "t", Batch: 1}
+	p.AppendLayer(block...)
 	return p
 }
 
@@ -143,11 +143,10 @@ func TestContextTableBits(t *testing.T) {
 
 func TestApplyKillLayer(t *testing.T) {
 	cfg := npu.DefaultConfig()
-	p := &npu.Program{Model: "kl", Batch: 1, Instrs: []npu.Instr{
-		{Op: npu.GEMMOp, Layer: 0, Cycles: 100},
-		{Op: npu.GEMMOp, Layer: 1, Cycles: 100},
-		{Op: npu.GEMMOp, Layer: 1, Cycles: 100},
-	}, TotalCycles: 300}
+	p := &npu.Program{Model: "kl", Batch: 1}
+	gemm := npu.Instr{Op: npu.GEMMOp, Cycles: 100}
+	p.AppendLayer(gemm)
+	p.AppendLayer(gemm, gemm)
 	exec := npu.NewExecution(p)
 	exec.Advance(250) // 150 cycles into layer 1
 	cost := Apply(cfg, KillLayer, exec)
@@ -168,10 +167,10 @@ func TestApplyKillLayer(t *testing.T) {
 func TestKillLayerWastesLessThanKill(t *testing.T) {
 	cfg := npu.DefaultConfig()
 	build := func() *npu.Execution {
-		p := &npu.Program{Model: "x", Batch: 1, Instrs: []npu.Instr{
-			{Op: npu.GEMMOp, Layer: 0, Cycles: 1000},
-			{Op: npu.GEMMOp, Layer: 1, Cycles: 1000},
-		}, TotalCycles: 2000}
+		p := &npu.Program{Model: "x", Batch: 1}
+		gemm := npu.Instr{Op: npu.GEMMOp, Cycles: 1000}
+		p.AppendLayer(gemm)
+		p.AppendLayer(gemm)
 		e := npu.NewExecution(p)
 		e.Advance(1500)
 		return e

@@ -10,7 +10,7 @@ import (
 // makeTask builds a context-table entry with a synthetic single-instruction
 // program of the given total cycles.
 func makeTask(id int, prio Priority, arrival, totalCycles int64) *Task {
-	prog := &npu.Program{Model: "synthetic", Batch: 1, TotalCycles: totalCycles}
+	var block []npu.Instr
 	remaining := totalCycles
 	for remaining > 0 {
 		c := remaining
@@ -18,9 +18,11 @@ func makeTask(id int, prio Priority, arrival, totalCycles int64) *Task {
 		if c > chunk {
 			c = chunk
 		}
-		prog.Instrs = append(prog.Instrs, npu.Instr{Op: npu.GEMMOp, Cycles: int32(c)})
+		block = append(block, npu.Instr{Op: npu.GEMMOp, Cycles: int32(c)})
 		remaining -= c
 	}
+	prog := &npu.Program{Model: "synthetic", Batch: 1}
+	prog.AppendLayer(block...)
 	exec := npu.NewExecution(prog)
 	return NewTask(id, "synthetic", 1, prio, arrival, exec, totalCycles)
 }

@@ -410,23 +410,24 @@ func (ns *NodeSession) stretched(t *workload.Task, factor float64) *workload.Tas
 }
 
 // stretchProgram scales every instruction latency by factor (ceiling,
-// so no instruction loses work to rounding) and rebuilds the totals.
+// so no instruction loses work to rounding) and rebuilds the totals. Only
+// the pool is copied: the stretched program shares p's span table.
 func stretchProgram(p *npu.Program, factor float64) *npu.Program {
-	instrs := make([]npu.Instr, len(p.Instrs))
-	var total int64
-	for i, in := range p.Instrs {
-		in.Cycles = int32(math.Ceil(float64(in.Cycles) * factor))
-		instrs[i] = in
-		total += int64(in.Cycles)
-	}
-	return &npu.Program{
+	sp := &npu.Program{
 		Model: p.Model, Batch: p.Batch,
 		InLen: p.InLen, OutLen: p.OutLen,
-		Instrs:      instrs,
-		TotalCycles: total,
-		TotalMACs:   p.TotalMACs,
-		Layers:      p.Layers,
+		Instrs:    make([]npu.Instr, len(p.Instrs)),
+		Spans:     p.Spans,
+		TotalMACs: p.TotalMACs,
 	}
+	for i, in := range p.Instrs {
+		in.Cycles = int32(math.Ceil(float64(in.Cycles) * factor))
+		sp.Instrs[i] = in
+	}
+	for _, in := range sp.Stream() {
+		sp.TotalCycles += int64(in.Cycles)
+	}
+	return sp
 }
 
 // removeReqs drops the given submitted instances (matched by identity)

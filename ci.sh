@@ -37,12 +37,16 @@ fi
 
 # The streaming node-session paths (per-NPU session backends, the
 # shared router, closed-loop injection, autoscaling) are
-# concurrency-sensitive: race-check them on every run. The simulator
-# core and the worker-pool experiment engine (the most
-# concurrency-dense code in the repo) race-check in -short mode — the
-# full experiment sweeps blow past go test's timeout under the race
-# detector, and the engine/cache race coverage lives in the fast tests.
-go test -race ./internal/serving/... ./internal/cluster/... ./internal/autoscale/... ./internal/scenario/... ./internal/ctl/...
+# concurrency-sensitive: race-check them on every run, with the
+# compiler's shared block pools and the workload generator on top of
+# them (the experiment engine's workers share one Generator, and so one
+# Compiler). The simulator core and the worker-pool experiment engine
+# (the most concurrency-dense code in the repo) race-check in -short
+# mode — the full experiment sweeps blow past go test's timeout under
+# the race detector, and the engine/cache race coverage lives in the
+# fast tests.
+go test -race ./internal/serving/... ./internal/cluster/... ./internal/autoscale/... ./internal/scenario/... ./internal/ctl/... \
+	./internal/compiler/... ./internal/workload/...
 go test -race -short ./internal/sim/... ./internal/exp/...
 
 # Coverage-guided smoke: exercise the simulator fuzz target's seed

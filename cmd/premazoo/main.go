@@ -99,20 +99,18 @@ func printModel(m *prema.Model, batch int) {
 	}
 	fmt.Printf("%s (%s), batch %d\n\n", m.Name, m.Class, batch)
 	fmt.Printf("%-16s %-7s %-24s %-10s %-10s\n", "layer", "kind", "GEMM (MxK)x(KxN)", "MACs(M)", "out(KB)")
-	seen := map[string]bool{}
-	for _, l := range m.LayersFor(inLen, outLen) {
-		if seen[l.Name] {
-			continue
+	// Each body once: unrolled RNN steps repeat the same layers.
+	for _, r := range m.Runs(inLen, outLen) {
+		for _, l := range r.Body {
+			gemm := "-"
+			if g, ok := l.GEMM(batch); ok {
+				gemm = g.String()
+			}
+			fmt.Printf("%-16s %-7s %-24s %-10.1f %-10.1f\n",
+				l.Name, l.Kind, gemm,
+				float64(l.MACs(batch))/1e6,
+				float64(prema.ElemBytes(l.OutputElems(batch)))/1024)
 		}
-		seen[l.Name] = true
-		gemm := "-"
-		if g, ok := l.GEMM(batch); ok {
-			gemm = g.String()
-		}
-		fmt.Printf("%-16s %-7s %-24s %-10.1f %-10.1f\n",
-			l.Name, l.Kind, gemm,
-			float64(l.MACs(batch))/1e6,
-			float64(prema.ElemBytes(l.OutputElems(batch)))/1024)
 	}
 }
 

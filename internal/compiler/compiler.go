@@ -17,25 +17,53 @@
 // small but non-zero estimation error (Section VI-A reports 1.6%).
 //
 // A layer's block depends only on its shape and the batch size, never on
-// its name or position, so Compile lowers each distinct (layer with its
-// name cleared, batch) once per program and points every repeat at the
-// same block of the program's pool (see npu.Program). An RNN unrolled to
-// hundreds of timesteps therefore stores one block per distinct cell and
-// projection, plus one span per instantiated layer; its flattened stream
-// is the one lowering every layer in turn would have produced.
+// its name or position. A model instance arrives as runs of shared layer
+// bodies (dnn.Run), and the Compiler keeps one append-only block pool per
+// (model, batch), created on the first Compile and guarded by a mutex: a
+// layer shape is lowered the first time it appears in that pool, and
+// every later layer of the same shape, in this or any other instance,
+// points at the same block. Each program's Instrs is the pool as it stood
+// when the program was built, clipped to its length and capacity, so the
+// pool is immutable below every program's length, and a new RNN instance
+// costs only its span table. A program's pool may therefore hold blocks
+// the program never runs; its flattened stream (see npu.Program) is the
+// one lowering every layer in turn would have produced.
 package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dnn"
 	"repro/internal/npu"
 	"repro/internal/stats"
 )
 
-// Compiler lowers models for one NPU configuration.
+// Compiler lowers models for one NPU configuration. It is safe for
+// concurrent use.
 type Compiler struct {
 	cfg npu.Config
+
+	mu    sync.Mutex
+	pools map[poolKey]*pool
+}
+
+type poolKey struct {
+	model string
+	batch int
+}
+
+// pool is the block pool of one (model, batch): the instructions of every
+// block lowered so far, and each layer shape's block.
+type pool struct {
+	instrs []npu.Instr
+	blocks map[dnn.Layer]block
+}
+
+// block is one lowered layer: its place in the pool and its cycle sum.
+type block struct {
+	span   npu.Span
+	cycles int64
 }
 
 // New returns a Compiler for the given configuration.
@@ -54,8 +82,12 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 	if batch <= 0 {
 		return nil, fmt.Errorf("compiler: non-positive batch %d", batch)
 	}
-	layers := m.LayersFor(inLen, outLen)
-	if len(layers) == 0 {
+	runs := m.Runs(inLen, outLen)
+	layers := 0
+	for _, r := range runs {
+		layers += r.Times * len(r.Body)
+	}
+	if layers == 0 {
 		return nil, fmt.Errorf("compiler: model %q produced no layers", m.Name)
 	}
 	prog := &npu.Program{
@@ -63,48 +95,82 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 		Batch:  batch,
 		InLen:  inLen,
 		OutLen: outLen,
-		Spans:  make([]npu.Span, 0, len(layers)),
+		Spans:  make([]npu.Span, 0, layers),
 	}
-	// Layers that differ only in name lower to the same block.
-	type block struct {
-		span   npu.Span
-		cycles int64
-	}
-	blocks := make(map[dnn.Layer]block)
-	for _, l := range layers {
-		key := l
-		key.Name = ""
-		b, ok := blocks[key]
-		if !ok {
-			if err := l.Validate(); err != nil {
-				return nil, fmt.Errorf("compiler: %w", err)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.pool(m.Name, batch)
+	for _, r := range runs {
+		// One pass over the body resolves its blocks; the repetitions
+		// copy its spans.
+		first := len(prog.Spans)
+		var cycles, macs int64
+		for _, l := range r.Body {
+			b, err := c.block(p, l, batch)
+			if err != nil {
+				return nil, err
 			}
-			off := len(prog.Instrs)
-			c.lowerLayer(prog, l, batch)
-			b.span = npu.Span{Off: int32(off), Len: int32(len(prog.Instrs) - off)}
-			for _, in := range prog.Instrs[off:] {
-				b.cycles += int64(in.Cycles)
-			}
-			blocks[key] = b
+			prog.Spans = append(prog.Spans, b.span)
+			cycles += b.cycles
+			macs += l.MACs(batch)
 		}
-		prog.Spans = append(prog.Spans, b.span)
-		prog.TotalCycles += b.cycles
-		prog.TotalMACs += l.MACs(batch)
+		for t := 1; t < r.Times; t++ {
+			prog.Spans = append(prog.Spans, prog.Spans[first:first+len(r.Body)]...)
+		}
+		prog.TotalCycles += cycles * int64(r.Times)
+		prog.TotalMACs += macs * int64(r.Times)
 	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
+	prog.Instrs = p.instrs[:len(p.instrs):len(p.instrs)]
 	return prog, nil
 }
 
-// lowerLayer appends one layer's block to the program's pool.
-func (c *Compiler) lowerLayer(prog *npu.Program, l dnn.Layer, batch int) {
+// pool returns the block pool of (model, batch), creating it (and the
+// pool map) on first use. The caller holds c.mu.
+func (c *Compiler) pool(model string, batch int) *pool {
+	k := poolKey{model, batch}
+	p := c.pools[k]
+	if p == nil {
+		if c.pools == nil {
+			c.pools = make(map[poolKey]*pool)
+		}
+		p = &pool{blocks: make(map[dnn.Layer]block)}
+		c.pools[k] = p
+	}
+	return p
+}
+
+// block returns layer l's block in p, lowering it onto the end of the
+// pool the first time its shape appears. Layers that differ only in name
+// share a block. The caller holds c.mu.
+func (c *Compiler) block(p *pool, l dnn.Layer, batch int) (block, error) {
+	key := l
+	key.Name = ""
+	if b, ok := p.blocks[key]; ok {
+		return b, nil
+	}
+	if err := l.Validate(); err != nil {
+		return block{}, fmt.Errorf("compiler: %w", err)
+	}
+	off := len(p.instrs)
+	p.instrs = c.lowerLayer(p.instrs, l, batch)
+	b := block{span: npu.Span{Off: int32(off), Len: int32(len(p.instrs) - off)}}
+	for _, in := range p.instrs[off:] {
+		b.cycles += int64(in.Cycles)
+	}
+	p.blocks[key] = b
+	return b, nil
+}
+
+// lowerLayer appends one layer's block to dst.
+func (c *Compiler) lowerLayer(dst []npu.Instr, l dnn.Layer, batch int) []npu.Instr {
 	switch l.Kind {
 	case dnn.Conv, dnn.FC, dnn.LSTM:
-		c.lowerGEMM(prog, l, batch)
+		return c.lowerGEMM(dst, l, batch)
 	case dnn.DWConv, dnn.Pool, dnn.Act:
-		c.lowerVector(prog, l, batch)
+		return c.lowerVector(dst, l, batch)
 	}
+	return dst
 }
 
 // TileTime returns the effective latency of one GEMM tile with kTile
@@ -149,10 +215,10 @@ func tile(cfg npu.Config, g dnn.GEMMShape) gemmTiles {
 // the pipeline is empty), one CONV_OP/GEMM_OP per tile with the
 // double-buffered effective latency, an optional STORE_TILE spill when
 // outputs exceed UBUF, and a VECTOR_OP epilogue for fused activations.
-func (c *Compiler) lowerGEMM(prog *npu.Program, l dnn.Layer, batch int) {
+func (c *Compiler) lowerGEMM(dst []npu.Instr, l dnn.Layer, batch int) []npu.Instr {
 	g, ok := l.GEMM(batch)
 	if !ok || !g.Valid() {
-		return
+		return dst
 	}
 	cfg := c.cfg
 	t := tile(cfg, g)
@@ -168,7 +234,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, l dnn.Layer, batch int) {
 	// Preamble: first weight tile load with the pipeline idle.
 	preBytes := dnn.Bytes(int64(cfg.SH) * int64(cfg.SW))
 	pre := cfg.MemCycles(preBytes) + cfg.MemLatencyCycles
-	prog.Instrs = append(prog.Instrs, npu.Instr{
+	dst = append(dst, npu.Instr{
 		Op:        npu.LoadTile,
 		Cycles:    clampCycles(pre),
 		LiveBytes: liveBytes(cfg, inBytes, 0),
@@ -188,7 +254,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, l dnn.Layer, batch int) {
 		}
 		emitted++
 		produced := int64(float64(outBytes) * float64(emitted) / float64(totalTiles))
-		prog.Instrs = append(prog.Instrs, npu.Instr{
+		dst = append(dst, npu.Instr{
 			Op:        op,
 			Cycles:    clampCycles(cycles),
 			LiveBytes: liveBytes(cfg, inBytes, produced),
@@ -214,7 +280,7 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, l dnn.Layer, batch int) {
 		// Residual drain of the final output rows that could not
 		// overlap with further compute.
 		drain := cfg.MemCycles(dnn.Bytes(int64(cfg.SW)*int64(cfg.ACC))) + cfg.MemLatencyCycles
-		prog.Instrs = append(prog.Instrs, npu.Instr{
+		dst = append(dst, npu.Instr{
 			Op:        npu.StoreTile,
 			Cycles:    clampCycles(drain),
 			LiveBytes: liveBytes(cfg, 0, outBytes),
@@ -227,13 +293,14 @@ func (c *Compiler) lowerGEMM(prog *npu.Program, l dnn.Layer, batch int) {
 		// critical path.
 		ep := l.OutputElems(batch) / int64(cfg.VectorLanes) / 4
 		if ep > 0 {
-			prog.Instrs = append(prog.Instrs, npu.Instr{
+			dst = append(dst, npu.Instr{
 				Op:        npu.VectorOp,
 				Cycles:    clampCycles(ep),
 				LiveBytes: liveBytes(cfg, 0, outBytes),
 			})
 		}
 	}
+	return dst
 }
 
 // memOnly returns the tile's memory phase without the weight preamble.
@@ -245,7 +312,7 @@ func memOnly(cfg npu.Config, kTile, n int) int64 {
 // array: depthwise convolutions, pooling, standalone activations. The
 // latency is element throughput bound by the vector lanes, or by memory
 // when the layer is bandwidth bound.
-func (c *Compiler) lowerVector(prog *npu.Program, l dnn.Layer, batch int) {
+func (c *Compiler) lowerVector(dst []npu.Instr, l dnn.Layer, batch int) []npu.Instr {
 	cfg := c.cfg
 	macs := l.MACs(batch)
 	compute := stats.CeilDiv64(macs, int64(cfg.VectorLanes))
@@ -271,12 +338,13 @@ func (c *Compiler) lowerVector(prog *npu.Program, l dnn.Layer, batch int) {
 			cyc += rem
 		}
 		produced := int64(float64(outBytes) * float64(i+1) / float64(chunks))
-		prog.Instrs = append(prog.Instrs, npu.Instr{
+		dst = append(dst, npu.Instr{
 			Op:        npu.VectorOp,
 			Cycles:    clampCycles(cyc),
 			LiveBytes: liveBytes(cfg, inBytes, produced),
 		})
 	}
+	return dst
 }
 
 // liveBytes models the checkpointable on-chip context: resident input

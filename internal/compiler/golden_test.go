@@ -103,7 +103,12 @@ func TestRepeatedLayersShareBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layers := m.LayersFor(50, 50)
+	var layers []dnn.Layer
+	for _, r := range m.Runs(50, 50) {
+		for range r.Times {
+			layers = append(layers, r.Body...)
+		}
+	}
 	if p.Layers() != len(layers) {
 		t.Fatalf("%d spans for %d layers", p.Layers(), len(layers))
 	}

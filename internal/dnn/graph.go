@@ -144,10 +144,13 @@ func (g *Graph) CriticalPathCycles(weight func(Layer) int64) (int64, error) {
 // ("<mod>/1x1", "<mod>/3x3r"->"<mod>/3x3", ...) fan out from the previous
 // module output and re-converge; ResNet bottleneck blocks
 // ("<blk>/1x1a"->"<blk>/3x3"->"<blk>/1x1b" with optional "<blk>/proj")
-// branch around the block. RNN models are linear chains per their
-// unrolled order.
-func BuildGraph(m *Model, inLen, outLen int) (*Graph, error) {
-	layers := m.LayersFor(inLen, outLen)
+// branch around the block. An RNN has no static DAG to derive: its
+// unrolled chain's length depends on the input (Section V-B).
+func BuildGraph(m *Model) (*Graph, error) {
+	if m.IsRNN() {
+		return nil, fmt.Errorf("dnn: %s is an RNN; its unrolled chain has no static graph", m.Name)
+	}
+	layers := m.Static
 	g := NewGraph(layers)
 
 	// group returns the layer's structural group and role: for

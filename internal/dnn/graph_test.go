@@ -53,15 +53,17 @@ func TestGraphDetectsCycle(t *testing.T) {
 
 func TestBuildGraphZooModels(t *testing.T) {
 	for _, m := range All() {
-		inLen, outLen := 0, 0
+		g, err := BuildGraph(m)
 		if m.IsRNN() {
-			inLen, outLen = m.MinInLen, m.MinInLen
+			if err == nil {
+				t.Errorf("%s: an RNN has no static graph", m.Name)
+			}
+			continue
 		}
-		g, err := BuildGraph(m, inLen, outLen)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name, err)
 		}
-		if len(g.Nodes) != len(m.LayersFor(inLen, outLen)) {
+		if len(g.Nodes) != len(m.Static) {
 			t.Errorf("%s: node count mismatch", m.Name)
 		}
 		if err := g.Validate(); err != nil {
@@ -81,7 +83,7 @@ func TestBuildGraphZooModels(t *testing.T) {
 
 func TestGoogLeNetInceptionBranchesParallel(t *testing.T) {
 	m := GoogLeNet()
-	g, err := BuildGraph(m, 0, 0)
+	g, err := BuildGraph(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestGoogLeNetInceptionBranchesParallel(t *testing.T) {
 
 func TestResNetShortcutParallel(t *testing.T) {
 	m := ResNet50()
-	g, err := BuildGraph(m, 0, 0)
+	g, err := BuildGraph(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestResNetShortcutParallel(t *testing.T) {
 
 func TestLinearChainCriticalPathEqualsSerial(t *testing.T) {
 	m := VGG16()
-	g, err := BuildGraph(m, 0, 0)
+	g, err := BuildGraph(m)
 	if err != nil {
 		t.Fatal(err)
 	}

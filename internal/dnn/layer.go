@@ -9,11 +9,7 @@
 // deterministic execution time on the systolic-array NPU (Section V-B).
 package dnn
 
-import (
-	"fmt"
-
-	"repro/internal/stats"
-)
+import "fmt"
 
 // Kind enumerates the layer types the paper's Section II-A discusses.
 type Kind int
@@ -289,7 +285,3 @@ const ElemBytes = 2
 
 // Bytes converts an element count to bytes at the NPU's 16-bit precision.
 func Bytes(elems int64) int64 { return elems * ElemBytes }
-
-// ceilDiv is re-exported for internal users via stats; kept here to make
-// the dependency explicit at compile time.
-var _ = stats.CeilDiv

@@ -7,17 +7,21 @@ import "fmt"
 // RNN-MT1/MT2 (seq2seq machine translation, non-linear relationship), and
 // RNN-ASR (a "Listen, Attend and Spell"-style speech recognizer).
 //
-// Each model's Unroll function materialises the full time-unrolled layer
-// list for a concrete (input length, output length) pair; the actual
-// output length of a task instance is sampled from the seqlen profile
-// named by SeqProfile, while PREMA's predictor uses the regression lookup
-// table built from the same profile (Section V-B, Figure 9).
+// Each constructor builds the model's bodies once: the layers of one
+// encoder timestep, of one decoder step with its attention and
+// projection, or of one pyramid level. Its Unroll returns a concrete
+// (input length, output length) instance as runs of those bodies, e.g.
+// RNN-MT's encoder step x inLen then its decoder step x outLen, so an
+// instance costs a few runs whatever its lengths. The actual output
+// length of a task instance is sampled from the seqlen profile named by
+// SeqProfile, while PREMA's predictor uses the regression lookup table
+// built from the same profile (Section V-B, Figure 9).
 
-// lstmStack appends nLayers unrolled LSTM cell-steps for one timestep.
+// lstmStack appends the nLayers LSTM cell-steps of one timestep.
 // The first layer consumes inDim, subsequent layers consume hidden.
 // Layer names are timestep-invariant ("enc.l0", "enc.l1", ...) because the
-// cell weights are shared across the unrolled steps; weight-footprint
-// accounting and the profile-based predictor both key on the name.
+// cell weights are shared across the unrolled steps; the profile-based
+// predictor keys on the name.
 func lstmStack(layers []Layer, prefix string, nLayers, hidden, inDim int) []Layer {
 	for l := 0; l < nLayers; l++ {
 		d := hidden
@@ -29,6 +33,18 @@ func lstmStack(layers []Layer, prefix string, nLayers, hidden, inDim int) []Laye
 	return layers
 }
 
+// runs returns the given runs minus those repeated zero times, so every
+// run an UnrollFunc returns executes.
+func runs(rs ...Run) []Run {
+	out := rs[:0]
+	for _, r := range rs {
+		if r.Times > 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // SentimentAnalysis returns RNN-SA: a 2-layer LSTM (hidden 512) over the
 // input sequence followed by a small classifier. Its output sequence
 // length equals its input length (Figure 8(b)), so prediction is trivial.
@@ -38,19 +54,15 @@ func SentimentAnalysis() *Model {
 		embed  = 512
 		stack  = 2
 	)
-	unroll := func(inLen, outLen int) []Layer {
-		// Linear RNN: recurrence length == input length; outLen is
-		// ignored by construction (Figure 8(b)).
-		var layers []Layer
-		for t := 0; t < inLen; t++ {
-			layers = lstmStack(layers, "enc", stack, hidden, embed)
-		}
-		layers = append(layers, NewFC("cls", hidden, 2, false))
-		return layers
-	}
+	enc := lstmStack(nil, "enc", stack, hidden, embed)
+	cls := []Layer{NewFC("cls", hidden, 2, false)}
 	return &Model{
 		Name: "RNN-SA", Class: RNN,
-		Unroll:     unroll,
+		// Linear RNN: recurrence length == input length; outLen is
+		// ignored by construction (Figure 8(b)).
+		Unroll: func(inLen, _ int) []Run {
+			return runs(Run{enc, inLen}, Run{cls, 1})
+		},
 		SeqProfile: "sa",
 		MinInLen:   5, MaxInLen: 50,
 	}
@@ -64,25 +76,18 @@ func SentimentAnalysis() *Model {
 // target languages.
 func machineTranslation(name, profile string, stack, hidden, vocab int) *Model {
 	embed := hidden
-	unroll := func(inLen, outLen int) []Layer {
-		var layers []Layer
-		for t := 0; t < inLen; t++ {
-			layers = lstmStack(layers, "enc", stack, hidden, embed)
-		}
-		for t := 0; t < outLen; t++ {
-			layers = lstmStack(layers, "dec", stack, hidden, embed)
-			// Attention context combine and vocabulary projection
-			// per generated token (seq2seq decoding, Figure 8(c)).
-			layers = append(layers,
-				NewFC("attn", 2*hidden, hidden, true),
-				NewFC("proj", hidden, vocab, false),
-			)
-		}
-		return layers
-	}
+	enc := lstmStack(nil, "enc", stack, hidden, embed)
+	// Attention context combine and vocabulary projection per generated
+	// token (seq2seq decoding, Figure 8(c)).
+	dec := append(lstmStack(nil, "dec", stack, hidden, embed),
+		NewFC("attn", 2*hidden, hidden, true),
+		NewFC("proj", hidden, vocab, false),
+	)
 	return &Model{
 		Name: name, Class: RNN,
-		Unroll:     unroll,
+		Unroll: func(inLen, outLen int) []Run {
+			return runs(Run{enc, inLen}, Run{dec, outLen})
+		},
 		SeqProfile: profile,
 		MinInLen:   5, MaxInLen: 50,
 	}
@@ -120,35 +125,32 @@ func SpeechRecognition() *Model {
 		featDim = 80
 		charVoc = 30
 	)
-	unroll := func(inLen, outLen int) []Layer {
-		var layers []Layer
-		// Pyramidal encoder: layer l runs ceil(inLen / 2^l) steps and
-		// consumes the concatenation of two lower-layer outputs.
-		steps := inLen
-		inDim := featDim
-		for l := 0; l < 3; l++ {
-			for t := 0; t < steps; t++ {
-				// Bidirectional: forward and backward cells.
-				layers = append(layers,
-					NewLSTM(fmt.Sprintf("enc.l%d.fw", l), hidden, inDim),
-					NewLSTM(fmt.Sprintf("enc.l%d.bw", l), hidden, inDim),
-				)
-			}
-			steps = (steps + 1) / 2
-			inDim = 4 * hidden // concat of 2 timesteps x 2 directions
+	// Pyramidal encoder: level l runs ceil(inLen / 2^l) steps and, above
+	// level 0, consumes the concatenation of two lower-level outputs.
+	var levels [3][]Layer
+	inDim := featDim
+	for l := range levels {
+		// Bidirectional: forward and backward cells.
+		levels[l] = []Layer{
+			NewLSTM(fmt.Sprintf("enc.l%d.fw", l), hidden, inDim),
+			NewLSTM(fmt.Sprintf("enc.l%d.bw", l), hidden, inDim),
 		}
-		for t := 0; t < outLen; t++ {
-			layers = lstmStack(layers, "dec", 2, hidden, hidden)
-			layers = append(layers,
-				NewFC("attn", 2*hidden, hidden, true),
-				NewFC("proj", hidden, charVoc, false),
-			)
-		}
-		return layers
+		inDim = 4 * hidden // concat of 2 timesteps x 2 directions
 	}
+	dec := append(lstmStack(nil, "dec", 2, hidden, hidden),
+		NewFC("attn", 2*hidden, hidden, true),
+		NewFC("proj", hidden, charVoc, false),
+	)
 	return &Model{
 		Name: "RNN-ASR", Class: RNN,
-		Unroll:     unroll,
+		Unroll: func(inLen, outLen int) []Run {
+			return runs(
+				Run{levels[0], inLen},
+				Run{levels[1], (inLen + 1) / 2},
+				Run{levels[2], (inLen + 3) / 4},
+				Run{dec, outLen},
+			)
+		},
 		SeqProfile: "asr",
 		MinInLen:   20, MaxInLen: 100,
 	}

@@ -140,15 +140,29 @@ func TestMobileNetDepthwiseStructure(t *testing.T) {
 	}
 }
 
+// numLayers counts the layers an instance executes.
+func numLayers(rs []Run) int {
+	n := 0
+	for _, r := range rs {
+		n += r.Times * len(r.Body)
+	}
+	return n
+}
+
 func TestRNNUnrollScalesWithLengths(t *testing.T) {
 	for _, m := range Suite() {
 		if !m.IsRNN() {
 			continue
 		}
-		short := len(m.LayersFor(m.MinInLen, m.MinInLen))
-		long := len(m.LayersFor(m.MaxInLen, m.MaxInLen))
+		short := numLayers(m.Runs(m.MinInLen, m.MinInLen))
+		long := numLayers(m.Runs(m.MaxInLen, m.MaxInLen))
 		if long <= short {
 			t.Errorf("%s: unroll did not grow with length (%d vs %d)", m.Name, short, long)
+		}
+		// The bodies do not grow: an instance is the same few runs.
+		if a, b := m.Runs(m.MinInLen, m.MinInLen), m.Runs(m.MaxInLen, m.MaxInLen); len(a) != len(b) ||
+			&a[0].Body[0] != &b[0].Body[0] {
+			t.Errorf("%s: instances of different lengths do not share their bodies", m.Name)
 		}
 	}
 }
@@ -169,29 +183,40 @@ func TestRNNWeightsSharedAcrossTimesteps(t *testing.T) {
 
 func TestCNNLayersIgnoreSequenceLengths(t *testing.T) {
 	m := AlexNet()
-	a := m.LayersFor(0, 0)
-	b := m.LayersFor(10, 20)
-	if len(a) != len(b) {
-		t.Error("CNN layer list should not depend on sequence lengths")
+	a := m.Runs(0, 0)
+	b := m.Runs(10, 20)
+	if len(a) != 1 || len(b) != 1 || a[0].Times != 1 || b[0].Times != 1 ||
+		len(a[0].Body) != len(m.Static) || len(b[0].Body) != len(m.Static) {
+		t.Error("a CNN instance is one run of its static layers, whatever the sequence lengths")
 	}
 }
 
 func TestModelValidateFailures(t *testing.T) {
+	fc := []Layer{NewFC("f", 1, 1, false)}
+	once := func(a, b int) []Run { return []Run{{fc, 1}} }
 	bad := []*Model{
 		{Name: "", Class: CNN, Static: []Layer{NewFC("f", 1, 1, false)}},
 		{Name: "empty", Class: CNN},
 		{Name: "badlayer", Class: CNN, Static: []Layer{{Name: "x", Kind: FC}}},
 		{Name: "nounroll", Class: RNN, SeqProfile: "sa", MinInLen: 1, MaxInLen: 2},
-		{Name: "badlen", Class: RNN, SeqProfile: "sa", MinInLen: 5, MaxInLen: 2,
-			Unroll: func(a, b int) []Layer { return []Layer{NewFC("f", 1, 1, false)} }},
-		{Name: "noprofile", Class: RNN, MinInLen: 1, MaxInLen: 2,
-			Unroll: func(a, b int) []Layer { return []Layer{NewFC("f", 1, 1, false)} }},
+		{Name: "badlen", Class: RNN, SeqProfile: "sa", MinInLen: 5, MaxInLen: 2, Unroll: once},
+		{Name: "noprofile", Class: RNN, MinInLen: 1, MaxInLen: 2, Unroll: once},
+		{Name: "badbody", Class: RNN, SeqProfile: "sa", MinInLen: 1, MaxInLen: 2,
+			Unroll: func(a, b int) []Run { return []Run{{[]Layer{{Name: "x", Kind: FC}}, a}} }},
+		{Name: "zerotimes", Class: RNN, SeqProfile: "sa", MinInLen: 1, MaxInLen: 2,
+			Unroll: func(a, b int) []Run { return []Run{{fc, 0}} }},
+		{Name: "namesharedbybodies", Class: RNN, SeqProfile: "sa", MinInLen: 1, MaxInLen: 2,
+			Unroll: func(a, b int) []Run { return []Run{{fc, a}, {fc, b}} }},
 		{Name: "badclass", Class: Class(9)},
 	}
 	for _, m := range bad {
 		if err := m.Validate(); err == nil {
 			t.Errorf("model %q should fail validation", m.Name)
 		}
+	}
+	ok := &Model{Name: "ok", Class: RNN, SeqProfile: "sa", MinInLen: 1, MaxInLen: 2, Unroll: once}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("model %q: %v", ok.Name, err)
 	}
 }
 

@@ -108,8 +108,7 @@ func runPredictorAblation(s *Suite) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			layers := task.ModelRef.LayersFor(task.InLen, task.ActualOut)
-			prof.ObserveProgram(task.ModelRef, task.Program, layers)
+			prof.ObserveProgram(task.ModelRef, task.Program)
 		}
 	}
 

@@ -145,26 +145,24 @@ func runFig10(s *Suite) ([]*Table, error) {
 			}
 			outLen = pred.Regression.Predict(inLen)
 		}
-		seen := map[string]bool{}
-		for _, l := range m.LayersFor(inLen, outLen) {
-			if seen[l.Name] {
-				continue // unrolled RNN steps repeat identical cells
+		// Each body once: unrolled RNN steps repeat identical cells.
+		for _, r := range m.Runs(inLen, outLen) {
+			for _, l := range r.Body {
+				g, ok := l.GEMM(batch)
+				if !ok {
+					continue
+				}
+				cycles := an.LayerCycles(g)
+				if cycles == 0 {
+					continue
+				}
+				points = append(points, point{
+					model: m.Name, layer: l.Name,
+					macs:         g.MACs(),
+					us:           cfg.Micros(cycles),
+					macsPerCycle: float64(g.MACs()) / float64(cycles),
+				})
 			}
-			seen[l.Name] = true
-			g, ok := l.GEMM(batch)
-			if !ok {
-				continue
-			}
-			cycles := an.LayerCycles(g)
-			if cycles == 0 {
-				continue
-			}
-			points = append(points, point{
-				model: m.Name, layer: l.Name,
-				macs:         g.MACs(),
-				us:           cfg.Micros(cycles),
-				macsPerCycle: float64(g.MACs()) / float64(cycles),
-			})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool { return points[i].macs < points[j].macs })

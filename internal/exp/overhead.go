@@ -66,8 +66,10 @@ func runOverhead(s *Suite) ([]*Table, error) {
 				return nil, err
 			}
 			var totalAct int64
-			for _, l := range m.LayersFor(inLen, outLen) {
-				totalAct += dnn.Bytes(l.OutputElems(b))
+			for _, r := range m.Runs(inLen, outLen) {
+				for _, l := range r.Body {
+					totalAct += dnn.Bytes(l.OutputElems(b)) * int64(r.Times)
+				}
 			}
 			storage.AddRow(m.Name, fmt.Sprintf("b%02d", b),
 				fmt.Sprintf("%.2f", mb(prog.MaxLiveBytes())),

@@ -9,23 +9,25 @@
 // resumes.
 //
 // A Program stores its instruction stream as a pool plus a span table:
-// Instrs holds each distinct layer block once, and Spans has one
-// {Off, Len} entry per instantiated layer, in execution order, naming
-// the slice of the pool that layer runs. Repeated layers (every
-// unrolled timestep of an RNN cell) point at the same block, so a
-// program costs its distinct blocks plus eight bytes per layer. The
-// flattened stream — every span's block in span order, walked by
-// Program.Stream — is the program's meaning: Execution, TotalCycles,
-// the isa encoding and every consumer are defined on it, so sharing
-// blocks changes memory, never behaviour. Invariants:
+// Instrs holds layer blocks, and Spans has one {Off, Len} entry per
+// instantiated layer, in execution order, naming the slice of the pool
+// that layer runs. Repeated layers (every unrolled timestep of an RNN
+// cell) point at the same block, so a program costs its span table, eight
+// bytes per layer, plus a pool it may share: internal/compiler gives all
+// programs of one (model, batch) prefixes of one append-only pool, so a
+// pool can hold blocks that a program never runs. The flattened stream —
+// every span's block in span order, walked by Program.Stream — is the
+// program's meaning: Execution, TotalCycles, MaxLiveBytes, the isa
+// encoding and every consumer are defined on it, so sharing blocks changes
+// memory, never behaviour. Invariants:
 //
 //   - every span lies inside the pool; a layer without instructions has
 //     a zero-length span;
 //   - a layer's index is its span's position (an Instr carries none);
-//   - every pool instruction belongs to at least one span's block;
 //   - TotalCycles is the sum of the flattened stream's cycles;
-//   - a program is immutable once built, so executions and stretched
-//     copies (which rescale the pool) share its span table.
+//   - a program, and its pool up to the program's length, are immutable
+//     once built, so executions and stretched copies (which rescale the
+//     pool) share its span table.
 package npu
 
 import (

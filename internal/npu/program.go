@@ -74,7 +74,8 @@ type Program struct {
 	// InLen and OutLen are the sequence lengths of an RNN instance
 	// (zero for CNNs).
 	InLen, OutLen int
-	// Instrs is the instruction pool: each distinct layer block once.
+	// Instrs is the instruction pool: each distinct layer block once,
+	// possibly with blocks of other programs that share it.
 	Instrs []Instr
 	// Spans locates each instantiated layer's block in Instrs.
 	Spans []Span
@@ -158,11 +159,11 @@ func (p *Program) Validate() error {
 }
 
 // MaxLiveBytes returns the largest checkpointable context across all
-// preemption points of the program. Every pool instruction is executed
-// by some layer, so the pool holds exactly the stream's values.
+// preemption points of the program. It walks the spans, not the pool: a
+// shared pool can hold blocks the program never runs.
 func (p *Program) MaxLiveBytes() int64 {
 	var max int64
-	for _, in := range p.Instrs {
+	for _, in := range p.Stream() {
 		if in.LiveBytes > max {
 			max = in.LiveBytes
 		}

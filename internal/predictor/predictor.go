@@ -94,29 +94,36 @@ func (a *Analytic) EstimateLayers(layers []dnn.Layer, batch int) int64 {
 // Estimate predicts the network-wide inference cycles for a model
 // instance. CNNs use the static DAG; RNNs first predict the unrolled
 // recurrence length from the statically-known input length via the
-// profile-driven regression (Section V-B), then unroll and estimate.
+// profile-driven regression (Section V-B), then estimate the instance's
+// runs at that length.
 func (a *Analytic) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 	if batch <= 0 {
 		return 0, fmt.Errorf("predictor: non-positive batch %d", batch)
 	}
-	if !m.IsRNN() {
-		return a.EstimateLayers(m.Static, batch), nil
+	outLen := 0
+	if m.IsRNN() {
+		if a.lib == nil {
+			return 0, fmt.Errorf("predictor: RNN model %q needs a seqlen library", m.Name)
+		}
+		p, err := a.lib.Predictor(m.SeqProfile)
+		if err != nil {
+			return 0, err
+		}
+		outLen = p.Regression.Predict(inLen)
 	}
-	if a.lib == nil {
-		return 0, fmt.Errorf("predictor: RNN model %q needs a seqlen library", m.Name)
-	}
-	p, err := a.lib.Predictor(m.SeqProfile)
-	if err != nil {
-		return 0, err
-	}
-	outLen := p.Regression.Predict(inLen)
-	return a.EstimateLayers(m.LayersFor(inLen, outLen), batch), nil
+	return a.EstimateWithOutLen(m, batch, inLen, outLen), nil
 }
 
 // EstimateWithOutLen predicts using a known output length (used by tests
-// and the oracle comparisons).
+// and the oracle comparisons). Each body is estimated once and counted as
+// often as the instance repeats it: Algorithm 1's node-level estimates
+// composed by the number of unrolled nodes.
 func (a *Analytic) EstimateWithOutLen(m *dnn.Model, batch, inLen, outLen int) int64 {
-	return a.EstimateLayers(m.LayersFor(inLen, outLen), batch)
+	var total int64
+	for _, r := range m.Runs(inLen, outLen) {
+		total += a.EstimateLayers(r.Body, batch) * int64(r.Times)
+	}
+	return total
 }
 
 func ceil(x, d int) int { return (x + d - 1) / d }
@@ -152,23 +159,34 @@ func profKey(model, layer string, batch int) string {
 
 // Observe records a measured per-layer latency sample.
 func (p *Profile) Observe(model, layer string, batch int, cycles int64) {
-	k := profKey(model, layer, batch)
+	p.observe(profKey(model, layer, batch), cycles, 1)
+}
+
+// observe records n samples of the same latency under key k.
+func (p *Profile) observe(k string, cycles, n int64) {
 	e := p.table[k]
-	e.totalCycles += cycles
-	e.count++
+	e.totalCycles += cycles * n
+	e.count += n
 	p.table[k] = e
 }
 
 // ObserveProgram ingests a compiled program's per-layer latencies as
 // profiling ground truth (the "profile once, amortize over all future
-// inferences" workflow of Section V-B).
-func (p *Profile) ObserveProgram(m *dnn.Model, prog *npu.Program, layers []dnn.Layer) {
-	perLayer := make([]int64, len(layers))
-	for layer, in := range prog.Stream() {
-		perLayer[layer] += int64(in.Cycles)
-	}
-	for i, l := range layers {
-		p.Observe(m.Name, l.Name, prog.Batch, perLayer[i])
+// inferences" workflow of Section V-B). Every repetition of a body runs
+// the same blocks, so each body layer is one sample per repetition of the
+// latency its first repetition measured.
+func (p *Profile) ObserveProgram(m *dnn.Model, prog *npu.Program) {
+	layer := 0
+	for _, r := range m.Runs(prog.InLen, prog.OutLen) {
+		for _, l := range r.Body {
+			var cycles int64
+			for _, in := range prog.Block(layer) {
+				cycles += int64(in.Cycles)
+			}
+			p.observe(profKey(m.Name, l.Name, prog.Batch), cycles, int64(r.Times))
+			layer++
+		}
+		layer += (r.Times - 1) * len(r.Body)
 	}
 }
 
@@ -184,15 +202,17 @@ func (p *Profile) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 		outLen = lp.Regression.Predict(inLen)
 	}
 	var total int64
-	for _, l := range m.LayersFor(inLen, outLen) {
-		if e, ok := p.table[profKey(m.Name, l.Name, batch)]; ok && e.count > 0 {
-			total += e.totalCycles / e.count
-			continue
-		}
-		if g, ok := l.GEMM(batch); ok {
-			total += p.fallback.LayerCycles(g)
-		} else {
-			total += p.fallback.VectorCycles(l, batch)
+	for _, r := range m.Runs(inLen, outLen) {
+		for _, l := range r.Body {
+			var cycles int64
+			if e, ok := p.table[profKey(m.Name, l.Name, batch)]; ok && e.count > 0 {
+				cycles = e.totalCycles / e.count
+			} else if g, ok := l.GEMM(batch); ok {
+				cycles = p.fallback.LayerCycles(g)
+			} else {
+				cycles = p.fallback.VectorCycles(l, batch)
+			}
+			total += cycles * int64(r.Times)
 		}
 	}
 	return total, nil

@@ -124,6 +124,29 @@ func TestEstimateRNNUsesRegression(t *testing.T) {
 	}
 }
 
+// Estimating an RNN allocates a constant number of objects whatever its
+// lengths: the predictor composes body estimates over runs and never
+// builds the unrolled layer list.
+func TestEstimateAllocsIndependentOfLength(t *testing.T) {
+	_, _, an, _ := testFixtures(t)
+	for _, m := range dnn.All() {
+		if !m.IsRNN() {
+			continue
+		}
+		allocs := func(inLen int) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := an.Estimate(m, 1, inLen); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(m.MinInLen), allocs(m.MaxInLen); short != long {
+			t.Errorf("%s: Estimate allocates %.0f objects at inLen %d but %.0f at %d",
+				m.Name, short, m.MinInLen, long, m.MaxInLen)
+		}
+	}
+}
+
 func TestEstimateRNNWithoutLibraryFails(t *testing.T) {
 	cfg := npu.DefaultConfig()
 	an, err := NewAnalytic(cfg, nil)
@@ -159,7 +182,7 @@ func TestProfilePredictorLearnsExactLatencies(t *testing.T) {
 	if before <= 0 {
 		t.Fatal("fallback estimate should be positive")
 	}
-	prof.ObserveProgram(m, prog, m.Static)
+	prof.ObserveProgram(m, prog)
 	after, err := prof.Estimate(m, 4, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -223,6 +224,29 @@ func TestNodeLifecycle(t *testing.T) {
 	if _, err := s.OpenNode(NodeConfig{NPUs: 2, Routing: cluster.RoutingPolicy(9),
 		Session: SessionConfig{Policy: "FCFS"}}); err == nil {
 		t.Error("unknown routing should be rejected")
+	}
+}
+
+// TestNodeLateSingleRequestDrains pins the simulator's livelock bound
+// against arrival offsets: a lone request arriving 3 s into the stream
+// drains cleanly instead of failing with "exceeded max cycles".
+func TestNodeLateSingleRequestDrains(t *testing.T) {
+	s := newServer(t)
+	ns := openNode(t, s, 1, cluster.LeastWork, SessionConfig{Policy: "FCFS"})
+	req, err := s.gen.InstanceByName(0, "CNN-GN", 1, sched.Low,
+		s.cfg.Cycles(3*time.Second), workload.RNGFor(53, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Submit(req); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ns.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 1 {
+		t.Errorf("drained %d requests, want 1", st.Requests)
 	}
 }
 

@@ -38,8 +38,8 @@ type Options struct {
 	// required otherwise.
 	Selector sched.MechanismSelector
 	// MaxCycles aborts a runaway simulation (0 means a generous
-	// default); exceeding it is an error so scheduler livelock cannot
-	// masquerade as a result.
+	// default past the latest arrival); exceeding it is an error so
+	// scheduler livelock cannot masquerade as a result.
 	MaxCycles int64
 	// CkptMem, when non-nil, tracks checkpointed contexts against a
 	// finite NPU-local memory pool (Section VI-G): oversubscription
@@ -97,6 +97,9 @@ type Sim struct {
 	runSince int64 // cycle the running task's current span began
 	now      int64
 	result   Result
+	// lastArrival is the latest arrival of any task in the run,
+	// injected ones included.
+	lastArrival int64
 
 	// live is the scratch buffer allLive refills at every scheduler
 	// wake, so token accounting allocates nothing in steady state.
@@ -118,16 +121,17 @@ func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("sim: no tasks")
 	}
-	if opt.MaxCycles == 0 {
-		var total int64
-		for _, t := range tasks {
-			total += t.IsolatedCycles
-		}
-		// Generous bound: full serialization plus 100x slack for
-		// overheads and KILL re-execution.
-		opt.MaxCycles = total*100 + opt.NPU.Cycles(opt.Sched.Quantum)*1000
+	var last, total int64
+	for _, t := range tasks {
+		last = max(last, t.Arrival)
+		total += t.IsolatedCycles
 	}
-	s := &Sim{opt: opt}
+	if opt.MaxCycles == 0 {
+		// Generous bound: the latest arrival, then full serialization
+		// plus 100x slack for overheads and KILL re-execution.
+		opt.MaxCycles = last + total*100 + opt.NPU.Cycles(opt.Sched.Quantum)*1000
+	}
+	s := &Sim{opt: opt, lastArrival: last}
 	s.result.Timeline = &trace.Timeline{}
 	s.pending = append(s.pending, tasks...)
 	sort.Slice(s.pending, func(i, j int) bool {
@@ -217,8 +221,9 @@ func (s *Sim) Run() (*Result, error) {
 
 // inject admits closed-loop arrivals released by the OnComplete hook:
 // each task enters the pending queue at its (arrival, ID) sort position
-// and extends the livelock bound by its own work, so injected streams
-// cannot trip a MaxCycles sized for the initial tasks only.
+// and extends the livelock bound by its own work and by how far it moves
+// the latest arrival, so injected streams cannot trip a MaxCycles sized
+// for the initial tasks only.
 func (s *Sim) inject(tasks []*sched.Task) (int, error) {
 	injected := 0
 	for _, t := range tasks {
@@ -242,6 +247,10 @@ func (s *Sim) inject(tasks []*sched.Task) (int, error) {
 		s.pending[pos] = t
 		s.tasks = append(s.tasks, t)
 		s.opt.MaxCycles += t.IsolatedCycles * 100
+		if t.Arrival > s.lastArrival {
+			s.opt.MaxCycles += t.Arrival - s.lastArrival
+			s.lastArrival = t.Arrival
+		}
 		injected++
 	}
 	return injected, nil

@@ -285,6 +285,62 @@ func TestIdleNPUJumpsToNextArrival(t *testing.T) {
 	}
 }
 
+// A request arriving long after the run starts must not trip the
+// livelock guard: the default bound counts from the latest arrival. One
+// CNN-GN b1 request at 3 s used to fail with "exceeded max cycles".
+func TestLateArrivalWithinDefaultBound(t *testing.T) {
+	cfg, scfg, gen := fixtures(t)
+	late, err := gen.InstanceByName(0, "CNN-GN", 1, sched.Low, cfg.Cycles(3*time.Second),
+		workload.RNGFor(5, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runScenario(t, cfg, scfg, "FCFS", false, "", []*workload.Task{late})
+	if res.Tasks[0].Turnaround() != res.Tasks[0].IsolatedCycles {
+		t.Errorf("sole late task's turnaround %d should equal isolated %d",
+			res.Tasks[0].Turnaround(), res.Tasks[0].IsolatedCycles)
+	}
+}
+
+// The same holds for a closed-loop arrival: a completion that releases a
+// request 3 s later extends the bound to cover it.
+func TestLateInjectedArrivalWithinDefaultBound(t *testing.T) {
+	cfg, scfg, gen := fixtures(t)
+	rng := workload.RNGFor(5, 7)
+	first, err := gen.InstanceByName(0, "CNN-GN", 1, sched.Low, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := gen.InstanceByName(1, "CNN-GN", 1, sched.Low, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := sched.ByName("FCFS", scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{
+		NPU: cfg, Sched: scfg, Policy: pol,
+		OnComplete: func(done *sched.Task, now int64) []*sched.Task {
+			if done != first.Task {
+				return nil
+			}
+			next.Arrival = now + cfg.Cycles(3*time.Second)
+			return []*sched.Task{next.Task}
+		},
+	}, []*sched.Task{first.Task})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tasks) != 2 || res.Tasks[1].Start != next.Arrival {
+		t.Errorf("injected task should start at its arrival %d", next.Arrival)
+	}
+}
+
 func TestQuantumControlsWakeRate(t *testing.T) {
 	cfg, scfg, gen := fixtures(t)
 	tasks := twoTasks(t, gen, cfg)

@@ -53,6 +53,10 @@ go test -race -short ./internal/sim/... ./internal/exp/...
 # corpus plus a short fuzz burst, so invariant regressions surface on
 # every run, not only when someone remembers to fuzz.
 go test -fuzz=FuzzSimInvariants -fuzztime=5s -run '^$' ./internal/sim/
+# The resumable simulator's contract: a stream admitted in random chunks
+# and advanced bound by bound projects and ends exactly as the offline
+# run over the same tasks.
+go test -fuzz=FuzzLiveEqualsOffline -fuzztime=5s -run '^$' ./internal/sim/
 
 # The examples are the public-API consumers: every one must build and
 # run to completion against the current facade.

@@ -78,6 +78,18 @@ func New(cfg Config) (*Manager, error) {
 	return &Manager{cfg: cfg, ctxs: make(map[int]*context)}, nil
 }
 
+// Clone returns an independent copy of the manager's accounting state, so
+// a projected run can save and restore contexts without disturbing the
+// live one.
+func (m *Manager) Clone() *Manager {
+	c := &Manager{cfg: m.cfg, used: m.used, ctxs: make(map[int]*context, len(m.ctxs))}
+	for task, ctx := range m.ctxs {
+		cp := *ctx
+		c.ctxs[task] = &cp
+	}
+	return c
+}
+
 // NPUResidentBytes returns the bytes currently held in NPU memory.
 func (m *Manager) NPUResidentBytes() int64 { return m.used }
 

@@ -2,10 +2,11 @@ package ctl
 
 // snapshot.go is the point-in-time metrics view: fleet composition,
 // tick-window latency percentiles from the node's fluid-estimate ring
-// (no re-simulation), the realized SLO-violation fraction (which does
-// re-simulate changed backends — the price of truth), and the tail of
-// the scaling timeline. Snapshots serialize with the clock loop on the
-// plane mutex, so a concurrent snapshot always observes the fleet
+// (no simulation), the realized SLO-violation fraction (from the node's
+// statistics: each changed backend admits its new arrivals into its live
+// simulator and projects only the work still in flight), and the tail
+// of the scaling timeline. Snapshots serialize with the clock loop on
+// the plane mutex, so a concurrent snapshot always observes the fleet
 // between virtual steps.
 
 import (

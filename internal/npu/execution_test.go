@@ -207,3 +207,22 @@ func TestValidateRejectsSpanOutsidePool(t *testing.T) {
 		t.Error("span past the pool end should fail validation")
 	}
 }
+
+// TestAdvanceSplitExact pins the property the resumable simulator relies
+// on when a bound cuts an execution step short: Advance(a) then
+// Advance(b) leaves the cursor exactly where Advance(a+b) does.
+func TestAdvanceSplitExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 77))
+	for prog := 0; prog < 2000; prog++ {
+		p := randomProgram(rng)
+		whole, split := NewExecution(p), NewExecution(p)
+		for step := 0; step < 20; step++ {
+			a, b := rng.Int64N(60), rng.Int64N(60)
+			used := whole.Advance(a + b)
+			if got := split.Advance(a) + split.Advance(b); got != used || *split != *whole {
+				t.Fatalf("prog %d step %d: Advance(%d)+Advance(%d) used %d, cursor %+v; Advance(%d) used %d, cursor %+v",
+					prog, step, a, b, got, *split, a+b, used, *whole)
+			}
+		}
+	}
+}

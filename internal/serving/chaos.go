@@ -432,8 +432,9 @@ func stretchProgram(p *npu.Program, factor float64) *npu.Program {
 
 // removeReqs drops the given submitted instances (matched by identity)
 // from the session's stream — the failure-reclaim path pulling a lost
-// backend's in-flight work back out. The remaining stream re-simulates
-// on the next Stats.
+// backend's in-flight work back out. The stream no longer extends the
+// one the live simulator admitted, so the next Stats rebuilds it from
+// cycle 0.
 func (ss *Session) removeReqs(gone []*workload.Task) {
 	if len(gone) == 0 {
 		return
@@ -451,7 +452,8 @@ func (ss *Session) removeReqs(gone []*workload.Task) {
 	for i := len(kept); i < len(ss.reqs); i++ {
 		ss.reqs[i] = nil
 	}
-	ss.reqs = kept
+	ss.reqs, ss.count = kept, len(kept)
+	ss.live = nil
 	ss.dirty = true
 	ss.statsValid = false
 }

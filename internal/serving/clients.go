@@ -94,7 +94,7 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 	// tie-break identical between generation and replay.
 	entries := make([]*sched.Task, 0, len(ss.reqs)+spec.Clients)
 	for i, t := range ss.reqs {
-		entries = append(entries, materialize(i, t).Task)
+		entries = append(entries, entry(i, t))
 	}
 	nextID := len(ss.reqs)
 	var realized []*workload.Task
@@ -170,10 +170,17 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 	// generation run exactly, the generation result already IS the
 	// session's next simulation — memoize its samples instead of leaving
 	// the session dirty, so a following Stats/Drain re-simulates
-	// nothing. (cut() reads the committed stream, so append first.)
+	// nothing. (cut() reads the committed stream, so append first.) The
+	// realized arrivals reach back before the bound a live simulator
+	// already ran to, so the next refresh after a further submission
+	// rebuilds it from cycle 0.
 	ss.reqs = append(ss.reqs, realized...)
+	ss.count = len(ss.reqs)
 	ss.simulations++
 	ss.samples = *ss.srv.collectTasks(res, ss.cut())
+	if ss.traced {
+		ss.retainCompletions(res.Tasks)
+	}
 	ss.dirty = false
 	ss.statsValid = false
 	return len(realized), nil

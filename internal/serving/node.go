@@ -469,7 +469,7 @@ func (ns *NodeSession) Clock() int64 { return ns.lastArrival }
 // EstimateWindow appends the node's most recent fluid latency estimates
 // (ms, oldest first, at most the ring size) to dst and returns it — the
 // control plane's snapshot percentile source. Unlike Stats it touches
-// no backend and re-simulates nothing.
+// no backend and simulates nothing.
 func (ns *NodeSession) EstimateWindow(dst []float64) []float64 {
 	n := ns.estCount
 	if n > estWindow {
@@ -510,7 +510,7 @@ func (ns *NodeSession) Fleet() []BackendView {
 	now := ns.lastArrival
 	out := make([]BackendView, len(ns.backends))
 	for i, b := range ns.backends {
-		v := BackendView{NPU: i, State: "active", Speed: ns.speed[i], Routed: len(b.reqs)}
+		v := BackendView{NPU: i, State: "active", Speed: ns.speed[i], Routed: b.Pending()}
 		if ns.tiers != nil {
 			v.Tier = ns.tiers[ns.tierOf[i]].Name
 		}
@@ -653,18 +653,21 @@ func (ns *NodeSession) RetireBackend(i int) error {
 	return nil
 }
 
-// Routed reports how many requests each NPU's backend holds.
+// Routed reports how many requests each NPU's backend holds; it keeps
+// answering after Close.
 func (ns *NodeSession) Routed() []int {
 	out := make([]int, len(ns.backends))
 	for i, b := range ns.backends {
-		out[i] = len(b.reqs)
+		out[i] = b.Pending()
 	}
 	return out
 }
 
 // Stats computes the node's steady-state statistics: per-NPU views plus
 // the aggregate over the union of measured requests. Statistics are
-// incremental — each backend re-simulates only if its stream changed.
+// incremental: only backends whose stream changed refresh, and an
+// unbatched backend's refresh simulates just its new requests and
+// projects the work still in flight (see Session).
 func (ns *NodeSession) Stats() (NodeStats, error) {
 	if ns.closed {
 		return NodeStats{}, fmt.Errorf("serving: node session closed")
@@ -682,7 +685,7 @@ func (ns *NodeSession) Stats() (NodeStats, error) {
 		tierSets = make([]sampleSet, len(ns.tiers))
 	}
 	for i, b := range ns.backends {
-		if len(b.reqs) == 0 {
+		if b.Pending() == 0 {
 			continue
 		}
 		if err := b.refresh(); err != nil {
@@ -692,7 +695,7 @@ func (ns *NodeSession) Stats() (NodeStats, error) {
 		if tierSets != nil {
 			tierSets[ns.tierOf[i]].merge(&b.samples)
 		}
-		// The backend memoizes its derived statistics; only re-simulated
+		// The backend memoizes its derived statistics; only refreshed
 		// NPUs re-derive them.
 		if st, err := b.Stats(); err == nil {
 			out.PerNPU[i] = st
@@ -730,13 +733,14 @@ func (ns *NodeSession) Drain() (NodeStats, error) {
 	}
 	ns.drained = true
 	for _, b := range ns.backends {
-		b.drained = true
+		b.drain()
 	}
 	return st, nil
 }
 
-// Close seals the node session and every backend; subsequent calls
-// error. Close is idempotent.
+// Close seals the node session and every backend, releasing the streams
+// they pinned; subsequent calls error, except the counts Pending, Routed
+// and Fleet keep answering. Close is idempotent.
 func (ns *NodeSession) Close() error {
 	ns.closed = true
 	ns.drained = true

@@ -176,7 +176,18 @@ func (s *Server) simulate(policy string, preemptive bool, selector string,
 // sim.Options.OnComplete).
 func (s *Server) simulateHook(policy string, preemptive bool, selector string,
 	entries []*sched.Task, onComplete func(*sched.Task, int64) []*sched.Task) (*sim.Result, error) {
+	simulator, err := s.newSim(policy, preemptive, selector, entries, onComplete)
+	if err != nil {
+		return nil, err
+	}
+	return simulator.Run()
+}
 
+// newSim resolves the scheduler configuration (fresh policy and selector
+// instances per simulator; see the sched.Policy contract) and prepares a
+// simulator over the given entries.
+func (s *Server) newSim(policy string, preemptive bool, selector string,
+	entries []*sched.Task, onComplete func(*sched.Task, int64) []*sched.Task) (*sim.Sim, error) {
 	pol, err := sched.ByName(policy, s.scfg)
 	if err != nil {
 		return nil, err
@@ -190,15 +201,11 @@ func (s *Server) simulateHook(policy string, preemptive bool, selector string,
 			return nil, err
 		}
 	}
-	simulator, err := sim.New(sim.Options{
+	return sim.New(sim.Options{
 		NPU: s.cfg, Sched: s.scfg,
 		Policy: pol, Preemptive: preemptive, Selector: sel,
 		OnComplete: onComplete,
 	}, entries)
-	if err != nil {
-		return nil, err
-	}
-	return simulator.Run()
 }
 
 // sampleSet is the raw measured material one simulation yields, kept
@@ -241,12 +248,18 @@ func (m *sampleSet) merge(parts ...*sampleSet) {
 // collectTasks builds the sample set of an unbatched run: one request
 // per completed task, excluding arrivals before cut.
 func (s *Server) collectTasks(res *sim.Result, cut int64) *sampleSet {
+	return s.collect(res.Tasks, res.Cycles, cut)
+}
+
+// collect builds an unbatched sample set from completed tasks in request
+// order and the run's makespan, excluding arrivals before cut.
+func (s *Server) collect(tasks []*sched.Task, makespan, cut int64) *sampleSet {
 	sm := &sampleSet{
-		requests:   len(res.Tasks),
-		dispatched: len(res.Tasks),
-		makespan:   res.Cycles,
+		requests:   len(tasks),
+		dispatched: len(tasks),
+		makespan:   makespan,
 	}
-	for _, t := range res.Tasks {
+	for _, t := range tasks {
 		if t.Arrival < cut {
 			continue
 		}

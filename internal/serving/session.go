@@ -4,13 +4,20 @@ package serving
 // Run/RunBatched scenarios, a Session accepts a request stream
 // incrementally — explicit Submit calls, or an open-loop Poisson arrival
 // process via Offer — and answers Stats at any point with the same
-// steady-state statistics the batch entry points compute. The simulator
-// underneath is discrete-event and offline, so incrementality is
-// memoized re-simulation: Stats re-runs the submitted stream only when
-// it changed since the last call, materializing fresh scheduler entries
-// each time (sched.Task state does not survive a run). By construction a
-// Session's statistics over a stream are identical to Run's over the
-// same generated stream, which session_test.go locks in.
+// steady-state statistics the batch entry points compute.
+//
+// An unbatched Session keeps one live simulator that moves forward with
+// its stream (see internal/sim's resumable API). Each request is
+// materialized and simulated once: Stats admits the requests submitted
+// since the last call, advances the simulator to the latest arrival —
+// nothing before it depends on a later request — and projects only the
+// work still in flight. A stream that changed other than by appending
+// (a failure reclaim, closed-loop clients, an arrival before the
+// simulated bound) rebuilds the simulator from cycle 0, and a batched
+// Session re-simulates its stream whenever it changed, because a new
+// arrival can join an earlier fused dispatch. Either way a Session's
+// statistics over a stream are identical to Run's over the same
+// generated stream, which session_test.go and live_test.go lock in.
 
 import (
 	"fmt"
@@ -19,6 +26,7 @@ import (
 
 	"repro/internal/npu"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -52,24 +60,42 @@ type Session struct {
 	cfg SessionConfig
 
 	// reqs are the submitted request templates in submission order.
-	// Each Stats computation materializes fresh scheduler entries from
-	// them, so a template is never mutated by a simulation.
-	reqs []*workload.Task
+	// Simulations materialize their own scheduler entries from them, so a
+	// template is never mutated by a simulation. count is how many there
+	// are; it outlives reqs, which Close drops.
+	reqs  []*workload.Task
+	count int
 
 	dirty   bool
 	drained bool
 	closed  bool
-	// samples memoizes the raw measured material of the last simulation;
+	// samples memoizes the raw measured material of the last refresh;
 	// last memoizes the statistics derived from it. The node session
 	// merges backends' samples before deriving aggregate statistics, so
 	// both layers are kept.
 	samples    sampleSet
 	last       BatchStats
 	statsValid bool
-	// simulations counts how many times the session actually re-ran the
-	// simulator (the incremental-stats memoization instrumentation).
+	// simulations counts how many refreshes ran the simulator (the
+	// incremental-stats memoization instrumentation).
 	simulations int
-	// traced makes compute retain one completion record per simulated
+
+	// live is the unbatched session's resumable simulator. It has
+	// admitted reqs[:admitted] (entry i is request i) and run every event
+	// before bound, the latest of their arrivals. Nil before the first
+	// refresh and after any change to the stream other than an append;
+	// the next refresh then rebuilds it from cycle 0.
+	live     *sim.Sim
+	admitted int
+	bound    int64
+	// view is refresh's scratch: the live entries in submission order,
+	// each unfinished one replaced by its projected copy.
+	view []*sched.Task
+	// materialized and rebuilds count the scheduler entries the live path
+	// created and the live simulators it built (export_test.go).
+	materialized, rebuilds int
+
+	// traced makes a refresh retain one completion record per simulated
 	// request (set by a node session with a tracer attached); the node
 	// derives the trace's completion events from them. Only unbatched
 	// sessions retain completions — a fused dispatch has no one-to-one
@@ -117,6 +143,7 @@ func (ss *Session) Submit(t *workload.Task) error {
 		return fmt.Errorf("serving: nil request")
 	}
 	ss.reqs = append(ss.reqs, t)
+	ss.count = len(ss.reqs)
 	ss.dirty = true
 	return nil
 }
@@ -143,10 +170,11 @@ func (ss *Session) Offer(spec Spec, rng *rand.Rand) (int, error) {
 	return len(tasks), nil
 }
 
-// Pending reports how many requests have been submitted so far.
-func (ss *Session) Pending() int { return len(ss.reqs) }
+// Pending reports how many requests have been submitted so far; it keeps
+// answering after Close.
+func (ss *Session) Pending() int { return ss.count }
 
-// Simulations reports how many times the session re-ran the simulator —
+// Simulations reports how many times the session ran the simulator —
 // repeated Stats calls without new submissions answer from the memo.
 func (ss *Session) Simulations() int { return ss.simulations }
 
@@ -173,13 +201,13 @@ func (ss *Session) Stats() (BatchStats, error) {
 	return ss.last, nil
 }
 
-// refresh re-simulates the submitted stream if it changed since the last
-// simulation, memoizing the resulting sample set.
+// refresh brings the memoized sample set up to date with the stream, if
+// it changed since the last refresh.
 func (ss *Session) refresh() error {
+	if len(ss.reqs) == 0 {
+		return fmt.Errorf("serving: no requests submitted")
+	}
 	if !ss.dirty {
-		if len(ss.reqs) == 0 {
-			return fmt.Errorf("serving: no requests submitted")
-		}
 		return nil
 	}
 	sm, err := ss.compute()
@@ -199,16 +227,36 @@ func (ss *Session) Drain() (BatchStats, error) {
 	if err != nil {
 		return BatchStats{}, err
 	}
-	ss.drained = true
+	ss.drain()
 	return st, nil
 }
 
-// Close seals the session; subsequent Submit/Offer/Stats/Drain calls
-// error. Close is idempotent.
+// drain seals the session against further submissions and drops the live
+// simulator, which only a new submission could move.
+func (ss *Session) drain() {
+	ss.drained = true
+	ss.live, ss.view = nil, nil
+}
+
+// Close seals the session and releases the stream it pinned: request
+// templates, the sample memo, traced completions and the live simulator.
+// Pending keeps answering; Submit/Offer/Stats/Drain error. Close is
+// idempotent.
 func (ss *Session) Close() error {
 	ss.closed = true
-	ss.drained = true
+	ss.drain()
+	ss.reqs, ss.completions = nil, nil
+	ss.samples, ss.last, ss.statsValid = sampleSet{}, BatchStats{}, false
 	return nil
+}
+
+// latestArrival answers the latest submitted arrival.
+func (ss *Session) latestArrival() int64 {
+	var latest int64
+	for _, t := range ss.reqs {
+		latest = max(latest, t.Arrival)
+	}
+	return latest
 }
 
 // cut resolves the warm-up cut cycle: the configured horizon when set,
@@ -217,52 +265,39 @@ func (ss *Session) cut() int64 {
 	if ss.cfg.Horizon > 0 {
 		return ss.srv.warmupCut(ss.cfg.Horizon, ss.cfg.WarmupFraction)
 	}
-	var latest int64
-	for _, t := range ss.reqs {
-		if t.Arrival > latest {
-			latest = t.Arrival
-		}
-	}
-	return int64(float64(latest) * warmupFraction(ss.cfg.WarmupFraction))
+	return int64(float64(ss.latestArrival()) * warmupFraction(ss.cfg.WarmupFraction))
 }
 
-// materialize builds a fresh simulatable instance from a submitted
-// template: a new execution cursor and a new scheduler entry, re-stamped
-// with the submission index as its ID.
+// entry materializes a fresh scheduler entry from a submitted template: a
+// new execution cursor, re-stamped with the submission index as its ID.
+func entry(id int, t *workload.Task) *sched.Task {
+	return sched.NewTask(id, t.Model, t.Batch, t.Priority, t.Arrival,
+		npu.NewExecution(t.Program), t.EstimatedCycles)
+}
+
+// materialize wraps a fresh entry (see entry) in a simulatable instance of
+// the template.
 func materialize(id int, t *workload.Task) *workload.Task {
-	exec := npu.NewExecution(t.Program)
-	st := sched.NewTask(id, t.Model, t.Batch, t.Priority, t.Arrival, exec, t.EstimatedCycles)
 	return &workload.Task{
-		Task:     st,
+		Task:     entry(id, t),
 		ModelRef: t.ModelRef,
 		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
 		Program: t.Program,
 	}
 }
 
-// compute re-simulates the submitted stream and collects its raw
-// measured samples.
+// compute simulates the stream and collects its raw measured samples:
+// unbatched sessions on the live simulator (advanceLive), batched ones
+// by re-simulating the whole coalesced stream from cycle 0.
 func (ss *Session) compute() (*sampleSet, error) {
-	if len(ss.reqs) == 0 {
-		return nil, fmt.Errorf("serving: no requests submitted")
+	ss.simulations++
+	if ss.cfg.Window <= 0 {
+		return ss.advanceLive()
 	}
 	fresh := make([]*workload.Task, len(ss.reqs))
 	for i, t := range ss.reqs {
 		fresh[i] = materialize(i, t)
 	}
-	ss.simulations++
-
-	if ss.cfg.Window <= 0 {
-		res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, fresh)
-		if err != nil {
-			return nil, err
-		}
-		if ss.traced {
-			ss.retainCompletions(res)
-		}
-		return ss.srv.collectTasks(res, ss.cut()), nil
-	}
-
 	tasks, members, err := ss.coalesce(fresh)
 	if err != nil {
 		return nil, err
@@ -272,6 +307,57 @@ func (ss *Session) compute() (*sampleSet, error) {
 		return nil, err
 	}
 	return ss.srv.collectMembers(res, members, ss.cut()), nil
+}
+
+// advanceLive admits the requests submitted since the last refresh into
+// the live simulator — rebuilding it from cycle 0 first when it is gone
+// or one of them arrives before its bound — advances it to the latest
+// arrival, and collects the samples of the whole stream in submission
+// order: finished live entries as they are, the rest as projected.
+func (ss *Session) advanceLive() (*sampleSet, error) {
+	if ss.live != nil {
+		for _, t := range ss.reqs[ss.admitted:] {
+			if t.Arrival < ss.bound {
+				ss.live = nil
+				break
+			}
+		}
+	}
+	if ss.live == nil {
+		live, err := ss.srv.newSim(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector,
+			ss.entries(0), nil)
+		if err != nil {
+			return nil, err
+		}
+		ss.live = live
+		ss.rebuilds++
+	} else if err := ss.live.Admit(ss.entries(ss.admitted)...); err != nil {
+		return nil, err
+	}
+	ss.admitted = len(ss.reqs)
+	ss.bound = ss.latestArrival()
+	if err := ss.live.AdvanceTo(ss.bound); err != nil {
+		return nil, err
+	}
+	ss.view = append(ss.view[:0], ss.live.Tasks()...)
+	makespan, err := ss.live.Project(func(t *sched.Task, _ int64) { ss.view[t.ID] = t })
+	if err != nil {
+		return nil, err
+	}
+	if ss.traced {
+		ss.retainCompletions(ss.view)
+	}
+	return ss.srv.collect(ss.view, makespan, ss.cut()), nil
+}
+
+// entries materializes fresh scheduler entries for reqs[from:].
+func (ss *Session) entries(from int) []*sched.Task {
+	out := make([]*sched.Task, 0, len(ss.reqs)-from)
+	for i := from; i < len(ss.reqs); i++ {
+		out = append(out, entry(i, ss.reqs[i]))
+	}
+	ss.materialized += len(out)
+	return out
 }
 
 // coalesce fuses same-model CNN requests arriving within the batching

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/sim"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -89,13 +89,15 @@ type completionRec struct {
 	serviceMS float64
 }
 
-// retainCompletions records one completion per simulated request,
-// sorted by (cycle, request) so the derived event order never depends
-// on simulator internals. Overwritten wholesale on every re-simulation
-// — a reclaim shrinks the stream and the next refresh re-derives.
-func (ss *Session) retainCompletions(res *sim.Result) {
+// retainCompletions records one completion per request — the completed
+// tasks of a refresh, finished live or projected, in submission order —
+// sorted by (cycle, request) so the derived event order never depends on
+// simulator internals. Overwritten wholesale on every refresh: a
+// projected completion can still move as new arrivals compete for the
+// NPU, and a reclaim shrinks the stream.
+func (ss *Session) retainCompletions(tasks []*sched.Task) {
 	ss.completions = ss.completions[:0]
-	for _, t := range res.Tasks {
+	for _, t := range tasks {
 		lat := ss.srv.cfg.Millis(t.Turnaround())
 		svc := lat
 		if ntt := t.NTT(); ntt > 0 {
@@ -121,7 +123,8 @@ func (ss *Session) retainCompletions(res *sim.Result) {
 // lifecycle events plus one completion event per simulated request,
 // sorted by cycle and sequence-stamped (telemetry.MergeEvents). Calling
 // it refreshes every dirty backend — completion latency only exists at
-// simulation time. Batched backends (SessionConfig.Window > 0) retain
+// simulation time, and a request still in flight completes at its
+// projected cycle. Batched backends (SessionConfig.Window > 0) retain
 // no completions; their requests trace submit/route edges only.
 func (ns *NodeSession) TraceEvents() ([]telemetry.Event, error) {
 	tr := ns.tracer()
@@ -133,7 +136,7 @@ func (ns *NodeSession) TraceEvents() ([]telemetry.Event, error) {
 	}
 	var completions []telemetry.Event
 	for i, b := range ns.backends {
-		if len(b.reqs) == 0 {
+		if b.Pending() == 0 {
 			continue
 		}
 		if err := b.refresh(); err != nil {
@@ -181,7 +184,7 @@ func (ns *NodeSession) sampleTick(rec *telemetry.Recorder, at int64, est float64
 	for i, b := range ns.backends {
 		v := telemetry.NPUSample{
 			NPU: i, Tier: ns.tierName(i), State: "active",
-			Speed: ns.speed[i], Routed: len(b.reqs),
+			Speed: ns.speed[i], Routed: b.Pending(),
 		}
 		switch {
 		case ns.state.Failed(i):
@@ -205,7 +208,7 @@ func (ns *NodeSession) sampleTick(rec *telemetry.Recorder, at int64, est float64
 			}
 			v.UtilFrac = 1 - float64(idle)/float64(tickCycles)
 		}
-		completed += len(b.reqs) - v.InFlight
+		completed += b.Pending() - v.InFlight
 		npus[i] = v
 	}
 	s.NPUs = npus

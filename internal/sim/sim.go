@@ -7,11 +7,27 @@
 //
 // The scheduler wakes under the paper's three conditions (Section V-C):
 // a new task arrives, the running task completes, or the scheduling
-// period elapses.
+// period elapses. So the schedule before cycle t never depends on a task
+// arriving at or after t, and the simulator is resumable:
+//
+//   - Admit adds tasks arriving at or after the last bound.
+//   - AdvanceTo(bound) runs every event strictly before bound, and
+//     nothing else. The scheduler never wakes at or after bound; an
+//     execution step whose horizon lies past bound stops there and later
+//     resumes toward the horizon the offline loop would have used, which
+//     counts tasks admitted since the pause; and neither the idle jump
+//     nor the "scheduled nothing" jump to the next arrival crosses bound.
+//   - Project runs value copies of the unfinished tasks to completion on
+//     a throwaway simulator, leaving the live one untouched.
+//
+// Run is AdvanceTo with no bound: one event loop serves the offline run
+// and the live one, and a live simulator fed any admission chunks and
+// bounds ends on the Result the offline Run gives over the same tasks.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ckptmem"
@@ -57,6 +73,7 @@ type Options struct {
 	// run given the same realized arrivals up front (the simulator's
 	// trajectory depends on arrival times, not on when an arrival became
 	// known) — internal/serving's closed-loop replay relies on this.
+	// Project releases nothing through it.
 	OnComplete func(done *sched.Task, now int64) []*sched.Task
 }
 
@@ -89,6 +106,7 @@ type Result struct {
 // Sim is a single-run simulator instance.
 type Sim struct {
 	opt      Options
+	quantum  int64 // scheduling period in cycles
 	tasks    []*sched.Task
 	pending  []*sched.Task // not yet arrived, sorted by arrival
 	pendHead int           // index of the next pending arrival
@@ -97,14 +115,38 @@ type Sim struct {
 	runSince int64 // cycle the running task's current span began
 	now      int64
 	result   Result
+	// remaining counts the admitted tasks not yet finished.
+	remaining int
 	// lastArrival is the latest arrival of any task in the run,
 	// injected ones included.
 	lastArrival int64
+
+	// bound is the last AdvanceTo bound: every event strictly before it
+	// has run, and Admit takes only arrivals at or after it.
+	bound int64
+	// stepping marks an open execution step, from the wake that starts
+	// it to its horizon or its task's completion; a bound can leave it
+	// open. stepStart is the cycle it began at, from which its horizon is
+	// recomputed whenever it resumes.
+	stepping  bool
+	stepStart int64
+	// waiting marks a jump to the next arrival owed after a wake that
+	// scheduled nothing; a bound can hold it back.
+	waiting bool
+
+	// projection marks a throwaway copy made by Project: it records no
+	// timeline spans or preemption events, and reports each completion
+	// to onDone.
+	projection bool
+	onDone     func(*sched.Task, int64)
 
 	// live is the scratch buffer allLive refills at every scheduler
 	// wake, so token accounting allocates nothing in steady state.
 	live []*sched.Task
 }
+
+// open is the bound of a run to completion.
+const open = math.MaxInt64
 
 // New validates the options and prepares a simulator over the given
 // tasks. The task slice is owned by the simulator afterwards.
@@ -131,7 +173,12 @@ func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 		// plus 100x slack for overheads and KILL re-execution.
 		opt.MaxCycles = last + total*100 + opt.NPU.Cycles(opt.Sched.Quantum)*1000
 	}
-	s := &Sim{opt: opt, lastArrival: last}
+	quantum := opt.NPU.Cycles(opt.Sched.Quantum)
+	if quantum <= 0 {
+		quantum = 1
+	}
+	s := &Sim{opt: opt, quantum: quantum, remaining: len(tasks),
+		lastArrival: last, bound: math.MinInt64}
 	s.result.Timeline = &trace.Timeline{}
 	s.pending = append(s.pending, tasks...)
 	sort.Slice(s.pending, func(i, j int) bool {
@@ -146,114 +193,237 @@ func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 
 // Run executes the simulation to completion and returns the result.
 func (s *Sim) Run() (*Result, error) {
-	quantum := s.opt.NPU.Cycles(s.opt.Sched.Quantum)
-	if quantum <= 0 {
-		quantum = 1
-	}
-	remaining := len(s.tasks)
-	for remaining > 0 {
-		if s.now > s.opt.MaxCycles {
-			return nil, fmt.Errorf("sim: exceeded max cycles %d (policy %s): likely livelock",
-				s.opt.MaxCycles, s.opt.Policy.Name())
-		}
-		s.admitArrivals()
-
-		if s.running == nil && len(s.ready) == 0 {
-			// Idle: jump to the next arrival.
-			if s.pendHead >= len(s.pending) {
-				return nil, fmt.Errorf("sim: %d tasks unfinished with empty queues", remaining)
-			}
-			s.now = s.pending[s.pendHead].Arrival
-			continue
-		}
-
-		// Scheduler wake-up: update token balances, then consult the
-		// policy.
-		s.result.Wakes++
-		sched.UpdateTokens(s.allLive(), s.now)
-		if len(s.ready) > 0 {
-			dec := s.opt.Policy.Pick(s.ready, s.running, s.now)
-			if err := s.apply(dec); err != nil {
-				return nil, err
-			}
-		}
-
-		if s.running == nil {
-			// Nothing schedulable (cannot happen with a sane
-			// policy, but guard against livelock).
-			if s.pendHead >= len(s.pending) {
-				return nil, fmt.Errorf("sim: policy %s scheduled nothing with %d ready",
-					s.opt.Policy.Name(), len(s.ready))
-			}
-			s.now = s.pending[s.pendHead].Arrival
-			continue
-		}
-
-		// Execute until the next scheduler event: quantum expiry,
-		// next arrival, or task completion.
-		horizon := s.now + quantum
-		if s.pendHead < len(s.pending) && s.pending[s.pendHead].Arrival < horizon {
-			horizon = s.pending[s.pendHead].Arrival
-		}
-		if horizon <= s.now {
-			horizon = s.now + 1
-		}
-		s.now += s.advanceRunning(horizon - s.now)
-		if s.running.Exec.Done() {
-			s.endSpan()
-			done := s.running
-			done.MarkFinished(s.now)
-			s.running = nil
-			remaining--
-			if s.opt.OnComplete != nil {
-				injected, err := s.inject(s.opt.OnComplete(done, s.now))
-				if err != nil {
-					return nil, err
-				}
-				remaining += injected
-			}
-		}
+	if err := s.AdvanceTo(open); err != nil {
+		return nil, err
 	}
 	s.result.Tasks = s.tasks
 	s.result.Cycles = s.now
 	return &s.result, nil
 }
 
-// inject admits closed-loop arrivals released by the OnComplete hook:
-// each task enters the pending queue at its (arrival, ID) sort position
-// and extends the livelock bound by its own work and by how far it moves
-// the latest arrival, so injected streams cannot trip a MaxCycles sized
-// for the initial tasks only.
-func (s *Sim) inject(tasks []*sched.Task) (int, error) {
-	injected := 0
+// Admit adds tasks that arrive at or after the last AdvanceTo bound; the
+// simulator owns them afterwards. Each joins the pending arrivals at its
+// (arrival, ID) position and extends the livelock bound as an injected
+// arrival does. A task arriving before the bound is an error, and then
+// none of the tasks is admitted.
+func (s *Sim) Admit(tasks ...*sched.Task) error {
 	for _, t := range tasks {
+		if t.Arrival < s.bound {
+			return fmt.Errorf("sim: admitted task %d arrives at cycle %d, before the bound %d already simulated",
+				t.ID, t.Arrival, s.bound)
+		}
+	}
+	for _, t := range tasks {
+		s.insert(t)
+	}
+	return nil
+}
+
+// AdvanceTo runs every event strictly before bound, and nothing else (see
+// the package comment). Bounds never decrease.
+func (s *Sim) AdvanceTo(bound int64) error {
+	if bound < s.bound {
+		return fmt.Errorf("sim: bound %d precedes the bound %d already simulated", bound, s.bound)
+	}
+	s.bound = bound
+	return s.advance(bound)
+}
+
+// Project runs value copies of the unfinished tasks and their execution
+// cursors to completion on a throwaway simulator, calling onDone with
+// each copy at its completion cycle, and returns the projected makespan.
+// The copy shares the policy and selector (policies keep no decision
+// state between picks), releases nothing through OnComplete, and records
+// no timeline spans or preemption events; the live simulator is left
+// untouched.
+func (s *Sim) Project(onDone func(t *sched.Task, now int64)) (int64, error) {
+	if s.remaining == 0 {
+		return s.now, nil
+	}
+	p := &Sim{
+		opt: s.opt, quantum: s.quantum, now: s.now, runSince: s.runSince,
+		remaining: s.remaining, lastArrival: s.lastArrival, bound: s.bound,
+		stepping: s.stepping, stepStart: s.stepStart, waiting: s.waiting,
+		projection: true, onDone: onDone,
+	}
+	p.opt.OnComplete = nil
+	if s.opt.CkptMem != nil {
+		p.opt.CkptMem = s.opt.CkptMem.Clone()
+	}
+	tasks := make([]sched.Task, 0, s.remaining)
+	execs := make([]npu.Execution, 0, s.remaining)
+	clone := func(t *sched.Task) *sched.Task {
+		execs = append(execs, *t.Exec)
+		tasks = append(tasks, *t)
+		c := &tasks[len(tasks)-1]
+		c.Exec = &execs[len(execs)-1]
+		return c
+	}
+	p.pending = make([]*sched.Task, 0, len(s.pending)-s.pendHead)
+	for _, t := range s.pending[s.pendHead:] {
+		p.pending = append(p.pending, clone(t))
+	}
+	p.ready = make([]*sched.Task, 0, len(s.ready)+1)
+	for _, t := range s.ready {
+		p.ready = append(p.ready, clone(t))
+	}
+	if s.running != nil {
+		p.running = clone(s.running)
+	}
+	if err := p.advance(open); err != nil {
+		return 0, err
+	}
+	return p.now, nil
+}
+
+// Tasks returns every admitted task in admission order: New's tasks,
+// then each Admit call's and each injected arrival in turn. The slice
+// belongs to the simulator and is valid until the next Admit or advance.
+func (s *Sim) Tasks() []*sched.Task { return s.tasks }
+
+// advance is the event loop: it runs until every admitted task has
+// finished or the next event lies at or after bound. State that a bound
+// interrupts (an open execution step, a held-back jump) lives on the Sim,
+// so the next call resumes exactly where the offline loop would go on.
+func (s *Sim) advance(bound int64) error {
+	for s.remaining > 0 {
+		if s.waiting {
+			// The policy scheduled nothing (cannot happen with a sane
+			// policy, but guard against livelock): jump to the next
+			// arrival.
+			if s.pendHead >= len(s.pending) {
+				if bound < open {
+					return nil // a later admission may still arrive
+				}
+				return fmt.Errorf("sim: policy %s scheduled nothing with %d ready",
+					s.opt.Policy.Name(), len(s.ready))
+			}
+			next := s.pending[s.pendHead].Arrival
+			if next >= bound {
+				return nil
+			}
+			s.now, s.waiting = next, false
+			continue
+		}
+		if !s.stepping {
+			if s.now > s.opt.MaxCycles {
+				return fmt.Errorf("sim: exceeded max cycles %d (policy %s): likely livelock",
+					s.opt.MaxCycles, s.opt.Policy.Name())
+			}
+			if s.now >= bound {
+				return nil
+			}
+			s.admitArrivals()
+
+			if s.running == nil && len(s.ready) == 0 {
+				// Idle: jump to the next arrival.
+				if s.pendHead >= len(s.pending) {
+					return fmt.Errorf("sim: %d tasks unfinished with empty queues", s.remaining)
+				}
+				next := s.pending[s.pendHead].Arrival
+				if next >= bound {
+					return nil
+				}
+				s.now = next
+				continue
+			}
+
+			// Scheduler wake-up: update token balances, then consult the
+			// policy.
+			s.result.Wakes++
+			sched.UpdateTokens(s.allLive(), s.now)
+			if len(s.ready) > 0 {
+				dec := s.opt.Policy.Pick(s.ready, s.running, s.now)
+				if err := s.apply(dec); err != nil {
+					return err
+				}
+			}
+			if s.running == nil {
+				s.waiting = true
+				continue
+			}
+			s.stepping, s.stepStart = true, s.now
+		}
+
+		// Execute until the next scheduler event: quantum expiry, next
+		// arrival, or task completion. A step cut short by a bound
+		// recomputes its horizon from its start, so an arrival admitted
+		// since the pause shortens it exactly as it would have offline.
+		if s.now >= bound {
+			return nil
+		}
+		horizon := s.stepStart + s.quantum
+		if s.pendHead < len(s.pending) && s.pending[s.pendHead].Arrival < horizon {
+			horizon = s.pending[s.pendHead].Arrival
+		}
+		if horizon <= s.stepStart {
+			horizon = s.stepStart + 1
+		}
+		s.now += s.advanceRunning(min(horizon, bound) - s.now)
+		switch {
+		case s.running.Exec.Done():
+			s.stepping = false
+			if err := s.complete(); err != nil {
+				return err
+			}
+		case s.now >= horizon:
+			s.stepping = false
+		}
+	}
+	return nil
+}
+
+// complete retires the running task at the current cycle and queues the
+// arrivals the OnComplete hook releases.
+func (s *Sim) complete() error {
+	s.endSpan()
+	done := s.running
+	done.MarkFinished(s.now)
+	s.running = nil
+	s.remaining--
+	if s.onDone != nil {
+		s.onDone(done, s.now)
+	}
+	if s.opt.OnComplete == nil {
+		return nil
+	}
+	for _, t := range s.opt.OnComplete(done, s.now) {
 		if t == nil {
 			continue
 		}
 		if t.Arrival < s.now {
-			return injected, fmt.Errorf("sim: injected task %d arrives at cycle %d before the completion at %d that released it",
+			return fmt.Errorf("sim: injected task %d arrives at cycle %d before the completion at %d that released it",
 				t.ID, t.Arrival, s.now)
 		}
-		tail := s.pending[s.pendHead:]
-		idx := sort.Search(len(tail), func(i int) bool {
-			if tail[i].Arrival != t.Arrival {
-				return tail[i].Arrival > t.Arrival
-			}
-			return tail[i].ID > t.ID
-		})
-		pos := s.pendHead + idx
-		s.pending = append(s.pending, nil)
-		copy(s.pending[pos+1:], s.pending[pos:])
-		s.pending[pos] = t
-		s.tasks = append(s.tasks, t)
-		s.opt.MaxCycles += t.IsolatedCycles * 100
-		if t.Arrival > s.lastArrival {
-			s.opt.MaxCycles += t.Arrival - s.lastArrival
-			s.lastArrival = t.Arrival
-		}
-		injected++
+		s.insert(t)
 	}
-	return injected, nil
+	return nil
+}
+
+// insert queues one arrival — admitted or injected by the OnComplete
+// hook — at its (arrival, ID) sort position, and extends the livelock
+// bound by its own work and by how far it moves the latest arrival, so a
+// stream that grows after New cannot trip a MaxCycles sized for the
+// initial tasks only.
+func (s *Sim) insert(t *sched.Task) {
+	tail := s.pending[s.pendHead:]
+	idx := sort.Search(len(tail), func(i int) bool {
+		if tail[i].Arrival != t.Arrival {
+			return tail[i].Arrival > t.Arrival
+		}
+		return tail[i].ID > t.ID
+	})
+	pos := s.pendHead + idx
+	s.pending = append(s.pending, nil)
+	copy(s.pending[pos+1:], s.pending[pos:])
+	s.pending[pos] = t
+	s.tasks = append(s.tasks, t)
+	s.remaining++
+	s.opt.MaxCycles += t.IsolatedCycles * 100
+	if t.Arrival > s.lastArrival {
+		s.opt.MaxCycles += t.Arrival - s.lastArrival
+		s.lastArrival = t.Arrival
+	}
 }
 
 // allLive returns every task currently tracked by the context table
@@ -299,12 +469,7 @@ func (s *Sim) apply(dec sched.Decision) error {
 		// to completion; the candidate stays queued and will be
 		// reconsidered at the next wake. Record the non-preemption
 		// so Figure 5's DRAIN wait-time accounting can observe it.
-		s.result.Preemptions = append(s.result.Preemptions, PreemptionEvent{
-			Cycle:      s.now,
-			Preempted:  s.running.ID,
-			Preempting: dec.Candidate.ID,
-			Cost:       preempt.Cost{Mechanism: preempt.Drain},
-		})
+		s.recordPreemption(s.running.ID, dec.Candidate.ID, preempt.Cost{Mechanism: preempt.Drain})
 		return nil
 	}
 
@@ -339,13 +504,22 @@ func (s *Sim) apply(dec sched.Decision) error {
 	s.ready = append(s.ready, victim)
 	s.running = nil
 
+	s.recordPreemption(victim.ID, dec.Candidate.ID, cost)
+	return s.dispatch(dec.Candidate)
+}
+
+// recordPreemption appends one serviced preemption at the current cycle;
+// a projection records none.
+func (s *Sim) recordPreemption(preempted, preempting int, cost preempt.Cost) {
+	if s.projection {
+		return
+	}
 	s.result.Preemptions = append(s.result.Preemptions, PreemptionEvent{
 		Cycle:      s.now,
-		Preempted:  victim.ID,
-		Preempting: dec.Candidate.ID,
+		Preempted:  preempted,
+		Preempting: preempting,
 		Cost:       cost,
 	})
-	return s.dispatch(dec.Candidate)
 }
 
 // dispatch moves a ready task onto the NPU, charging any pending context
@@ -390,9 +564,9 @@ func (s *Sim) dispatch(t *sched.Task) error {
 }
 
 // endSpan closes the running task's current occupancy span at the
-// current cycle.
+// current cycle; a projection records none.
 func (s *Sim) endSpan() {
-	if s.running == nil || s.now <= s.runSince {
+	if s.projection || s.running == nil || s.now <= s.runSince {
 		return
 	}
 	s.result.Timeline.Add(trace.Span{

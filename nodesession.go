@@ -293,12 +293,14 @@ func (ns *NodeSession) OfferClients(clients int, think, horizon time.Duration) (
 // Pending reports how many requests have been submitted node-wide.
 func (ns *NodeSession) Pending() int { return ns.inner.Pending() }
 
-// Routed reports how many requests each NPU holds.
+// Routed reports how many requests each NPU holds; like Pending, it keeps
+// answering after Close.
 func (ns *NodeSession) Routed() []int { return ns.inner.Routed() }
 
 // Stats computes the node's steady-state statistics so far: aggregate
-// plus per-NPU views. Stats is incremental — each NPU re-simulates only
-// if its routed stream changed.
+// plus per-NPU views. Stats is incremental: an NPU whose routed stream
+// is unchanged answers from its memo, and an unbatched NPU simulates
+// each request once, projecting only the work still in flight.
 func (ns *NodeSession) Stats() (NodeSessionStats, error) {
 	st, err := ns.inner.Stats()
 	if err != nil {
@@ -317,7 +319,8 @@ func (ns *NodeSession) Drain() (NodeSessionStats, error) {
 	return ns.flattenNodeStats(st), nil
 }
 
-// Close seals the node session. Close is idempotent.
+// Close seals the node session and releases the request streams it
+// pinned. Close is idempotent.
 func (ns *NodeSession) Close() error { return ns.inner.Close() }
 
 // TraceEvents assembles the node's merged per-request trace: the

@@ -207,7 +207,8 @@ func (ss *Session) Pending() int { return ss.inner.Pending() }
 
 // Stats computes the steady-state statistics of everything submitted so
 // far. Stats is incremental: repeated calls without new submissions
-// answer from a memo instead of re-simulating.
+// answer from a memo, and an unbatched session simulates each request
+// once, projecting only the work still in flight.
 func (ss *Session) Stats() (SessionStats, error) {
 	st, err := ss.inner.Stats()
 	if err != nil {

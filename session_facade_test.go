@@ -1,6 +1,7 @@
 package prema
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -259,5 +260,87 @@ func TestFacadeClosedLoopSweep(t *testing.T) {
 		if per.Requests == 0 {
 			t.Errorf("NPU %d received no closed-loop clients", i)
 		}
+	}
+}
+
+// TestSessionStatsEqualFreshReplayAtEveryPoll polls a session's Stats
+// while its stream grows and checks each answer against a fresh session
+// given the same prefix, which simulates it from cycle 0 in one refresh:
+// the live path that admits each request once and projects the work in
+// flight must land on the same statistics float for float.
+func TestSessionStatsEqualFreshReplayAtEveryPoll(t *testing.T) {
+	sys := newSystem(t)
+	srv := serving.NewServer(sys.NPU(), sys.SchedConfig(), sys.gen)
+	stream, err := srv.Generate(serving.Spec{Horizon: 150 * time.Millisecond, OfferedLoad: 0.9},
+		workload.RNGFor(23, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SessionConfig{Scheduler: Scheduler{Policy: PREMA, Preemptive: true, Mechanism: Dynamic}}
+	sess, err := sys.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for i, req := range stream {
+		if err := sess.SubmitInstance(req); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 != 4 && i != len(stream)-1 {
+			continue
+		}
+		got, err := sess.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sys.Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range stream[:i+1] {
+			if err := ref.SubmitInstance(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := ref.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("after %d requests: live %+v, fresh replay %+v", i+1, got, want)
+		}
+	}
+}
+
+// TestNodeSessionCountsSurviveClose pins what a closed node session
+// still answers: Pending and Routed, from counts, after the streams
+// they counted are released.
+func TestNodeSessionCountsSurviveClose(t *testing.T) {
+	sys := newSystem(t)
+	ns, err := sys.OpenNode(NodeSessionConfig{
+		NPUs: 3, Scheduler: Scheduler{Policy: PREMA, Preemptive: true, Mechanism: Dynamic},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ns.OfferLoad(2, 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ns.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	pending, routed := ns.Pending(), ns.Routed()
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ns.Pending() != pending || !reflect.DeepEqual(ns.Routed(), routed) {
+		t.Errorf("counts moved on Close: pending %d→%d, routed %v→%v",
+			pending, ns.Pending(), routed, ns.Routed())
+	}
+	if _, err := ns.Stats(); err == nil {
+		t.Error("stats after close should error")
 	}
 }

@@ -57,6 +57,9 @@ go test -fuzz=FuzzSimInvariants -fuzztime=5s -run '^$' ./internal/sim/
 # and advanced bound by bound projects and ends exactly as the offline
 # run over the same tasks.
 go test -fuzz=FuzzLiveEqualsOffline -fuzztime=5s -run '^$' ./internal/sim/
+# The JSONL encoder writes exactly what encoding/json would, NaN and ±Inf
+# errors included; the fuzz target checks it against that reference.
+go test -fuzz=FuzzEncodeJSONL -fuzztime=5s -run '^$' ./internal/telemetry/
 
 # The examples are the public-API consumers: every one must build and
 # run to completion against the current facade.

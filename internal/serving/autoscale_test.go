@@ -7,6 +7,7 @@ package serving
 // pipeline is deterministic per seed.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -262,6 +263,63 @@ func TestRetiredBackendSamplesFold(t *testing.T) {
 	if len(st.PerNPU) != len(ns.Routed()) {
 		t.Errorf("PerNPU (%d) and Routed (%d) disagree on fleet size",
 			len(st.PerNPU), len(ns.Routed()))
+	}
+}
+
+// TestStatsSeesTimelineWithoutArrival pins the node-level stats memo
+// to the fleet timeline: an operator scale or drain between two Stats
+// calls, with no submission in between, must reach the second call's
+// Scaling.Events and MeanNPUs, exactly as a memo-free derivation does.
+func TestStatsSeesTimelineWithoutArrival(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		act   func(*NodeSession) error
+		delta int
+	}{
+		{"scale", func(ns *NodeSession) error { return ns.ScaleTo(4) }, +2},
+		{"drain", func(ns *NodeSession) error { return ns.RetireBackend(0) }, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t)
+			ns, err := s.OpenNode(NodeConfig{
+				NPUs: 2, Routing: cluster.LeastWork,
+				Session: SessionConfig{Policy: "FCFS", Horizon: rampHorizon},
+				Autoscale: &AutoscaleConfig{Scaler: "static", SLO: 8 * time.Millisecond,
+					MinNPUs: 1, MaxNPUs: 4},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			offerRamp(t, ns, 5)
+			before, err := ns.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.act(ns); err != nil {
+				t.Fatal(err)
+			}
+			after, err := ns.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := after.Scaling.Events
+			if len(events) != len(before.Scaling.Events)+1 || events[len(events)-1].Delta != tc.delta {
+				t.Fatalf("scaling events after %s: %+v, want the %d before plus one of delta %+d",
+					tc.name, events, len(before.Scaling.Events), tc.delta)
+			}
+			if after.Scaling.MeanNPUs == before.Scaling.MeanNPUs {
+				t.Errorf("MeanNPUs %.4f unchanged by a %s before the makespan", after.Scaling.MeanNPUs, tc.name)
+			}
+			ns.statsValid = false
+			fresh, err := ns.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, fresh) {
+				t.Errorf("memoized stats after %s diverge from a fresh derivation:\n memo  %+v\n fresh %+v",
+					tc.name, after.Scaling, fresh.Scaling)
+			}
+		})
 	}
 }
 

@@ -231,12 +231,16 @@ func (ns *NodeSession) Timeline() []NodeEvent {
 	return append([]NodeEvent(nil), ns.timeline...)
 }
 
-// record appends one fleet-timeline event.
+// record appends one fleet-timeline event. The node-level stats memo is
+// keyed on submissions, and a timeline change (a drain, scale, chaos
+// operation or failure reclaim) need not come with one, so every event
+// invalidates it.
 func (ns *NodeSession) record(at int64, kind string, npuIdx, delta int, note string) {
 	ns.timeline = append(ns.timeline, NodeEvent{
 		Cycle: at, Kind: kind, NPU: npuIdx, Delta: delta,
 		Active: ns.state.Active(), Note: note,
 	})
+	ns.statsValid = false
 }
 
 // advanceTo fires every scheduled operation and autoscale tick due at
@@ -331,10 +335,6 @@ func (ns *NodeSession) failNPU(i int, at int64) error {
 	}
 	ns.record(at, "fail", i, delta, fmt.Sprintf("reclaimed %d", len(reclaimed)))
 	ns.reclaims += len(reclaimed)
-	// The lost backend's stream shrank without a new submission, so the
-	// node-level stats memo must not answer from the old stream.
-	ns.statsValid = false
-	ns.statsAt = -1
 	for _, t := range reclaimed {
 		if tr := ns.tracer(); tr != nil {
 			tr.Record(telemetry.Event{

@@ -165,7 +165,8 @@ type NodeSession struct {
 	closed      bool
 
 	// last memoizes the node statistics computed at statsAt submissions,
-	// so polling Stats on an unchanged node re-derives nothing.
+	// so polling Stats on an unchanged node re-derives nothing; every
+	// timeline event (record) clears statsValid.
 	last       NodeStats
 	statsAt    int
 	statsValid bool

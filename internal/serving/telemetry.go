@@ -10,7 +10,9 @@ package serving
 // byte-identically with the stream (telemetry_test.go locks that in).
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sched"
@@ -121,11 +123,13 @@ func (ss *Session) retainCompletions(tasks []*sched.Task) {
 
 // TraceEvents assembles the node's merged trace: the tracer's recorded
 // lifecycle events plus one completion event per simulated request,
-// sorted by cycle and sequence-stamped (telemetry.MergeEvents). Calling
-// it refreshes every dirty backend — completion latency only exists at
+// sorted by cycle and sequence-stamped under telemetry.MergeEvents'
+// contract (recorded events first at equal cycles). Calling it
+// refreshes every dirty backend — completion latency only exists at
 // simulation time, and a request still in flight completes at its
 // projected cycle. Batched backends (SessionConfig.Window > 0) retain
-// no completions; their requests trace submit/route edges only.
+// no completions; their requests trace submit/route edges only. The
+// trace is built in one slice of exactly its length.
 func (ns *NodeSession) TraceEvents() ([]telemetry.Event, error) {
 	tr := ns.tracer()
 	if tr == nil {
@@ -134,7 +138,7 @@ func (ns *NodeSession) TraceEvents() ([]telemetry.Event, error) {
 	if ns.closed {
 		return nil, fmt.Errorf("serving: node session closed")
 	}
-	var completions []telemetry.Event
+	n := tr.Len()
 	for i, b := range ns.backends {
 		if b.Pending() == 0 {
 			continue
@@ -142,28 +146,39 @@ func (ns *NodeSession) TraceEvents() ([]telemetry.Event, error) {
 		if err := b.refresh(); err != nil {
 			return nil, fmt.Errorf("serving: NPU %d: %w", i, err)
 		}
+		n += len(b.completions)
+	}
+	events := tr.AppendEvents(make([]telemetry.Event, 0, n))
+	for i, b := range ns.backends {
+		if b.Pending() == 0 {
+			continue
+		}
 		tier := ns.tierName(i)
 		for _, c := range b.completions {
-			completions = append(completions, telemetry.Event{
-				Cycle: c.cycle, Kind: telemetry.KindComplete,
+			// Seq 1 marks a completion for the sort below; recorded
+			// events come out of the tracer with Seq 0, and the stamping
+			// pass overwrites both.
+			events = append(events, telemetry.Event{
+				Seq: 1, Cycle: c.cycle, Kind: telemetry.KindComplete,
 				Req: c.req, NPU: i, Tier: tier,
 				LatencyMS: c.latencyMS, ServiceMS: c.serviceMS,
 			})
 		}
 	}
-	sort.Slice(completions, func(i, j int) bool {
-		a, b := completions[i], completions[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
+	// By cycle; at equal cycles recorded events first, in recording
+	// order, then completions by request and backend.
+	slices.SortStableFunc(events, func(a, b telemetry.Event) int {
+		if c := cmp.Compare(a.Cycle, b.Cycle); c != 0 {
+			return c
 		}
-		if a.Req != b.Req {
-			return a.Req < b.Req
+		if c := cmp.Compare(a.Seq, b.Seq); c != 0 || a.Seq == 0 {
+			return c
 		}
-		return a.NPU < b.NPU
+		return cmp.Or(cmp.Compare(a.Req, b.Req), cmp.Compare(a.NPU, b.NPU))
 	})
-	events := telemetry.MergeEvents(tr.Events(), completions)
 	// The hot recording path skips the cycle→ms conversion; fill it here.
 	for i := range events {
+		events[i].Seq = i
 		events[i].AtMS = ns.srv.cfg.Millis(events[i].Cycle)
 	}
 	return events, nil

@@ -8,6 +8,8 @@ package serving
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,72 @@ func TestNodeStatsTierBreakdown(t *testing.T) {
 	}
 	if pst.Tiers != nil {
 		t.Errorf("homogeneous fleet reports tier stats: %+v", pst.Tiers)
+	}
+}
+
+// TestTraceEventsOneCopy pins the merged trace's assembly: on a
+// refreshed node TraceEvents allocates one slice of exactly the trace's
+// length, and its order and stamps equal the two-step derivation it
+// replaced — completions sorted by (cycle, request, backend), then
+// telemetry.MergeEvents over the tracer's events.
+func TestTraceEventsOneCopy(t *testing.T) {
+	s := newServer(t)
+	tiers, err := FleetFromTemplate(npu.DefaultConfig(), "50%:fast,50%:slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.New()
+	ns, err := s.OpenNode(NodeConfig{
+		NPUs: 3, Fleet: tiers, Routing: cluster.LeastWork,
+		Session: SessionConfig{Policy: "PREMA", Preemptive: true, Horizon: rampHorizon},
+		Trace:   tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSchedule(t, ns, 40*time.Millisecond, NodeOp{Kind: SlowNPU, NPU: 0, Factor: 2})
+	mustSchedule(t, ns, 80*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
+	offerRamp(t, ns, 23)
+	if _, err := ns.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	var got []telemetry.Event
+	allocs := testing.AllocsPerRun(5, func() {
+		if got, err = ns.TraceEvents(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 || cap(got) != len(got) {
+		t.Errorf("TraceEvents: %v allocations, len %d cap %d; want one exact-size slice",
+			allocs, len(got), cap(got))
+	}
+
+	var completions []telemetry.Event
+	for i, b := range ns.backends {
+		for _, c := range b.completions {
+			completions = append(completions, telemetry.Event{
+				Cycle: c.cycle, Kind: telemetry.KindComplete, Req: c.req, NPU: i,
+				Tier: ns.tierName(i), LatencyMS: c.latencyMS, ServiceMS: c.serviceMS,
+			})
+		}
+	}
+	sort.Slice(completions, func(i, j int) bool {
+		a, b := completions[i], completions[j]
+		if a.Cycle != b.Cycle {
+			return a.Cycle < b.Cycle
+		}
+		if a.Req != b.Req {
+			return a.Req < b.Req
+		}
+		return a.NPU < b.NPU
+	})
+	want := telemetry.MergeEvents(tr.Tracer.Events(), completions)
+	for i := range want {
+		want[i].AtMS = s.cfg.Millis(want[i].Cycle)
+	}
+	if len(completions) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("TraceEvents (%d events, %d completions) diverges from the two-step merge",
+			len(got), len(completions))
 	}
 }
 

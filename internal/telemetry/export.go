@@ -1,19 +1,14 @@
 package telemetry
 
-// export.go is the aggregation and export half of the package: merging
-// the recorded event stream with derived completions into one sorted
-// trace, decomposing per-request latency into queue/service/stretch
-// shares, and encoding everything as JSON Lines. All accumulation here
+// export.go is the aggregation half of the package: merging the
+// recorded event stream with derived completions into one sorted trace,
+// and decomposing per-request latency into queue/service/stretch shares
+// (jsonl.go encodes the result as JSON Lines). All accumulation here
 // runs in sorted order — per-request state is keyed in a map but folded
 // in request-ID order — so the derived numbers are bit-identical across
 // replays (the floatorder premalint analyzer guards the pattern).
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // MergeEvents folds the tracer's recorded stream and the derived
 // completion events into one trace sorted by cycle (recorded events
@@ -30,37 +25,6 @@ func MergeEvents(recorded, completions []Event) []Event {
 		out[i].Seq = i
 	}
 	return out
-}
-
-// EncodeJSONL renders a merged trace and a metric series as JSON Lines:
-// one object per line, events and tick samples interleaved in cycle
-// order (events first at equal cycles). Tick lines carry kind "tick" to
-// distinguish them from lifecycle events. The encoding is deterministic
-// — same inputs, same bytes — which is what lets CI diff two replays.
-func EncodeJSONL(events []Event, ticks []TickSample) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	// tickLine wraps a sample with the discriminator its JSONL line
-	// leads with.
-	type tickLine struct {
-		Kind string `json:"kind"`
-		TickSample
-	}
-	e, k := 0, 0
-	for e < len(events) || k < len(ticks) {
-		if k >= len(ticks) || (e < len(events) && events[e].Cycle <= ticks[k].Cycle) {
-			if err := enc.Encode(events[e]); err != nil {
-				return nil, fmt.Errorf("telemetry: encoding event %d: %w", e, err)
-			}
-			e++
-			continue
-		}
-		if err := enc.Encode(tickLine{Kind: "tick", TickSample: ticks[k]}); err != nil {
-			return nil, fmt.Errorf("telemetry: encoding tick %d: %w", k, err)
-		}
-		k++
-	}
-	return buf.Bytes(), nil
 }
 
 // RequestTrace is one request's derived lifecycle summary.

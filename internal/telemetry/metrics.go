@@ -76,34 +76,42 @@ const DefaultTickCap = 2048
 
 // Recorder is a fixed-capacity ring of tick samples, filled by the node
 // session on every autoscale tick. Like Tracer it is single-threaded
-// and evicts oldest-first past its capacity.
+// and evicts oldest-first past its capacity. Its buffer grows with the
+// samples recorded, never past the capacity, and only a full ring
+// wraps.
 type Recorder struct {
 	buf []TickSample
-	// head mirrors Tracer.head: the next overwrite slot once full,
-	// always total % cap, maintained without division.
-	head  int
-	total int
+	// head mirrors Tracer.w: the next overwrite slot once full, always
+	// total % cap, maintained without division.
+	head, total, cap int
 }
 
 // NewRecorder builds a recorder ring holding up to cap samples;
-// cap <= 0 selects DefaultTickCap.
+// cap <= 0 selects DefaultTickCap. No sample storage is allocated until
+// the first recording.
 func NewRecorder(cap int) *Recorder {
 	if cap <= 0 {
 		cap = DefaultTickCap
 	}
-	return &Recorder{buf: make([]TickSample, 0, cap)}
+	return &Recorder{cap: cap}
 }
 
 // Record appends one tick sample, evicting the oldest when full.
 func (r *Recorder) Record(s TickSample) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-	} else {
+	switch {
+	case len(r.buf) == r.cap:
 		r.buf[r.head] = s
 		r.head++
-		if r.head == cap(r.buf) {
+		if r.head == r.cap {
 			r.head = 0
 		}
+	case len(r.buf) == cap(r.buf):
+		// Grow geometrically, clipped to the capacity.
+		grown := make([]TickSample, len(r.buf), min(max(2*len(r.buf), 16), r.cap))
+		copy(grown, r.buf)
+		r.buf = append(grown, s)
+	default:
+		r.buf = append(r.buf, s)
 	}
 	r.total++
 }
@@ -113,6 +121,9 @@ func (r *Recorder) Len() int { return len(r.buf) }
 
 // Total reports how many samples were ever recorded.
 func (r *Recorder) Total() int { return r.total }
+
+// Cap reports the ring's capacity.
+func (r *Recorder) Cap() int { return r.cap }
 
 // Samples returns the recorded ticks oldest-first as a fresh slice.
 func (r *Recorder) Samples() []TickSample {

@@ -10,17 +10,21 @@
 // The package has two halves, carried together by a Trace handle:
 //
 //   - Tracer records one compact Event per request lifecycle edge
-//     (submit, route, stretch, reclaim, complete) into a fixed-size
+//     (submit, route, stretch, reclaim, complete) into a fixed-capacity
 //     ring, so tracing a long stream holds bounded memory.
 //   - Recorder captures one TickSample per autoscale tick: per-NPU and
 //     per-tier gauges plus fleet counters (completions, reclaims,
 //     estimate-SLO violations since the previous tick).
 //
+// Both rings allocate as they fill: their memory follows the events and
+// samples recorded, bounded by the capacity, so a handle at the default
+// capacities costs a few hundred bytes until something is recorded.
+//
 // The serving package fills both (serving.NodeConfig.Trace); this
 // package owns the aggregation: MergeEvents orders the stream,
 // Summarize derives queue/service/stretch decompositions and the
 // worst-latency traces, and EncodeJSONL exports everything as sorted
-// JSON Lines.
+// JSON Lines into one allocation of exactly the output's size.
 package telemetry
 
 // Event kinds, one per request lifecycle edge the node session traces.
@@ -108,40 +112,58 @@ const (
 // and stored as indices; Events materializes full Event values on the
 // cold export path, reading back exactly the columns each kind's schema
 // defines.
+//
+// The columns are split into fixed-size pages, each allocated when the
+// ring first writes into it: memory follows the events recorded,
+// bounded by the capacity, so a short trace on a default-capacity ring
+// costs a page or two rather than the whole ring.
 type Tracer struct {
-	cycle                         []int64
-	est, factor, latency, service []float64
-	// ids packs req (low 32 bits) and npu (high 32 bits, two's
-	// complement); meta packs the kind (low 16), tier (mid 16) and note
-	// (bits 32-47) vocabulary indices — so a hot-path event is three or
-	// four word stores, and the float columns a kind does not carry are
-	// never touched.
-	ids, meta []uint64
+	// pages holds the ring's slots in pageSize-event pages; slot i lives
+	// at pages[i>>pageShift][i&pageMask]. The ring fills its slots in
+	// order before it wraps, so pages grows by one page at a time.
+	pages []*page
 	// kinds, tiers and notes are the intern tables the meta column's
 	// indices point into; index 0 is always "". Each grows with the
 	// distinct-string vocabulary (a handful of entries), never with the
 	// event count.
 	kinds, tiers, notes []string
 	// n is how many events the ring holds, w the next write slot —
-	// always total % capacity, kept incrementally so the hot path never
+	// always total % cap, kept incrementally so the hot path never
 	// pays an integer division.
-	n, w, total int
+	n, w, total, cap int
+}
+
+// pageShift sets a tracer page at 256 events (14 KiB).
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// page is one pageSize-event stretch of a tracer's columns.
+type page struct {
+	cycle                         [pageSize]int64
+	est, factor, latency, service [pageSize]float64
+	// ids packs req (low 32 bits) and npu (high 32 bits, two's
+	// complement); meta packs the kind (low 16), tier (mid 16) and note
+	// (bits 32-47) vocabulary indices — so a hot-path event is three or
+	// four word stores, and the float columns a kind does not carry are
+	// never touched.
+	ids, meta [pageSize]uint64
 }
 
 // NewTracer builds a tracer ring holding up to cap events; cap <= 0
-// selects DefaultEventCap.
+// selects DefaultEventCap. No event page is allocated until the first
+// recording.
 func NewTracer(cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultEventCap
 	}
 	return &Tracer{
-		cycle: make([]int64, cap),
-		est:   make([]float64, cap), factor: make([]float64, cap),
-		latency: make([]float64, cap), service: make([]float64, cap),
-		ids: make([]uint64, cap), meta: make([]uint64, cap),
 		kinds: []string{"", KindSubmit, KindRoute, KindStretch, KindReclaim, KindComplete},
 		tiers: []string{""},
 		notes: []string{""},
+		cap:   cap,
 	}
 }
 
@@ -181,18 +203,23 @@ func (t *Tracer) InternTier(s string) Sym { return Sym(intern(&t.tiers, s)) }
 // events) for the hot recording methods.
 func (t *Tracer) InternNote(s string) Sym { return Sym(intern(&t.notes, s)) }
 
-// slot claims the next ring slot, evicting the oldest event when full.
-func (t *Tracer) slot() int {
+// slot claims the next ring slot, evicting the oldest event when full,
+// and answers its page and offset within the page.
+func (t *Tracer) slot() (*page, int) {
 	i := t.w
 	t.w++
-	if t.w == len(t.cycle) {
+	if t.w == t.cap {
 		t.w = 0
 	}
-	if t.n < len(t.cycle) {
+	if t.n < t.cap {
 		t.n++
 	}
 	t.total++
-	return i
+	k := i >> pageShift
+	if k == len(t.pages) {
+		t.pages = append(t.pages, new(page))
+	}
+	return t.pages[k], i & pageMask
 }
 
 // Record appends one event, evicting the oldest when the ring is full.
@@ -201,12 +228,12 @@ func (t *Tracer) slot() int {
 // (RecordSubmit, RecordRoute, RecordStretch) that skip materializing an
 // Event and write only their kind's columns.
 func (t *Tracer) Record(e Event) {
-	i := t.slot()
-	t.cycle[i] = e.Cycle
-	t.est[i], t.factor[i] = e.EstMS, e.Factor
-	t.latency[i], t.service[i] = e.LatencyMS, e.ServiceMS
-	t.ids[i] = packIDs(e.Req, e.NPU)
-	t.meta[i] = uint64(intern(&t.kinds, e.Kind)) |
+	p, j := t.slot()
+	p.cycle[j] = e.Cycle
+	p.est[j], p.factor[j] = e.EstMS, e.Factor
+	p.latency[j], p.service[j] = e.LatencyMS, e.ServiceMS
+	p.ids[j] = packIDs(e.Req, e.NPU)
+	p.meta[j] = uint64(intern(&t.kinds, e.Kind)) |
 		uint64(intern(&t.tiers, e.Tier))<<16 |
 		uint64(intern(&t.notes, e.Note))<<32
 }
@@ -216,31 +243,31 @@ func (t *Tracer) Record(e Event) {
 // of Record for the edge every accepted request fires. The model Sym
 // comes from InternNote.
 func (t *Tracer) RecordSubmit(cycle int64, req int, model Sym) {
-	i := t.slot()
-	t.cycle[i] = cycle
-	t.ids[i] = packIDs(req, -1)
-	t.meta[i] = kindSubmit | uint64(model)<<32
+	p, j := t.slot()
+	p.cycle[j] = cycle
+	p.ids[j] = packIDs(req, -1)
+	p.meta[j] = kindSubmit | uint64(model)<<32
 }
 
 // RecordRoute records a KindRoute edge — the other per-request hot
 // edge: the chosen backend, its tier (a Sym from InternTier) and the
 // fluid latency estimate.
 func (t *Tracer) RecordRoute(cycle int64, req, npu int, tier Sym, est float64) {
-	i := t.slot()
-	t.cycle[i] = cycle
-	t.est[i] = est
-	t.ids[i] = packIDs(req, npu)
-	t.meta[i] = kindRoute | uint64(tier)<<16
+	p, j := t.slot()
+	p.cycle[j] = cycle
+	p.est[j] = est
+	p.ids[j] = packIDs(req, npu)
+	p.meta[j] = kindRoute | uint64(tier)<<16
 }
 
 // RecordStretch records a KindStretch edge: the request landed on a
 // slowed backend and its program was stretched by factor.
 func (t *Tracer) RecordStretch(cycle int64, req, npu int, tier Sym, factor float64) {
-	i := t.slot()
-	t.cycle[i] = cycle
-	t.factor[i] = factor
-	t.ids[i] = packIDs(req, npu)
-	t.meta[i] = kindStretch | uint64(tier)<<16
+	p, j := t.slot()
+	p.cycle[j] = cycle
+	p.factor[j] = factor
+	p.ids[j] = packIDs(req, npu)
+	p.meta[j] = kindStretch | uint64(tier)<<16
 }
 
 // Len reports how many events the ring currently holds.
@@ -251,7 +278,7 @@ func (t *Tracer) Len() int { return t.n }
 func (t *Tracer) Total() int { return t.total }
 
 // Cap reports the ring's capacity.
-func (t *Tracer) Cap() int { return len(t.cycle) }
+func (t *Tracer) Cap() int { return t.cap }
 
 // event materializes ring slot i back into the export shape. Only the
 // float columns the slot's kind carries are read — the hot recording
@@ -259,37 +286,42 @@ func (t *Tracer) Cap() int { return len(t.cycle) }
 // the standard kinds read exactly their schema; kinds beyond the
 // standard five only ever arrive via Record, which writes every column.
 func (t *Tracer) event(i int) Event {
-	kind := uint16(t.meta[i])
-	tier := uint16(t.meta[i] >> 16)
-	note := uint16(t.meta[i] >> 32)
+	p, j := t.pages[i>>pageShift], i&pageMask
+	kind := uint16(p.meta[j])
+	tier := uint16(p.meta[j] >> 16)
+	note := uint16(p.meta[j] >> 32)
 	e := Event{
-		Cycle: t.cycle[i], Kind: t.kinds[kind],
-		Req: int(int32(uint32(t.ids[i]))), NPU: int(int32(uint32(t.ids[i] >> 32))),
+		Cycle: p.cycle[j], Kind: t.kinds[kind],
+		Req: int(int32(uint32(p.ids[j]))), NPU: int(int32(uint32(p.ids[j] >> 32))),
 	}
 	switch kind {
 	case kindSubmit:
 		e.Note = t.notes[note]
 	case kindRoute:
-		e.Tier, e.EstMS = t.tiers[tier], t.est[i]
+		e.Tier, e.EstMS = t.tiers[tier], p.est[j]
 	case kindStretch:
-		e.Tier, e.Factor = t.tiers[tier], t.factor[i]
+		e.Tier, e.Factor = t.tiers[tier], p.factor[j]
 	case kindReclaim:
 		e.Tier = t.tiers[tier]
 	case kindComplete:
 		e.Tier = t.tiers[tier]
-		e.LatencyMS, e.ServiceMS = t.latency[i], t.service[i]
+		e.LatencyMS, e.ServiceMS = p.latency[j], p.service[j]
 	default:
 		e.Tier, e.Note = t.tiers[tier], t.notes[note]
-		e.EstMS, e.Factor = t.est[i], t.factor[i]
-		e.LatencyMS, e.ServiceMS = t.latency[i], t.service[i]
+		e.EstMS, e.Factor = p.est[j], p.factor[j]
+		e.LatencyMS, e.ServiceMS = p.latency[j], p.service[j]
 	}
 	return e
 }
 
 // Events returns the recorded events oldest-first as a fresh slice the
 // caller may mutate (MergeEvents does, to stamp sequence numbers).
-func (t *Tracer) Events() []Event {
-	out := make([]Event, 0, t.n)
+func (t *Tracer) Events() []Event { return t.AppendEvents(make([]Event, 0, t.n)) }
+
+// AppendEvents appends the recorded events to dst oldest-first and
+// answers the extended slice, so a caller assembling a larger trace
+// copies the ring once, straight into its own buffer.
+func (t *Tracer) AppendEvents(dst []Event) []Event {
 	// When the ring has wrapped the oldest surviving event sits at the
 	// write cursor; before that, at slot zero.
 	start := 0
@@ -298,12 +330,12 @@ func (t *Tracer) Events() []Event {
 	}
 	for k := 0; k < t.n; k++ {
 		i := start + k
-		if i >= len(t.cycle) {
-			i -= len(t.cycle)
+		if i >= t.cap {
+			i -= t.cap
 		}
-		out = append(out, t.event(i))
+		dst = append(dst, t.event(i))
 	}
-	return out
+	return dst
 }
 
 // Trace bundles the two telemetry halves a node session fills. Either
@@ -319,6 +351,7 @@ type Trace struct {
 }
 
 // New builds a Trace with both halves at their default capacities.
+// Neither ring allocates storage until it records.
 func New() *Trace {
 	return &Trace{Tracer: NewTracer(0), Recorder: NewRecorder(0)}
 }

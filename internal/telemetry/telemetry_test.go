@@ -1,14 +1,18 @@
 package telemetry
 
 // telemetry_test.go covers the package's own mechanics: ring wrap and
-// eviction order, the merge-and-stamp contract, the JSONL interleave,
-// and the summary's latency decomposition (including the stretch and
-// reclaim corner cases the serving integration relies on).
+// eviction order (against a plain-slice reference ring), on-demand ring
+// storage, the merge-and-stamp contract, the JSONL interleave, and the
+// summary's latency decomposition (including the stretch and reclaim
+// corner cases the serving integration relies on).
 
 import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -50,8 +54,8 @@ func TestTracerDefaultCap(t *testing.T) {
 	if got := NewTracer(0).Cap(); got != DefaultEventCap {
 		t.Errorf("default tracer cap %d, want %d", got, DefaultEventCap)
 	}
-	if got := NewRecorder(-1).buf; cap(got) != DefaultTickCap {
-		t.Errorf("default recorder cap %d, want %d", cap(got), DefaultTickCap)
+	if got := NewRecorder(-1).Cap(); got != DefaultTickCap {
+		t.Errorf("default recorder cap %d, want %d", got, DefaultTickCap)
 	}
 }
 
@@ -68,6 +72,143 @@ func TestRecorderRingWrap(t *testing.T) {
 		if want := int64(2 + i); s.Cycle != want {
 			t.Errorf("sample %d: cycle %d, want %d", i, s.Cycle, want)
 		}
+	}
+}
+
+// refRing is the plain-slice ring the paged Tracer and the growing
+// Recorder must match: full capacity up front, slot total % cap.
+type refRing[T any] struct {
+	buf        []T
+	cap, total int
+}
+
+func (r *refRing[T]) record(v T) {
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, v)
+	} else {
+		r.buf[r.total%r.cap] = v
+	}
+	r.total++
+}
+
+// items answers the ring's contents oldest-first.
+func (r *refRing[T]) items() []T {
+	i := r.total % r.cap
+	if r.total <= r.cap {
+		i = 0
+	}
+	return append(append([]T{}, r.buf[i:]...), r.buf[:i]...)
+}
+
+// ringCaps are the capacities the ring tests drive: tiny rings, sizes
+// on either side of a page boundary, and the default.
+var ringCaps = []int{1, 2, 3, 7, 100, pageSize - 1, pageSize + 1, 2*pageSize + 3, 1000, DefaultEventCap}
+
+// checkpoint reports whether the ring tests compare after the n-th
+// recording: every one on tiny rings, else around each wrap.
+func checkpoint(n, cap int) bool {
+	return cap <= 8 || n == 1 || n%cap <= 1 || n%cap == cap-1
+}
+
+// TestTracerMatchesReferenceRing drives the paged tracer through every
+// recording path up to three times its capacity, so it wraps several
+// times over pages holding stale columns, and compares it with the
+// reference ring after each wrap.
+func TestTracerMatchesReferenceRing(t *testing.T) {
+	tierNames := []string{"", "fast", "slow"}
+	noteNames := []string{"", "CNN-AN", "RNN-SA"}
+	for _, c := range ringCaps {
+		tr := NewTracer(c)
+		ref := refRing[Event]{cap: c}
+		var tiers, notes []Sym
+		for i := range tierNames {
+			tiers = append(tiers, tr.InternTier(tierNames[i]))
+			notes = append(notes, tr.InternNote(noteNames[i]))
+		}
+		rng := rand.New(rand.NewPCG(uint64(c), 3))
+		for n := 1; n <= 3*c; n++ {
+			cycle, req, npu, tier := int64(n), rng.IntN(1<<20), rng.IntN(16), rng.IntN(3)
+			f := rng.Float64() * 10
+			var e Event
+			switch rng.IntN(7) {
+			case 0:
+				tr.RecordSubmit(cycle, req, notes[tier])
+				e = Event{Cycle: cycle, Kind: KindSubmit, Req: req, NPU: -1, Note: noteNames[tier]}
+			case 1:
+				tr.RecordRoute(cycle, req, npu, tiers[tier], f)
+				e = Event{Cycle: cycle, Kind: KindRoute, Req: req, NPU: npu, Tier: tierNames[tier], EstMS: f}
+			case 2:
+				tr.RecordStretch(cycle, req, npu, tiers[tier], f)
+				e = Event{Cycle: cycle, Kind: KindStretch, Req: req, NPU: npu, Tier: tierNames[tier], Factor: f}
+			case 3:
+				e = Event{Cycle: cycle, Kind: KindReclaim, Req: req, NPU: npu, Tier: tierNames[tier]}
+				tr.Record(e)
+			case 4:
+				e = Event{Cycle: cycle, Kind: KindComplete, Req: req, NPU: npu, Tier: tierNames[tier],
+					LatencyMS: f, ServiceMS: f / 2}
+				tr.Record(e)
+			default:
+				e = Event{Cycle: cycle, Kind: "custom", Req: -req, NPU: npu, Tier: "t", EstMS: f,
+					Factor: f + 1, LatencyMS: f + 2, ServiceMS: f + 3, Note: noteNames[tier]}
+				tr.Record(e)
+			}
+			ref.record(e)
+			if !checkpoint(n, c) {
+				continue
+			}
+			if tr.Len() != len(ref.buf) || tr.Total() != n || tr.Cap() != c {
+				t.Fatalf("cap %d after %d: Len=%d Total=%d Cap=%d, want %d/%d/%d",
+					c, n, tr.Len(), tr.Total(), tr.Cap(), len(ref.buf), n, c)
+			}
+			if got, want := tr.Events(), ref.items(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d after %d: events diverge from the reference ring", c, n)
+			}
+			// Pages follow the slots written, never the capacity.
+			if want := (min(n, c) + pageSize - 1) / pageSize; len(tr.pages) != want {
+				t.Fatalf("cap %d after %d: %d pages, want %d", c, n, len(tr.pages), want)
+			}
+		}
+	}
+}
+
+// TestRecorderMatchesReferenceRing does the same for the recorder,
+// whose buffer must grow with the samples and stop at the capacity.
+func TestRecorderMatchesReferenceRing(t *testing.T) {
+	for _, c := range ringCaps {
+		r := NewRecorder(c)
+		ref := refRing[TickSample]{cap: c}
+		for n := 1; n <= 3*c; n++ {
+			s := TickSample{Cycle: int64(n), Fleet: n % 5, NPUs: make([]NPUSample, n%3)}
+			r.Record(s)
+			ref.record(s)
+			if !checkpoint(n, c) {
+				continue
+			}
+			if r.Len() != len(ref.buf) || r.Total() != n || r.Cap() != c || cap(r.buf) > c {
+				t.Fatalf("cap %d after %d: Len=%d Total=%d Cap=%d buffer cap %d, want %d/%d/%d and at most %d",
+					c, n, r.Len(), r.Total(), r.Cap(), cap(r.buf), len(ref.buf), n, c, c)
+			}
+			if got, want := r.Samples(), ref.items(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cap %d after %d: samples diverge from the reference ring", c, n)
+			}
+		}
+	}
+}
+
+var sinkTrace *Trace
+
+// TestNewAllocatesOnDemand pins New's footprint: a handle at the
+// default capacities allocates no ring storage until it records.
+func TestNewAllocatesOnDemand(t *testing.T) {
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sinkTrace = New()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4096 {
+		t.Errorf("New allocates %d bytes, want a few hundred: ring storage must wait for recordings", per)
 	}
 }
 

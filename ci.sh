@@ -60,6 +60,9 @@ go test -fuzz=FuzzLiveEqualsOffline -fuzztime=5s -run '^$' ./internal/sim/
 # The JSONL encoder writes exactly what encoding/json would, NaN and ±Inf
 # errors included; the fuzz target checks it against that reference.
 go test -fuzz=FuzzEncodeJSONL -fuzztime=5s -run '^$' ./internal/telemetry/
+# A cursor at a speed factor executes exactly as one over the program
+# stretched instruction by instruction.
+go test -fuzz=FuzzScaledExecution -fuzztime=5s -run '^$' ./internal/npu/
 
 # The examples are the public-API consumers: every one must build and
 # run to completion against the current facade.
@@ -74,6 +77,7 @@ echo "smoke: cmd/premasim"
 go run ./cmd/premasim -policy PREMA -preemptive -tasks 4 -timeline=false >/dev/null
 go run ./cmd/premasim -npus 2 -routing least-work -policy FCFS -tasks 6 >/dev/null
 go run ./cmd/premasim -npus 2 -routing least-queued -policy PREMA -preemptive -clients 4 -think 2ms -serve-horizon 150ms >/dev/null
+go run ./cmd/premasim -npus 4 -clients 4 -fleet 70%:fast,30%:slow -serve-horizon 150ms >/dev/null
 go run ./cmd/premasim -autoscale queue-depth -slo 8ms -min-npus 1 -max-npus 4 -policy FCFS -serve-horizon 150ms >/dev/null
 # Scenario smoke: the corpus doubles as a regression suite — every file
 # must parse, run and pass its assertions (non-zero exit otherwise).

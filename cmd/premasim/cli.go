@@ -159,8 +159,8 @@ func (c *cli) validate() error {
 	if c.autoscale != "" && c.set["think"] {
 		return fmt.Errorf("-think only applies to closed-loop runs (-clients)")
 	}
-	if c.fleet != "" && c.autoscale == "" {
-		return fmt.Errorf("-fleet declares hardware tiers for the elastic node session: combine it with -autoscale (closed-loop clients bypass the router)")
+	if c.fleet != "" && c.autoscale == "" && c.clients == 0 {
+		return fmt.Errorf("-fleet declares hardware tiers for the streaming node session: combine it with -autoscale or -clients")
 	}
 	return nil
 }

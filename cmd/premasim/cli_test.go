@@ -64,8 +64,7 @@ func TestParseCLIMatrix(t *testing.T) {
 			wantErr: "needs a positive -serve-horizon"},
 		{name: "fleet without autoscale", args: []string{"-fleet", "70%:fast,30%:slow"},
 			wantErr: "combine it with -autoscale"},
-		{name: "fleet with clients", args: []string{"-clients", "4", "-fleet", "70%:fast,30%:slow"},
-			wantErr: "combine it with -autoscale"},
+		{name: "fleet with clients", args: []string{"-clients", "4", "-fleet", "70%:fast,30%:slow"}},
 		{name: "fleet with scenario", args: []string{"-scenario", "x.txt", "-fleet", "70%:fast,30%:slow"},
 			wantErr: "-fleet conflicts with -scenario"},
 	}

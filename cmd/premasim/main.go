@@ -92,7 +92,7 @@ func main() {
 		}
 		runClosedLoop(sys, prema.NodeSessionConfig{
 			NPUs: c.npus, Routing: route, Scheduler: sched,
-			Horizon: c.serveHorizon, Seed: uint64(c.seed),
+			Horizon: c.serveHorizon, Seed: uint64(c.seed), Fleet: c.fleet,
 		}, c.clients, c.think, c.serveHorizon)
 		return
 	}

@@ -361,11 +361,19 @@ func (s *State) Backlog(i int, now int64) int64 {
 // Commit records a routing decision, advancing the target NPU's fluid
 // horizon by the request's estimated service time.
 func (s *State) Commit(target int, t *workload.Task) {
+	s.CommitCycles(target, t, t.EstimatedCycles)
+}
+
+// CommitCycles is Commit with the committed service time given: the
+// request's estimate at the speed the target serves it, which on a
+// slowed NPU exceeds the nominal t.EstimatedCycles. The work ledger
+// records t itself.
+func (s *State) CommitCycles(target int, t *workload.Task, cycles int64) {
 	start := s.freeAt[target]
 	if t.Arrival > start {
 		start = t.Arrival
 	}
-	s.freeAt[target] = start + t.EstimatedCycles
+	s.freeAt[target] = start + cycles
 	s.horizons[target] = append(s.horizons[target], s.freeAt[target])
 	if s.track {
 		s.work[target] = append(s.work[target], t)

@@ -26,8 +26,8 @@
 //   - a layer's index is its span's position (an Instr carries none);
 //   - TotalCycles is the sum of the flattened stream's cycles;
 //   - a program, and its pool up to the program's length, are immutable
-//     once built, so executions and stretched copies (which rescale the
-//     pool) share its span table.
+//     once built, so every execution shares it; a slowed NPU scales each
+//     instruction's latency in the Execution, never in the program.
 package npu
 
 import (

@@ -1,6 +1,9 @@
 package npu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Execution is a resumable cursor over a compiled Program. The multi-task
 // simulator advances it by cycle budgets, interrogates it for the next
@@ -14,25 +17,65 @@ import "fmt"
 // reports is defined on the flattened stream, so a program whose layers
 // share blocks executes exactly as its flattened copy would.
 //
-// The zero value is not usable; construct with NewExecution.
+// A cursor runs at a speed factor: on an NPU that takes factor× the
+// nominal service time, every instruction keeps its commit boundary and
+// only its latency is scaled, rounded up so no instruction loses work to
+// rounding. The program itself is never modified.
+//
+// The zero value is not usable; construct with NewExecution or
+// NewScaledExecution.
 type Execution struct {
 	prog  *Program
-	layer int   // span position of the in-flight instruction; len(Spans) once done
-	pc    int   // pool index of the in-flight instruction
-	end   int   // pool index one past the in-flight layer's block
+	layer int32 // span position of the in-flight instruction; len(Spans) once done
+	pc    int32 // pool index of the in-flight instruction
+	end   int32 // pool index one past the in-flight layer's block
 	rem   int64 // cycles remaining in the in-flight instruction
 	done  int64 // cycles executed so far
 	live  int64 // LiveBytes of the instruction preceding the cursor in the stream
 	// layerDone and layerLive are done and live as the in-flight layer
 	// began: the state KillToLayerStart rewinds to.
 	layerDone, layerLive int64
+	// factor is the service-time factor every instruction latency is
+	// scaled by (1 = nominal), and total the program's cycles at it.
+	factor float64
+	total  int64
 }
 
-// NewExecution returns a cursor positioned at the start of prog.
+// NewExecution returns a cursor positioned at the start of prog, running
+// at nominal speed.
 func NewExecution(prog *Program) *Execution {
-	e := &Execution{prog: prog}
+	e := &Execution{prog: prog, factor: 1, total: prog.TotalCycles}
 	e.reset()
 	return e
+}
+
+// NewScaledExecution returns a cursor positioned at the start of prog on
+// an NPU that takes factor× the nominal service time: each instruction
+// runs ceil(Cycles × factor) cycles. factor must be positive.
+func NewScaledExecution(prog *Program, factor float64) *Execution {
+	if !(factor > 0) {
+		panic(fmt.Sprintf("npu: non-positive speed factor %v", factor))
+	}
+	if factor == 1 {
+		return NewExecution(prog)
+	}
+	e := &Execution{prog: prog, factor: factor}
+	for _, s := range prog.Spans {
+		for _, in := range prog.Instrs[s.Off : s.Off+s.Len] {
+			e.total += e.cycles(in.Cycles)
+		}
+	}
+	e.reset()
+	return e
+}
+
+// cycles returns an instruction's latency at the cursor's speed. The
+// scaled latency is held to an Instr's int32 range, as a compiled one is.
+func (e *Execution) cycles(c int32) int64 {
+	if e.factor == 1 {
+		return int64(c)
+	}
+	return int64(int32(math.Ceil(float64(c) * e.factor)))
 }
 
 func (e *Execution) reset() {
@@ -48,32 +91,45 @@ func (e *Execution) settle() {
 	for {
 		for ; e.pc < e.end; e.pc++ {
 			in := &e.prog.Instrs[e.pc]
-			if e.rem = int64(in.Cycles); e.rem > 0 {
+			if e.rem = e.cycles(in.Cycles); e.rem > 0 {
 				return
 			}
 			e.live = in.LiveBytes
 		}
 		e.layer++
-		if e.layer >= len(e.prog.Spans) {
+		if int(e.layer) >= len(e.prog.Spans) {
 			return
 		}
 		s := e.prog.Spans[e.layer]
-		e.pc, e.end = int(s.Off), int(s.Off+s.Len)
+		e.pc, e.end = s.Off, s.Off+s.Len
 		e.layerDone, e.layerLive = e.done, e.live
 	}
+}
+
+// nextCycles answers the latency, at the cursor's speed, of the
+// instruction at pc if it lies in the in-flight block, and 0 otherwise.
+func (e *Execution) nextCycles() int64 {
+	if e.pc < e.end {
+		return e.cycles(e.prog.Instrs[e.pc].Cycles)
+	}
+	return 0
 }
 
 // Program returns the program being executed.
 func (e *Execution) Program() *Program { return e.prog }
 
 // Done reports whether the program has fully committed.
-func (e *Execution) Done() bool { return e.layer >= len(e.prog.Spans) }
+func (e *Execution) Done() bool { return int(e.layer) >= len(e.prog.Spans) }
 
 // Executed returns the cycles executed so far.
 func (e *Execution) Executed() int64 { return e.done }
 
+// TotalCycles returns the program's isolated, uninterrupted execution
+// time at the cursor's speed: Program().TotalCycles at nominal speed.
+func (e *Execution) TotalCycles() int64 { return e.total }
+
 // Remaining returns the cycles left until completion.
-func (e *Execution) Remaining() int64 { return e.prog.TotalCycles - e.done }
+func (e *Execution) Remaining() int64 { return e.total - e.done }
 
 // Advance executes up to budget cycles and returns the cycles actually
 // consumed (less than budget only when the program completes first). It
@@ -96,7 +152,13 @@ func (e *Execution) Advance(budget int64) int64 {
 		if e.rem == 0 {
 			e.live = e.prog.Instrs[e.pc].LiveBytes
 			e.pc++
-			e.settle()
+			// Work in the same block is the common next step: rest on
+			// it without settle's walk.
+			if c := e.nextCycles(); c > 0 {
+				e.rem = c
+			} else {
+				e.settle()
+			}
 		}
 	}
 	return used
@@ -111,7 +173,7 @@ func (e *Execution) CyclesToBoundary() int64 {
 	if e.Done() {
 		return 0
 	}
-	if e.rem == int64(e.prog.Instrs[e.pc].Cycles) {
+	if e.rem == e.cycles(e.prog.Instrs[e.pc].Cycles) {
 		// Nothing of the in-flight instruction has executed yet: the
 		// cursor is exactly on a commit boundary.
 		return 0
@@ -143,17 +205,17 @@ func (e *Execution) KillToLayerStart() (wasted int64) {
 	}
 	wasted = e.done - e.layerDone
 	e.done, e.live = e.layerDone, e.layerLive
-	e.pc = int(e.prog.Spans[e.layer].Off)
+	e.pc = e.prog.Spans[e.layer].Off
 	e.settle()
 	return wasted
 }
 
 // Progress returns the executed fraction in [0,1].
 func (e *Execution) Progress() float64 {
-	if e.prog.TotalCycles == 0 {
+	if e.total == 0 {
 		return 1
 	}
-	return float64(e.done) / float64(e.prog.TotalCycles)
+	return float64(e.done) / float64(e.total)
 }
 
 // CurrentLayer returns the layer index of the in-flight instruction, or -1
@@ -162,5 +224,5 @@ func (e *Execution) CurrentLayer() int {
 	if e.Done() {
 		return -1
 	}
-	return e.layer
+	return int(e.layer)
 }

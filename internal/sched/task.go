@@ -91,8 +91,8 @@ type Task struct {
 	// (Time_estimated in Algorithms 2-3).
 	EstimatedCycles int64
 	// IsolatedCycles is the true uninterrupted execution time
-	// (Time_isolated), used for metrics; the scheduler itself only
-	// consults EstimatedCycles.
+	// (Time_isolated) at the execution's speed, used for metrics; the
+	// scheduler itself only consults EstimatedCycles.
 	IsolatedCycles int64
 
 	// Exec is the execution cursor over the compiled program.
@@ -143,7 +143,7 @@ func NewTask(id int, model string, batch int, prio Priority, arrival int64, exec
 		Priority:        prio,
 		Arrival:         arrival,
 		EstimatedCycles: estimated,
-		IsolatedCycles:  exec.Program().TotalCycles,
+		IsolatedCycles:  exec.TotalCycles(),
 		Exec:            exec,
 		Token:           prio.Tokens(),
 		State:           Waiting,

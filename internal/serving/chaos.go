@@ -18,13 +18,15 @@ package serving
 //     and recovers toward the SLO.
 //   - slowdown/restore: a slowed backend serves work routed to it
 //     during the slow window at factor× its nominal service time — the
-//     request's compiled program is stretched instruction-by-
-//     instruction and its estimate scales with it, so the fluid router
+//     backend records the factor next to the request, its execution
+//     scales every instruction's latency by it (keeping every commit
+//     boundary) and its estimate scales with it, so the fluid router
 //     state, the scaler's latency signal and the realized simulation
 //     all see the degradation consistently. Work already queued before
 //     the slowdown keeps its nominal speed (the approximation a
-//     per-backend offline simulation affords); a reclaimed request
-//     sheds any stretch when it is re-routed off a slowed backend.
+//     per-backend offline simulation affords); a reclaimed request is
+//     re-routed as its nominal template, and its new backend applies
+//     its own speed.
 //   - cordon/uncordon: the backend leaves rotation reversibly — its
 //     routed work drains, nothing new lands on it, and no scale-down
 //     credit is taken (the slot still counts against MaxNPUs).
@@ -342,12 +344,6 @@ func (ns *NodeSession) failNPU(i int, at int64) error {
 				Req: t.TraceID, NPU: i, Tier: ns.tierName(i),
 			})
 		}
-		if orig, ok := ns.stretchOrig[t]; ok {
-			// A stretched instance sheds its slowdown when it leaves
-			// the slowed backend; the new target applies its own.
-			delete(ns.stretchOrig, t)
-			t = orig
-		}
 		if err := ns.route(rearrive(t, at)); err != nil {
 			return fmt.Errorf("re-routing reclaimed request %d: %w", t.ID, err)
 		}
@@ -370,71 +366,11 @@ func rearrive(t *workload.Task, at int64) *workload.Task {
 	}
 }
 
-// stretchKey caches stretched programs per (program, factor): a slow
-// window routes many requests of the same few model instances, and
-// stretching compiles nothing, so the copies are shared.
-type stretchKey struct {
-	prog   *npu.Program
-	factor float64
-}
-
-// stretched returns the slowed-down instance of a routed template: its
-// compiled program stretched instruction-by-instruction to factor× the
-// nominal cycles, and its estimate scaled to match, so scheduler,
-// fluid router state and realized simulation agree on the degradation.
-func (ns *NodeSession) stretched(t *workload.Task, factor float64) *workload.Task {
-	key := stretchKey{prog: t.Program, factor: factor}
-	sp, ok := ns.stretchCache[key]
-	if !ok {
-		sp = stretchProgram(t.Program, factor)
-		if ns.stretchCache == nil {
-			ns.stretchCache = map[stretchKey]*npu.Program{}
-		}
-		ns.stretchCache[key] = sp
-	}
-	est := int64(float64(t.EstimatedCycles) * factor)
-	st := sched.NewTask(t.ID, t.Model, t.Batch, t.Priority, t.Arrival,
-		npu.NewExecution(sp), est)
-	out := &workload.Task{
-		Task:     st,
-		ModelRef: t.ModelRef,
-		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
-		Program: sp,
-		TraceID: t.TraceID,
-	}
-	if ns.stretchOrig == nil {
-		ns.stretchOrig = map[*workload.Task]*workload.Task{}
-	}
-	ns.stretchOrig[out] = t
-	return out
-}
-
-// stretchProgram scales every instruction latency by factor (ceiling,
-// so no instruction loses work to rounding) and rebuilds the totals. Only
-// the pool is copied: the stretched program shares p's span table.
-func stretchProgram(p *npu.Program, factor float64) *npu.Program {
-	sp := &npu.Program{
-		Model: p.Model, Batch: p.Batch,
-		InLen: p.InLen, OutLen: p.OutLen,
-		Instrs:    make([]npu.Instr, len(p.Instrs)),
-		Spans:     p.Spans,
-		TotalMACs: p.TotalMACs,
-	}
-	for i, in := range p.Instrs {
-		in.Cycles = int32(math.Ceil(float64(in.Cycles) * factor))
-		sp.Instrs[i] = in
-	}
-	for _, in := range sp.Stream() {
-		sp.TotalCycles += int64(in.Cycles)
-	}
-	return sp
-}
-
-// removeReqs drops the given submitted instances (matched by identity)
-// from the session's stream — the failure-reclaim path pulling a lost
-// backend's in-flight work back out. The stream no longer extends the
-// one the live simulator admitted, so the next Stats rebuilds it from
-// cycle 0.
+// removeReqs drops the given submitted templates (matched by identity),
+// with their factors, from the session's stream — the failure-reclaim
+// path pulling a lost backend's in-flight work back out. The stream no
+// longer extends the one the live simulator admitted, so the next Stats
+// rebuilds it from cycle 0.
 func (ss *Session) removeReqs(gone []*workload.Task) {
 	if len(gone) == 0 {
 		return
@@ -444,13 +380,19 @@ func (ss *Session) removeReqs(gone []*workload.Task) {
 		drop[t] = true
 	}
 	kept := ss.reqs[:0]
-	for _, t := range ss.reqs {
+	for i, t := range ss.reqs {
 		if !drop[t] {
+			if ss.factors != nil {
+				ss.factors[len(kept)] = ss.factors[i]
+			}
 			kept = append(kept, t)
 		}
 	}
 	for i := len(kept); i < len(ss.reqs); i++ {
 		ss.reqs[i] = nil
+	}
+	if ss.factors != nil {
+		ss.factors = ss.factors[:len(kept)]
 	}
 	ss.reqs, ss.count = kept, len(kept)
 	ss.live = nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -196,6 +197,33 @@ func TestSlowdownDegradesLatency(t *testing.T) {
 	if slowed.MeanLatencyMS <= nominal.MeanLatencyMS {
 		t.Errorf("4x slowdown did not degrade latency: slowed %.3fms <= nominal %.3fms",
 			slowed.MeanLatencyMS, nominal.MeanLatencyMS)
+	}
+}
+
+// TestRemoveReqsKeepsFactors: pulling requests out of a stream keeps
+// every remaining request paired with its own service-time factor.
+func TestRemoveReqsKeepsFactors(t *testing.T) {
+	s := newServer(t)
+	ss, err := s.Open(SessionConfig{Policy: "FCFS"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []*workload.Task
+	for k, f := range []float64{1, 2, 3, 4} {
+		r, err := s.gen.InstanceByName(k, "CNN-AN", 1, sched.Low, int64(k), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.submit(r, f); err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, r)
+	}
+	ss.removeReqs([]*workload.Task{reqs[0], reqs[2]})
+	if len(ss.reqs) != 2 || ss.reqs[0] != reqs[1] || ss.reqs[1] != reqs[3] ||
+		ss.factor(0) != 2 || ss.factor(1) != 4 {
+		t.Errorf("after removing requests 0 and 2: %d requests, factors %v; want requests 1 and 3 at x2 and x4",
+			len(ss.reqs), ss.factors)
 	}
 }
 

@@ -58,6 +58,12 @@ type ClientSpec struct {
 // unbatched session (Window 0): window coalescing would re-time the
 // completions that gate each next release.
 func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
+	return ss.offerClients(spec, rng, 1)
+}
+
+// offerClients is OfferClients on an NPU that serves the clients'
+// requests at factor× their nominal service time.
+func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64) (int, error) {
 	if ss.closed {
 		return 0, fmt.Errorf("serving: session closed")
 	}
@@ -94,7 +100,7 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 	// tie-break identical between generation and replay.
 	entries := make([]*sched.Task, 0, len(ss.reqs)+spec.Clients)
 	for i, t := range ss.reqs {
-		entries = append(entries, entry(i, t))
+		entries = append(entries, entry(i, t, ss.factor(i)))
 	}
 	nextID := len(ss.reqs)
 	var realized []*workload.Task
@@ -120,7 +126,10 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 		owner[nextID] = client
 		nextID++
 		realized = append(realized, inst)
-		return inst.Task, nil
+		if factor != 1 {
+			return entry(inst.ID, inst, factor), nil
+		}
+		return inst.Task, nil // the instance's own entry runs at nominal speed
 	}
 
 	for c := 0; c < spec.Clients; c++ {
@@ -174,8 +183,11 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 	// realized arrivals reach back before the bound a live simulator
 	// already ran to, so the next refresh after a further submission
 	// rebuilds it from cycle 0.
-	ss.reqs = append(ss.reqs, realized...)
-	ss.count = len(ss.reqs)
+	for _, t := range realized {
+		if err := ss.submit(t, factor); err != nil {
+			return 0, err
+		}
+	}
 	ss.simulations++
 	ss.samples = *ss.srv.collectTasks(res, ss.cut())
 	if ss.traced {

@@ -4,8 +4,9 @@ package serving
 // weighted tier template ("70%:fast,30%:slow") partitions the node into
 // hardware classes, each tier running the server's base npu.Config with
 // a derated clock. A slow tier's backends serve every request at
-// factor× the nominal service time through the same program-stretching
-// path chaos slowdowns use, so the scheduler, the fluid router state
+// factor× the nominal service time, exactly as chaos slowdowns do: the
+// backend records the factor with the request, and its execution scales
+// each instruction's latency, so the scheduler, the fluid router state
 // and the realized simulation all agree on the tier's speed — and the
 // speed-aware LeastWork router compares backends in normalized
 // completion time rather than raw backlog. Scale-ups pick which tier to

@@ -4,16 +4,20 @@ package serving
 // parsing, clock derating against the base config, largest-remainder
 // apportionment, the D'Hondt tier choice on scale-up, and the node
 // session mechanics (tiered backend construction, chaos slowdowns
-// stacking on a tier's derate, scale-ups tracking the template
-// weights).
+// stacking on a tier's derate, scale-ups tracking the template weights,
+// fused batches and closed-loop clients at their backend's speed, and a
+// tier's speed costing no per-request copies).
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
 	"repro/internal/npu"
+	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -311,4 +315,127 @@ func TestTieredAutoscaleRun(t *testing.T) {
 	if st.BatchStats != st2.BatchStats {
 		t.Errorf("tiered autoscaled run is not deterministic:\n %+v\n %+v", st.BatchStats, st2.BatchStats)
 	}
+}
+
+// TestFusedBatchRunsAtBackendSpeed: on a slow-tier NPU a fused batch
+// runs at the tier's factor, as a single request there does.
+func TestFusedBatchRunsAtBackendSpeed(t *testing.T) {
+	s := newServer(t)
+	tiers, err := FleetFromTemplate(npu.DefaultConfig(), "100%:slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := s.OpenNode(NodeConfig{NPUs: 1, Routing: cluster.RoundRobin, Fleet: tiers,
+		Session: SessionConfig{Policy: "FCFS", Window: 2 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six batch-1 requests inside one window fuse into one dispatch that
+	// arrives with the last of them and runs alone on the NPU.
+	at := s.cfg.Cycles(time.Millisecond)
+	for k := 0; k < 6; k++ {
+		req, err := s.gen.InstanceByName(k, "CNN-AN", 1, sched.Low, at+int64(k), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := ns.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := s.gen.InstanceByName(0, "CNN-AN", 6, sched.Low, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	service := npu.NewScaledExecution(fused.Program, 2).TotalCycles()
+	// Member k waits 5-k cycles for the window to close, 2.5 on average.
+	want := s.cfg.Millis(service) + s.cfg.Millis(5)/2
+	if st.Dispatched != 1 || st.Measured != 6 {
+		t.Fatalf("%d dispatches, %d measured; want one fused dispatch of 6", st.Dispatched, st.Measured)
+	}
+	if math.Abs(st.MeanLatencyMS-want) > 1e-9 {
+		t.Errorf("fused batch mean latency %.6fms, want %.6fms (twice the nominal %.6fms service)",
+			st.MeanLatencyMS, want, s.cfg.Millis(fused.Program.TotalCycles))
+	}
+}
+
+// TestTieredClientsRunAtTierSpeed: closed-loop clients pinned to a slow
+// tier run at its speed, in the generation run and in every replay.
+func TestTieredClientsRunAtTierSpeed(t *testing.T) {
+	s := newServer(t)
+	tiers, err := FleetFromTemplate(npu.DefaultConfig(), "70%:fast,30%:slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := s.OpenNode(NodeConfig{NPUs: 4, Routing: cluster.LeastWork, Fleet: tiers,
+		Session: SessionConfig{Policy: "PREMA", Preemptive: true}, Trace: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ns.OfferClients(ClientSpec{
+		Clients: 8, Think: time.Millisecond, Horizon: 60 * time.Millisecond,
+	}, workload.RNGFor(16, 1)); err != nil {
+		t.Fatal(err)
+	}
+	checkReplay(t, ns, "tiered clients")
+	slow := 0
+	for i, b := range ns.backends {
+		f := ns.speed[i]
+		for _, e := range b.entries(0) {
+			want := npu.NewScaledExecution(e.Exec.Program(), f).TotalCycles()
+			if e.IsolatedCycles != want {
+				t.Fatalf("NPU %d (x%v) request %d: isolated %d cycles, want %d",
+					i, f, e.ID, e.IsolatedCycles, want)
+			}
+			if f > 1 {
+				slow++
+			}
+		}
+	}
+	if slow == 0 {
+		t.Fatal("no client request ran on the slow tier")
+	}
+}
+
+// TestTieredSubmitAllocs pins a tier's speed to a per-backend cost:
+// routing a stream through a 70/30 tiered node allocates no more objects
+// than through a homogeneous node of the same size, plus a constant per
+// backend (the slow backend's factor column).
+func TestTieredSubmitAllocs(t *testing.T) {
+	s := newServer(t)
+	stream, err := s.Generate(Spec{
+		Horizon: 512 * time.Millisecond, OfferedLoad: 4,
+		Models: []string{"CNN-AN", "CNN-GN", "CNN-MN", "RNN-SA"}, BatchSizes: []int{1},
+	}, workload.RNGFor(0xBE7C4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers, err := FleetFromTemplate(npu.DefaultConfig(), "70%:fast,30%:slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(fleet []Tier) float64 {
+		return testing.AllocsPerRun(5, func() {
+			ns, err := s.OpenNode(NodeConfig{NPUs: 4, Routing: cluster.LeastWork, Fleet: fleet,
+				Session: SessionConfig{Policy: "FCFS"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range stream {
+				if err := ns.Submit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	const perBackend = 16
+	homogeneous, tiered := submit(nil), submit(tiers)
+	if tiered > homogeneous+4*perBackend {
+		t.Errorf("%d requests: tiered node %.0f allocs, homogeneous %.0f; want at most %d more",
+			len(stream), tiered, homogeneous, 4*perBackend)
+	}
+	t.Logf("%d requests: tiered %.0f allocs, homogeneous %.0f", len(stream), tiered, homogeneous)
 }

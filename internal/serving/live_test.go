@@ -28,7 +28,7 @@ func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 	t.Helper()
 	fresh := make([]*workload.Task, len(ss.reqs))
 	for i, r := range ss.reqs {
-		fresh[i] = materialize(i, r)
+		fresh[i] = materialize(i, r, ss.factor(i))
 	}
 	if ss.cfg.Window > 0 {
 		tasks, members, err := ss.coalesce(fresh)

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/npu"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -130,11 +129,6 @@ type NodeSession struct {
 	tierSpeed   []float64
 	tierWeights []int
 	tierActive  []int
-	// stretchCache shares stretched program copies per (program,
-	// factor); stretchOrig maps a stretched instance back to its
-	// nominal template so failure reclaim can shed the slowdown.
-	stretchCache map[stretchKey]*npu.Program
-	stretchOrig  map[*workload.Task]*workload.Task
 
 	// estRing is a fixed ring of the most recent fluid latency
 	// estimates (ms) routed through the node — the control plane's
@@ -310,20 +304,16 @@ func (ns *NodeSession) Submit(t *workload.Task) error {
 }
 
 // route makes one routing decision and commits it: the shared path of
-// fresh submissions and failure-reclaimed re-arrivals. A request
-// landing on a slowed backend is stretched to the backend's current
-// speed before it queues.
+// fresh submissions and failure-reclaimed re-arrivals. The request
+// queues at the target backend's current speed, and the fluid router
+// state commits its estimate at that speed.
 func (ns *NodeSession) route(t *workload.Task) error {
 	target := ns.router.Decide(t, ns.state)
-	factor := 1.0
-	if ns.speed[target] > 1 {
-		factor = ns.speed[target]
-		t = ns.stretched(t, factor)
-	}
-	if err := ns.backends[target].Submit(t); err != nil {
+	factor := ns.speed[target]
+	if err := ns.backends[target].submit(t, factor); err != nil {
 		return err
 	}
-	ns.state.Commit(target, t)
+	ns.state.CommitCycles(target, t, scaledEstimate(t.EstimatedCycles, factor))
 	// The request's fluid latency estimate (queueing plus service on its
 	// target): the scaler's per-tick latency signal, and the ring the
 	// control plane's snapshot percentiles read from.
@@ -407,10 +397,10 @@ func (ns *NodeSession) OfferRamp(base Spec, loads []float64, rng *rand.Rand) (in
 // OfferClients spreads a closed-loop client population across the
 // node's NPUs with round-robin affinity: client c pins to NPU
 // (cursor+c) mod NPUs and runs its closed loop against that backend
-// (see Session.OfferClients). Pinned closed-loop traffic is invisible
-// to the fluid router state — the router keeps balancing the open-loop
-// and submitted streams. It returns how many requests were realized
-// across all NPUs.
+// at the backend's current speed (see Session.OfferClients). Pinned
+// closed-loop traffic is invisible to the fluid router state — the
+// router keeps balancing the open-loop and submitted streams. It
+// returns how many requests were realized across all NPUs.
 func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 	if ns.closed {
 		return 0, fmt.Errorf("serving: node session closed")
@@ -432,12 +422,6 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 	if spec.Clients <= 0 {
 		return 0, fmt.Errorf("serving: non-positive client count %d", spec.Clients)
 	}
-	if ns.tiers != nil {
-		// Pinned clients submit straight into their backend, skipping the
-		// router's program-stretching, so a slow tier's derate would be
-		// silently ignored.
-		return 0, fmt.Errorf("serving: closed-loop clients bypass the router; heterogeneous fleets require routed traffic (Submit/Offer)")
-	}
 	perNPU := make([]int, len(ns.backends))
 	for c := 0; c < spec.Clients; c++ {
 		perNPU[ns.clientNext%len(ns.backends)]++
@@ -450,7 +434,7 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 		}
 		sub := spec
 		sub.Clients = clients
-		n, err := ns.backends[i].OfferClients(sub, rng)
+		n, err := ns.backends[i].offerClients(sub, rng, ns.speed[i])
 		if err != nil {
 			return total, fmt.Errorf("serving: NPU %d: %w", i, err)
 		}

@@ -118,9 +118,9 @@ func BenchmarkNodeSessionSubmitTraced(b *testing.B) {
 // BenchmarkNodeSessionSubmitHetero measures the submit path on a
 // weighted two-tier fleet (70% full-speed, 30% half-clock): the
 // speed-aware least-work router weighs backends in normalized
-// completion time, and every request landing on the slow tier pays the
-// program-stretch path. The difference to BenchmarkNodeSessionSubmit
-// is the full heterogeneity cost per request.
+// completion time, and every request landing on the slow tier has its
+// factor recorded next to it. The difference to
+// BenchmarkNodeSessionSubmit is the full heterogeneity cost per request.
 func BenchmarkNodeSessionSubmitHetero(b *testing.B) {
 	s := newServer(b)
 	stream := benchStream(b, s, 2048)

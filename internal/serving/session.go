@@ -65,6 +65,10 @@ type Session struct {
 	// are; it outlives reqs, which Close drops.
 	reqs  []*workload.Task
 	count int
+	// factors holds each request's service-time factor, parallel to
+	// reqs: the speed of the NPU it was routed to (a slow tier, a chaos
+	// slowdown). Nil while every request runs at nominal speed.
+	factors []float64
 
 	dirty   bool
 	drained bool
@@ -132,7 +136,10 @@ func (s *Server) Open(cfg SessionConfig) (*Session, error) {
 // Submit appends one request to the stream. The task is treated as a
 // template: its ID is reassigned to the submission index and a fresh
 // scheduler entry is materialized per simulation.
-func (ss *Session) Submit(t *workload.Task) error {
+func (ss *Session) Submit(t *workload.Task) error { return ss.submit(t, 1) }
+
+// submit appends one request served at factor× its nominal service time.
+func (ss *Session) submit(t *workload.Task, factor float64) error {
 	if ss.closed {
 		return fmt.Errorf("serving: session closed")
 	}
@@ -142,10 +149,27 @@ func (ss *Session) Submit(t *workload.Task) error {
 	if t == nil || t.Program == nil {
 		return fmt.Errorf("serving: nil request")
 	}
+	if factor != 1 && ss.factors == nil {
+		ss.factors = make([]float64, len(ss.reqs), cap(ss.reqs))
+		for i := range ss.factors {
+			ss.factors[i] = 1
+		}
+	}
 	ss.reqs = append(ss.reqs, t)
+	if ss.factors != nil {
+		ss.factors = append(ss.factors, factor)
+	}
 	ss.count = len(ss.reqs)
 	ss.dirty = true
 	return nil
+}
+
+// factor answers request i's service-time factor.
+func (ss *Session) factor(i int) float64 {
+	if ss.factors == nil {
+		return 1
+	}
+	return ss.factors[i]
 }
 
 // Offer drives the open-loop arrival process: it generates a Poisson
@@ -245,7 +269,7 @@ func (ss *Session) drain() {
 func (ss *Session) Close() error {
 	ss.closed = true
 	ss.drain()
-	ss.reqs, ss.completions = nil, nil
+	ss.reqs, ss.factors, ss.completions = nil, nil, nil
 	ss.samples, ss.last, ss.statsValid = sampleSet{}, BatchStats{}, false
 	return nil
 }
@@ -269,17 +293,27 @@ func (ss *Session) cut() int64 {
 }
 
 // entry materializes a fresh scheduler entry from a submitted template: a
-// new execution cursor, re-stamped with the submission index as its ID.
-func entry(id int, t *workload.Task) *sched.Task {
+// new execution cursor at factor× the nominal service time, with the
+// estimate scaled to match, re-stamped with the submission index as its
+// ID.
+func entry(id int, t *workload.Task, factor float64) *sched.Task {
 	return sched.NewTask(id, t.Model, t.Batch, t.Priority, t.Arrival,
-		npu.NewExecution(t.Program), t.EstimatedCycles)
+		npu.NewScaledExecution(t.Program, factor), scaledEstimate(t.EstimatedCycles, factor))
+}
+
+// scaledEstimate is an estimate at factor× the nominal service time.
+func scaledEstimate(est int64, factor float64) int64 {
+	if factor == 1 {
+		return est
+	}
+	return int64(float64(est) * factor)
 }
 
 // materialize wraps a fresh entry (see entry) in a simulatable instance of
 // the template.
-func materialize(id int, t *workload.Task) *workload.Task {
+func materialize(id int, t *workload.Task, factor float64) *workload.Task {
 	return &workload.Task{
-		Task:     entry(id, t),
+		Task:     entry(id, t, factor),
 		ModelRef: t.ModelRef,
 		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
 		Program: t.Program,
@@ -296,7 +330,7 @@ func (ss *Session) compute() (*sampleSet, error) {
 	}
 	fresh := make([]*workload.Task, len(ss.reqs))
 	for i, t := range ss.reqs {
-		fresh[i] = materialize(i, t)
+		fresh[i] = materialize(i, t, ss.factor(i))
 	}
 	tasks, members, err := ss.coalesce(fresh)
 	if err != nil {
@@ -354,7 +388,7 @@ func (ss *Session) advanceLive() (*sampleSet, error) {
 func (ss *Session) entries(from int) []*sched.Task {
 	out := make([]*sched.Task, 0, len(ss.reqs)-from)
 	for i := from; i < len(ss.reqs); i++ {
-		out = append(out, entry(i, ss.reqs[i]))
+		out = append(out, entry(i, ss.reqs[i], ss.factor(i)))
 	}
 	ss.materialized += len(out)
 	return out
@@ -367,18 +401,22 @@ func (ss *Session) entries(from int) []*sched.Task {
 // submitted instances are preserved: single-member groups, RNN requests
 // and pre-batched submissions pass through unchanged, and only
 // multi-member groups are re-instanced at the fused batch size. A fused
-// dispatch arrives when its window closes (the last member's arrival)
-// and inherits the highest member priority, keeping coalescing
-// deterministic — no randomness is consumed.
+// dispatch arrives when its window closes (the last member's arrival),
+// runs at the speed its NPU had then (the last member's factor) and
+// inherits the highest member priority, keeping coalescing
+// deterministic — no randomness is consumed. requests are materialized
+// entries, each stamped with its submission index.
 func (ss *Session) coalesce(requests []*workload.Task) ([]*workload.Task, map[int][]memberRequest, error) {
 	windowCycles := ss.srv.cfg.Cycles(ss.cfg.Window)
 	var tasks []*workload.Task
 	members := map[int][]memberRequest{}
 	nextID := 0
 	flush := func(group []*workload.Task) error {
+		last := group[len(group)-1]
+		factor := ss.factor(last.ID)
 		var fused *workload.Task
 		if len(group) == 1 {
-			fused = materialize(nextID, group[0])
+			fused = materialize(nextID, ss.reqs[last.ID], factor)
 		} else {
 			prio := group[0].Priority
 			for _, t := range group[1:] {
@@ -386,10 +424,12 @@ func (ss *Session) coalesce(requests []*workload.Task) ([]*workload.Task, map[in
 					prio = t.Priority
 				}
 			}
-			arrival := group[len(group)-1].Arrival
-			inst, err := ss.srv.gen.Instance(nextID, group[0].ModelRef, len(group), prio, arrival, nil, nil)
+			inst, err := ss.srv.gen.Instance(nextID, group[0].ModelRef, len(group), prio, last.Arrival, nil, nil)
 			if err != nil {
 				return err
+			}
+			if factor != 1 {
+				inst.Task = entry(nextID, inst, factor)
 			}
 			fused = inst
 		}

@@ -36,8 +36,8 @@ const (
 	// chosen backend and EstMS its fluid latency estimate (queueing plus
 	// service) at the decision instant.
 	KindRoute = "route"
-	// KindStretch marks a request landing on a slowed backend: its
-	// program was stretched to Factor times nominal service time.
+	// KindStretch marks a request landing on a slowed backend: it runs
+	// at Factor times its nominal service time.
 	KindStretch = "stretch"
 	// KindReclaim marks a request pulled back from a failed backend;
 	// the route event that follows at the same cycle is its re-route.
@@ -261,7 +261,7 @@ func (t *Tracer) RecordRoute(cycle int64, req, npu int, tier Sym, est float64) {
 }
 
 // RecordStretch records a KindStretch edge: the request landed on a
-// slowed backend and its program was stretched by factor.
+// slowed backend and runs at factor times its nominal service time.
 func (t *Tracer) RecordStretch(cycle int64, req, npu int, tier Sym, factor float64) {
 	p, j := t.slot()
 	p.cycle[j] = cycle

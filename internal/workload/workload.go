@@ -74,8 +74,8 @@ type Task struct {
 	Program                 *npu.Program
 	// TraceID is the node session's telemetry request ID, stamped at
 	// submit time when tracing is attached (serving.NodeConfig.Trace)
-	// and carried across stretching and failure re-routes so one
-	// request's lifecycle events correlate. Zero when tracing is off.
+	// and carried across failure re-routes so one request's lifecycle
+	// events correlate. Zero when tracing is off.
 	TraceID int
 	// ModelID is a small generator-local integer naming the task's
 	// model, assigned from 1 in first-use order (0 = unknown, for tasks

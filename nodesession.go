@@ -60,8 +60,8 @@ type NodeSessionConfig struct {
 	// named tiers, a tier's clock derates by its factor (builtin slow
 	// = 2x service time), routing weighs backends in normalized
 	// completion time, and scale-ups pick the tier furthest below its
-	// weight. Closed-loop clients (OfferClients) bypass the router and
-	// are rejected on tiered nodes. Empty keeps the fleet homogeneous.
+	// weight. Closed-loop clients (OfferClients) run at the speed of
+	// the NPU they pin to. Empty keeps the fleet homogeneous.
 	Fleet string
 	// Trace attaches a telemetry handle (NewTelemetry): per-request
 	// lifecycle events through the Tracer half, tick-sampled fleet

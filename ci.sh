@@ -63,6 +63,10 @@ go test -fuzz=FuzzEncodeJSONL -fuzztime=5s -run '^$' ./internal/telemetry/
 # A cursor at a speed factor executes exactly as one over the program
 # stretched instruction by instruction.
 go test -fuzz=FuzzScaledExecution -fuzztime=5s -run '^$' ./internal/npu/
+# Any scenario text parses or errors without panicking, and a small
+# accepted scenario runs to the same transcript and report on the
+# control plane as on the reference executor it replaced.
+go test -fuzz=FuzzScenarioParse -fuzztime=5s -run '^$' ./internal/scenario/
 
 # The examples are the public-API consumers: every one must build and
 # run to completion against the current facade.
@@ -89,6 +93,7 @@ done
 go run ./cmd/premasim -scenario scenarios/baseline.txt \
 	-report-json "$tmpdir/baseline.json" >/dev/null
 grep -q '"source": "scenario"' "$tmpdir/baseline.json"
+grep -q '"passed": true' "$tmpdir/baseline.json"
 # Telemetry determinism: a traced run of the heterogeneous stress
 # scenario must emit a byte-identical JSONL stream (per-request events
 # interleaved with autoscale-tick metric samples) on every replay, even

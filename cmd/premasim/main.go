@@ -157,8 +157,8 @@ func main() {
 
 // runScenario executes one declarative chaos scenario file and prints
 // its report; a failed assertion exits non-zero. -report-json and
-// -report-html export the run through the shared RunReport schema —
-// the same shape premactl sessions emit — and -trace-jsonl attaches
+// -report-html export the report — the RunReport premactl sessions
+// emit too — and -trace-jsonl attaches
 // telemetry and exports the per-request trace plus tick metrics as
 // sorted JSONL (byte-identical across replays of the same scenario).
 func runScenario(c *cli) {
@@ -192,25 +192,22 @@ func runScenario(c *cli) {
 			fatal(err)
 		}
 	}
-	if c.reportJSON != "" || c.reportHTML != "" {
-		run := prema.ReportFromScenario(rep)
-		if c.reportJSON != "" {
-			js, err := run.JSON()
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(c.reportJSON, append(js, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
+	if c.reportJSON != "" {
+		js, err := rep.JSON()
+		if err != nil {
+			fatal(err)
 		}
-		if c.reportHTML != "" {
-			page, err := run.HTML()
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(c.reportHTML, page, 0o644); err != nil {
-				fatal(err)
-			}
+		if err := os.WriteFile(c.reportJSON, append(js, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+	}
+	if c.reportHTML != "" {
+		page, err := rep.HTML()
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(c.reportHTML, page, 0o644); err != nil {
+			fatal(err)
 		}
 	}
 	if !rep.Passed {

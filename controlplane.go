@@ -7,10 +7,11 @@ package prema
 // single-stepped, and driven by operator commands (cordon, drain, fail,
 // scale, load, snapshot, report). Commands serialize into the clock
 // loop between ticks, so the same command script at the same virtual
-// timestamps replays byte-identically, and a scripted session is
-// stat-identical to the equivalent declarative scenario run. Runs
-// export through the shared RunReport schema (JSON and self-contained
-// HTML) that premasim -scenario emits too, via ReportFromScenario.
+// timestamps replays byte-identically. The plane is also the executor
+// behind System.RunScenario: a declarative scenario compiles to a
+// command script, so a scripted session and the equivalent scenario
+// are one run, and both export the one RunReport schema (JSON and
+// self-contained HTML).
 
 import (
 	"time"
@@ -33,9 +34,10 @@ type (
 	ControlSnapshot = ctl.Snapshot
 	// ControlCommand is one executed command on a run's log.
 	ControlCommand = ctl.CommandRecord
-	// RunReport is the exportable run outcome shared by control plane
-	// sessions and scenario runs: fleet timeline, latency/SLO summary,
-	// command log, JSON and self-contained HTML renderings.
+	// RunReport is the exportable run outcome of control plane
+	// sessions and scenario runs alike (ScenarioReport is the same
+	// type): fleet timeline, latency/SLO summary, command log or
+	// assertion verdicts, JSON and self-contained HTML renderings.
 	RunReport = ctl.RunReport
 )
 
@@ -138,11 +140,4 @@ func (s *System) OpenControlPlane(cfg ControlPlaneConfig) (*ControlPlane, error)
 		Load:      cfg.Load,
 		Name:      cfg.Name,
 	})
-}
-
-// ReportFromScenario converts an executed scenario's report into the
-// shared RunReport schema, so scenario runs export the same JSON and
-// HTML artifacts as control plane sessions.
-func ReportFromScenario(rep *ScenarioReport) *RunReport {
-	return ctl.FromScenario(rep)
 }

@@ -156,7 +156,7 @@ func (p *Plane) dispatch(at int64, line string) (string, error) {
 			return "", fmt.Errorf("usage: load <x>")
 		}
 		x, err := strconv.ParseFloat(args[0], 64)
-		if err != nil || x < 0 {
+		if err != nil || !validLoad(x) {
 			return "", fmt.Errorf("bad offered load %q", args[0])
 		}
 		p.load = x
@@ -168,7 +168,7 @@ func (p *Plane) dispatch(at int64, line string) (string, error) {
 	case "metrics":
 		return p.renderMetrics()
 	case "report":
-		return p.buildReport().Render(), nil
+		return p.buildReport().Compact(), nil
 	case "step":
 		d := p.cfg.Step
 		if len(args) == 1 {

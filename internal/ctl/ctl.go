@@ -13,22 +13,27 @@
 // the clock loop between ticks under one mutex, stamped with the
 // virtual instant they executed at. The consequence is the property the
 // tests lock in: the same command script at the same virtual timestamps
-// replays byte-identically, and a scripted session is stat-identical to
-// the equivalent declarative scenario run — the control plane is the
-// scenario engine with a human (or an HTTP client) in the loop.
+// replays byte-identically.
 //
-// Traffic follows the scenario executor's arrival discipline exactly:
-// virtual time is divided into fixed segments, and entering a segment
-// samples its Poisson arrival window at the current offered load with
-// the session RNG (`load` changes apply from the next segment). A
-// zero-load segment consumes no randomness, mirroring OfferRamp, which
-// is what makes the RNG streams of a scripted session and a scenario
-// file line up arrival for arrival.
+// The plane is also the scenario executor: internal/scenario compiles
+// a declarative scenario into a command script and runs it here at
+// time-scale 0, so the control plane is, literally, the scenario engine
+// with a human (or an HTTP client) in the loop, and its RunReport is the
+// one report model of both.
+//
+// Traffic follows a piecewise-constant load ramp: virtual time is
+// divided into fixed segments, and entering a segment samples its
+// Poisson arrival window at the current offered load with the session
+// RNG (`load` changes apply from the next segment). A zero-load segment
+// consumes no randomness, and a sampled window without arrivals is
+// skipped — the discipline serving.NodeSession.OfferRamp follows too,
+// so a plain node session over the same ramp sees the same arrivals.
 package ctl
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -118,11 +123,11 @@ func New(srv *serving.Server, cfg Config) (*Plane, error) {
 	if cfg.Step < 0 {
 		return nil, fmt.Errorf("ctl: negative step %v", cfg.Step)
 	}
-	if cfg.TimeScale < 0 {
-		return nil, fmt.Errorf("ctl: negative time-scale %v", cfg.TimeScale)
+	if !(cfg.TimeScale >= 0) {
+		return nil, fmt.Errorf("ctl: time-scale %v is negative or not a number", cfg.TimeScale)
 	}
-	if cfg.Load < 0 {
-		return nil, fmt.Errorf("ctl: negative offered load %v", cfg.Load)
+	if !validLoad(cfg.Load) {
+		return nil, fmt.Errorf("ctl: offered load %v is negative or not finite", cfg.Load)
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5E55
@@ -151,9 +156,12 @@ func New(srv *serving.Server, cfg Config) (*Plane, error) {
 		stepCycles: step,
 		load:       cfg.Load,
 		paused:     cfg.TimeScale <= 0,
-		estScratch: make([]float64, 0, 256),
 	}, nil
 }
+
+// validLoad reports whether x is an offered load the arrival generator
+// can sample: non-negative and finite. NaN fails it too.
+func validLoad(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // errClosed marks commands against a plane that has already quit.
 var errClosed = errors.New("ctl: control plane closed")
@@ -165,7 +173,8 @@ func (p *Plane) millis(c int64) float64       { return p.srv.NPU().Millis(c) }
 // computed through duration arithmetic — boundary(i) = Cycles(i *
 // Segment) — because that is exactly how OfferRamp places segment
 // offsets; computing i*Cycles(Segment) instead would drift by rounding
-// and break arrival-for-arrival equivalence with scenario runs.
+// and break arrival-for-arrival equivalence with a node session fed the
+// same ramp.
 func (p *Plane) segBoundary(idx int) int64 {
 	return p.cycles(time.Duration(idx) * p.cfg.Segment)
 }
@@ -173,7 +182,7 @@ func (p *Plane) segBoundary(idx int) int64 {
 // generateSegment samples the next segment's Poisson arrival window at
 // the current offered load into the buffer. Idle (zero-load) segments
 // consume no randomness and an empty sampled window is not an error —
-// both mirror OfferRamp, keeping the RNG stream scenario-identical.
+// both mirror OfferRamp, keeping the RNG stream identical to a ramp's.
 func (p *Plane) generateSegment() error {
 	idx := p.segIdx
 	p.segIdx++
@@ -242,7 +251,7 @@ func (p *Plane) finish(at int64) error {
 	// sampled window is inclusive of its end, so an arrival can land
 	// exactly on the final instant. OfferRamp submits every generated
 	// arrival; flush those too, so a sealed session counts arrivals
-	// exactly like the equivalent scenario run.
+	// exactly like a node session fed the same ramp.
 	for p.bufHead < len(p.buffer) && p.buffer[p.bufHead].Arrival <= at {
 		t := p.buffer[p.bufHead]
 		p.buffer[p.bufHead] = nil

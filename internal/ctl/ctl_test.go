@@ -2,12 +2,13 @@ package ctl
 
 // ctl_test.go locks in the control plane's determinism contract under
 // the race detector: the same script replays byte-identically
-// (transcript and report both), a scripted chaos session is
-// stat-identical to the equivalent declarative scenario run, and
-// snapshots taken concurrently with a running clock loop never tear.
+// (transcript and report both), and snapshots taken concurrently with a
+// running clock loop never tear. The comparison with the equivalent
+// declarative scenario run lives in scenario_test.go.
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +17,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/npu"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/serving"
 	"repro/internal/workload"
@@ -102,110 +102,6 @@ func TestScriptReplayByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(t1, "cordon npu1 scheduled") {
 		t.Errorf("transcript missing cordon acknowledgement:\n%s", t1)
-	}
-}
-
-// equivScenario and equivScript drive the same virtual timeline: a
-// four-segment load ramp with a cordon/uncordon window, on identical
-// fleets, scalers and seeds. The scripted session must land on
-// statistics identical to the scenario run's.
-const equivScenario = `
-scenario equivalence
-fleet initial=2 min=2 max=4
-routing least-work
-policy PREMA preemptive
-scaler queue-depth slo=8ms
-seed 7
-segment 25ms
-load 2 3 3 1
-at 30ms cordon npu1
-at 60ms uncordon npu1
-`
-
-const equivScript = `
-@25ms load 3
-@30ms cordon npu1
-@60ms uncordon npu1
-@75ms load 1
-@100ms quit
-`
-
-func TestScriptMatchesScenario(t *testing.T) {
-	sc, err := scenario.Parse(equivScenario)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	rep, err := scenario.Run(newServer(t), sc)
-	if err != nil {
-		t.Fatalf("scenario.Run: %v", err)
-	}
-	want := FromScenario(rep)
-
-	p, err := New(newServer(t), Config{
-		Node: serving.NodeConfig{
-			NPUs:    2,
-			Routing: cluster.LeastWork,
-			Session: serving.SessionConfig{
-				Policy: "PREMA", Preemptive: true,
-				Horizon: sc.Horizon(),
-			},
-			Autoscale: &serving.AutoscaleConfig{
-				Scaler: "queue-depth", SLO: 8 * time.Millisecond,
-				MinNPUs: 2, MaxNPUs: 4,
-			},
-		},
-		Models:  sc.Models,
-		Seed:    7,
-		Segment: 25 * time.Millisecond,
-		Load:    2,
-		Name:    "equivalence",
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer p.Close()
-	if _, err := p.RunScript(equivScript); err != nil {
-		t.Fatalf("RunScript: %v", err)
-	}
-	got := p.Report()
-
-	if got.Requests != want.Requests {
-		t.Errorf("requests: script %d, scenario %d", got.Requests, want.Requests)
-	}
-	if got.SpanMS != want.SpanMS {
-		t.Errorf("span: script %.4fms, scenario %.4fms", got.SpanMS, want.SpanMS)
-	}
-	if got.Fleet != want.Fleet {
-		t.Errorf("fleet summary: script %+v, scenario %+v", got.Fleet, want.Fleet)
-	}
-	if got.Latency != want.Latency {
-		t.Errorf("latency: script %+v, scenario %+v", got.Latency, want.Latency)
-	}
-	switch {
-	case (got.SLO == nil) != (want.SLO == nil):
-		t.Errorf("slo presence: script %v, scenario %v", got.SLO, want.SLO)
-	case got.SLO != nil && *got.SLO != *want.SLO:
-		t.Errorf("slo: script %+v, scenario %+v", *got.SLO, *want.SLO)
-	}
-	if len(got.Timeline) != len(want.Timeline) {
-		t.Fatalf("timeline length: script %d, scenario %d\nscript:  %+v\nscenario: %+v",
-			len(got.Timeline), len(want.Timeline), got.Timeline, want.Timeline)
-	}
-	for i := range got.Timeline {
-		if got.Timeline[i] != want.Timeline[i] {
-			t.Errorf("timeline[%d]: script %+v, scenario %+v", i, got.Timeline[i], want.Timeline[i])
-		}
-	}
-	// The run must actually have exercised the cordon window and traffic.
-	if got.Requests == 0 {
-		t.Fatalf("equivalence run offered no traffic")
-	}
-	sawCordon := false
-	for _, e := range got.Timeline {
-		sawCordon = sawCordon || e.Kind == "cordon"
-	}
-	if !sawCordon {
-		t.Errorf("timeline never recorded the cordon: %+v", got.Timeline)
 	}
 }
 
@@ -333,6 +229,10 @@ func TestCommandErrors(t *testing.T) {
 		{"scale", "usage: scale"},
 		{"scale 9", "outside"},
 		{"load -1", "bad offered load"},
+		{"load NaN", "bad offered load"},
+		{"load +Inf", "bad offered load"},
+		{"slow npu0 xNaN", "slowdown factor must be finite"},
+		{"slow npu0 x+Inf", "slowdown factor must be finite"},
 		{"step backwards extra", "usage: step"},
 		{"step -1ms", "bad step duration"},
 	}
@@ -430,6 +330,9 @@ func TestConfigValidation(t *testing.T) {
 		{Node: node, Step: -time.Millisecond},
 		{Node: node, TimeScale: -1},
 		{Node: node, Load: -0.5},
+		{Node: node, Load: math.NaN()},
+		{Node: node, Load: math.Inf(1)},
+		{Node: node, TimeScale: math.NaN()},
 		{Node: node, Step: time.Nanosecond}, // under one 700MHz cycle
 	}
 	for i, cfg := range bad {

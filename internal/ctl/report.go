@@ -1,13 +1,15 @@
 package ctl
 
-// report.go is the exportable run report — one schema shared by control
-// plane sessions (Source "premactl") and declarative scenario runs
-// (Source "scenario", via FromScenario), so dashboards and CI diffing
-// consume a single shape regardless of which surface drove the fleet.
-// JSON is the machine form; HTML is a self-contained single-file page
-// in the stress-report style. Both renderings are pure functions of the
-// report's fields — no wall-clock timestamps anywhere — so a
-// deterministic run exports byte-identical artifacts.
+// report.go is the run report: the one outcome model of every run the
+// plane executes — a premactl session (Source "premactl") or a compiled
+// declarative scenario (Source "scenario", internal/scenario), so
+// dashboards and CI diffing consume a single shape regardless of which
+// surface drove the fleet. JSON is the machine form; HTML is a
+// self-contained single-file page in the stress-report style; Render is
+// a scenario's ASCII transcript and Compact the `report` command's
+// block. Every rendering is a pure function of the report's fields — no
+// wall-clock timestamps anywhere — so a deterministic run exports
+// byte-identical artifacts.
 
 import (
 	"encoding/json"
@@ -15,7 +17,6 @@ import (
 	"html/template"
 	"strings"
 
-	"repro/internal/scenario"
 	"repro/internal/serving"
 	"repro/internal/telemetry"
 )
@@ -35,6 +36,22 @@ type ReportEvent struct {
 	Fleet int `json:"fleet"`
 	// Note carries event detail (reclaimed count, slow factor).
 	Note string `json:"note,omitempty"`
+}
+
+// label renders the event the way the text views show it: kind,
+// target, fleet delta and note, as in "fail npu1 -1 (reclaimed 3)".
+func (e ReportEvent) label() string {
+	label := e.Kind
+	if e.NPU >= 0 {
+		label = fmt.Sprintf("%s npu%d", e.Kind, e.NPU)
+	}
+	if e.Delta != 0 {
+		label = fmt.Sprintf("%s %+d", label, e.Delta)
+	}
+	if e.Note != "" {
+		label = fmt.Sprintf("%s (%s)", label, e.Note)
+	}
+	return label
 }
 
 // FleetSummary summarizes the fleet over the run.
@@ -231,9 +248,10 @@ type RunReport struct {
 	// Name labels the run; Source is "premactl" or "scenario".
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	// Passed is the assertion verdict of a scenario run; nil for
-	// control plane sessions, which assert nothing.
-	Passed *bool `json:"passed,omitempty"`
+	// Passed is a scenario run's verdict: true iff every assertion held.
+	// The JSON form carries it (as "passed") only on scenario runs;
+	// control plane sessions assert nothing.
+	Passed bool `json:"-"`
 	// Requests is how many arrivals the run routed; SpanMS the virtual
 	// timeline length in milliseconds.
 	Requests int     `json:"requests"`
@@ -256,6 +274,13 @@ type RunReport struct {
 	// Series is the tick-sampled metric timeline; nil without telemetry
 	// attached (NodeConfig.Trace with a Recorder) or without a scaler.
 	Series *Series `json:"series,omitempty"`
+	// Samples is the raw tick-metric series Series summarizes (nil
+	// without a recorder), and Events the merged per-request trace of a
+	// traced scenario run (nil otherwise; a premactl session reads its
+	// trace through TraceExport). Neither is part of the JSON or HTML
+	// export: telemetry.EncodeJSONL writes them.
+	Samples []telemetry.TickSample `json:"-"`
+	Events  []telemetry.Event      `json:"-"`
 }
 
 // buildReport derives the run report from the plane's current state;
@@ -270,14 +295,17 @@ func (p *Plane) buildReport() *RunReport {
 		SpanMS:   p.millis(p.now),
 		Fleet: FleetSummary{
 			Start:    p.cfg.Node.NPUs,
-			MeanNPUs: scenario.MeanFleet(events, p.now),
-			PeakNPUs: scenario.PeakFleet(events),
+			MeanNPUs: serving.MeanFleet(events, p.now),
 		},
 		Timeline: p.reportEvents(events),
 		Commands: append([]CommandRecord(nil), p.commands...),
 	}
+	for _, e := range events {
+		r.Fleet.PeakNPUs = max(r.Fleet.PeakNPUs, e.Active)
+	}
 	if tr := p.ns.Telemetry(); tr != nil && tr.Recorder != nil {
-		r.Series = buildSeries(tr.Recorder.Samples())
+		r.Samples = tr.Recorder.Samples()
+		r.Series = buildSeries(r.Samples)
 	}
 	st, err := p.realizedStats()
 	if err != nil {
@@ -313,62 +341,83 @@ func (p *Plane) Report() *RunReport {
 	return p.buildReport()
 }
 
-// FromScenario converts a scenario report into the shared run-report
-// schema, so premasim -scenario exports the same JSON/HTML shape as a
-// premactl session.
-func FromScenario(rep *scenario.Report) *RunReport {
-	passed := rep.Passed
-	r := &RunReport{
-		Name:     rep.Name,
-		Source:   "scenario",
-		Passed:   &passed,
-		Requests: rep.Requests,
-		SpanMS:   rep.SpanMS,
-		Fleet: FleetSummary{
-			Start:    rep.FleetStart,
-			MeanNPUs: rep.Summary.MeanNPUs,
-			PeakNPUs: rep.Summary.PeakNPUs,
-		},
-		Latency: LatencySummary{
-			MeanMS: rep.Summary.MeanLatencyMS,
-			P50MS:  rep.Summary.P50LatencyMS,
-			P95MS:  rep.Summary.P95LatencyMS,
-			P99MS:  rep.Summary.P99LatencyMS,
-		},
-		Timeline: make([]ReportEvent, len(rep.Timeline)),
+// FromScenario answers a scenario run's report, which already is a
+// RunReport. Only the benchmark still calls it.
+func FromScenario(rep *RunReport) *RunReport { return rep }
+
+// wire is the report's JSON shape: the report's own fields with the
+// verdict spliced in third, as "passed", on scenario runs only. The
+// report is embedded by pointer, so building it copies nothing.
+func (r *RunReport) wire() any {
+	type fields RunReport // drops MarshalJSON, so the embed cannot recurse
+	var passed *bool
+	if r.Source == "scenario" {
+		passed = &r.Passed
 	}
-	if rep.Summary.SLOLatencyMS > 0 {
-		r.SLO = &SLOSummary{
-			TargetMS:      rep.Summary.SLOLatencyMS,
-			ViolationFrac: rep.Summary.SLOViolationFrac,
-		}
-	}
-	for i, e := range rep.Timeline {
-		r.Timeline[i] = ReportEvent{
-			AtMS: e.AtMS, Kind: e.Kind, NPU: e.NPU,
-			Delta: e.Delta, Fleet: e.Fleet, Note: e.Note,
-		}
-	}
-	for _, a := range rep.Asserts {
-		r.Asserts = append(r.Asserts, AssertOutcome{
-			Expr: a.Expr, Pass: a.Pass, Detail: a.Detail,
-		})
-	}
-	if rep.Tiers != nil {
-		r.Tiers = tierSummaries(rep.Tiers)
-	}
-	r.Series = buildSeries(rep.Samples)
-	return r
+	return struct {
+		Name   string `json:"name"`
+		Source string `json:"source"`
+		Passed *bool  `json:"passed,omitempty"`
+		*fields
+	}{r.Name, r.Source, passed, (*fields)(r)}
+}
+
+// MarshalJSON encodes the report in its JSON shape, so every encoder
+// (the /report endpoint's included) writes "passed" on scenario runs
+// only. JSON marshals the shape directly, skipping the extra pass a
+// Marshaler costs.
+func (r *RunReport) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.wire())
 }
 
 // JSON renders the report as indented JSON.
 func (r *RunReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return json.MarshalIndent(r.wire(), "", "  ")
 }
 
-// Render formats the report as a compact deterministic text block (the
-// `report` command's output).
+// Render formats a scenario run as its ASCII transcript (the premasim
+// -scenario output): verdict, annotated fleet timeline (one '#' per
+// routable NPU), assertion lines and the served summary.
 func (r *RunReport) Render() string {
+	var b strings.Builder
+	verdict := "PASS"
+	if !r.Passed {
+		verdict = "FAIL"
+	}
+	fmt.Fprintf(&b, "scenario %q — %s\n", r.Name, verdict)
+	fmt.Fprintf(&b, "%d requests over %.0fms, fleet started at %d NPUs\n\n",
+		r.Requests, r.SpanMS, r.Fleet.Start)
+
+	b.WriteString("fleet timeline:\n")
+	for _, e := range r.Timeline {
+		fmt.Fprintf(&b, "  %9.2fms  %d NPUs %-10s %s\n",
+			e.AtMS, e.Fleet, strings.Repeat("#", e.Fleet), e.label())
+	}
+
+	if len(r.Asserts) > 0 {
+		b.WriteString("\nasserts:\n")
+		for _, a := range r.Asserts {
+			mark := "PASS"
+			if !a.Pass {
+				mark = "FAIL"
+			}
+			fmt.Fprintf(&b, "  %s  %s — %s\n", mark, a.Expr, a.Detail)
+		}
+	}
+
+	fmt.Fprintf(&b, "\nlatency: mean %.2fms  p50 %.2fms  p95 %.2fms\n",
+		r.Latency.MeanMS, r.Latency.P50MS, r.Latency.P95MS)
+	if r.SLO != nil {
+		fmt.Fprintf(&b, "slo: %.1fms target, %.1f%% of measured requests violated\n",
+			r.SLO.TargetMS, r.SLO.ViolationFrac*100)
+	}
+	fmt.Fprintf(&b, "fleet: mean %.2f NPUs, peak %d\n", r.Fleet.MeanNPUs, r.Fleet.PeakNPUs)
+	return b.String()
+}
+
+// Compact formats the report as a compact deterministic text block (the
+// `report` command's output).
+func (r *RunReport) Compact() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run %q (%s): %d requests over %.2fms\n",
 		r.Name, r.Source, r.Requests, r.SpanMS)
@@ -425,7 +474,7 @@ td.spark { font-size: .95rem; }
 </head>
 <body>
 <h1>{{.Name}} <span class="meta">({{.Source}} run)</span>
-{{- if .Passed}} {{if deref .Passed}}<span class="badge pass">PASS</span>{{else}}<span class="badge fail">FAIL</span>{{end}}{{end}}</h1>
+{{- if eq .Source "scenario"}} {{if .Passed}}<span class="badge pass">PASS</span>{{else}}<span class="badge fail">FAIL</span>{{end}}{{end}}</h1>
 <div class="tiles">
 <div class="tile"><b>{{.Requests}}</b><span>requests</span></div>
 <div class="tile"><b>{{printf "%.1f" .SpanMS}}ms</b><span>span</span></div>
@@ -489,7 +538,6 @@ td.spark { font-size: .95rem; }
 `
 
 var reportTemplate = template.Must(template.New("report").Funcs(template.FuncMap{
-	"deref":     func(b *bool) bool { return b != nil && *b },
 	"pct":       func(f float64) float64 { return f * 100 },
 	"firstLine": func(s string) string { line, _, _ := strings.Cut(s, "\n"); return line },
 }).Parse(reportHTML))

@@ -4,11 +4,11 @@ package ctl
 // command to a virtual timestamp (`@<time> <command>`), which removes
 // the one nondeterministic input an interactive session has — when the
 // operator typed. Scripted sessions therefore replay byte-identically
-// (transcript and report both) for a fixed seed and script, and a
-// scripted chaos session is stat-identical to the equivalent scenario
-// file: both are proven in ctl_test.go. At time-scale 0 a script runs
-// as fast as the simulator computes, with no wall-clock dependence —
-// the mode CI replays.
+// (transcript and report both) for a fixed seed and script
+// (ctl_test.go), and a declarative scenario runs as the script it
+// compiles to (internal/scenario). At time-scale 0 a script runs as
+// fast as the simulator computes, with no wall-clock dependence — the
+// mode CI replays.
 
 import (
 	"fmt"
@@ -65,8 +65,8 @@ func (p *Plane) parseScript(src string) ([]scriptCommand, error) {
 // RunScript executes a command script to completion and returns the
 // transcript. Each command runs at its virtual timestamp: the clock is
 // advanced to just before the instant (so an operation scheduled there
-// still fires ahead of any autoscale tick due at the same cycle,
-// exactly like a scenario event), the command executes, and the stream
+// still fires ahead of any autoscale tick due at the same cycle, as one
+// scheduled in advance would), the command executes, and the stream
 // catches up on the way to the next command. A script that does not end
 // in `quit` is sealed at its last timestamp. With TimeScale > 0 the
 // script paces itself against the wall clock; at 0 it runs flat out.

@@ -223,17 +223,7 @@ func (s Snapshot) Render() string {
 	if len(s.ScalingTail) > 0 {
 		b.WriteString("timeline tail:\n")
 		for _, e := range s.ScalingTail {
-			label := e.Kind
-			if e.NPU >= 0 {
-				label = fmt.Sprintf("%s npu%d", e.Kind, e.NPU)
-			}
-			if e.Delta != 0 {
-				label = fmt.Sprintf("%s %+d", label, e.Delta)
-			}
-			if e.Note != "" {
-				label = fmt.Sprintf("%s (%s)", label, e.Note)
-			}
-			fmt.Fprintf(&b, "  %9.2fms  %d NPUs  %s\n", e.AtMS, e.Fleet, label)
+			fmt.Fprintf(&b, "  %9.2fms  %d NPUs  %s\n", e.AtMS, e.Fleet, e.label())
 		}
 	}
 	return strings.TrimRight(b.String(), "\n")

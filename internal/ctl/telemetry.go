@@ -36,15 +36,29 @@ func (p *Plane) TraceExport() (*TraceExport, error) {
 
 // traceExportLocked builds the trace export; the caller holds the mutex.
 func (p *Plane) traceExportLocked() (*TraceExport, error) {
-	tr := p.ns.Telemetry()
-	if tr == nil || tr.Tracer == nil {
-		return nil, ErrNoTelemetry
-	}
-	events, err := p.ns.TraceEvents()
+	events, err := p.traceEventsLocked()
 	if err != nil {
 		return nil, err
 	}
 	return &TraceExport{Summary: telemetry.Summarize(events, 5), Events: events}, nil
+}
+
+// TraceEvents assembles the node's merged per-request trace without
+// TraceExport's summary — what a run that exports the trace itself
+// needs. It errors with ErrNoTelemetry when no tracer is attached.
+func (p *Plane) TraceEvents() ([]telemetry.Event, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.traceEventsLocked()
+}
+
+// traceEventsLocked assembles the merged trace; the caller holds the
+// mutex.
+func (p *Plane) traceEventsLocked() ([]telemetry.Event, error) {
+	if tr := p.ns.Telemetry(); tr == nil || tr.Tracer == nil {
+		return nil, ErrNoTelemetry
+	}
+	return p.ns.TraceEvents()
 }
 
 // MetricSamples answers the recorder's tick-metric series. It errors

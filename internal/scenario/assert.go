@@ -3,15 +3,17 @@ package scenario
 // assert.go is the scenario assertion engine: each assertion is a
 // machine-checkable claim about the run — the SLO-violation fraction,
 // the fleet-size envelope over a window, or recovery from the first
-// disruption by a deadline — evaluated against the node's fleet
-// timeline and served statistics. A failed assertion fails the report,
-// never the run: chaos scenarios exist to observe degraded behaviour,
-// so the executor always finishes and reports.
+// disruption by a deadline — evaluated against the fleet timeline and
+// served statistics of the run's report. A failed assertion fails the
+// report, never the run: chaos scenarios exist to observe degraded
+// behaviour, so the executor always finishes and reports.
 
 import (
 	"fmt"
 	"time"
 
+	"repro/internal/ctl"
+	"repro/internal/npu"
 	"repro/internal/serving"
 )
 
@@ -76,7 +78,7 @@ func (a Assertion) validate(sc *Scenario) error {
 		if sc.Scaler == "" {
 			return fmt.Errorf("slo_violation_frac needs a scaler (the SLO defines the fraction)")
 		}
-		if a.Max <= 0 || a.Max > 1 {
+		if !(a.Max > 0 && a.Max <= 1) { // NaN fails too
 			return fmt.Errorf("violation bound %v outside (0, 1]", a.Max)
 		}
 	case AssertFleetBetween:
@@ -94,7 +96,7 @@ func (a Assertion) validate(sc *Scenario) error {
 		if sc.Scaler == "" {
 			return fmt.Errorf("tier slo_violation_frac needs a scaler (the SLO defines the fraction)")
 		}
-		if a.Max <= 0 || a.Max > 1 {
+		if !(a.Max > 0 && a.Max <= 1) { // NaN fails too
 			return fmt.Errorf("violation bound %v outside (0, 1]", a.Max)
 		}
 		if sc.Fleet.Tiers == "" {
@@ -117,72 +119,68 @@ func (a Assertion) validate(sc *Scenario) error {
 	return nil
 }
 
-// AssertResult is one evaluated assertion.
-type AssertResult struct {
-	// Expr is the assertion in scenario text form.
-	Expr string
-	// Pass reports whether the claim held.
-	Pass bool
-	// Detail explains the outcome (the observed value, or the violating
-	// instant).
-	Detail string
+// evaluate runs every assertion against the run's report and answers
+// the outcomes and the verdict. Instants compare on the report's
+// millisecond clock: a bound converts through the cycle it falls on,
+// exactly as the report converts event cycles, and Millis is strictly
+// increasing over cycle counts, so every comparison decides what the
+// same comparison in cycles would.
+func (sc *Scenario) evaluate(rep *Report, cfg npu.Config) ([]ctl.AssertOutcome, bool) {
+	at := func(d time.Duration) float64 { return cfg.Millis(cfg.Cycles(d)) }
+	out := make([]ctl.AssertOutcome, len(sc.Asserts))
+	passed := true
+	for i, a := range sc.Asserts {
+		res := ctl.AssertOutcome{Expr: a.String()}
+		switch a.Kind {
+		case AssertSLO:
+			got := rep.SLO.ViolationFrac
+			res.Pass = got < a.Max
+			res.Detail = fmt.Sprintf("violation fraction %.4f (bound %g)", got, a.Max)
+		case AssertFleetBetween:
+			res.Pass, res.Detail = evalFleetBetween(a, rep.Timeline, at(a.From), at(a.To))
+		case AssertRecoveredBy:
+			res.Pass, res.Detail = evalRecoveredBy(a, rep.Timeline, at(a.By))
+		case AssertTierSLO:
+			res.Pass, res.Detail = evalTierSLO(a, rep.Tiers)
+		}
+		out[i] = res
+		passed = passed && res.Pass
+	}
+	return out, passed
 }
 
 // fleetAt walks the chronological fleet timeline and answers the
-// routable fleet size at cycle c (events at exactly c have applied).
-func fleetAt(events []serving.NodeEvent, c int64) int {
+// routable fleet size at instant ms (events at exactly ms have applied).
+func fleetAt(events []ctl.ReportEvent, ms float64) int {
 	v := 0
 	for _, e := range events {
-		if e.Cycle > c {
+		if e.AtMS > ms {
 			break
 		}
-		v = e.Active
+		v = e.Fleet
 	}
 	return v
 }
 
-// evaluate runs every assertion against the run's timeline and stats.
-func (sc *Scenario) evaluate(run *runResult) []AssertResult {
-	out := make([]AssertResult, len(sc.Asserts))
-	for i, a := range sc.Asserts {
-		res := AssertResult{Expr: a.String()}
-		switch a.Kind {
-		case AssertSLO:
-			got := run.stats.Scaling.SLOViolationFrac
-			res.Pass = got < a.Max
-			res.Detail = fmt.Sprintf("violation fraction %.4f (bound %g)", got, a.Max)
-		case AssertFleetBetween:
-			res.Pass, res.Detail = evalFleetBetween(a, run)
-		case AssertRecoveredBy:
-			res.Pass, res.Detail = evalRecoveredBy(a, run)
-		case AssertTierSLO:
-			res.Pass, res.Detail = evalTierSLO(a, run)
-		}
-		out[i] = res
-	}
-	return out
-}
-
 // evalFleetBetween checks the fleet envelope at the window start and at
-// every fleet change inside the window; between changes the step
-// function is constant, so those instants cover the whole interval.
-func evalFleetBetween(a Assertion, run *runResult) (bool, string) {
-	fromC, toC := run.cycles(a.From), run.cycles(a.To)
-	check := func(v int, at int64) (bool, string) {
+// every fleet change inside the window [fromMS, toMS]; between changes
+// the step function is constant, so those instants cover the whole
+// interval.
+func evalFleetBetween(a Assertion, events []ctl.ReportEvent, fromMS, toMS float64) (bool, string) {
+	check := func(v int, ms float64) (bool, string) {
 		if v < a.Lo || v > a.Hi {
-			return false, fmt.Sprintf("fleet %d at %.2fms outside [%d, %d]",
-				v, run.millis(at), a.Lo, a.Hi)
+			return false, fmt.Sprintf("fleet %d at %.2fms outside [%d, %d]", v, ms, a.Lo, a.Hi)
 		}
 		return true, ""
 	}
-	if ok, detail := check(fleetAt(run.events, fromC), fromC); !ok {
+	if ok, detail := check(fleetAt(events, fromMS), fromMS); !ok {
 		return false, detail
 	}
-	for _, e := range run.events {
-		if e.Cycle <= fromC || e.Cycle > toC {
+	for _, e := range events {
+		if e.AtMS <= fromMS || e.AtMS > toMS {
 			continue
 		}
-		if ok, detail := check(e.Active, e.Cycle); !ok {
+		if ok, detail := check(e.Fleet, e.AtMS); !ok {
 			return false, detail
 		}
 	}
@@ -193,8 +191,8 @@ func evalFleetBetween(a Assertion, run *runResult) (bool, string) {
 // the bound. Validation pinned the tier to the fleet template, so a
 // missing breakdown means the tier served nothing measurable — reported
 // as a vacuous pass with the reason.
-func evalTierSLO(a Assertion, run *runResult) (bool, string) {
-	for _, t := range run.stats.Tiers {
+func evalTierSLO(a Assertion, tiers []ctl.TierSummary) (bool, string) {
+	for _, t := range tiers {
 		if t.Tier != a.Tier {
 			continue
 		}
@@ -210,23 +208,23 @@ func evalTierSLO(a Assertion, run *runResult) (bool, string) {
 
 // evalRecoveredBy checks whether the fleet returned to its size just
 // before the first disruption (fail or cordon) at any instant up to the
-// deadline; a voluntary scale-down after that instant is the scaler
-// tracking load, not a recovery failure.
-func evalRecoveredBy(a Assertion, run *runResult) (bool, string) {
-	baseline, disruptAt, disrupted := 0, int64(0), false
-	for _, e := range run.events {
+// deadline byMS; a voluntary scale-down after that instant is the
+// scaler tracking load, not a recovery failure.
+func evalRecoveredBy(a Assertion, events []ctl.ReportEvent, byMS float64) (bool, string) {
+	baseline, disruptMS, disrupted := 0, 0.0, false
+	for _, e := range events {
 		if e.Kind == "fail" || e.Kind == "cordon" {
-			baseline, disruptAt, disrupted = e.Active-e.Delta, e.Cycle, true
+			baseline, disruptMS, disrupted = e.Fleet-e.Delta, e.AtMS, true
 			break
 		}
 	}
 	if !disrupted {
 		return true, "no disruption injected (vacuous)"
 	}
-	byC, peak := run.cycles(a.By), 0
-	for _, e := range run.events {
-		if e.Cycle > disruptAt && e.Cycle <= byC && e.Active > peak {
-			peak = e.Active
+	peak := 0
+	for _, e := range events {
+		if e.AtMS > disruptMS && e.AtMS <= byMS && e.Fleet > peak {
+			peak = e.Fleet
 		}
 	}
 	if peak >= baseline {

@@ -108,6 +108,26 @@ func TestParseDefaults(t *testing.T) {
 	}
 }
 
+// nonFinite are texts whose numbers are NaN or infinite: each fails
+// validation, naming the directive, before it can reach the simulator.
+// They seed FuzzScenarioParse too.
+var nonFinite = []struct{ name, src, wantErr string }{
+	{"slowdown NaN", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu0 xNaN\n", "slowdown factor must be finite"},
+	{"slowdown nan", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu1 nan\n", "slowdown factor must be finite"},
+	{"slowdown +Inf", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu0 x+Inf\n", "slowdown factor must be finite"},
+	{"load NaN", "scenario n\nfleet initial=1\nsegment 10ms\nload 1 NaN 1\n", "load segment 1 is negative or not finite"},
+	{"load +Inf", "scenario n\nfleet initial=1\nsegment 10ms\nload 1 +Inf 1\n", "load segment 1 is negative or not finite"},
+	{"load -Inf", "scenario n\nfleet initial=1\nsegment 10ms\nload 1 -Inf\n", "load segment 1 is negative or not finite"},
+	{"slo bound NaN",
+		"scenario n\nfleet initial=1 min=1 max=2\nscaler queue-depth slo=8ms\nsegment 10ms\nload 1\nassert slo_violation_frac < NaN\n",
+		"outside (0, 1]"},
+	{"tier bound NaN",
+		"scenario n\nfleet initial=2 min=2 max=4 tiers=50%:fast,50%:slow\nscaler queue-depth slo=8ms\nsegment 10ms\nload 1\n" +
+			"assert tier fast slo_violation_frac < NaN\n",
+		"outside (0, 1]"},
+	{"warmup NaN", "scenario n\nfleet initial=1\nsegment 10ms\nload 1\nwarmup NaN\n", "warmup fraction NaN"},
+}
+
 // TestParseErrors locks in the error surface: every malformed line is
 // reported with its line number, and semantic validation failures name
 // the offending directive.
@@ -149,6 +169,7 @@ func TestParseErrors(t *testing.T) {
 				"assert tier fast slo_violation_frac < 1.5\n",
 			"outside (0, 1]"},
 	}
+	cases = append(cases, nonFinite...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(tc.src)

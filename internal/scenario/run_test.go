@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/ctl"
 	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/serving"
@@ -186,16 +187,16 @@ func TestNoEventScenarioMatchesPlainRun(t *testing.T) {
 	if rep.Requests != n {
 		t.Errorf("scenario offered %d requests, plain run %d", rep.Requests, n)
 	}
-	// Summary.MeanNPUs integrates over the scenario span by design, so
+	// Fleet.MeanNPUs integrates over the scenario span by design, so
 	// compare the per-request statistics and the peak, then the raw
 	// fleet timeline entry by entry — the strongest stream-identity
 	// check available.
-	if rep.Summary.MeanLatencyMS != st.MeanLatencyMS ||
-		rep.Summary.P95LatencyMS != st.P95LatencyMS ||
-		rep.Summary.SLOViolationFrac != st.Scaling.SLOViolationFrac ||
-		rep.Summary.PeakNPUs != st.Scaling.PeakNPUs {
-		t.Errorf("scenario summary %+v diverges from plain run (mean %v p95 %v viol %v peak %d)",
-			rep.Summary, st.MeanLatencyMS, st.P95LatencyMS,
+	if rep.Latency.MeanMS != st.MeanLatencyMS ||
+		rep.Latency.P95MS != st.P95LatencyMS ||
+		rep.SLO.ViolationFrac != st.Scaling.SLOViolationFrac ||
+		rep.Fleet.PeakNPUs != st.Scaling.PeakNPUs {
+		t.Errorf("scenario latency %+v, slo %+v, fleet %+v diverge from plain run (mean %v p95 %v viol %v peak %d)",
+			rep.Latency, *rep.SLO, rep.Fleet, st.MeanLatencyMS, st.P95LatencyMS,
 			st.Scaling.SLOViolationFrac, st.Scaling.PeakNPUs)
 	}
 	plain := ns.Timeline()
@@ -276,11 +277,11 @@ func TestTracedRunObservesOnly(t *testing.T) {
 // fabricated tier breakdown: pass under the bound, fail over it, and a
 // vacuous pass when the tier measured nothing.
 func TestEvalTierSLO(t *testing.T) {
-	run := &runResult{stats: serving.NodeStats{Tiers: []serving.TierStats{
+	tiers := []ctl.TierSummary{
 		{Tier: "fast", Measured: 100, SLOViolationFrac: 0.05},
 		{Tier: "slow", Measured: 40, SLOViolationFrac: 0.5},
 		{Tier: "idle", Measured: 0},
-	}}}
+	}
 	cases := []struct {
 		tier   string
 		max    float64
@@ -293,7 +294,7 @@ func TestEvalTierSLO(t *testing.T) {
 		{"ghost", 0.2, true, "vacuous"},
 	}
 	for _, tc := range cases {
-		pass, detail := evalTierSLO(Assertion{Kind: AssertTierSLO, Tier: tc.tier, Max: tc.max}, run)
+		pass, detail := evalTierSLO(Assertion{Kind: AssertTierSLO, Tier: tc.tier, Max: tc.max}, tiers)
 		if pass != tc.pass || !strings.Contains(detail, tc.detail) {
 			t.Errorf("tier %s bound %g: pass=%v detail=%q, want pass=%v detail containing %q",
 				tc.tier, tc.max, pass, detail, tc.pass, tc.detail)
@@ -323,6 +324,22 @@ func TestWipeOutSurfaces(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "last active") {
 		t.Errorf("error = %q, want the last-active guard", err)
+	}
+}
+
+// TestEmptyRampSurfaces: a ramp whose sampled windows hold no arrival
+// is a run error, not an empty report.
+func TestEmptyRampSurfaces(t *testing.T) {
+	sc, err := Parse("scenario quiet\nfleet initial=1\nsegment 10ms\nload 1e-9 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(newServer(t), sc)
+	if err == nil {
+		t.Fatalf("empty ramp ran to a report: %+v", rep)
+	}
+	if !strings.Contains(err.Error(), "ramp produced no requests") {
+		t.Errorf("error = %q, want the empty-ramp error", err)
 	}
 }
 

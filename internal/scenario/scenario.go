@@ -2,16 +2,19 @@
 // streaming serving stack: a scenario names a fleet, a local scheduler,
 // an optional autoscale policy, an offered-load ramp, a timed list of
 // fault-injection events (NPU failures, slowdowns, cordons) and a list
-// of assertions about how the system must behave under them. The
-// executor drives a serving.NodeSession through the whole timeline on
-// the deterministic stream clock, so the same scenario text and seed
-// replay byte-for-byte — chaos becomes a reproducible regression
-// artifact (the scenarios/ corpus at the repository root) instead of a
-// one-off experiment.
+// of assertions about how the system must behave under them. A scenario
+// compiles onto the control plane (internal/ctl) — its ramp and events
+// become a command script run at time-scale 0 — so the plane is the one
+// executor and its run report the one outcome model, and the assertions
+// are evaluated on that report. The same scenario text and seed replay
+// byte-for-byte — chaos becomes a reproducible regression artifact (the
+// scenarios/ corpus at the repository root) instead of a one-off
+// experiment.
 package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/autoscale"
@@ -94,7 +97,8 @@ func (sc *Scenario) Horizon() time.Duration {
 
 // Span is the full timeline the executor advances through: the load
 // horizon extended past the last event and the last asserted window, so
-// late failures fire and recovery windows are observed before Drain.
+// late failures fire and recovery windows are observed before the run
+// quits.
 func (sc *Scenario) Span() time.Duration {
 	span := sc.Horizon()
 	for _, e := range sc.Events {
@@ -166,7 +170,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
-	if sc.Warmup < 0 || sc.Warmup >= 1 {
+	if !(sc.Warmup >= 0 && sc.Warmup < 1) { // NaN fails too
 		return fmt.Errorf("scenario: warmup fraction %v outside [0, 1)", sc.Warmup)
 	}
 	if sc.Segment <= 0 {
@@ -177,8 +181,8 @@ func (sc *Scenario) Validate() error {
 	}
 	any := false
 	for i, l := range sc.Load {
-		if l < 0 {
-			return fmt.Errorf("scenario: load segment %d is negative (%v)", i, l)
+		if !(l >= 0) || math.IsInf(l, 1) { // the arrival sampler needs a finite rate
+			return fmt.Errorf("scenario: load segment %d is negative or not finite (%v)", i, l)
 		}
 		any = any || l > 0
 	}
@@ -186,7 +190,13 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("scenario: load ramp offers nothing (all segments zero)")
 	}
 	for i, e := range sc.Events {
-		if err := validateEvent(e); err != nil {
+		if e.At < 0 {
+			return fmt.Errorf("scenario: event %d: negative time %v", i, e.At)
+		}
+		// State-dependent invariants (failing an already-failed NPU,
+		// cordoning the last active backend) surface when the operation
+		// fires.
+		if err := e.Op.Validate(); err != nil {
 			return fmt.Errorf("scenario: event %d: %w", i, err)
 		}
 	}
@@ -194,31 +204,6 @@ func (sc *Scenario) Validate() error {
 		if err := a.validate(sc); err != nil {
 			return fmt.Errorf("scenario: assertion %d (%s): %w", i, a, err)
 		}
-	}
-	return nil
-}
-
-// validateEvent checks the statically checkable operation invariants;
-// state-dependent ones (failing an already-failed NPU, cordoning the
-// last active backend) surface when the executor fires the operation.
-func validateEvent(e Event) error {
-	if e.At < 0 {
-		return fmt.Errorf("negative time %v", e.At)
-	}
-	if e.Op.NPU < 0 {
-		return fmt.Errorf("negative NPU index %d", e.Op.NPU)
-	}
-	switch e.Op.Kind {
-	case serving.SlowNPU:
-		if e.Op.Factor <= 1 {
-			return fmt.Errorf("slowdown factor must exceed 1, got %v", e.Op.Factor)
-		}
-	case serving.FailNPU, serving.RestoreNPU, serving.CordonNPU, serving.UncordonNPU:
-		if e.Op.Factor != 0 {
-			return fmt.Errorf("factor %v set on a %s operation", e.Op.Factor, e.Op.Kind)
-		}
-	default:
-		return fmt.Errorf("unknown operation kind %d", int(e.Op.Kind))
 	}
 	return nil
 }

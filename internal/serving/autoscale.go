@@ -335,27 +335,32 @@ func (ns *NodeSession) scalingStats(merged *sampleSet) *ScalingStats {
 			out.PeakNPUs = e.NPUs
 		}
 	}
-	out.MeanNPUs = meanNPUs(out.Events, merged.makespan)
+	out.MeanNPUs = float64(ns.timeline[0].Active)
+	if merged.makespan > 0 {
+		out.MeanNPUs = MeanFleet(ns.timeline, merged.makespan)
+	}
 	return out
 }
 
-// meanNPUs integrates the fleet-size step function over [0, makespan].
-func meanNPUs(events []ScaleEvent, makespan int64) float64 {
-	if len(events) == 0 {
+// MeanFleet is the time-weighted mean routable fleet size of a node
+// timeline over [0, span]: the integral of its Active step function
+// divided by span. Events after span are ignored, and a span <= 0
+// answers 0. Zero-delta events (a slowdown, a restore) split a step
+// without changing its height, so the filtered ScaleEvent view and the
+// full timeline integrate to the same bits.
+func MeanFleet(events []NodeEvent, span int64) float64 {
+	if len(events) == 0 || span <= 0 {
 		return 0
-	}
-	if makespan <= events[0].Cycle {
-		return float64(events[0].NPUs)
 	}
 	var area float64
 	prev := events[0]
 	for _, e := range events[1:] {
-		if e.Cycle > makespan {
+		if e.Cycle > span {
 			break
 		}
-		area += float64(prev.NPUs) * float64(e.Cycle-prev.Cycle)
+		area += float64(prev.Active) * float64(e.Cycle-prev.Cycle)
 		prev = e
 	}
-	area += float64(prev.NPUs) * float64(makespan-prev.Cycle)
-	return area / float64(makespan)
+	area += float64(prev.Active) * float64(span-prev.Cycle)
+	return area / float64(span)
 }

@@ -98,6 +98,31 @@ type NodeOp struct {
 	Factor float64
 }
 
+// Validate checks the operation's static invariants: a non-negative
+// target, a known kind, and a factor that is finite and above 1 on a
+// slowdown and zero on every other kind. State-dependent ones (failing
+// an already-failed backend, cordoning the last active one) surface
+// when the operation fires.
+func (op NodeOp) Validate() error {
+	if op.NPU < 0 {
+		return fmt.Errorf("negative NPU index %d", op.NPU)
+	}
+	switch op.Kind {
+	case SlowNPU:
+		// Written so that NaN fails it too.
+		if !(op.Factor > 1) || math.IsInf(op.Factor, 1) {
+			return fmt.Errorf("slowdown factor must be finite and exceed 1, got %v", op.Factor)
+		}
+	case FailNPU, RestoreNPU, CordonNPU, UncordonNPU:
+		if op.Factor != 0 {
+			return fmt.Errorf("factor %v set on a %s operation", op.Factor, op.Kind)
+		}
+	default:
+		return fmt.Errorf("unknown operation kind %d", int(op.Kind))
+	}
+	return nil
+}
+
 // NodeEvent is one entry of the node's fleet timeline: the start
 // anchor, every applied autoscaler action, and every fired chaos
 // operation, in stream order.
@@ -158,20 +183,8 @@ func (ns *NodeSession) ScheduleCycle(at int64, op NodeOp) error {
 		return fmt.Errorf("serving: operation at cycle %d is in the past (stream clock at %d)",
 			at, ns.lastArrival)
 	}
-	if op.NPU < 0 {
-		return fmt.Errorf("serving: negative NPU index %d", op.NPU)
-	}
-	switch op.Kind {
-	case SlowNPU:
-		if op.Factor <= 1 {
-			return fmt.Errorf("serving: slowdown factor must exceed 1, got %v", op.Factor)
-		}
-	case FailNPU, RestoreNPU, CordonNPU, UncordonNPU:
-		if op.Factor != 0 {
-			return fmt.Errorf("serving: factor %v set on a %s operation", op.Factor, op.Kind)
-		}
-	default:
-		return fmt.Errorf("serving: unknown operation kind %d", int(op.Kind))
+	if err := op.Validate(); err != nil {
+		return fmt.Errorf("serving: %w", err)
 	}
 	if op.Kind == FailNPU {
 		// Failure reclaim needs the task behind every fluid horizon.

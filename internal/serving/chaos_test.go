@@ -8,6 +8,7 @@ package serving
 // scaler recovers the fleet after an injected loss.
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -48,6 +49,9 @@ func TestScheduleValidation(t *testing.T) {
 		{"negative time", -time.Millisecond, NodeOp{Kind: FailNPU}},
 		{"negative npu", time.Millisecond, NodeOp{Kind: FailNPU, NPU: -1}},
 		{"slow factor 1", time.Millisecond, NodeOp{Kind: SlowNPU, NPU: 0, Factor: 1}},
+		// Far in the future, so nothing below fires them if accepted.
+		{"slow factor NaN", time.Hour, NodeOp{Kind: SlowNPU, NPU: 0, Factor: math.NaN()}},
+		{"slow factor +Inf", time.Hour, NodeOp{Kind: SlowNPU, NPU: 0, Factor: math.Inf(1)}},
 		{"factor on fail", time.Millisecond, NodeOp{Kind: FailNPU, NPU: 0, Factor: 2}},
 		{"unknown kind", time.Millisecond, NodeOp{Kind: OpKind(99), NPU: 0}},
 	}
@@ -344,5 +348,68 @@ func TestNoEventScheduleIsIdentical(t *testing.T) {
 	if plain.BatchStats != tracked.BatchStats {
 		t.Errorf("armed-but-idle chaos machinery changed output:\n %+v\n %+v",
 			plain.BatchStats, tracked.BatchStats)
+	}
+}
+
+// TestMeanFleetMatchesScaleEvents: integrating the full node timeline,
+// zero-delta slowdown and restore events included, gives the same bits
+// as the integral over the filtered ScaleEvent view that ScalingStats
+// took before it shared MeanFleet with the run report — at every event
+// instant, between events and past the last one.
+func TestMeanFleetMatchesScaleEvents(t *testing.T) {
+	// meanNPUs is ScalingStats' former integrator, kept as the reference.
+	meanNPUs := func(events []ScaleEvent, makespan int64) float64 {
+		if makespan <= events[0].Cycle {
+			return float64(events[0].NPUs)
+		}
+		var area float64
+		prev := events[0]
+		for _, e := range events[1:] {
+			if e.Cycle > makespan {
+				break
+			}
+			area += float64(prev.NPUs) * float64(e.Cycle-prev.Cycle)
+			prev = e
+		}
+		area += float64(prev.NPUs) * float64(makespan-prev.Cycle)
+		return area / float64(makespan)
+	}
+	s := newServer(t)
+	for seed := uint64(1); seed <= 4; seed++ {
+		ns := openChaosNode(t, s, 2, &AutoscaleConfig{
+			Scaler: "queue-depth", SLO: 8 * time.Millisecond, MinNPUs: 2, MaxNPUs: 6,
+		})
+		mustSchedule(t, ns, 30*time.Millisecond, NodeOp{Kind: SlowNPU, NPU: 1, Factor: 2})
+		mustSchedule(t, ns, 60*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 0})
+		mustSchedule(t, ns, 100*time.Millisecond, NodeOp{Kind: RestoreNPU, NPU: 1})
+		offerRamp(t, ns, seed)
+		if err := ns.AdvanceTo(rampHorizon); err != nil {
+			t.Fatal(err)
+		}
+		timeline := ns.Timeline()
+		var filtered []ScaleEvent
+		for i, e := range timeline {
+			if i == 0 || e.Delta != 0 {
+				filtered = append(filtered, ScaleEvent{Cycle: e.Cycle, Delta: e.Delta, NPUs: e.Active})
+			}
+		}
+		if len(filtered) == len(timeline) || len(filtered) < 4 {
+			t.Fatalf("seed %d: timeline %+v lacks scaling steps or zero-delta events", seed, timeline)
+		}
+		var spans []int64
+		for _, e := range timeline {
+			spans = append(spans, e.Cycle, e.Cycle+1, e.Cycle+7919)
+		}
+		for _, span := range spans {
+			if span <= 0 {
+				continue
+			}
+			if got, want := MeanFleet(timeline, span), meanNPUs(filtered, span); got != want {
+				t.Errorf("seed %d span %d: MeanFleet %v, scale-event integral %v", seed, span, got, want)
+			}
+		}
+		if err := ns.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -101,6 +101,10 @@ func (s *Server) Generate(spec Spec, rng *rand.Rand) ([]*workload.Task, error) {
 	if spec.OfferedLoad <= 0 {
 		return nil, fmt.Errorf("serving: non-positive offered load %v", spec.OfferedLoad)
 	}
+	if math.IsNaN(spec.OfferedLoad) || math.IsInf(spec.OfferedLoad, 1) {
+		// The arrival loop below would never pass the horizon.
+		return nil, fmt.Errorf("serving: non-finite offered load %v", spec.OfferedLoad)
+	}
 	if spec.Horizon <= 0 {
 		return nil, fmt.Errorf("serving: non-positive horizon %v", spec.Horizon)
 	}
@@ -131,7 +135,9 @@ func (s *Server) Generate(spec Spec, rng *rand.Rand) ([]*workload.Task, error) {
 	id := 0
 	for {
 		at += rng.ExpFloat64() / rate
-		if int64(at) >= horizon {
+		// Compared as floats: a load so light that the first gap
+		// overflows int64 still ends the window.
+		if at >= float64(horizon) {
 			break
 		}
 		arrival := offset + int64(at)

@@ -5,11 +5,13 @@ package prema
 // and executed with System.RunScenario. A scenario declares a fleet, a
 // local scheduler, an optional autoscale policy, an offered-load ramp, a
 // timed fault-injection schedule (NPU failures, slowdowns, cordons) and
-// assertions over the outcome; the executor drives a streaming node
-// session through the whole timeline deterministically, so the same
-// scenario text and seed replay byte-identically. The scenarios/ corpus
-// at the repository root holds the curated examples premasim -scenario
-// runs.
+// assertions over the outcome. It runs as a scripted control plane
+// session (see controlplane.go): the ramp and the schedule compile to
+// timestamped commands, the plane drives the fleet through the whole
+// timeline deterministically, and the assertions are evaluated on its
+// RunReport. The same scenario text and seed replay byte-identically.
+// The scenarios/ corpus at the repository root holds the curated
+// examples premasim -scenario runs.
 
 import (
 	"repro/internal/cluster"
@@ -29,17 +31,12 @@ type (
 	ScenarioEvent = scenario.Event
 	// ScenarioAssertion is one pass/fail condition of a scenario.
 	ScenarioAssertion = scenario.Assertion
-	// ScenarioReport is an executed scenario's outcome: verdict,
-	// annotated fleet timeline, assertion results and served summary,
-	// with a deterministic ASCII Render.
+	// ScenarioReport is an executed scenario's outcome, the RunReport
+	// of the control plane run the scenario compiled to: verdict
+	// (Passed), annotated fleet timeline, assertion results and served
+	// summary, with the deterministic ASCII transcript (Render) and the
+	// JSON and HTML exports.
 	ScenarioReport = scenario.Report
-	// ScenarioTimelineEntry is one fleet-timeline event in stream
-	// milliseconds.
-	ScenarioTimelineEntry = scenario.TimelineEntry
-	// ScenarioAssertResult is one evaluated assertion.
-	ScenarioAssertResult = scenario.AssertResult
-	// ScenarioSummary is the scenario's served statistics.
-	ScenarioSummary = scenario.Summary
 	// ChaosOp is one fault-injection operation against a node backend
 	// (fail, slowdown, restore, cordon, uncordon).
 	ChaosOp = serving.NodeOp

@@ -63,6 +63,10 @@ go test -fuzz=FuzzEncodeJSONL -fuzztime=5s -run '^$' ./internal/telemetry/
 # A cursor at a speed factor executes exactly as one over the program
 # stretched instruction by instruction.
 go test -fuzz=FuzzScaledExecution -fuzztime=5s -run '^$' ./internal/npu/
+# Any binary program stream reads or errors without panicking, allocating
+# by the bytes read rather than the header's claim, and an accepted
+# program writes back to a stream that reads as the same program.
+go test -fuzz=FuzzISARead -fuzztime=5s -run '^$' ./internal/isa/
 # Any scenario text parses or errors without panicking, and a small
 # accepted scenario runs to the same transcript and report on the
 # control plane as on the reference executor it replaced.

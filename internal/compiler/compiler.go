@@ -22,12 +22,16 @@
 // (model, batch), created on the first Compile and guarded by a mutex: a
 // layer shape is lowered the first time it appears in that pool, and
 // every later layer of the same shape, in this or any other instance,
-// points at the same block. Each program's Instrs is the pool as it stood
-// when the program was built, clipped to its length and capacity, so the
-// pool is immutable below every program's length, and a new RNN instance
-// costs only its span table. A program's pool may therefore hold blocks
-// the program never runs; its flattened stream (see npu.Program) is the
-// one lowering every layer in turn would have produced.
+// points at the same block. A body is resolved once per pool into a span
+// per layer, and every program of the pool that runs the body shares
+// that span slice, so a program's run table is one {Body, Times} entry
+// per run of its instance and a new RNN instance costs a few runs
+// whatever its sequence lengths. Each program's Instrs is the pool as it
+// stood when the program was built, clipped to its length and capacity,
+// so the pool is immutable below every program's length. A program's
+// pool may therefore hold blocks the program never runs; its flattened
+// stream (see npu.Program) is the one lowering every layer in turn would
+// have produced.
 package compiler
 
 import (
@@ -54,16 +58,32 @@ type poolKey struct {
 }
 
 // pool is the block pool of one (model, batch): the instructions of every
-// block lowered so far, and each layer shape's block.
+// block lowered so far, each layer shape's block, and each body's spans.
 type pool struct {
 	instrs []npu.Instr
 	blocks map[dnn.Layer]block
+	bodies map[bodyKey]body
 }
 
 // block is one lowered layer: its place in the pool and its cycle sum.
 type block struct {
 	span   npu.Span
 	cycles int64
+}
+
+// bodyKey identifies a dnn body by its slice: a model builds each body
+// once and shares it with every instance (dnn.Run).
+type bodyKey struct {
+	first *dnn.Layer
+	n     int
+}
+
+// body is one resolved layer body: a span per layer, shared by every
+// program of the pool that runs it, and one repetition's cycle and MAC
+// sums.
+type body struct {
+	spans        []npu.Span
+	cycles, macs int64
 }
 
 // New returns a Compiler for the given configuration.
@@ -84,7 +104,13 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 	}
 	runs := m.Runs(inLen, outLen)
 	layers := 0
-	for _, r := range runs {
+	for i, r := range runs {
+		if r.Times < 0 {
+			return nil, fmt.Errorf("compiler: model %q run %d repeats %d times", m.Name, i, r.Times)
+		}
+		if len(r.Body) > 0 && r.Times > (npu.MaxLayers-layers)/len(r.Body) {
+			return nil, fmt.Errorf("compiler: model %q instance has more than %d layers", m.Name, npu.MaxLayers)
+		}
 		layers += r.Times * len(r.Body)
 	}
 	if layers == 0 {
@@ -95,31 +121,20 @@ func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program
 		Batch:  batch,
 		InLen:  inLen,
 		OutLen: outLen,
-		Spans:  make([]npu.Span, 0, layers),
+		Runs:   make([]npu.Run, len(runs)),
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.pool(m.Name, batch)
-	for _, r := range runs {
-		// One pass over the body resolves its blocks; the repetitions
-		// copy its spans.
-		first := len(prog.Spans)
-		var cycles, macs int64
-		for _, l := range r.Body {
-			b, err := c.block(p, l, batch)
-			if err != nil {
-				return nil, err
-			}
-			prog.Spans = append(prog.Spans, b.span)
-			cycles += b.cycles
-			macs += l.MACs(batch)
+	for i, r := range runs {
+		b, err := c.body(p, r.Body, batch)
+		if err != nil {
+			return nil, err
 		}
-		for t := 1; t < r.Times; t++ {
-			prog.Spans = append(prog.Spans, prog.Spans[first:first+len(r.Body)]...)
-		}
-		prog.TotalCycles += cycles * int64(r.Times)
-		prog.TotalMACs += macs * int64(r.Times)
+		prog.Runs[i] = npu.Run{Body: b.spans, Times: r.Times}
+		prog.TotalCycles += b.cycles * int64(r.Times)
+		prog.TotalMACs += b.macs * int64(r.Times)
 	}
 	prog.Instrs = p.instrs[:len(p.instrs):len(p.instrs)]
 	return prog, nil
@@ -134,10 +149,38 @@ func (c *Compiler) pool(model string, batch int) *pool {
 		if c.pools == nil {
 			c.pools = make(map[poolKey]*pool)
 		}
-		p = &pool{blocks: make(map[dnn.Layer]block)}
+		p = &pool{blocks: make(map[dnn.Layer]block), bodies: make(map[bodyKey]body)}
 		c.pools[k] = p
 	}
 	return p
+}
+
+// body returns layers' body in p, resolving each layer's block the first
+// time the body appears. The span slice is capacity-clipped, so appending
+// to a program's run body copies it rather than writing into the pool's.
+// The caller holds c.mu.
+func (c *Compiler) body(p *pool, layers []dnn.Layer, batch int) (body, error) {
+	if len(layers) == 0 {
+		return body{}, nil
+	}
+	k := bodyKey{&layers[0], len(layers)}
+	if b, ok := p.bodies[k]; ok {
+		return b, nil
+	}
+	spans := make([]npu.Span, len(layers))
+	var b body
+	for i, l := range layers {
+		blk, err := c.block(p, l, batch)
+		if err != nil {
+			return body{}, err
+		}
+		spans[i] = blk.span
+		b.cycles += blk.cycles
+		b.macs += l.MACs(batch)
+	}
+	b.spans = spans
+	p.bodies[k] = b
+	return b, nil
 }
 
 // block returns layer l's block in p, lowering it onto the end of the

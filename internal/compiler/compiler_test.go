@@ -36,6 +36,23 @@ func TestCompileRejectsBadInputs(t *testing.T) {
 	if _, err := c.Compile(empty, 1, 0, 0); err == nil {
 		t.Error("empty model should be rejected")
 	}
+	body := []dnn.Layer{dnn.NewFC("fc", 8, 8, false)}
+	negative := &dnn.Model{Name: "negative", Class: dnn.RNN,
+		Unroll: func(in, out int) []dnn.Run { return []dnn.Run{{Body: body, Times: in}, {Body: body, Times: -1}} }}
+	if _, err := c.Compile(negative, 1, 4, 0); err == nil {
+		t.Error("a run repeated a negative number of times should be rejected")
+	}
+	sa, err := dnn.ByName("RNN-SA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// RNN-SA is two layers per input step plus a classifier.
+	if _, err := c.Compile(sa, 1, npu.MaxLayers/2, 0); err != nil {
+		t.Errorf("an instance of %d layers: %v", npu.MaxLayers, err)
+	}
+	if _, err := c.Compile(sa, 1, npu.MaxLayers/2+1, 0); err == nil {
+		t.Error("an instance past npu.MaxLayers layers should be rejected")
+	}
 }
 
 func TestCompiledProgramsValidate(t *testing.T) {
@@ -259,8 +276,9 @@ func TestCompileDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameRun := func(x, y npu.Run) bool { return x.Times == y.Times && slices.Equal(x.Body, y.Body) }
 	if a.TotalCycles != b.TotalCycles || !slices.Equal(a.Instrs, b.Instrs) ||
-		!slices.Equal(a.Spans, b.Spans) {
+		!slices.EqualFunc(a.Runs, b.Runs, sameRun) {
 		t.Fatal("compilation is not deterministic")
 	}
 }

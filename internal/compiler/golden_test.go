@@ -90,9 +90,10 @@ func TestFlattenedStreamGolden(t *testing.T) {
 	}
 }
 
-// Repeated layers share one block: an unrolled RNN's pool holds one
-// block per distinct cell or projection, and every layer of the same
-// shape points at it.
+// Repeated layers share one block and repeated bodies one span slice: an
+// unrolled RNN's pool holds one block per distinct cell or projection,
+// every layer of the same shape points at it, and every instance of the
+// (model, batch) runs the same body slices.
 func TestRepeatedLayersShareBlocks(t *testing.T) {
 	c := newCompiler(t)
 	m, err := dnn.ByName("RNN-MT2")
@@ -109,20 +110,27 @@ func TestRepeatedLayersShareBlocks(t *testing.T) {
 			layers = append(layers, r.Body...)
 		}
 	}
-	if p.Layers() != len(layers) {
-		t.Fatalf("%d spans for %d layers", p.Layers(), len(layers))
+	// The reference per-layer span table, flattened from the runs.
+	var spans []npu.Span
+	for _, r := range p.Runs {
+		for range r.Times {
+			spans = append(spans, r.Body...)
+		}
+	}
+	if p.Layers() != len(layers) || len(spans) != len(layers) {
+		t.Fatalf("%d layers (%d spans) for %d layers", p.Layers(), len(spans), len(layers))
 	}
 	first := map[string]npu.Span{}
 	for i, l := range layers {
-		if s, ok := first[l.Name]; ok && s != p.Spans[i] {
-			t.Fatalf("layer %d (%s) span %+v, first use %+v", i, l.Name, p.Spans[i], s)
+		if s, ok := first[l.Name]; ok && s != spans[i] {
+			t.Fatalf("layer %d (%s) span %+v, first use %+v", i, l.Name, spans[i], s)
 		}
-		first[l.Name] = p.Spans[i]
+		first[l.Name] = spans[i]
 	}
 	// enc.l0/enc.l1/dec.l0/dec.l1 are one LSTM shape (embed == hidden),
 	// so three blocks remain: the LSTM cell, attn and proj.
 	distinct := map[npu.Span]bool{}
-	for _, s := range p.Spans {
+	for _, s := range spans {
 		distinct[s] = true
 	}
 	if len(distinct) != 3 {
@@ -130,5 +138,17 @@ func TestRepeatedLayersShareBlocks(t *testing.T) {
 	}
 	if pool, stream := len(p.Instrs), p.StreamLen(); pool*50 > stream {
 		t.Errorf("pool %d instructions for a %d-instruction stream", pool, stream)
+	}
+	other, err := c.Compile(m, 1, 7, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(other.Runs) != len(p.Runs) {
+		t.Fatalf("%d runs, first instance %d", len(other.Runs), len(p.Runs))
+	}
+	for i, r := range other.Runs {
+		if &r.Body[0] != &p.Runs[i].Body[0] || len(r.Body) != len(p.Runs[i].Body) {
+			t.Errorf("run %d: instances of one (model, batch) should share the body", i)
+		}
 	}
 }

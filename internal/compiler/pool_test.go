@@ -1,31 +1,58 @@
 package compiler
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/dnn"
 )
 
-// A new RNN instance on a warm compiler costs its span table, not its
-// unrolled layers: compiling RNN-MT2 b1 allocates as many objects at
-// outLen 300 as at outLen 20.
+// compileCost returns the objects and bytes one compile of an instance
+// allocates on c, averaged over runs after a warm-up compile that lowers
+// any block or body the pool lacks.
+func compileCost(t *testing.T, c *Compiler, m *dnn.Model, inLen, outLen int) (objects, bytes uint64) {
+	t.Helper()
+	const runs = 20
+	compile := func() {
+		if _, err := c.Compile(m, 1, inLen, outLen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	compile()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// A new RNN instance on a warm compiler costs its run table, not its
+// unrolled layers: compiling RNN-MT2 b1 allocates the same objects and
+// bytes at outLen 300 as at outLen 20, and RNN-ASR b1 the same at inLen
+// 100 as at inLen 20.
 func TestWarmCompileAllocsIndependentOfLength(t *testing.T) {
 	c := newCompiler(t)
-	m, err := dnn.ByName("RNN-MT2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := func(outLen int) float64 {
-		// AllocsPerRun's warm-up call lowers any block the pool lacks.
-		return testing.AllocsPerRun(20, func() {
-			if _, err := c.Compile(m, 1, 20, outLen); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if short, long := allocs(20), allocs(300); short != long {
-		t.Errorf("compile allocates %.0f objects at outLen 20 but %.0f at outLen 300", short, long)
+	for _, x := range []struct {
+		model       string
+		short, long [2]int // inLen, outLen
+	}{
+		{"RNN-MT2", [2]int{20, 20}, [2]int{20, 300}},
+		{"RNN-ASR", [2]int{20, 30}, [2]int{100, 30}},
+	} {
+		m, err := dnn.ByName(x.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		so, sb := compileCost(t, c, m, x.short[0], x.short[1])
+		lo, lb := compileCost(t, c, m, x.long[0], x.long[1])
+		if so != lo || sb != lb {
+			t.Errorf("%s: compile allocates %d objects, %d B at %v but %d objects, %d B at %v",
+				x.model, so, sb, x.short, lo, lb, x.long)
+		}
 	}
 }
 

@@ -118,8 +118,12 @@ func Write(w io.Writer, p *npu.Program) error {
 }
 
 // Read deserializes a program stream, one block per layer in the order the
-// layer indices appear (which must not decrease). Model/batch metadata is
-// not part of the binary format; callers may set those fields afterwards.
+// layer indices appear (which must not decrease). Layers the stream skips
+// are empty; a jump over any number of them is one run, so the program
+// grows with the instructions read, whatever the header claims. Layer
+// indices must keep the layer count within npu.MaxLayers. Model/batch
+// metadata is not part of the binary format; callers may set those fields
+// afterwards.
 func Read(r io.Reader) (*npu.Program, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -151,14 +155,15 @@ func Read(r io.Reader) (*npu.Program, error) {
 		if layer < cur {
 			return nil, fmt.Errorf("isa: instruction %d returns to layer %d after layer %d", i, layer, cur)
 		}
-		if layer > int(count) {
-			// Each layer index opens a span; bounding indices by the
-			// stream length bounds the span table a stream can demand.
-			return nil, fmt.Errorf("isa: instruction %d names layer %d of a %d-instruction stream", i, layer, count)
+		if layer >= npu.MaxLayers {
+			return nil, fmt.Errorf("isa: instruction %d names layer %d, past the %d-layer limit", i, layer, npu.MaxLayers)
 		}
-		for ; cur < layer; cur++ {
+		if layer > cur {
 			p.AppendLayer(block...)
-			block = block[:0]
+			if gap := layer - cur - 1; gap > 0 {
+				p.Runs = append(p.Runs, npu.Run{Body: []npu.Span{{}}, Times: gap})
+			}
+			cur, block = layer, block[:0]
 		}
 		block = append(block, in)
 	}
@@ -180,8 +185,7 @@ func Disassemble(p *npu.Program, w io.Writer) error {
 		p.Model, p.Batch, p.Layers(), p.StreamLen(), p.TotalCycles)
 	// Runs never cross a layer boundary, so each layer's block is
 	// collapsed on its own.
-	for layer := range p.Spans {
-		block := p.Block(layer)
+	for layer, block := range p.Blocks() {
 		for i := 0; i < len(block); {
 			in := block[i]
 			j := i

@@ -3,8 +3,11 @@ package isa
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"iter"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -67,8 +70,8 @@ func TestProgramStreamRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d instructions in %d layers, want %d in %d",
 			loaded.StreamLen(), loaded.Layers(), prog.StreamLen(), prog.Layers())
 	}
-	for layer := range prog.Spans {
-		if !slices.Equal(loaded.Block(layer), prog.Block(layer)) {
+	for layer, block := range prog.Blocks() {
+		if !slices.Equal(loaded.Block(layer), block) {
 			t.Fatalf("layer %d differs", layer)
 		}
 	}
@@ -130,7 +133,7 @@ func TestDisassembleCollapsesTileRuns(t *testing.T) {
 
 // compileMT2 compiles the RNN-MT2 instance the listing golden records:
 // its unrolled timesteps share blocks, so the encoders must flatten.
-func compileMT2(t *testing.T) *npu.Program {
+func compileMT2(t testing.TB) *npu.Program {
 	t.Helper()
 	c, err := compiler.New(npu.DefaultConfig())
 	if err != nil {
@@ -205,6 +208,142 @@ func TestReadRejectsBadLayerIndices(t *testing.T) {
 			t.Errorf("a stream naming layer %d, then layer 1, should be rejected", layer)
 		}
 	}
+}
+
+// stream encodes a header claiming count instructions of total cycles,
+// followed by the given instructions, each tagged with its layer.
+func stream(count uint32, total uint64, instrs ...layerInstr) []byte {
+	var b bytes.Buffer
+	var hdr [headerSize]byte
+	copy(hdr[0:4], Magic)
+	binary.LittleEndian.PutUint16(hdr[4:6], Version)
+	binary.LittleEndian.PutUint32(hdr[6:10], count)
+	for i := range 6 {
+		hdr[10+i] = byte(total >> (8 * i))
+	}
+	b.Write(hdr[:])
+	for _, li := range instrs {
+		enc := EncodeInstr(li.layer, li.in)
+		b.Write(enc[:])
+	}
+	return b.Bytes()
+}
+
+type layerInstr struct {
+	layer int
+	in    npu.Instr
+}
+
+// allocBytes returns the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readBudget bounds the bytes Read may allocate for an input of n bytes:
+// the buffered reader and error text, plus a fixed multiple of n.
+func readBudget(n int) uint64 { return 16<<10 + 64*uint64(n) }
+
+// A header's instruction count is a claim, not an allocation: a 40-byte
+// stream claiming 2^32-1 instructions whose one instruction names layer
+// 10,000,000 fails at EOF having allocated a few kilobytes, and a layer
+// index that takes the layer count past the cursor's int32 range is
+// rejected.
+func TestReadAllocatesByBytesRead(t *testing.T) {
+	gemm := npu.Instr{Op: npu.GEMMOp, Cycles: 1}
+	far := stream(1<<32-1, 1, layerInstr{10_000_000, gemm})
+	if len(far) != 40 {
+		t.Fatalf("stream is %d bytes, want 40", len(far))
+	}
+	var err error
+	if n := allocBytes(func() { _, err = Read(bytes.NewReader(far)) }); n > readBudget(len(far)) {
+		t.Errorf("reading a %d-byte stream allocated %d B, budget %d", len(far), n, readBudget(len(far)))
+	}
+	if err == nil || !strings.Contains(err.Error(), "EOF") {
+		t.Errorf("truncated stream: err = %v, want EOF", err)
+	}
+
+	// The same jump in a complete stream reads as one gap run.
+	p, err := Read(bytes.NewReader(stream(1, 1, layerInstr{10_000_000, gemm})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Layers() != 10_000_001 || p.StreamLen() != 1 || len(p.Runs) > 3 {
+		t.Errorf("read %d layers, %d instructions in %d runs; want 10000001, 1 in at most 3",
+			p.Layers(), p.StreamLen(), len(p.Runs))
+	}
+	if got := p.Block(10_000_000); !slices.Equal(got, []npu.Instr{gemm}) {
+		t.Errorf("last layer holds %v", got)
+	}
+
+	for _, c := range []struct {
+		layer int
+		ok    bool
+	}{{npu.MaxLayers - 1, true}, {npu.MaxLayers, false}, {1<<32 - 2, false}} {
+		in := stream(1, 1, layerInstr{c.layer, gemm})
+		var p *npu.Program
+		if n := allocBytes(func() { p, err = Read(bytes.NewReader(in)) }); n > readBudget(len(in)) {
+			t.Errorf("layer %d: allocated %d B, budget %d", c.layer, n, readBudget(len(in)))
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("layer %d: err = %v, want ok=%v", c.layer, err, c.ok)
+		}
+		if err == nil && p.Layers() != c.layer+1 {
+			t.Errorf("layer %d: read %d layers", c.layer, p.Layers())
+		}
+	}
+}
+
+// Any input reads or errors without panicking, allocating at most a
+// fixed multiple of its length; a program Read accepts writes back to a
+// stream that reads as the same program.
+func FuzzISARead(f *testing.F) {
+	gemm := npu.Instr{Op: npu.GEMMOp, Cycles: 3, LiveBytes: 9}
+	f.Add(stream(1<<32-1, 1, layerInstr{10_000_000, gemm}))
+	f.Add(stream(1, 3, layerInstr{npu.MaxLayers - 1, gemm}))
+	f.Add(stream(3, 9, layerInstr{0, gemm}, layerInstr{2, gemm}, layerInstr{2, gemm}))
+	f.Add(stream(0, 0))
+	var mt2 bytes.Buffer
+	if err := Write(&mt2, compileMT2(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mt2.Bytes()[:headerSize+40*instrSize])
+	f.Add(mt2.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p *npu.Program
+		var err error
+		if n := allocBytes(func() { p, err = Read(bytes.NewReader(data)) }); n > readBudget(len(data)) {
+			t.Fatalf("reading %d bytes allocated %d B, budget %d", len(data), n, readBudget(len(data)))
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, p); err != nil {
+			t.Fatalf("writing back an accepted program: %v", err)
+		}
+		q, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("reading back a written program: %v", err)
+		}
+		if q.Layers() != p.Layers() || q.TotalCycles != p.TotalCycles {
+			t.Fatalf("read back %d layers, %d cycles; want %d, %d", q.Layers(), q.TotalCycles, p.Layers(), p.TotalCycles)
+		}
+		next, stop := iter.Pull2(q.Stream())
+		defer stop()
+		for layer, in := range p.Stream() {
+			if l, i, ok := next(); !ok || l != layer || i != in {
+				t.Fatalf("read-back stream differs at layer %d", layer)
+			}
+		}
+		if _, _, ok := next(); ok {
+			t.Fatal("read-back stream is longer")
+		}
+	})
 }
 
 func TestParseOp(t *testing.T) {

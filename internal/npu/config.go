@@ -8,26 +8,33 @@
 // that the multi-task simulator advances, preempts, checkpoints and
 // resumes.
 //
-// A Program stores its instruction stream as a pool plus a span table:
-// Instrs holds layer blocks, and Spans has one {Off, Len} entry per
-// instantiated layer, in execution order, naming the slice of the pool
-// that layer runs. Repeated layers (every unrolled timestep of an RNN
-// cell) point at the same block, so a program costs its span table, eight
-// bytes per layer, plus a pool it may share: internal/compiler gives all
-// programs of one (model, batch) prefixes of one append-only pool, so a
-// pool can hold blocks that a program never runs. The flattened stream —
-// every span's block in span order, walked by Program.Stream — is the
-// program's meaning: Execution, TotalCycles, MaxLiveBytes, the isa
-// encoding and every consumer are defined on it, so sharing blocks changes
+// A Program stores its instruction stream as a pool plus a run table:
+// Instrs holds layer blocks, and Runs lists the program's layers in
+// execution order as {Body, Times} pairs, each a body of {Off, Len}
+// spans naming the slices of the pool its layers run, repeated Times
+// times back to back. Every unrolled timestep of an RNN cell is one
+// repetition of one body, so a program costs its run table, a few runs
+// whatever its sequence lengths, plus bodies and a pool it may share:
+// internal/compiler resolves each body once per (model, batch) and gives
+// all programs of that pair the same body slices and prefixes of one
+// append-only pool, so a pool can hold blocks that a program never runs.
+// The flattened stream — every run's body Times times, each span's block
+// in turn, walked by Program.Stream — is the program's meaning:
+// Execution, TotalCycles, MaxLiveBytes, the isa encoding and every
+// consumer are defined on it, so sharing blocks and bodies changes
 // memory, never behaviour. Invariants:
 //
 //   - every span lies inside the pool; a layer without instructions has
 //     a zero-length span;
-//   - a layer's index is its span's position (an Instr carries none);
+//   - every run repeats its body zero or more times, and a program has
+//     at most MaxLayers layers;
+//   - a layer's index is its position in the flattened run table (an
+//     Instr carries none);
 //   - TotalCycles is the sum of the flattened stream's cycles;
-//   - a program, and its pool up to the program's length, are immutable
-//     once built, so every execution shares it; a slowed NPU scales each
-//     instruction's latency in the Execution, never in the program.
+//   - a program, its bodies, and its pool up to the program's length,
+//     are immutable once built, so every execution shares them; a slowed
+//     NPU scales each instruction's latency in the Execution, never in
+//     the program.
 package npu
 
 import (

@@ -11,11 +11,13 @@ import (
 // checkpointable live state, and resets it when the KILL mechanism discards
 // in-flight work.
 //
-// The cursor walks the program's span table: it holds the in-flight
-// layer's span position and the pool index of the in-flight instruction,
-// and moves to the next span when a block is exhausted. Everything it
-// reports is defined on the flattened stream, so a program whose layers
-// share blocks executes exactly as its flattened copy would.
+// The cursor walks the program's run table: it holds the in-flight run,
+// the in-flight layer's position among that run's repetitions of its
+// body, and the pool index of the in-flight instruction. It moves to the
+// next span of the body when a block is exhausted, and to the next run
+// when the body's last repetition is. Everything it reports is defined
+// on the flattened stream, so a program whose layers share blocks and
+// bodies executes exactly as its flattened copy would.
 //
 // A cursor runs at a speed factor: on an NPU that takes factor× the
 // nominal service time, every instruction keeps its commit boundary and
@@ -25,13 +27,14 @@ import (
 // The zero value is not usable; construct with NewExecution or
 // NewScaledExecution.
 type Execution struct {
-	prog  *Program
-	layer int32 // span position of the in-flight instruction; len(Spans) once done
-	pc    int32 // pool index of the in-flight instruction
-	end   int32 // pool index one past the in-flight layer's block
-	rem   int64 // cycles remaining in the in-flight instruction
-	done  int64 // cycles executed so far
-	live  int64 // LiveBytes of the instruction preceding the cursor in the stream
+	prog *Program
+	run  int32 // run of the in-flight instruction; len(Runs) once done
+	step int32 // the in-flight layer's position among the run's Layers()
+	pc   int32 // pool index of the in-flight instruction
+	end  int32 // pool index one past the in-flight layer's block
+	rem  int64 // cycles remaining in the in-flight instruction
+	done int64 // cycles executed so far
+	live int64 // LiveBytes of the instruction preceding the cursor in the stream
 	// layerDone and layerLive are done and live as the in-flight layer
 	// began: the state KillToLayerStart rewinds to.
 	layerDone, layerLive int64
@@ -60,10 +63,14 @@ func NewScaledExecution(prog *Program, factor float64) *Execution {
 		return NewExecution(prog)
 	}
 	e := &Execution{prog: prog, factor: factor}
-	for _, s := range prog.Spans {
-		for _, in := range prog.Instrs[s.Off : s.Off+s.Len] {
-			e.total += e.cycles(in.Cycles)
+	for _, r := range prog.Runs {
+		var body int64
+		for _, s := range r.Body {
+			for _, in := range prog.block(s) {
+				body += e.cycles(in.Cycles)
+			}
 		}
+		e.total += body * int64(r.Times)
 	}
 	e.reset()
 	return e
@@ -79,7 +86,7 @@ func (e *Execution) cycles(c int32) int64 {
 }
 
 func (e *Execution) reset() {
-	e.layer, e.pc, e.end = -1, 0, 0
+	e.run, e.step, e.pc, e.end = 0, -1, 0, 0
 	e.done, e.live = 0, 0
 	e.settle()
 }
@@ -96,14 +103,28 @@ func (e *Execution) settle() {
 			}
 			e.live = in.LiveBytes
 		}
-		e.layer++
-		if int(e.layer) >= len(e.prog.Spans) {
+		if !e.nextLayer() {
 			return
 		}
-		s := e.prog.Spans[e.layer]
-		e.pc, e.end = s.Off, s.Off+s.Len
 		e.layerDone, e.layerLive = e.done, e.live
 	}
+}
+
+// nextLayer moves the cursor onto the next layer's block and reports
+// whether there was one. A run whose body holds no instruction is
+// stepped over whole.
+func (e *Execution) nextLayer() bool {
+	runs := e.prog.Runs
+	for e.step++; int(e.run) < len(runs); e.run, e.step = e.run+1, 0 {
+		r := runs[e.run]
+		if int(e.step) >= r.Layers() || e.step == 0 && bodyLen(r) == 0 {
+			continue
+		}
+		s := r.Body[int(e.step)%len(r.Body)]
+		e.pc, e.end = s.Off, s.Off+s.Len
+		return true
+	}
+	return false
 }
 
 // nextCycles answers the latency, at the cursor's speed, of the
@@ -119,7 +140,7 @@ func (e *Execution) nextCycles() int64 {
 func (e *Execution) Program() *Program { return e.prog }
 
 // Done reports whether the program has fully committed.
-func (e *Execution) Done() bool { return int(e.layer) >= len(e.prog.Spans) }
+func (e *Execution) Done() bool { return int(e.run) >= len(e.prog.Runs) }
 
 // Executed returns the cycles executed so far.
 func (e *Execution) Executed() int64 { return e.done }
@@ -205,7 +226,8 @@ func (e *Execution) KillToLayerStart() (wasted int64) {
 	}
 	wasted = e.done - e.layerDone
 	e.done, e.live = e.layerDone, e.layerLive
-	e.pc = e.prog.Spans[e.layer].Off
+	r := e.prog.Runs[e.run]
+	e.pc = r.Body[int(e.step)%len(r.Body)].Off
 	e.settle()
 	return wasted
 }
@@ -224,5 +246,9 @@ func (e *Execution) CurrentLayer() int {
 	if e.Done() {
 		return -1
 	}
-	return int(e.layer)
+	layer := int(e.step)
+	for _, r := range e.prog.Runs[:e.run] {
+		layer += r.Layers()
+	}
+	return layer
 }

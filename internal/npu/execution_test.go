@@ -2,6 +2,7 @@ package npu
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ type refInstr struct {
 
 // refCursor is the reference Execution: a cursor over the flattened,
 // layer-tagged stream, rewinding by scanning back over instructions of
-// the same layer. The span-walking cursor must agree with it exactly.
+// the same layer. The run-walking cursor must agree with it exactly.
 type refCursor struct {
 	stream []refInstr
 	total  int64
@@ -22,10 +23,15 @@ type refCursor struct {
 	done   int64
 }
 
-func newRefCursor(p *Program) *refCursor {
-	r := &refCursor{total: p.TotalCycles}
-	for layer, in := range p.Stream() {
-		r.stream = append(r.stream, refInstr{layer, in})
+// newRefCursor flattens a program's layer list, given block by block in
+// execution order.
+func newRefCursor(layers [][]Instr) *refCursor {
+	r := &refCursor{}
+	for layer, block := range layers {
+		for _, in := range block {
+			r.stream = append(r.stream, refInstr{layer, in})
+			r.total += int64(in.Cycles)
+		}
 	}
 	r.seek(0)
 	return r
@@ -58,9 +64,12 @@ func (r *refCursor) advance(budget int64) int64 {
 	return used
 }
 
-func (r *refCursor) kill() {
+// kill returns the cycles it discards.
+func (r *refCursor) kill() int64 {
+	wasted := r.done
 	r.done = 0
 	r.seek(0)
+	return wasted
 }
 
 func (r *refCursor) killToLayerStart() int64 {
@@ -102,45 +111,149 @@ func (r *refCursor) currentLayer() int {
 	return r.stream[r.pc].layer
 }
 
-// randomProgram builds a program whose layers mix fresh blocks, reused
-// blocks, zero-length layers, single-instruction layers and zero-cycle
-// instructions.
-func randomProgram(rng *rand.Rand) *Program {
+// randomProgram builds a multi-run program and, as its reference, the
+// block of every layer in execution order, taken from its own copies
+// rather than from the program. Runs repeat their bodies 0 to 64
+// times, and a run may reuse an earlier run's body. Bodies mix fresh
+// blocks, blocks shared with other layers, zero-length layers and
+// single-instruction layers, and may be empty or hold only zero-length
+// layers; a block's first or last instruction is often zero-cycle, so
+// such instructions sit at body and run edges.
+func randomProgram(rng *rand.Rand) (*Program, [][]Instr) {
 	p := &Program{Model: "rand", Batch: 1}
-	for n := rng.IntN(12); n > 0; n-- {
-		switch k := rng.IntN(10); {
-		case k < 2:
-			p.AppendLayer() // zero-length layer
-		case k < 5 && len(p.Spans) > 0:
-			s := p.Spans[rng.IntN(len(p.Spans))]
-			p.Spans = append(p.Spans, s) // shared block
-			for _, in := range p.Instrs[s.Off : s.Off+s.Len] {
-				p.TotalCycles += int64(in.Cycles)
-			}
-		default:
-			block := make([]Instr, 1+rng.IntN(4)*rng.IntN(2))
-			for i := range block {
-				block[i] = Instr{Op: Op(rng.IntN(5)), LiveBytes: rng.Int64N(1 << 20)}
-				if rng.IntN(4) > 0 {
-					block[i].Cycles = int32(1 + rng.IntN(40))
+	var blocks [][]Instr // each pool block, indexed like spans
+	var spans []Span
+	type body struct {
+		spans []Span
+		refs  []int // index into blocks; -1 for a zero-length layer
+	}
+	var bodies []body
+	var layers [][]Instr
+	for n := 1 + rng.IntN(5); n > 0; n-- {
+		var b body
+		if len(bodies) > 0 && rng.IntN(3) == 0 {
+			b = bodies[rng.IntN(len(bodies))]
+		} else {
+			for k := rng.IntN(5); k > 0; k-- {
+				switch c := rng.IntN(10); {
+				case c < 2:
+					b.spans = append(b.spans, Span{Off: int32(rng.IntN(len(p.Instrs) + 1))})
+					b.refs = append(b.refs, -1)
+				case c < 4 && len(blocks) > 0:
+					i := rng.IntN(len(blocks))
+					b.spans = append(b.spans, spans[i])
+					b.refs = append(b.refs, i)
+				default:
+					block := make([]Instr, 1+rng.IntN(4)*rng.IntN(2))
+					for i := range block {
+						block[i] = Instr{Op: Op(rng.IntN(5)), LiveBytes: rng.Int64N(1 << 20)}
+						if rng.IntN(4) > 0 {
+							block[i].Cycles = int32(1 + rng.IntN(40))
+						}
+					}
+					if rng.IntN(3) == 0 {
+						block[0].Cycles = 0
+					}
+					if rng.IntN(3) == 0 {
+						block[len(block)-1].Cycles = 0
+					}
+					s := Span{Off: int32(len(p.Instrs)), Len: int32(len(block))}
+					p.Instrs = append(p.Instrs, block...)
+					blocks, spans = append(blocks, block), append(spans, s)
+					b.spans = append(b.spans, s)
+					b.refs = append(b.refs, len(blocks)-1)
 				}
 			}
-			p.AppendLayer(block...)
+			bodies = append(bodies, b)
+		}
+		times := 1 + rng.IntN(64)
+		if rng.IntN(8) == 0 {
+			times = rng.IntN(2)
+		}
+		p.Runs = append(p.Runs, Run{Body: b.spans, Times: times})
+		for range times {
+			for _, ref := range b.refs {
+				var block []Instr
+				if ref >= 0 {
+					block = blocks[ref]
+				}
+				layers = append(layers, block)
+				for _, in := range block {
+					p.TotalCycles += int64(in.Cycles)
+				}
+			}
 		}
 	}
-	return p
+	return p, layers
+}
+
+// checkProgramMatchesLayers fails unless p's validation, counts, stream,
+// blocks and live-state maximum agree with its reference layer list.
+func checkProgramMatchesLayers(t *testing.T, prog int, p *Program, layers [][]Instr) {
+	t.Helper()
+	var ref []refInstr
+	var maxLive int64
+	for layer, block := range layers {
+		for _, in := range block {
+			ref = append(ref, refInstr{layer, in})
+			maxLive = max(maxLive, in.LiveBytes)
+		}
+	}
+	// Only a program without instructions is invalid.
+	if err := p.Validate(); (err == nil) != (len(ref) > 0) {
+		t.Fatalf("prog %d: Validate = %v for a %d-instruction stream", prog, err, len(ref))
+	}
+	if p.Layers() != len(layers) || p.StreamLen() != len(ref) || p.MaxLiveBytes() != maxLive {
+		t.Fatalf("prog %d: layers %d stream %d max live %d, reference %d/%d/%d",
+			prog, p.Layers(), p.StreamLen(), p.MaxLiveBytes(), len(layers), len(ref), maxLive)
+	}
+	i := 0
+	for layer, in := range p.Stream() {
+		if i >= len(ref) || (refInstr{layer, in}) != ref[i] {
+			t.Fatalf("prog %d: stream instruction %d differs from the reference", prog, i)
+		}
+		i++
+	}
+	if i != len(ref) {
+		t.Fatalf("prog %d: stream ends after %d of %d instructions", prog, i, len(ref))
+	}
+	for layer, block := range layers {
+		if !slices.Equal(p.Block(layer), block) {
+			t.Fatalf("prog %d: Block(%d) differs from the reference", prog, layer)
+		}
+	}
+	next := 0
+	for layer, block := range p.Blocks() {
+		for next < len(layers) && len(layers[next]) == 0 {
+			next++
+		}
+		if layer != next || !slices.Equal(block, layers[next]) {
+			t.Fatalf("prog %d: Blocks yields layer %d, want the next non-empty layer %d", prog, layer, next)
+		}
+		next++
+	}
+}
+
+// randomBudget is a small budget that lands inside instructions, or one
+// that crosses many layers of a long program.
+func randomBudget(rng *rand.Rand, total int64) int64 {
+	if rng.IntN(2) == 0 {
+		return rng.Int64N(60)
+	}
+	return rng.Int64N(total/8 + 1)
 }
 
 func TestExecutionMatchesFlattenedReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2024, 12))
 	for prog := 0; prog < 2000; prog++ {
-		p := randomProgram(rng)
-		e, r := NewExecution(p), newRefCursor(p)
+		p, layers := randomProgram(rng)
+		checkProgramMatchesLayers(t, prog, p, layers)
+		e, r := NewExecution(p), newRefCursor(layers)
 		for step := 0; step < 60; step++ {
 			op := rng.IntN(10)
 			switch {
 			case op < 6:
-				b := rng.Int64N(60)
+				b := randomBudget(rng, r.total)
 				if got, want := e.Advance(b), r.advance(b); got != want {
 					t.Fatalf("prog %d step %d: Advance(%d) = %d, reference %d", prog, step, b, got, want)
 				}
@@ -149,8 +262,11 @@ func TestExecutionMatchesFlattenedReference(t *testing.T) {
 					t.Fatalf("prog %d step %d: KillToLayerStart = %d, reference %d", prog, step, got, want)
 				}
 			case op < 9:
+				got := e.Executed()
 				e.Kill()
-				r.kill()
+				if want := r.kill(); got != want {
+					t.Fatalf("prog %d step %d: Kill discards %d, reference %d", prog, step, got, want)
+				}
 			default:
 				if b := e.CyclesToBoundary(); b > 0 {
 					e.Advance(b)
@@ -172,13 +288,13 @@ func TestExecutionMatchesFlattenedReference(t *testing.T) {
 	}
 }
 
-// A shared block executes once per span that references it, and a
+// A shared block executes once per layer that references it, and a
 // rewind inside the second use of a block stops at that use's start.
 func TestSharedBlockExecutesPerSpan(t *testing.T) {
 	p := &Program{Model: "shared", Batch: 1}
 	p.AppendLayer(Instr{Op: GEMMOp, Cycles: 10, LiveBytes: 1}, Instr{Op: GEMMOp, Cycles: 20, LiveBytes: 2})
 	p.AppendLayer()
-	p.Spans = append(p.Spans, p.Spans[0])
+	p.Runs = append(p.Runs, Run{Body: p.Runs[0].Body[:1], Times: 1})
 	p.TotalCycles *= 2
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -202,9 +318,62 @@ func TestSharedBlockExecutesPerSpan(t *testing.T) {
 
 func TestValidateRejectsSpanOutsidePool(t *testing.T) {
 	p := testProgram(10, 20)
-	p.Spans = append(p.Spans, Span{Off: 1, Len: 5})
+	p.Runs = append(p.Runs, Run{Body: []Span{{Off: 1, Len: 5}}, Times: 2})
 	if err := p.Validate(); err == nil {
 		t.Error("span past the pool end should fail validation")
+	}
+}
+
+// A run of empty layers is stepped over whole, however many layers it
+// stands for, and still counts in the layer indices after it.
+func TestEmptyRunSteppedOverWhole(t *testing.T) {
+	p := testProgram(10)
+	p.Runs = append(p.Runs, Run{Body: []Span{{}, {Off: 1}}, Times: MaxLayers/2 - 1})
+	p.AppendLayer(Instr{Op: GEMMOp, Cycles: 20, LiveBytes: 7})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	last := MaxLayers - 2
+	if p.Layers() != last+1 || p.StreamLen() != 2 {
+		t.Fatalf("layers %d stream %d, want %d and 2", p.Layers(), p.StreamLen(), last+1)
+	}
+	var got []int
+	for layer := range p.Stream() {
+		got = append(got, layer)
+	}
+	if !slices.Equal(got, []int{0, last}) {
+		t.Errorf("stream layers %v, want [0 %d]", got, last)
+	}
+	e := NewExecution(p)
+	if used := e.Advance(15); used != 15 || e.CurrentLayer() != last || e.LiveBytes() != 0 {
+		t.Fatalf("used %d, layer %d, live %d; want 15 in layer %d after live 0",
+			used, e.CurrentLayer(), e.LiveBytes(), last)
+	}
+	if w := e.KillToLayerStart(); w != 5 || e.CurrentLayer() != last {
+		t.Errorf("rewind wasted %d to layer %d, want 5 to layer %d", w, e.CurrentLayer(), last)
+	}
+	if used := e.Advance(100); used != 20 || !e.Done() {
+		t.Errorf("finish used %d, done %v", used, e.Done())
+	}
+}
+
+// A run table may not repeat a body a negative number of times or
+// describe more layers than the cursor can index.
+func TestValidateRejectsBadRuns(t *testing.T) {
+	neg := testProgram(10)
+	neg.Runs = append(neg.Runs, Run{Body: []Span{{}}, Times: -1})
+	if err := neg.Validate(); err == nil {
+		t.Error("a negative repeat count should fail validation")
+	}
+	fits := testProgram(10)
+	fits.Runs = append(fits.Runs, Run{Body: []Span{{}}, Times: MaxLayers - 1})
+	if err := fits.Validate(); err != nil || fits.Layers() != MaxLayers {
+		t.Errorf("%d layers: Validate = %v", fits.Layers(), err)
+	}
+	over := testProgram(10)
+	over.Runs = append(over.Runs, Run{Body: []Span{{}, {}}, Times: MaxLayers/2 + 1})
+	if err := over.Validate(); err == nil {
+		t.Errorf("%d layers should fail validation", over.Layers())
 	}
 }
 
@@ -214,7 +383,7 @@ func TestValidateRejectsSpanOutsidePool(t *testing.T) {
 func TestAdvanceSplitExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 77))
 	for prog := 0; prog < 2000; prog++ {
-		p := randomProgram(rng)
+		p, _ := randomProgram(rng)
 		whole, split := NewExecution(p), NewExecution(p)
 		for step := 0; step < 20; step++ {
 			a, b := rng.Int64N(60), rng.Int64N(60)

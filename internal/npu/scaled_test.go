@@ -18,13 +18,13 @@ import (
 
 // stretchProgram scales every instruction latency by factor (ceiling,
 // so no instruction loses work to rounding) and rebuilds the totals. Only
-// the pool is copied: the stretched program shares p's span table.
+// the pool is copied: the stretched program shares p's run table.
 func stretchProgram(p *npu.Program, factor float64) *npu.Program {
 	sp := &npu.Program{
 		Model: p.Model, Batch: p.Batch,
 		InLen: p.InLen, OutLen: p.OutLen,
 		Instrs:    make([]npu.Instr, len(p.Instrs)),
-		Spans:     p.Spans,
+		Runs:      p.Runs,
 		TotalMACs: p.TotalMACs,
 	}
 	for i, in := range p.Instrs {
@@ -67,13 +67,26 @@ func zooPrograms(t testing.TB) []*npu.Program {
 
 // checkScaled drives an execution of p at factor and one of p stretched
 // by factor through the same random advances, rewinds and kills, and
-// fails on the first observation where they differ.
-func checkScaled(t testing.TB, p *npu.Program, factor float64, rng *rand.Rand, steps int) {
+// fails on the first observation where they differ. When layers, p's
+// blocks in execution order, is given, the scaled total must also equal
+// its stretched sum.
+func checkScaled(t testing.TB, p *npu.Program, layers [][]npu.Instr, factor float64, rng *rand.Rand, steps int) {
 	t.Helper()
 	sp := stretchProgram(p, factor)
 	e, r := npu.NewScaledExecution(p, factor), npu.NewExecution(sp)
 	if got, want := e.TotalCycles(), sp.TotalCycles; got != want {
 		t.Fatalf("%s x%v: TotalCycles = %d, stretched program %d", p.Model, factor, got, want)
+	}
+	if layers != nil {
+		var want int64
+		for _, block := range layers {
+			for _, in := range block {
+				want += int64(int32(math.Ceil(float64(in.Cycles) * factor)))
+			}
+		}
+		if got := e.TotalCycles(); got != want {
+			t.Fatalf("%s x%v: TotalCycles = %d, stretched layer list %d", p.Model, factor, got, want)
+		}
 	}
 	got := sched.NewTask(0, p.Model, p.Batch, sched.Low, 0, e, 1)
 	want := sched.NewTask(0, p.Model, p.Batch, sched.Low, 0, r, 1)
@@ -133,7 +146,7 @@ func TestScaledExecutionMatchesStretchedZoo(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 1))
 	for _, p := range zooPrograms(t) {
 		for _, f := range scaledFactors(rng) {
-			checkScaled(t, p, f, rng, 40)
+			checkScaled(t, p, nil, f, rng, 40)
 		}
 	}
 }
@@ -141,9 +154,9 @@ func TestScaledExecutionMatchesStretchedZoo(t *testing.T) {
 func TestScaledExecutionMatchesStretchedRandom(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 2))
 	for prog := 0; prog < 1000; prog++ {
-		p := npu.RandomProgram(rng)
+		p, layers := npu.RandomProgram(rng)
 		for _, f := range scaledFactors(rng) {
-			checkScaled(t, p, f, rng, 60)
+			checkScaled(t, p, layers, f, rng, 60)
 		}
 	}
 }
@@ -157,7 +170,7 @@ func TestScaledExecutionOverflowMatchesStretched(t *testing.T) {
 		npu.Instr{Op: npu.GEMMOp, Cycles: 1 << 30, LiveBytes: 2})
 	p.AppendLayer(npu.Instr{Op: npu.VectorOp, Cycles: 50, LiveBytes: 3})
 	for _, f := range []float64{2, 3, 2.5} {
-		checkScaled(t, p, f, rng, 40)
+		checkScaled(t, p, nil, f, rng, 40)
 	}
 }
 
@@ -175,11 +188,11 @@ func FuzzScaledExecution(f *testing.F) {
 		// the int32 ceiling.
 		factor = 1 + math.Mod(math.Abs(factor), 15)
 		rng := rand.New(rand.NewPCG(seed, uint64(which)))
-		p := npu.RandomProgram(rng)
+		p, layers := npu.RandomProgram(rng)
 		if int(which) < len(zoo) {
-			p = zoo[which]
+			p, layers = zoo[which], nil
 		}
-		checkScaled(t, p, factor, rng, 60)
+		checkScaled(t, p, layers, factor, rng, 60)
 	})
 }
 

@@ -172,21 +172,21 @@ func (p *Profile) observe(k string, cycles, n int64) {
 
 // ObserveProgram ingests a compiled program's per-layer latencies as
 // profiling ground truth (the "profile once, amortize over all future
-// inferences" workflow of Section V-B). Every repetition of a body runs
-// the same blocks, so each body layer is one sample per repetition of the
-// latency its first repetition measured.
+// inferences" workflow of Section V-B). The compiler gives the program
+// one run per run of the instance, and every repetition of a body runs
+// the same blocks, so each body layer is one sample per repetition of
+// the latency of its block.
 func (p *Profile) ObserveProgram(m *dnn.Model, prog *npu.Program) {
-	layer := 0
-	for _, r := range m.Runs(prog.InLen, prog.OutLen) {
-		for _, l := range r.Body {
+	for i, r := range m.Runs(prog.InLen, prog.OutLen) {
+		run := prog.Runs[i]
+		for j, l := range r.Body {
+			s := run.Body[j]
 			var cycles int64
-			for _, in := range prog.Block(layer) {
+			for _, in := range prog.Instrs[s.Off : s.Off+s.Len] {
 				cycles += int64(in.Cycles)
 			}
-			p.observe(profKey(m.Name, l.Name, prog.Batch), cycles, int64(r.Times))
-			layer++
+			p.observe(profKey(m.Name, l.Name, prog.Batch), cycles, int64(run.Times))
 		}
-		layer += (r.Times - 1) * len(r.Body)
 	}
 }
 

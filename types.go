@@ -53,7 +53,12 @@ type (
 	Estimator = workload.Estimator
 	// Model is one benchmark DNN of the zoo.
 	Model = dnn.Model
-	// Program is a compiled NPU program.
+	// Program is a compiled NPU program: a pool of layer blocks plus a
+	// run table, one {Body, Times} entry per stretch of the instance, so
+	// an RNN instance costs a few runs whatever its sequence lengths.
+	// Programs compiled for one (model, batch) share their bodies and
+	// pool and are immutable; Stream walks the flattened instruction
+	// stream that defines the program's behaviour.
 	Program = npu.Program
 	// Timeline records NPU occupancy spans for rendering.
 	Timeline = trace.Timeline

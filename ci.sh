@@ -63,6 +63,10 @@ go test -fuzz=FuzzEncodeJSONL -fuzztime=5s -run '^$' ./internal/telemetry/
 # A cursor at a speed factor executes exactly as one over the program
 # stretched instruction by instruction.
 go test -fuzz=FuzzScaledExecution -fuzztime=5s -run '^$' ./internal/npu/
+# A failed NPU's in-flight count names the tail of its commit order:
+# exactly the requests the work ledger the router state used to keep
+# would have reclaimed, under random commits, polls and fleet churn.
+go test -fuzz=FuzzFailReclaim -fuzztime=5s -run '^$' ./internal/cluster/
 # Any binary program stream reads or errors without panicking, allocating
 # by the bytes read rather than the header's claim, and an accepted
 # program writes back to a stream that reads as the same program.

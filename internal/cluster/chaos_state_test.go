@@ -3,10 +3,12 @@ package cluster
 // chaos_state_test.go pins down the State's failure semantics: the
 // wipe-out guards (a node must always keep one routable backend, and
 // routers must survive even a hand-built all-draining state), the
-// reclaim contract (arrival order preserved, completed work stays
-// completed), the freshness of post-failure scale-ups, and the
-// LeastQueued head-cursor prune when a failed backend's horizons vanish
-// mid-stream.
+// reclaim contract (the in-flight count is the tail of the NPU's commit
+// order, completed work stays completed), the freshness of post-failure
+// scale-ups, and the LeastQueued head-cursor prune when a failed
+// backend's horizons vanish mid-stream. The tests keep their own
+// per-NPU commit lists: Fail answers a count, and the reclaimed
+// requests are that many from the end of the list.
 
 import (
 	"math/rand/v2"
@@ -15,16 +17,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestFailGuards exercises Fail's error paths: tracking required,
-// unknown and repeated targets, and the last-active wipe-out guard.
+// TestFailGuards exercises Fail's error paths: unknown and repeated
+// targets, and the last-active wipe-out guard.
 func TestFailGuards(t *testing.T) {
 	st := NewState(2)
-	if _, err := st.Fail(0, 10); err == nil {
-		t.Fatal("failure without work tracking should error")
-	}
-	if err := st.TrackWork(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := st.Fail(99, 10); err == nil {
 		t.Error("failure of unknown NPU should error")
 	}
@@ -72,16 +68,6 @@ func TestCordonGuards(t *testing.T) {
 	}
 }
 
-// TestTrackWorkRequiresCleanState: enabling the ledger after work was
-// committed would leave unreclaimable horizons, so it must error.
-func TestTrackWorkRequiresCleanState(t *testing.T) {
-	st := NewState(2)
-	st.Commit(0, stateTask(0, 10, 40))
-	if err := st.TrackWork(); err == nil {
-		t.Fatal("TrackWork after a commit should error")
-	}
-}
-
 // TestRoutersSurviveAllDraining drives Decide over a hand-built state
 // with no routable backend. The public API refuses to construct this
 // (the wipe-out guards), but the routers' fallback must still answer a
@@ -110,25 +96,21 @@ func TestRoutersSurviveAllDraining(t *testing.T) {
 }
 
 // TestFailReclaimSplitsAtNow: horizons drained by the failure instant
-// stay completed, the rest comes back in commit order.
+// stay completed, the rest is the tail of the commit order.
 func TestFailReclaimSplitsAtNow(t *testing.T) {
 	st := NewState(2)
-	if err := st.TrackWork(); err != nil {
-		t.Fatal(err)
-	}
 	// Serial horizons on NPU 0: 40, 80, 120, 160.
-	tasks := make([]*workload.Task, 4)
-	for i := range tasks {
-		tasks[i] = stateTask(i, 0, 40)
-		st.Commit(0, tasks[i])
+	for i := 0; i < 4; i++ {
+		st.Commit(0, stateTask(i, 0, 40))
 	}
-	reclaimed, err := st.Fail(0, 90)
+	inFlight, err := st.Fail(0, 90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Horizons 40 and 80 had drained by 90; 120 and 160 were in flight.
-	if len(reclaimed) != 2 || reclaimed[0] != tasks[2] || reclaimed[1] != tasks[3] {
-		t.Fatalf("reclaimed %d tasks, want exactly tasks 2 and 3 in order", len(reclaimed))
+	// Horizons 40 and 80 had drained by 90; 120 and 160 were in flight:
+	// the last two commits, tasks 2 and 3.
+	if inFlight != 2 {
+		t.Fatalf("Fail answered %d in flight, want 2 (tasks 2 and 3)", inFlight)
 	}
 	if st.FreeAt(0) != 0 {
 		t.Errorf("failed backend keeps horizon %d", st.FreeAt(0))
@@ -136,10 +118,10 @@ func TestFailReclaimSplitsAtNow(t *testing.T) {
 }
 
 // TestFailReclaimPreservesArrivalOrder streams a seeded random workload
-// through a router, fails one backend mid-stream, and checks the
-// reclaimed tasks come back exactly in the order they were committed —
-// which is arrival order, the invariant the serving layer's
-// re-submission path depends on.
+// through a router, fails one backend mid-stream, and checks that the
+// requests whose horizons had not drained are exactly the last Fail
+// answers of the NPU's commit order — which is arrival order, the
+// invariant the serving layer's re-submission path depends on.
 func TestFailReclaimPreservesArrivalOrder(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 99} {
 		rng := rand.New(rand.NewPCG(seed, 0))
@@ -148,11 +130,9 @@ func TestFailReclaimPreservesArrivalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := NewState(3)
-		if err := st.TrackWork(); err != nil {
-			t.Fatal(err)
-		}
 		var now int64
 		var committed []*workload.Task // tasks landing on NPU 1, in commit order
+		var horizons []int64           // their fluid horizons
 		for i := 0; i < 200; i++ {
 			now += int64(rng.IntN(30))
 			task := stateTask(i, now, int64(20+rng.IntN(100)))
@@ -160,24 +140,27 @@ func TestFailReclaimPreservesArrivalOrder(t *testing.T) {
 			st.Commit(target, task)
 			if target == 1 {
 				committed = append(committed, task)
+				horizons = append(horizons, st.FreeAt(1))
 			}
 		}
-		reclaimed, err := st.Fail(1, now/2)
+		inFlight, err := st.Fail(1, now/2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The reclaimed set must be a suffix of the commit order: fluid
+		// The in-flight set must be a suffix of the commit order: fluid
 		// horizons drain in commit order, so the completed prefix is cut
 		// and the rest keeps its relative (arrival) order.
-		if len(reclaimed) == 0 {
-			t.Fatalf("seed %d: nothing reclaimed at half-stream", seed)
+		if inFlight == 0 {
+			t.Fatalf("seed %d: nothing in flight at half-stream", seed)
 		}
-		suffix := committed[len(committed)-len(reclaimed):]
-		for i := range reclaimed {
-			if reclaimed[i] != suffix[i] {
-				t.Fatalf("seed %d: reclaimed[%d] out of order", seed, i)
+		cut := len(committed) - inFlight
+		for i, h := range horizons {
+			if (h > now/2) != (i >= cut) {
+				t.Fatalf("seed %d: commit %d (horizon %d) on the wrong side of the %d-request tail at %d",
+					seed, i, h, inFlight, now/2)
 			}
 		}
+		reclaimed := committed[cut:]
 		for i := 1; i < len(reclaimed); i++ {
 			if reclaimed[i].Arrival < reclaimed[i-1].Arrival {
 				t.Fatalf("seed %d: reclaimed arrivals decrease at %d", seed, i)
@@ -187,13 +170,10 @@ func TestFailReclaimPreservesArrivalOrder(t *testing.T) {
 }
 
 // TestAddNPUAfterFailureIsFresh: a scale-up after a failure must not
-// inherit anything from the failed slot — zero horizon, empty ledger,
-// routable immediately.
+// inherit anything from the failed slot — zero horizon, no in-flight
+// work, routable immediately.
 func TestAddNPUAfterFailureIsFresh(t *testing.T) {
 	st := NewState(2)
-	if err := st.TrackWork(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
 		st.Commit(0, stateTask(i, int64(i*10), 50))
 	}
@@ -213,16 +193,15 @@ func TestAddNPUAfterFailureIsFresh(t *testing.T) {
 	if st.Active() != 2 {
 		t.Errorf("active = %d, want 2 (survivor plus scale-up)", st.Active())
 	}
-	// The fresh slot participates in the ledger: commit then fail it and
-	// the work comes back.
-	task := stateTask(99, 200, 40)
-	st.Commit(fresh, task)
-	reclaimed, err := st.Fail(fresh, 200)
+	// The fresh slot counts its own work: commit then fail it and the
+	// one request comes back.
+	st.Commit(fresh, stateTask(99, 200, 40))
+	inFlight, err := st.Fail(fresh, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reclaimed) != 1 || reclaimed[0] != task {
-		t.Fatalf("fresh slot's ledger broken: reclaimed %v", reclaimed)
+	if inFlight != 1 {
+		t.Fatalf("fresh slot answered %d in flight, want 1", inFlight)
 	}
 }
 
@@ -237,9 +216,6 @@ func TestLeastQueuedPruneAcrossFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := NewState(3)
-	if err := st.TrackWork(); err != nil {
-		t.Fatal(err)
-	}
 	// naive mirrors every commit per NPU and recounts from scratch.
 	naive := make([][]int64, 3)
 	naiveCount := func(i int, now int64) int {

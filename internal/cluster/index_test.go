@@ -109,9 +109,8 @@ func churnIdentity(t *testing.T, policy RoutingPolicy, speeds []float64, seed ui
 	for i := 0; i < 4; i++ {
 		st.AddNPUWithSpeed(speeds[i%len(speeds)])
 	}
-	if err := st.TrackWork(); err != nil {
-		t.Fatal(err)
-	}
+	// commits is each NPU's commit order: a failure reclaims its tail.
+	commits := make([][]*workload.Task, st.NPUs())
 	indexed, err := NewRouter(policy)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +135,7 @@ func churnIdentity(t *testing.T, policy RoutingPolicy, speeds []float64, seed ui
 				task.ID, task.Arrival, got, want)
 		}
 		st.Commit(got, task)
+		commits[got] = append(commits[got], task)
 	}
 
 	decisions := 0
@@ -150,6 +150,7 @@ func churnIdentity(t *testing.T, policy RoutingPolicy, speeds []float64, seed ui
 		case r < 85: // autoscale up
 			if st.NPUs() < 64 {
 				st.AddNPUWithSpeed(speeds[rng.IntN(len(speeds))])
+				commits = append(commits, nil)
 			}
 		case r < 90: // autoscale down (guards reject invalid picks)
 			_ = st.Retire(rng.IntN(st.NPUs()))
@@ -158,8 +159,9 @@ func churnIdentity(t *testing.T, policy RoutingPolicy, speeds []float64, seed ui
 		case r < 97:
 			_ = st.Uncordon(rng.IntN(st.NPUs()))
 		default: // failure: reclaimed in-flight work re-routes at the failure instant
-			if reclaimed, err := st.Fail(rng.IntN(st.NPUs()), now); err == nil {
-				for _, lost := range reclaimed {
+			i := rng.IntN(st.NPUs())
+			if inFlight, err := st.Fail(i, now); err == nil {
+				for _, lost := range commits[i][len(commits[i])-inFlight:] {
 					decide(stateTask(lost.ID, now, lost.EstimatedCycles))
 					decisions++
 				}
@@ -176,26 +178,27 @@ func churnIdentity(t *testing.T, policy RoutingPolicy, speeds []float64, seed ui
 // counters, and a fresh AddNPU slot starts empty and immediately wins.
 func TestIndexFailThenAddNPUSlotFreshness(t *testing.T) {
 	st := NewState(3)
-	if err := st.TrackWork(); err != nil {
-		t.Fatal(err)
-	}
 	r, err := NewRouter(LeastQueued)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two requests per backend, long horizons.
+	// Two requests per backend, long horizons; commits is each NPU's
+	// commit order.
+	commits := make([][]*workload.Task, 3)
 	for i := 0; i < 6; i++ {
 		task := stateTask(i, 0, 1_000_000)
-		st.Commit(r.Decide(task, st), task)
+		target := r.Decide(task, st)
+		st.Commit(target, task)
+		commits[target] = append(commits[target], task)
 	}
-	reclaimed, err := st.Fail(1, 0)
+	inFlight, err := st.Fail(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reclaimed) != 2 {
-		t.Fatalf("failing NPU 1 reclaimed %d tasks, want 2", len(reclaimed))
+	if inFlight != 2 {
+		t.Fatalf("failing NPU 1 left %d tasks in flight, want 2", inFlight)
 	}
-	for _, lost := range reclaimed {
+	for _, lost := range commits[1][len(commits[1])-inFlight:] {
 		task := stateTask(lost.ID, 0, lost.EstimatedCycles)
 		target := r.Decide(task, st)
 		if target == 1 {

@@ -51,11 +51,11 @@ func NewRouter(p RoutingPolicy) (Router, error) {
 // backend draining (the autoscaler's voluntary scale-down — its routed
 // work still completes but nothing new lands there); Cordon takes a
 // backend out of rotation reversibly (Uncordon returns it) without the
-// scale-down accounting; Fail removes a backend involuntarily, handing
-// its not-yet-drained work back to the caller for re-routing. Routers
-// skip every non-Routable backend. A node that never scales (the batch
-// Route path, a scaler-less session) sees the original fixed-fleet
-// behaviour exactly.
+// scale-down accounting; Fail removes a backend involuntarily, answering
+// how much of its routed work had not drained, for the caller to
+// re-route. Routers skip every non-Routable backend. A node that never
+// scales (the batch Route path, a scaler-less session) sees the original
+// fixed-fleet behaviour exactly.
 type State struct {
 	// freeAt is the fluid completion horizon per NPU.
 	freeAt []int64
@@ -78,13 +78,6 @@ type State struct {
 	// active counts the routable backends (neither draining, cordoned nor
 	// failed).
 	active int
-	// track enables the work ledger below; the chaos-free paths leave it
-	// off and pay nothing extra on the commit path.
-	track bool
-	// work remembers, per NPU, the task behind every horizons entry (same
-	// index), so Fail can reclaim the requests whose fluid work had not
-	// drained at the failure instant.
-	work [][]*workload.Task
 	// speeds is the per-NPU service-time multiplier relative to the
 	// node's base config (1 = base, 2 = half-clock). nil means a
 	// homogeneous fleet of all-1 speeds; it is materialized lazily by
@@ -131,30 +124,6 @@ func (s *State) Routable(i int) bool {
 	return !s.draining[i] && !s.cordoned[i] && !s.failed[i]
 }
 
-// TrackWork makes the state remember which task sits behind every fluid
-// horizon entry, which is what lets Fail reclaim the work that had not
-// drained when a backend is lost. Tracking must be enabled before any
-// work is committed; enabling it mid-stream would leave untracked
-// horizons that a failure could not reclaim. Calling it again on a
-// state that already tracks is a no-op, so long-lived sessions (the
-// control plane enables the ledger at open) can schedule failures at
-// any point in the stream.
-func (s *State) TrackWork() error {
-	if s.track {
-		return nil
-	}
-	for i := range s.horizons {
-		if len(s.horizons[i]) > 0 {
-			return fmt.Errorf("cluster: work tracking must be enabled before any work is routed")
-		}
-	}
-	s.track = true
-	if s.work == nil {
-		s.work = make([][]*workload.Task, len(s.freeAt))
-	}
-	return nil
-}
-
 // AddNPU appends a fresh idle backend to the node mid-stream (the
 // autoscaler's scale-up path) and returns its index. The new backend
 // carries no state from any previously failed or retired slot.
@@ -175,9 +144,6 @@ func (s *State) AddNPUWithSpeed(speed float64) int {
 	s.draining = append(s.draining, false)
 	s.cordoned = append(s.cordoned, false)
 	s.failed = append(s.failed, false)
-	if s.track {
-		s.work = append(s.work, nil)
-	}
 	if s.speeds != nil {
 		s.speeds = append(s.speeds, speed)
 	} else if speed != 1 {
@@ -277,42 +243,36 @@ func (s *State) Uncordon(i int) error {
 }
 
 // Fail removes backend i involuntarily at cycle now — the chaos
-// counterpart of Retire. Work whose fluid horizon had already drained by
-// now stays completed on the lost backend; everything still in flight is
-// returned, in its original routing (arrival) order, for the caller to
-// re-submit through the router. The backend's fluid state is cleared:
+// counterpart of Retire — and answers how many requests routed to it
+// were still in flight. Work whose fluid horizon had drained by now
+// stays completed on the lost backend; the rest is the caller's to
+// re-submit through the router. Horizons are committed in nondecreasing
+// order, so the in-flight requests are the last ones committed to i: a
+// caller that appends a request to a backend's stream exactly when it
+// commits it here (serving.NodeSession.route) reclaims them as the tail
+// of that stream, in routing (arrival) order. now must be nondecreasing
+// across Fail and InFlight calls. The backend's fluid state is cleared:
 // nothing of a failed slot is ever reused (AddNPU appends fresh slots).
 // Failing the last active backend is refused — that would leave the
 // routers with zero routable NPUs.
-func (s *State) Fail(i int, now int64) ([]*workload.Task, error) {
+func (s *State) Fail(i int, now int64) (int, error) {
 	if i < 0 || i >= len(s.freeAt) {
-		return nil, fmt.Errorf("cluster: failure of unknown NPU %d (node size %d)", i, len(s.freeAt))
+		return 0, fmt.Errorf("cluster: failure of unknown NPU %d (node size %d)", i, len(s.freeAt))
 	}
 	if s.failed[i] {
-		return nil, fmt.Errorf("cluster: NPU %d already failed", i)
-	}
-	if !s.track {
-		return nil, fmt.Errorf("cluster: failure injection requires work tracking (State.TrackWork)")
+		return 0, fmt.Errorf("cluster: NPU %d already failed", i)
 	}
 	if s.Routable(i) && s.active <= 1 {
-		return nil, fmt.Errorf("cluster: cannot fail the last active NPU")
+		return 0, fmt.Errorf("cluster: cannot fail the last active NPU")
 	}
-	// Horizons drained by now completed before the failure; the rest is
-	// lost in flight and reclaimed. The ledger shares the horizons'
-	// head cursor, so the split is one scan from the live head.
-	h := s.horizons[i]
-	head := s.heads[i]
-	for head < len(h) && h[head] <= now {
-		head++
-	}
-	reclaimed := append([]*workload.Task(nil), s.work[i][head:len(h)]...)
+	inFlight := s.InFlight(i, now)
 	if s.Routable(i) {
 		s.active--
 	}
 	s.failed[i] = true
-	s.horizons[i], s.work[i], s.heads[i], s.freeAt[i] = nil, nil, 0, 0
+	s.horizons[i], s.heads[i], s.freeAt[i] = nil, 0, 0
 	s.indexFail(i)
-	return reclaimed, nil
+	return inFlight, nil
 }
 
 // FreeAt reports backend i's fluid completion horizon: the cycle at
@@ -329,20 +289,10 @@ func (s *State) InFlight(i int, now int64) int {
 		head++
 	}
 	// Compact once the drained prefix dominates, so a long-lived
-	// streaming session does not hold every horizon it ever routed. The
-	// work ledger shares the indexing and compacts in lockstep (with its
-	// tail zeroed so drained tasks are not pinned in memory).
+	// streaming session does not hold every horizon it ever routed.
 	if head > 64 && head*2 >= len(h) {
 		n := copy(h, h[head:])
 		s.horizons[i] = h[:n]
-		if s.track {
-			w := s.work[i]
-			copy(w, w[head:])
-			for j := n; j < len(w); j++ {
-				w[j] = nil
-			}
-			s.work[i] = w[:n]
-		}
 		head = 0
 	}
 	s.heads[i] = head
@@ -366,8 +316,7 @@ func (s *State) Commit(target int, t *workload.Task) {
 
 // CommitCycles is Commit with the committed service time given: the
 // request's estimate at the speed the target serves it, which on a
-// slowed NPU exceeds the nominal t.EstimatedCycles. The work ledger
-// records t itself.
+// slowed NPU exceeds the nominal t.EstimatedCycles.
 func (s *State) CommitCycles(target int, t *workload.Task, cycles int64) {
 	start := s.freeAt[target]
 	if t.Arrival > start {
@@ -375,9 +324,6 @@ func (s *State) CommitCycles(target int, t *workload.Task, cycles int64) {
 	}
 	s.freeAt[target] = start + cycles
 	s.horizons[target] = append(s.horizons[target], s.freeAt[target])
-	if s.track {
-		s.work[target] = append(s.work[target], t)
-	}
 	s.indexCommit(target)
 }
 

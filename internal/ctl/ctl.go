@@ -46,8 +46,9 @@ import (
 type Config struct {
 	// Node is the fleet configuration the plane opens: initial NPUs,
 	// routing, the per-NPU session (scheduler, horizon, warm-up) and an
-	// optional autoscaler. The work ledger (TrackWork) is forced on so
-	// failures can be injected at any point of the stream.
+	// optional autoscaler. A `fail` command may fire at any point of the
+	// stream: the lost backend's in-flight requests are the tail of its
+	// own stream, and they re-route from there.
 	Node serving.NodeConfig
 	// Models restricts the generated request mix (defaults to the
 	// serving suite's default).
@@ -142,9 +143,7 @@ func New(srv *serving.Server, cfg Config) (*Plane, error) {
 	if srv.NPU().Cycles(cfg.Segment) <= 0 {
 		return nil, fmt.Errorf("ctl: segment %v is under one cycle", cfg.Segment)
 	}
-	node := cfg.Node
-	node.TrackWork = true
-	ns, err := srv.OpenNode(node)
+	ns, err := srv.OpenNode(cfg.Node)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ var errDropMustCheck = map[string][]string{
 	"repro/internal/ckptmem.Manager":     {"Save", "Restore"},
 	"repro/internal/serving.Session":     {"Close", "Drain"},
 	"repro/internal/serving.NodeSession": {"Close", "Drain"},
-	"repro/internal/cluster.State":       {"TrackWork"},
 	"repro.Session":                      {"Close", "Drain"},
 	"repro.NodeSession":                  {"Close", "Drain"},
 	"repro.Suite":                        {"Close"},

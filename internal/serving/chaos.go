@@ -14,8 +14,13 @@ package serving
 //     instant stays completed; everything still in flight is reclaimed
 //     from the lost backend's stream and re-submitted through the
 //     shared router at the failure time, exercising re-routing under
-//     loss. An attached scaler sees the shrunken fleet on its next tick
-//     and recovers toward the SLO.
+//     loss. The backend's stream is the reclaim ledger: route appends
+//     each request to it exactly when the router state commits the
+//     request's horizon, so the in-flight requests are its tail, and a
+//     failure may be scheduled at any point of the stream. Closed-loop
+//     clients append without routing, so a node with pinned clients
+//     refuses failures. An attached scaler sees the shrunken fleet on
+//     its next tick and recovers toward the SLO.
 //   - slowdown/restore: a slowed backend serves work routed to it
 //     during the slow window at factor× its nominal service time — the
 //     backend records the factor next to the request, its execution
@@ -43,8 +48,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/npu"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -155,10 +158,9 @@ type nodeOp struct {
 // deterministically as arrivals (or an explicit AdvanceTo) advance the
 // clock past their timestamp: in time order, schedule order at equal
 // times, and always before an autoscale tick due at the same cycle, so
-// the scaler sees the post-event fleet. One exception: a FailNPU needs
-// the reclaim ledger to have observed every routing decision from the
-// first request on, so failures scheduled after traffic require the
-// ledger enabled at open (NodeConfig.TrackWork).
+// the scaler sees the post-event fleet. A FailNPU is refused once
+// closed-loop clients are pinned (OfferClients): their requests never
+// pass the router, so a failure could not reclaim them.
 func (ns *NodeSession) Schedule(at time.Duration, op NodeOp) error {
 	if at < 0 {
 		return fmt.Errorf("serving: negative operation time %v", at)
@@ -186,14 +188,8 @@ func (ns *NodeSession) ScheduleCycle(at int64, op NodeOp) error {
 	if err := op.Validate(); err != nil {
 		return fmt.Errorf("serving: %w", err)
 	}
-	if op.Kind == FailNPU {
-		// Failure reclaim needs the task behind every fluid horizon.
-		// Before any traffic this enables tracking from a clean slate;
-		// mid-stream it only succeeds if the ledger was already on
-		// (idempotent), surfacing a clear error otherwise.
-		if err := ns.state.TrackWork(); err != nil {
-			return err
-		}
+	if op.Kind == FailNPU && ns.clientNext > 0 {
+		return errClientsPinned
 	}
 	ns.pending = append(ns.pending, nodeOp{at: at, seq: ns.opSeq, op: op})
 	ns.opSeq++
@@ -307,17 +303,19 @@ func (ns *NodeSession) apply(o nodeOp) error {
 		// The factor stacks on the backend's nominal speed — a slow
 		// tier's derate on heterogeneous fleets — and restore returns
 		// to that nominal, not to 1.
-		if ns.speed[i] != ns.baseSpeed[i] {
-			return fmt.Errorf("NPU already slowed x%g; restore it first", ns.speed[i]/ns.baseSpeed[i])
+		base := ns.state.Speed(i)
+		if ns.speed[i] != base {
+			return fmt.Errorf("NPU already slowed x%g; restore it first", ns.speed[i]/base)
 		}
-		ns.speed[i] = ns.baseSpeed[i] * o.op.Factor
+		ns.speed[i] = base * o.op.Factor
 		ns.record(o.at, "slowdown", i, 0, fmt.Sprintf("x%g", o.op.Factor))
 	case RestoreNPU:
-		if ns.speed[i] == ns.baseSpeed[i] {
+		base := ns.state.Speed(i)
+		if ns.speed[i] == base {
 			return fmt.Errorf("NPU is not slowed")
 		}
-		ns.record(o.at, "restore", i, 0, fmt.Sprintf("was x%g", ns.speed[i]/ns.baseSpeed[i]))
-		ns.speed[i] = ns.baseSpeed[i]
+		ns.record(o.at, "restore", i, 0, fmt.Sprintf("was x%g", ns.speed[i]/base))
+		ns.speed[i] = base
 	case CordonNPU:
 		if err := ns.state.Cordon(i); err != nil {
 			return err
@@ -333,17 +331,17 @@ func (ns *NodeSession) apply(o nodeOp) error {
 }
 
 // failNPU removes backend i at cycle at: completed work stays with the
-// lost backend's statistics, in-flight work is reclaimed from its
-// stream and re-routed through the node's router as re-arrivals at the
-// failure instant.
+// lost backend's statistics, in-flight work is reclaimed from the tail
+// of its stream and re-routed through the node's router as re-arrivals
+// at the failure instant.
 func (ns *NodeSession) failNPU(i int, at int64) error {
 	wasRoutable := ns.state.Routable(i)
-	reclaimed, err := ns.state.Fail(i, at)
+	inFlight, err := ns.state.Fail(i, at)
 	if err != nil {
 		return err
 	}
-	ns.speed[i] = ns.baseSpeed[i]
-	ns.backends[i].removeReqs(reclaimed)
+	ns.speed[i] = ns.state.Speed(i)
+	reclaimed := ns.backends[i].reclaimTail(inFlight)
 	delta := 0
 	if wasRoutable {
 		delta = -1
@@ -357,58 +355,31 @@ func (ns *NodeSession) failNPU(i int, at int64) error {
 				Req: t.TraceID, NPU: i, Tier: ns.tierName(i),
 			})
 		}
-		if err := ns.route(rearrive(t, at)); err != nil {
+		if err := ns.route(materialize(t.ID, t, at, 1)); err != nil {
 			return fmt.Errorf("re-routing reclaimed request %d: %w", t.ID, err)
 		}
 	}
 	return nil
 }
 
-// rearrive copies a submitted template as a fresh re-arrival at cycle
-// at: the request queues anew at its re-routed backend, keeping its
-// identity, model instance and compiled program.
-func rearrive(t *workload.Task, at int64) *workload.Task {
-	st := sched.NewTask(t.ID, t.Model, t.Batch, t.Priority, at,
-		npu.NewExecution(t.Program), t.EstimatedCycles)
-	return &workload.Task{
-		Task:     st,
-		ModelRef: t.ModelRef,
-		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
-		Program: t.Program,
-		TraceID: t.TraceID,
+// reclaimTail cuts the last n requests, with their factors, off the
+// session's stream and returns them in submission order — the
+// failure-reclaim path pulling a lost backend's in-flight work back out.
+// The stream no longer extends the one the live simulator admitted, so
+// the next Stats rebuilds it from cycle 0.
+func (ss *Session) reclaimTail(n int) []*workload.Task {
+	if n == 0 {
+		return nil
 	}
-}
-
-// removeReqs drops the given submitted templates (matched by identity),
-// with their factors, from the session's stream — the failure-reclaim
-// path pulling a lost backend's in-flight work back out. The stream no
-// longer extends the one the live simulator admitted, so the next Stats
-// rebuilds it from cycle 0.
-func (ss *Session) removeReqs(gone []*workload.Task) {
-	if len(gone) == 0 {
-		return
-	}
-	drop := make(map[*workload.Task]bool, len(gone))
-	for _, t := range gone {
-		drop[t] = true
-	}
-	kept := ss.reqs[:0]
-	for i, t := range ss.reqs {
-		if !drop[t] {
-			if ss.factors != nil {
-				ss.factors[len(kept)] = ss.factors[i]
-			}
-			kept = append(kept, t)
-		}
-	}
-	for i := len(kept); i < len(ss.reqs); i++ {
-		ss.reqs[i] = nil
-	}
+	keep := len(ss.reqs) - n
+	tail := append([]*workload.Task(nil), ss.reqs[keep:]...)
+	clear(ss.reqs[keep:])
+	ss.reqs, ss.count = ss.reqs[:keep], keep
 	if ss.factors != nil {
-		ss.factors = ss.factors[:len(kept)]
+		ss.factors = ss.factors[:keep]
 	}
-	ss.reqs, ss.count = kept, len(kept)
 	ss.live = nil
 	ss.dirty = true
 	ss.statsValid = false
+	return tail
 }

@@ -9,11 +9,13 @@ package serving
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -74,10 +76,115 @@ func TestScheduleValidation(t *testing.T) {
 	if err := ns.Schedule(30*time.Millisecond, NodeOp{Kind: CordonNPU, NPU: 0}); err != nil {
 		t.Errorf("mid-stream future schedule refused: %v", err)
 	}
-	// A mid-stream failure without the work ledger enabled at open has
-	// nothing to reclaim from and must refuse cleanly.
-	if err := ns.Schedule(40*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1}); err == nil {
-		t.Error("mid-stream failure without TrackWork accepted")
+	// A mid-stream failure is an ordinary operation: the backend's own
+	// stream holds the in-flight requests it reclaims.
+	if err := ns.Schedule(40*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1}); err != nil {
+		t.Errorf("mid-stream failure refused: %v", err)
+	}
+}
+
+// TestMidStreamFailureMatchesUpFront: a failure scheduled mid-stream on
+// a node opened with no option reclaims and re-routes exactly what the
+// same failure scheduled before the first request does — statistics,
+// timeline and trace deep-equal, under every router.
+func TestMidStreamFailureMatchesUpFront(t *testing.T) {
+	for _, routing := range []cluster.RoutingPolicy{cluster.RoundRobin, cluster.LeastQueued, cluster.LeastWork} {
+		run := func(midStream bool) (NodeStats, []NodeEvent, []telemetry.Event) {
+			s := newServer(t)
+			ns, err := s.OpenNode(NodeConfig{
+				NPUs: 3, Routing: routing,
+				Session: SessionConfig{Policy: "PREMA", Preemptive: true},
+				Trace:   telemetry.New(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const scheduleAt, failAt = 15 * time.Millisecond, 25 * time.Millisecond
+			fail := NodeOp{Kind: FailNPU, NPU: 1}
+			if !midStream {
+				mustSchedule(t, ns, failAt, fail)
+			}
+			for _, req := range liveStream(t, s, 97, 4, 10*time.Millisecond, 2.5) {
+				if midStream && req.Arrival >= s.cfg.Cycles(scheduleAt) {
+					mustSchedule(t, ns, failAt, fail)
+					midStream = false
+				}
+				if err := ns.Submit(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ns.reclaims == 0 {
+				t.Fatalf("%v: the failure reclaimed nothing", routing)
+			}
+			st, err := ns.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			events, err := ns.TraceEvents()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st, ns.Timeline(), events
+		}
+		upStats, upTimeline, upTrace := run(false)
+		midStats, midTimeline, midTrace := run(true)
+		if !reflect.DeepEqual(upStats, midStats) {
+			t.Errorf("%v: stats differ:\n up front   %+v\n mid-stream %+v", routing, upStats, midStats)
+		}
+		if !reflect.DeepEqual(upTimeline, midTimeline) {
+			t.Errorf("%v: timelines differ:\n up front   %+v\n mid-stream %+v", routing, upTimeline, midTimeline)
+		}
+		if !reflect.DeepEqual(upTrace, midTrace) {
+			t.Errorf("%v: traces differ (%d vs %d events)", routing, len(upTrace), len(midTrace))
+		}
+	}
+}
+
+// TestOfferClientsPinsOnlyRoutableBackends: a client population offered
+// after a failure and a cordon have fired runs on the one backend still
+// in rotation.
+func TestOfferClientsPinsOnlyRoutableBackends(t *testing.T) {
+	s := newServer(t)
+	ns := openChaosNode(t, s, 3, nil)
+	mustSchedule(t, ns, 5*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
+	mustSchedule(t, ns, 5*time.Millisecond, NodeOp{Kind: CordonNPU, NPU: 2})
+	if err := ns.AdvanceTo(5 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	n, err := ns.OfferClients(ClientSpec{Clients: 4, Think: 2 * time.Millisecond,
+		Horizon: 40 * time.Millisecond, Models: rampModels}, workload.RNGFor(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if routed := ns.Routed(); routed[0] != n || routed[1] != 0 || routed[2] != 0 {
+		t.Errorf("%d realized requests landed %v; want all on npu0 (npu1 failed, npu2 cordoned)", n, routed)
+	}
+}
+
+// TestFailureRefusedAfterClients: pinned closed-loop requests never pass
+// the router, so a failure scheduled after them could not reclaim them.
+// It is refused with OfferClients' message for the reverse order; a
+// slowdown or a cordon after clients is still accepted.
+func TestFailureRefusedAfterClients(t *testing.T) {
+	s := newServer(t)
+	spec := ClientSpec{Clients: 4, Think: 2 * time.Millisecond,
+		Horizon: 40 * time.Millisecond, Models: rampModels}
+	ns := openChaosNode(t, s, 2, nil)
+	if _, err := ns.OfferClients(spec, workload.RNGFor(7, 1)); err != nil {
+		t.Fatal(err)
+	}
+	failErr := ns.Schedule(10*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
+	if failErr == nil {
+		t.Fatal("failure scheduled after closed-loop clients accepted")
+	}
+	mustSchedule(t, ns, 10*time.Millisecond, NodeOp{Kind: SlowNPU, NPU: 1, Factor: 2})
+	mustSchedule(t, ns, 10*time.Millisecond, NodeOp{Kind: CordonNPU, NPU: 0})
+
+	reverse := openChaosNode(t, s, 2, nil)
+	mustSchedule(t, reverse, 10*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
+	_, clientsErr := reverse.OfferClients(spec, workload.RNGFor(7, 1))
+	if clientsErr == nil || clientsErr.Error() != failErr.Error() {
+		t.Errorf("failure after clients refused with %q, clients after a failure with %v", failErr, clientsErr)
 	}
 }
 
@@ -204,9 +311,10 @@ func TestSlowdownDegradesLatency(t *testing.T) {
 	}
 }
 
-// TestRemoveReqsKeepsFactors: pulling requests out of a stream keeps
-// every remaining request paired with its own service-time factor.
-func TestRemoveReqsKeepsFactors(t *testing.T) {
+// TestReclaimTailKeepsFactors: cutting the in-flight tail off a stream
+// returns it in submission order and keeps every remaining request
+// paired with its own service-time factor.
+func TestReclaimTailKeepsFactors(t *testing.T) {
 	s := newServer(t)
 	ss, err := s.Open(SessionConfig{Policy: "FCFS"})
 	if err != nil {
@@ -223,10 +331,16 @@ func TestRemoveReqsKeepsFactors(t *testing.T) {
 		}
 		reqs = append(reqs, r)
 	}
-	ss.removeReqs([]*workload.Task{reqs[0], reqs[2]})
-	if len(ss.reqs) != 2 || ss.reqs[0] != reqs[1] || ss.reqs[1] != reqs[3] ||
-		ss.factor(0) != 2 || ss.factor(1) != 4 {
-		t.Errorf("after removing requests 0 and 2: %d requests, factors %v; want requests 1 and 3 at x2 and x4",
+	if tail := ss.reclaimTail(0); tail != nil {
+		t.Errorf("reclaiming nothing returned %d requests", len(tail))
+	}
+	tail := ss.reclaimTail(2)
+	if len(tail) != 2 || tail[0] != reqs[2] || tail[1] != reqs[3] {
+		t.Errorf("reclaimed %d requests; want requests 2 and 3 in order", len(tail))
+	}
+	if len(ss.reqs) != 2 || ss.Pending() != 2 || ss.reqs[0] != reqs[0] || ss.reqs[1] != reqs[1] ||
+		ss.factor(0) != 1 || ss.factor(1) != 2 {
+		t.Errorf("after reclaiming the last two: %d requests, factors %v; want requests 0 and 1 at x1 and x2",
 			len(ss.reqs), ss.factors)
 	}
 }
@@ -325,15 +439,15 @@ func TestFailLastActiveSurfaces(t *testing.T) {
 	}
 }
 
-// TestNoEventScheduleIsIdentical: a session with work tracking enabled
-// but no operation ever firing matches a plain session byte-for-byte.
+// TestNoEventScheduleIsIdentical: a session with a failure armed but
+// never firing matches a plain session byte-for-byte.
 func TestNoEventScheduleIsIdentical(t *testing.T) {
 	run := func(withOp bool) NodeStats {
 		s := newServer(t)
 		ns := openChaosNode(t, s, 2, nil)
 		if withOp {
-			// Scheduled far beyond the stream: tracking is on, the
-			// queue is live, but nothing fires before Drain.
+			// Scheduled far beyond the stream: the queue is live, but
+			// nothing fires before Drain.
 			mustSchedule(t, ns, time.Hour, NodeOp{Kind: FailNPU, NPU: 0})
 		}
 		offerRamp(t, ns, 41)

@@ -100,7 +100,7 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64)
 	// tie-break identical between generation and replay.
 	entries := make([]*sched.Task, 0, len(ss.reqs)+spec.Clients)
 	for i, t := range ss.reqs {
-		entries = append(entries, entry(i, t, ss.factor(i)))
+		entries = append(entries, entry(i, t, t.Arrival, ss.factor(i)))
 	}
 	nextID := len(ss.reqs)
 	var realized []*workload.Task
@@ -127,7 +127,7 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64)
 		nextID++
 		realized = append(realized, inst)
 		if factor != 1 {
-			return entry(inst.ID, inst, factor), nil
+			return entry(inst.ID, inst, arrival, factor), nil
 		}
 		return inst.Task, nil // the instance's own entry runs at nominal speed
 	}

@@ -28,7 +28,7 @@ func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 	t.Helper()
 	fresh := make([]*workload.Task, len(ss.reqs))
 	for i, r := range ss.reqs {
-		fresh[i] = materialize(i, r, ss.factor(i))
+		fresh[i] = materialize(i, r, r.Arrival, ss.factor(i))
 	}
 	if ss.cfg.Window > 0 {
 		tasks, members, err := ss.coalesce(fresh)
@@ -175,7 +175,7 @@ func (st *stepper) to(t *testing.T, at int64) {
 func TestLiveMatchesReplayScriptedSession(t *testing.T) {
 	s := newServer(t)
 	ns, err := s.OpenNode(NodeConfig{
-		NPUs: 3, Routing: cluster.LeastWork, TrackWork: true,
+		NPUs: 3, Routing: cluster.LeastWork,
 		Session: SessionConfig{Policy: "PREMA", Preemptive: true, Selector: "dynamic"},
 		Autoscale: &AutoscaleConfig{Scaler: "queue-depth", SLO: 8 * time.Millisecond,
 			MinNPUs: 2, MaxNPUs: 5},
@@ -228,7 +228,7 @@ func TestLiveMatchesReplayTieredReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns, err := s.OpenNode(NodeConfig{
-		NPUs: 4, Fleet: tiers, Routing: cluster.LeastWork, TrackWork: true,
+		NPUs: 4, Fleet: tiers, Routing: cluster.LeastWork,
 		Session: SessionConfig{Policy: "PREMA", Preemptive: true},
 		Trace:   telemetry.New(),
 	})
@@ -325,7 +325,7 @@ func TestLiveClientsThenSubmit(t *testing.T) {
 func TestLiveRefreshIsIncremental(t *testing.T) {
 	s := newServer(t)
 	ns, err := s.OpenNode(NodeConfig{
-		NPUs: 2, Routing: cluster.RoundRobin, TrackWork: true,
+		NPUs: 2, Routing: cluster.RoundRobin,
 		Session: SessionConfig{Policy: "PREMA", Preemptive: true},
 	})
 	if err != nil {

@@ -12,12 +12,13 @@ package serving
 // NPUs the batch router would have chosen (node_test.go proves the
 // buckets byte-identical).
 //
-// Closed-loop clients (OfferClients) pin to an NPU round-robin — the
-// affinity real load balancers give session-sticky traffic — because a
-// closed loop couples each arrival to the completion of the same
-// client's previous request on its serving NPU. The fluid router state
-// keeps balancing the open-loop and submitted traffic around that
-// pinned load.
+// Closed-loop clients (OfferClients) pin to a routable NPU round-robin
+// — the affinity real load balancers give session-sticky traffic —
+// because a closed loop couples each arrival to the completion of the
+// same client's previous request on its serving NPU. The fluid router
+// state keeps balancing the open-loop and submitted traffic around that
+// pinned load. Pinned requests never pass the router, so a node with
+// pinned clients refuses failures (see Schedule).
 
 import (
 	"errors"
@@ -53,12 +54,6 @@ type NodeConfig struct {
 	// shrinks the backend set as the stream advances; nil keeps the
 	// fleet fixed.
 	Autoscale *AutoscaleConfig
-	// TrackWork enables the router state's work ledger from the first
-	// request, so failures can be scheduled at any later point in the
-	// stream (the ledger must observe every routing decision to reclaim
-	// in-flight work). Long-lived sessions — the control plane — set it;
-	// batch runs that schedule all chaos up front don't need to.
-	TrackWork bool
 	// Trace attaches the telemetry layer: per-request lifecycle events
 	// into Trace.Tracer and one fleet sample per autoscale tick into
 	// Trace.Recorder (see internal/telemetry). Nil disables both, and a
@@ -111,13 +106,11 @@ type NodeSession struct {
 	// schedule order); opSeq stamps that order.
 	pending []nodeOp
 	opSeq   int
-	// speed is the per-backend service-time multiplier (baseSpeed =
-	// nominal; a SlowNPU operation raises it, RestoreNPU resets it).
+	// speed is the per-backend service-time multiplier. Its nominal is
+	// the router state's Speed — the tier's clock derate, 1 everywhere
+	// on homogeneous fleets; a SlowNPU operation stacks on it and
+	// RestoreNPU returns to it.
 	speed []float64
-	// baseSpeed is each backend's nominal service-time factor — its
-	// tier's clock derate, 1 everywhere on homogeneous fleets. Chaos
-	// slowdowns stack on it and restores return to it.
-	baseSpeed []float64
 	// tiers is the heterogeneous fleet's hardware classes (nil on
 	// homogeneous fleets); tierOf maps each backend to its tier index,
 	// and tierSpeed/tierWeights cache each tier's derate factor and
@@ -197,15 +190,14 @@ func (s *Server) OpenNode(cfg NodeConfig) (*NodeSession, error) {
 		}
 	}
 	ns := &NodeSession{
-		srv:       s,
-		router:    router,
-		state:     cluster.NewState(cfg.NPUs),
-		backends:  backends,
-		session:   cfg.Session,
-		scale:     scale,
-		speed:     make([]float64, cfg.NPUs),
-		baseSpeed: make([]float64, cfg.NPUs),
-		estRing:   make([]float64, estWindow),
+		srv:      s,
+		router:   router,
+		state:    cluster.NewState(cfg.NPUs),
+		backends: backends,
+		session:  cfg.Session,
+		scale:    scale,
+		speed:    make([]float64, cfg.NPUs),
+		estRing:  make([]float64, estWindow),
 		// The timeline accretes one event per applied scale action and
 		// chaos operation; starting with room for a typical run's worth
 		// amortizes the appends off the tick path.
@@ -213,7 +205,6 @@ func (s *Server) OpenNode(cfg NodeConfig) (*NodeSession, error) {
 	}
 	for i := range ns.speed {
 		ns.speed[i] = 1
-		ns.baseSpeed[i] = 1
 	}
 	if len(cfg.Fleet) > 0 {
 		ns.tiers = append([]Tier(nil), cfg.Fleet...)
@@ -236,12 +227,6 @@ func (s *Server) OpenNode(cfg NodeConfig) (*NodeSession, error) {
 		for i, t := range ns.tierOf {
 			ns.state.AddNPUWithSpeed(tierSpeed[t])
 			ns.speed[i] = tierSpeed[t]
-			ns.baseSpeed[i] = tierSpeed[t]
-		}
-	}
-	if cfg.TrackWork {
-		if err := ns.state.TrackWork(); err != nil {
-			return nil, err
 		}
 	}
 	if cfg.Trace != nil {
@@ -306,7 +291,11 @@ func (ns *NodeSession) Submit(t *workload.Task) error {
 // route makes one routing decision and commits it: the shared path of
 // fresh submissions and failure-reclaimed re-arrivals. The request
 // queues at the target backend's current speed, and the fluid router
-// state commits its estimate at that speed.
+// state commits its estimate at that speed. route is the only path that
+// appends to a backend's stream and commits a horizon, one of each per
+// request, so a backend's in-flight requests are the tail of its stream
+// — the ledger failNPU reclaims from. Pinned closed-loop clients append
+// without committing; Schedule refuses failures once they exist.
 func (ns *NodeSession) route(t *workload.Task) error {
 	target := ns.router.Decide(t, ns.state)
 	factor := ns.speed[target]
@@ -395,12 +384,14 @@ func (ns *NodeSession) OfferRamp(base Spec, loads []float64, rng *rand.Rand) (in
 }
 
 // OfferClients spreads a closed-loop client population across the
-// node's NPUs with round-robin affinity: client c pins to NPU
-// (cursor+c) mod NPUs and runs its closed loop against that backend
-// at the backend's current speed (see Session.OfferClients). Pinned
-// closed-loop traffic is invisible to the fluid router state — the
-// router keeps balancing the open-loop and submitted streams. It
-// returns how many requests were realized across all NPUs.
+// node's routable NPUs with round-robin affinity: client c pins to the
+// (cursor+c) mod R-th of the R routable backends and runs its closed
+// loop against that backend at the backend's current speed (see
+// Session.OfferClients). Pinned closed-loop traffic is invisible to the
+// fluid router state — the router keeps balancing the open-loop and
+// submitted streams — so no failure could reclaim it: Schedule refuses
+// failures once clients are pinned. It returns how many requests were
+// realized across all NPUs.
 func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 	if ns.closed {
 		return 0, fmt.Errorf("serving: node session closed")
@@ -417,14 +408,20 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 	if len(ns.pending) > 0 {
 		// The same pinning conflict: a failed or cordoned backend could
 		// never shed its pinned clients.
-		return 0, fmt.Errorf("serving: closed-loop clients pin to their NPU; chaos operations require routed traffic (Submit/Offer)")
+		return 0, errClientsPinned
 	}
 	if spec.Clients <= 0 {
 		return 0, fmt.Errorf("serving: non-positive client count %d", spec.Clients)
 	}
+	var routable []int
+	for i := range ns.backends {
+		if ns.state.Routable(i) {
+			routable = append(routable, i)
+		}
+	}
 	perNPU := make([]int, len(ns.backends))
 	for c := 0; c < spec.Clients; c++ {
-		perNPU[ns.clientNext%len(ns.backends)]++
+		perNPU[routable[ns.clientNext%len(routable)]]++
 		ns.clientNext++
 	}
 	total := 0
@@ -443,6 +440,11 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 	}
 	return total, nil
 }
+
+// errClientsPinned refuses closed-loop clients and failures on one node:
+// a pinned client's requests never pass the router, so neither a
+// failure's reclaim nor a cordon's rotation change could move them.
+var errClientsPinned = errors.New("serving: closed-loop clients pin to their NPU; chaos operations require routed traffic (Submit/Offer)")
 
 // Pending reports how many requests have been submitted node-wide.
 func (ns *NodeSession) Pending() int { return ns.submitted }
@@ -492,28 +494,31 @@ type BackendView struct {
 // the control plane's `list` view. It reads only the fluid router
 // state, so it is cheap enough to poll between ticks.
 func (ns *NodeSession) Fleet() []BackendView {
-	now := ns.lastArrival
 	out := make([]BackendView, len(ns.backends))
-	for i, b := range ns.backends {
-		v := BackendView{NPU: i, State: "active", Speed: ns.speed[i], Routed: b.Pending()}
-		if ns.tiers != nil {
-			v.Tier = ns.tiers[ns.tierOf[i]].Name
-		}
-		switch {
-		case ns.state.Failed(i):
-			v.State = "failed"
-		case ns.state.Cordoned(i):
-			v.State = "cordoned"
-		case ns.state.Draining(i):
-			v.State = "draining"
-		}
-		if !ns.state.Failed(i) {
-			v.InFlight = ns.state.InFlight(i, now)
-			v.BacklogMS = ns.srv.cfg.Millis(ns.state.Backlog(i, now))
-		}
-		out[i] = v
+	for i := range ns.backends {
+		out[i] = ns.view(i, ns.lastArrival)
 	}
 	return out
+}
+
+// view is backend i's fleet row at cycle at: the row Fleet lists and
+// the tick sample records. A failed backend has no fluid state, so its
+// in-flight count and backlog read zero.
+func (ns *NodeSession) view(i int, at int64) BackendView {
+	v := BackendView{NPU: i, Tier: ns.tierName(i), State: "active",
+		Speed: ns.speed[i], Routed: ns.backends[i].Pending()}
+	switch {
+	case ns.state.Failed(i):
+		v.State = "failed"
+		return v
+	case ns.state.Cordoned(i):
+		v.State = "cordoned"
+	case ns.state.Draining(i):
+		v.State = "draining"
+	}
+	v.InFlight = ns.state.InFlight(i, at)
+	v.BacklogMS = ns.srv.cfg.Millis(ns.state.Backlog(i, at))
+	return v
 }
 
 // addBackend spins one fresh Session backend into the shared router
@@ -535,7 +540,6 @@ func (ns *NodeSession) addBackend(tier int) error {
 	ns.backends = append(ns.backends, b)
 	ns.state.AddNPUWithSpeed(sp)
 	ns.speed = append(ns.speed, sp)
-	ns.baseSpeed = append(ns.baseSpeed, sp)
 	if ns.tiers != nil {
 		ns.tierOf = append(ns.tierOf, tier)
 	}

@@ -292,12 +292,12 @@ func (ss *Session) cut() int64 {
 	return int64(float64(ss.latestArrival()) * warmupFraction(ss.cfg.WarmupFraction))
 }
 
-// entry materializes a fresh scheduler entry from a submitted template: a
-// new execution cursor at factor× the nominal service time, with the
-// estimate scaled to match, re-stamped with the submission index as its
-// ID.
-func entry(id int, t *workload.Task, factor float64) *sched.Task {
-	return sched.NewTask(id, t.Model, t.Batch, t.Priority, t.Arrival,
+// entry materializes a fresh scheduler entry from a submitted template,
+// arriving at cycle at: a new execution cursor at factor× the nominal
+// service time, with the estimate scaled to match, re-stamped with id
+// (the submission index) as its ID.
+func entry(id int, t *workload.Task, at int64, factor float64) *sched.Task {
+	return sched.NewTask(id, t.Model, t.Batch, t.Priority, at,
 		npu.NewScaledExecution(t.Program, factor), scaledEstimate(t.EstimatedCycles, factor))
 }
 
@@ -310,13 +310,16 @@ func scaledEstimate(est int64, factor float64) int64 {
 }
 
 // materialize wraps a fresh entry (see entry) in a simulatable instance of
-// the template.
-func materialize(id int, t *workload.Task, factor float64) *workload.Task {
+// the template, keeping its model instance, compiled program and trace
+// ID: a simulation's copy of a request, or a failure-reclaimed request
+// re-arriving at the failure instant.
+func materialize(id int, t *workload.Task, at int64, factor float64) *workload.Task {
 	return &workload.Task{
-		Task:     entry(id, t, factor),
+		Task:     entry(id, t, at, factor),
 		ModelRef: t.ModelRef,
 		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
 		Program: t.Program,
+		TraceID: t.TraceID,
 	}
 }
 
@@ -330,7 +333,7 @@ func (ss *Session) compute() (*sampleSet, error) {
 	}
 	fresh := make([]*workload.Task, len(ss.reqs))
 	for i, t := range ss.reqs {
-		fresh[i] = materialize(i, t, ss.factor(i))
+		fresh[i] = materialize(i, t, t.Arrival, ss.factor(i))
 	}
 	tasks, members, err := ss.coalesce(fresh)
 	if err != nil {
@@ -388,7 +391,8 @@ func (ss *Session) advanceLive() (*sampleSet, error) {
 func (ss *Session) entries(from int) []*sched.Task {
 	out := make([]*sched.Task, 0, len(ss.reqs)-from)
 	for i := from; i < len(ss.reqs); i++ {
-		out = append(out, entry(i, ss.reqs[i], ss.factor(i)))
+		t := ss.reqs[i]
+		out = append(out, entry(i, t, t.Arrival, ss.factor(i)))
 	}
 	ss.materialized += len(out)
 	return out
@@ -416,7 +420,7 @@ func (ss *Session) coalesce(requests []*workload.Task) ([]*workload.Task, map[in
 		factor := ss.factor(last.ID)
 		var fused *workload.Task
 		if len(group) == 1 {
-			fused = materialize(nextID, ss.reqs[last.ID], factor)
+			fused = materialize(nextID, ss.reqs[last.ID], last.Arrival, factor)
 		} else {
 			prio := group[0].Priority
 			for _, t := range group[1:] {
@@ -429,7 +433,7 @@ func (ss *Session) coalesce(requests []*workload.Task) ([]*workload.Task, map[in
 				return err
 			}
 			if factor != 1 {
-				inst.Task = entry(nextID, inst, factor)
+				inst.Task = entry(nextID, inst, inst.Arrival, factor)
 			}
 			fused = inst
 		}

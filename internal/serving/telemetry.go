@@ -196,22 +196,11 @@ func (ns *NodeSession) sampleTick(rec *telemetry.Recorder, at int64, est float64
 	tickCycles := ns.scale.tickCycles
 	completed := 0
 	npus := make([]telemetry.NPUSample, len(ns.backends))
-	for i, b := range ns.backends {
-		v := telemetry.NPUSample{
-			NPU: i, Tier: ns.tierName(i), State: "active",
-			Speed: ns.speed[i], Routed: b.Pending(),
-		}
-		switch {
-		case ns.state.Failed(i):
-			v.State = "failed"
-		case ns.state.Cordoned(i):
-			v.State = "cordoned"
-		case ns.state.Draining(i):
-			v.State = "draining"
-		}
+	for i := range ns.backends {
+		b := ns.view(i, at)
+		v := telemetry.NPUSample{NPU: i, Tier: b.Tier, State: b.State, Speed: b.Speed,
+			InFlight: b.InFlight, BacklogMS: b.BacklogMS, Routed: b.Routed}
 		if !ns.state.Failed(i) {
-			v.InFlight = ns.state.InFlight(i, at)
-			v.BacklogMS = ns.srv.cfg.Millis(ns.state.Backlog(i, at))
 			// Fluid utilization since the last tick: the idle share is how
 			// far the backend's free horizon trails the tick instant.
 			idle := at - ns.state.FreeAt(i)
@@ -223,7 +212,7 @@ func (ns *NodeSession) sampleTick(rec *telemetry.Recorder, at int64, est float64
 			}
 			v.UtilFrac = 1 - float64(idle)/float64(tickCycles)
 		}
-		completed += b.Pending() - v.InFlight
+		completed += b.Routed - b.InFlight
 		npus[i] = v
 	}
 	s.NPUs = npus

@@ -71,6 +71,10 @@ go test -fuzz=FuzzFailReclaim -fuzztime=5s -run '^$' ./internal/cluster/
 # by the bytes read rather than the header's claim, and an accepted
 # program writes back to a stream that reads as the same program.
 go test -fuzz=FuzzISARead -fuzztime=5s -run '^$' ./internal/isa/
+# A flat sequence-length corpus draws, buckets, summarizes, predicts and
+# samples exactly as the map-based corpus it replaced, for any profile
+# shape.
+go test -fuzz=FuzzCorpusMatchesReference -fuzztime=5s -run '^$' ./internal/seqlen/
 # Any scenario text parses or errors without panicking, and a small
 # accepted scenario runs to the same transcript and report on the
 # control plane as on the reference executor it replaced.

@@ -244,7 +244,7 @@ func TestRunsEqualPerStepUnroll(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := an.EstimateLayers(ref(in, p.Regression.Predict(in)), b); got != want {
+				if want := an.EstimateLayers(ref(in, p.Regression().Predict(in)), b); got != want {
 					t.Errorf("%s b%d in%d: Estimate %d, reference %d", m.Name, b, in, got, want)
 				}
 			}

@@ -11,6 +11,7 @@ package ctl
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/serving"
@@ -109,10 +110,11 @@ func (p *Plane) snapshotLocked(at int64) Snapshot {
 	if n := len(p.estScratch); n > 0 {
 		s.TickWindow = n
 		// The scratch window is re-filled on the next snapshot, so its
-		// order is free to give away to the in-place sort.
-		s.TickP50MS = stats.PercentileInPlace(p.estScratch, 50)
-		s.TickP95MS = stats.PercentileInPlace(p.estScratch, 95)
-		s.TickP99MS = stats.PercentileInPlace(p.estScratch, 99)
+		// order is free to give away to one in-place sort.
+		sort.Float64s(p.estScratch)
+		s.TickP50MS = stats.PercentileSorted(p.estScratch, 50)
+		s.TickP95MS = stats.PercentileSorted(p.estScratch, 95)
+		s.TickP99MS = stats.PercentileSorted(p.estScratch, 99)
 	}
 	var stTiers []serving.TierStats
 	if st, err := p.realizedStats(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/dnn"
-	"repro/internal/seqlen"
 	"repro/internal/sparsity"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -83,24 +82,15 @@ func runFig9(s *Suite) ([]*Table, error) {
 		}
 		// Bucket the profiled input lengths the way the figure's
 		// x-axis does.
-		var inLens []int
-		seen := map[int]bool{}
-		for _, sample := range pred.Corpus.Samples {
-			if !seen[sample.InLen] {
-				seen[sample.InLen] = true
-				inLens = append(inLens, sample.InLen)
-			}
-		}
-		sort.Ints(inLens)
 		step := 5
 		if p.profile == "asr" {
 			step = 10
 		}
-		for _, in := range inLens {
+		for in := range pred.Corpus().InputLengths() {
 			if in%step != 0 {
 				continue
 			}
-			sum := pred.Corpus.SummaryFor(in)
+			sum := pred.Corpus().SummaryFor(in)
 			if sum.N == 0 {
 				continue
 			}
@@ -110,7 +100,7 @@ func runFig9(s *Suite) ([]*Table, error) {
 				fmt.Sprintf("%.0f", sum.P75),
 				fmt.Sprintf("%.0f", sum.Min),
 				fmt.Sprintf("%.0f", sum.Max),
-				fmt.Sprintf("%d", pred.Regression.Predict(in)))
+				fmt.Sprintf("%d", pred.Regression().Predict(in)))
 		}
 		tables = append(tables, t)
 	}
@@ -143,7 +133,7 @@ func runFig10(s *Suite) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			outLen = pred.Regression.Predict(inLen)
+			outLen = pred.Regression().Predict(inLen)
 		}
 		// Each body once: unrolled RNN steps repeat identical cells.
 		for _, r := range m.Runs(inLen, outLen) {
@@ -216,5 +206,3 @@ func correlation(xs, ys []float64) float64 {
 	}
 	return sxy / math.Sqrt(sxx*syy)
 }
-
-var _ = seqlen.DefaultCorpusSize

@@ -59,7 +59,7 @@ func runOverhead(s *Suite) ([]*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				outLen = pred.Regression.Predict(inLen)
+				outLen = pred.Regression().Predict(inLen)
 			}
 			prog, err := s.Gen.Compiler().Compile(m, b, inLen, outLen)
 			if err != nil {

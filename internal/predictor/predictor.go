@@ -109,7 +109,7 @@ func (a *Analytic) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		outLen = p.Regression.Predict(inLen)
+		outLen = p.Regression().Predict(inLen)
 	}
 	return a.EstimateWithOutLen(m, batch, inLen, outLen), nil
 }
@@ -199,7 +199,7 @@ func (p *Profile) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		outLen = lp.Regression.Predict(inLen)
+		outLen = lp.Regression().Predict(inLen)
 	}
 	var total int64
 	for _, r := range m.Runs(inLen, outLen) {
@@ -238,7 +238,7 @@ func (mp *MACProxy) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		outLen = lp.Regression.Predict(inLen)
+		outLen = lp.Regression().Predict(inLen)
 	}
 	macs := m.TotalMACs(batch, inLen, outLen)
 	perCycle := int64(mp.cfg.SW) * int64(mp.cfg.SH)

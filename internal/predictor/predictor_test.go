@@ -102,7 +102,7 @@ func TestEstimateRNNUsesRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	inLen := 30
-	predOut := p.Regression.Predict(inLen)
+	predOut := p.Regression().Predict(inLen)
 	est, err := an.Estimate(m, 1, inLen)
 	if err != nil {
 		t.Fatal(err)

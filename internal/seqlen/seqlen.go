@@ -12,13 +12,21 @@
 // indexed by input length returning the geometric mean of the profiled
 // output lengths — and actual task instances sample their true unrolled
 // length from the same profile, as in Section VI's evaluation methodology.
+//
+// Both are flat arrays of 16-bit lengths. A Corpus keeps its input
+// lengths in draw order and its output lengths bucketed by input length
+// (a counting sort over the profile's input range, each bucket in draw
+// order), so a draw indexes two slices and no map. A Regression is a
+// dense table over the profiled input range with the nearest-neighbour
+// fallback already filled in. A Library builds them once and is
+// read-only after NewLibrary: the experiment engine's workers share one.
 package seqlen
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand/v2"
-	"sort"
 
 	"repro/internal/stats"
 )
@@ -67,30 +75,67 @@ func Profiles() map[string]LanguagePair {
 	}
 }
 
-// Sample is one profiled (input length, output length) observation.
-type Sample struct {
-	InLen, OutLen int
-}
-
 // Corpus is a profiled characterization dataset for one application — the
 // synthetic stand-in for the paper's 1500 Google-Translate/LibriSpeech
-// test sentences.
+// test sentences. It is read-only once built.
 type Corpus struct {
-	Pair    LanguagePair
-	Samples []Sample
-	byIn    map[int][]int
+	pair LanguagePair
+	// ins holds every observation's input length, in draw order.
+	ins []uint16
+	// outs holds the observations' output lengths bucketed by input
+	// length, ascending, each bucket in draw order: the outputs drawn for
+	// input length in are outs[off[in-pair.MinIn]:off[in-pair.MinIn+1]].
+	outs []uint16
+	off  []int
 }
 
 // BuildCorpus draws n profiled observations from the pair's shape using
-// the given RNG.
-func BuildCorpus(pair LanguagePair, n int, rng *rand.Rand) *Corpus {
-	c := &Corpus{Pair: pair, byIn: make(map[int][]int)}
-	for i := 0; i < n; i++ {
-		in := pair.MinIn + rng.IntN(pair.MaxIn-pair.MinIn+1)
-		out := pair.sampleOut(in, rng)
-		c.Samples = append(c.Samples, Sample{InLen: in, OutLen: out})
-		c.byIn[in] = append(c.byIn[in], out)
+// the given RNG: per observation, an input length uniform over
+// [MinIn, MaxIn], then its output length. Lengths are stored in 16 bits,
+// so a pair whose input range or a drawn output leaves [0, 65535] is an
+// error.
+func BuildCorpus(pair LanguagePair, n int, rng *rand.Rand) (*Corpus, error) {
+	if pair.MinIn < 0 || pair.MaxIn < pair.MinIn || pair.MaxIn > math.MaxUint16 {
+		return nil, fmt.Errorf("seqlen: profile %q input lengths [%d,%d] outside [0,%d]",
+			pair.Name, pair.MinIn, pair.MaxIn, math.MaxUint16)
 	}
+	n = max(n, 0)
+	span := pair.MaxIn - pair.MinIn + 1
+	ins, outs := make([]uint16, n), make([]uint16, n)
+	for i := range ins {
+		in := pair.MinIn + rng.IntN(span)
+		out := pair.sampleOut(in, rng)
+		if out > math.MaxUint16 {
+			return nil, fmt.Errorf("seqlen: profile %q drew output length %d, beyond %d",
+				pair.Name, out, math.MaxUint16)
+		}
+		ins[i], outs[i] = uint16(in), uint16(out)
+	}
+	return bucket(pair, ins, outs), nil
+}
+
+// bucket builds a corpus from observations in draw order, each input
+// length within [pair.MinIn, pair.MaxIn]: it keeps ins and counting-sorts
+// the outputs into buckets by input length.
+func bucket(pair LanguagePair, ins, outs []uint16) *Corpus {
+	span := pair.MaxIn - pair.MinIn + 1
+	c := &Corpus{pair: pair, ins: ins, outs: make([]uint16, len(outs)), off: make([]int, span+1)}
+	for _, in := range ins {
+		c.off[int(in)-pair.MinIn+1]++
+	}
+	// off[k] becomes bucket k's start, then serves as its write cursor,
+	// which leaves it at bucket k+1's start; shifting the cursors up one
+	// slot restores the starts.
+	for k := 1; k <= span; k++ {
+		c.off[k] += c.off[k-1]
+	}
+	for i, in := range ins {
+		k := int(in) - pair.MinIn
+		c.outs[c.off[k]] = outs[i]
+		c.off[k]++
+	}
+	copy(c.off[1:], c.off[:span])
+	c.off[0] = 0
 	return c
 }
 
@@ -115,16 +160,42 @@ func (p LanguagePair) sampleOut(inLen int, rng *rand.Rand) int {
 	return o
 }
 
-// OutLengthsFor returns the profiled output lengths observed for one input
-// length (possibly empty).
+// outsFor returns the output lengths drawn for one input length (empty
+// when the input length was never drawn).
+func (c *Corpus) outsFor(inLen int) []uint16 {
+	k := inLen - c.pair.MinIn
+	if k < 0 || k+1 >= len(c.off) {
+		return nil
+	}
+	return c.outs[c.off[k]:c.off[k+1]]
+}
+
+// OutLengthsFor returns a copy of the profiled output lengths observed
+// for one input length, in draw order (empty if none was).
 func (c *Corpus) OutLengthsFor(inLen int) []int {
-	return c.byIn[inLen]
+	outs := c.outsFor(inLen)
+	xs := make([]int, len(outs))
+	for i, o := range outs {
+		xs[i] = int(o)
+	}
+	return xs
+}
+
+// InputLengths yields every input length the corpus observed, ascending.
+func (c *Corpus) InputLengths() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for k := 0; k+1 < len(c.off); k++ {
+			if c.off[k+1] > c.off[k] && !yield(c.pair.MinIn+k) {
+				return
+			}
+		}
+	}
 }
 
 // SummaryFor returns the boxplot summary of output lengths for one input
 // length — one x-position of Figure 9.
 func (c *Corpus) SummaryFor(inLen int) stats.Summary {
-	outs := c.byIn[inLen]
+	outs := c.outsFor(inLen)
 	xs := make([]float64, len(outs))
 	for i, o := range outs {
 		xs[i] = float64(o)
@@ -135,35 +206,70 @@ func (c *Corpus) SummaryFor(inLen int) stats.Summary {
 // Regression is the profile-driven lookup table of Section V-B: indexed by
 // input sequence length (statically known before inference begins) and
 // returning the geometric mean of the profiled unrolled lengths. Missing
-// input lengths fall back to the nearest profiled neighbor.
+// input lengths fall back to the nearest profiled neighbor, the shorter
+// one on a tie.
+//
+// The table is dense: table[k] answers input length lo+k, from the
+// shortest profiled input length to the longest, with every unprofiled
+// entry already holding its neighbor's answer. Inputs outside that range
+// read the nearer end. A linear profile needs no table.
 type Regression struct {
-	pair   LanguagePair
-	table  map[int]int
-	inLens []int // sorted profiled input lengths
+	linear bool
+	lo     int
+	table  []uint16
 }
 
-// BuildRegression fits the lookup table from a corpus.
+// BuildRegression fits the lookup table from a corpus. Each distinct
+// output length's logarithm is computed once, and each input length's
+// logarithms are summed in draw order, as stats.GeoMean sums them.
 func BuildRegression(c *Corpus) (*Regression, error) {
-	r := &Regression{pair: c.Pair, table: make(map[int]int)}
-	if c.Pair.Linear {
-		return r, nil
+	if c.pair.Linear {
+		return &Regression{linear: true}, nil
 	}
-	for in, outs := range c.byIn {
-		xs := make([]float64, len(outs))
-		for i, o := range outs {
-			xs[i] = float64(o)
+	first, last := -1, -1
+	for k := 0; k+1 < len(c.off); k++ {
+		if c.off[k+1] > c.off[k] {
+			if first < 0 {
+				first = k
+			}
+			last = k
 		}
-		gm, err := stats.GeoMean(xs)
-		if err != nil {
-			return nil, fmt.Errorf("seqlen: profile %q input %d: %w", c.Pair.Name, in, err)
+	}
+	if first < 0 {
+		return nil, fmt.Errorf("seqlen: empty corpus for profile %q", c.pair.Name)
+	}
+	var maxOut uint16
+	for _, o := range c.outs {
+		maxOut = max(maxOut, o)
+	}
+	logs := make([]float64, int(maxOut)+1) // logs[o] = ln(o), -1 until computed
+	for i := range logs {
+		logs[i] = -1
+	}
+	r := &Regression{lo: c.pair.MinIn + first, table: make([]uint16, last-first+1)}
+	prev := 0 // the last profiled table entry
+	for k := range r.table {
+		outs := c.outs[c.off[first+k]:c.off[first+k+1]]
+		if len(outs) == 0 {
+			continue
 		}
-		r.table[in] = int(math.Round(gm))
-		r.inLens = append(r.inLens, in)
+		logSum := 0.0
+		for _, o := range outs {
+			if logs[o] < 0 {
+				logs[o] = math.Log(float64(o))
+			}
+			logSum += logs[o]
+		}
+		r.table[k] = uint16(math.Round(math.Exp(logSum / float64(len(outs)))))
+		for j := prev + 1; j < k; j++ {
+			if j-prev <= k-j {
+				r.table[j] = r.table[prev]
+			} else {
+				r.table[j] = r.table[k]
+			}
+		}
+		prev = k
 	}
-	if len(r.inLens) == 0 {
-		return nil, fmt.Errorf("seqlen: empty corpus for profile %q", c.Pair.Name)
-	}
-	sort.Ints(r.inLens)
 	return r, nil
 }
 
@@ -172,39 +278,29 @@ func BuildRegression(c *Corpus) (*Regression, error) {
 // (Figure 8(b)); others consult the geomean lookup table, snapping to the
 // nearest profiled input length when the exact one was never observed.
 func (r *Regression) Predict(inLen int) int {
-	if r.pair.Linear {
+	if r.linear {
 		return inLen
 	}
-	if out, ok := r.table[inLen]; ok {
-		return out
-	}
-	// Nearest profiled neighbor.
-	i := sort.SearchInts(r.inLens, inLen)
-	switch {
-	case i == 0:
-		return r.table[r.inLens[0]]
-	case i >= len(r.inLens):
-		return r.table[r.inLens[len(r.inLens)-1]]
-	default:
-		lo, hi := r.inLens[i-1], r.inLens[i]
-		if inLen-lo <= hi-inLen {
-			return r.table[lo]
-		}
-		return r.table[hi]
-	}
+	return int(r.table[min(max(inLen-r.lo, 0), len(r.table)-1)])
 }
 
 // Predictor bundles a corpus and its regression for one profile.
 type Predictor struct {
-	Corpus     *Corpus
-	Regression *Regression
+	corpus     *Corpus
+	regression *Regression
 }
 
+// Corpus returns the profile's characterization corpus.
+func (p *Predictor) Corpus() *Corpus { return p.corpus }
+
+// Regression returns the profile's lookup-table regression.
+func (p *Predictor) Regression() *Regression { return p.regression }
+
 // Library holds the per-profile predictors the scheduler consults and the
-// samplers the workload generator uses.
+// samplers the workload generator uses. It is read-only after NewLibrary,
+// so any number of goroutines may share it.
 type Library struct {
 	predictors map[string]*Predictor
-	rng        *rand.Rand
 }
 
 // DefaultCorpusSize matches the paper's 1500 profiled sentences per
@@ -214,17 +310,17 @@ const DefaultCorpusSize = 1500
 // NewLibrary builds corpora and regressions for every built-in profile
 // with deterministic seeding.
 func NewLibrary(seed uint64) (*Library, error) {
-	lib := &Library{
-		predictors: make(map[string]*Predictor),
-		rng:        stats.NewRNG(seed, 0x5e925e9),
-	}
+	lib := &Library{predictors: make(map[string]*Predictor)}
 	for name, pair := range Profiles() {
-		corpus := BuildCorpus(pair, DefaultCorpusSize, stats.NewRNG(seed, hashName(name)))
+		corpus, err := BuildCorpus(pair, DefaultCorpusSize, stats.NewRNG(seed, hashName(name)))
+		if err != nil {
+			return nil, err
+		}
 		reg, err := BuildRegression(corpus)
 		if err != nil {
 			return nil, err
 		}
-		lib.predictors[name] = &Predictor{Corpus: corpus, Regression: reg}
+		lib.predictors[name] = &Predictor{corpus: corpus, regression: reg}
 	}
 	return lib, nil
 }
@@ -256,13 +352,13 @@ func (l *Library) SampleInstance(profile string, rng *rand.Rand) (inLen, actualO
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if len(p.Corpus.Samples) == 0 {
+	c := p.corpus
+	if len(c.ins) == 0 {
 		return 0, 0, 0, fmt.Errorf("seqlen: empty corpus for %q", profile)
 	}
-	s := p.Corpus.Samples[rng.IntN(len(p.Corpus.Samples))]
-	inLen = s.InLen
-	candidates := p.Corpus.OutLengthsFor(inLen)
-	actualOut = candidates[rng.IntN(len(candidates))]
-	predictedOut = p.Regression.Predict(inLen)
+	inLen = int(c.ins[rng.IntN(len(c.ins))])
+	candidates := c.outsFor(inLen)
+	actualOut = int(candidates[rng.IntN(len(candidates))])
+	predictedOut = p.regression.Predict(inLen)
 	return inLen, actualOut, predictedOut, nil
 }

@@ -1,6 +1,12 @@
 package seqlen
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -31,24 +37,36 @@ func TestProfilesCoverSuite(t *testing.T) {
 	}
 }
 
+// mustCorpus builds a corpus, failing the test on an error.
+func mustCorpus(t testing.TB, pair LanguagePair, n int, rng *rand.Rand) *Corpus {
+	t.Helper()
+	c, err := BuildCorpus(pair, n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCorpusShape(t *testing.T) {
 	rng := stats.NewRNG(1, 2)
 	pair := Profiles()["mt-de"]
-	c := BuildCorpus(pair, 1500, rng)
-	if len(c.Samples) != 1500 {
-		t.Fatalf("corpus size %d", len(c.Samples))
+	c := mustCorpus(t, pair, 1500, rng)
+	if len(c.ins) != 1500 || len(c.outs) != 1500 {
+		t.Fatalf("corpus size %d inputs, %d outputs", len(c.ins), len(c.outs))
 	}
-	for _, s := range c.Samples {
-		if s.InLen < pair.MinIn || s.InLen > pair.MaxIn {
-			t.Fatalf("input length %d outside profile bounds", s.InLen)
+	for _, in := range c.ins {
+		if int(in) < pair.MinIn || int(in) > pair.MaxIn {
+			t.Fatalf("input length %d outside profile bounds", in)
 		}
-		if s.OutLen < 1 {
+	}
+	for _, o := range c.outs {
+		if o < 1 {
 			t.Fatalf("non-positive output length")
 		}
 	}
 	// Interquartile range should be narrow relative to the median
 	// (Figure 9's central claim).
-	sum := c.SummaryFor(c.Samples[0].InLen)
+	sum := c.SummaryFor(int(c.ins[0]))
 	if sum.N > 10 && sum.IQR() > sum.Median*0.5 {
 		t.Errorf("IQR %0.f too wide vs median %.0f", sum.IQR(), sum.Median)
 	}
@@ -56,10 +74,12 @@ func TestCorpusShape(t *testing.T) {
 
 func TestLinearProfileSampling(t *testing.T) {
 	rng := stats.NewRNG(3, 4)
-	c := BuildCorpus(Profiles()["sa"], 200, rng)
-	for _, s := range c.Samples {
-		if s.OutLen != s.InLen {
-			t.Fatalf("linear profile produced out %d for in %d", s.OutLen, s.InLen)
+	c := mustCorpus(t, Profiles()["sa"], 200, rng)
+	for in := range c.InputLengths() {
+		for _, o := range c.OutLengthsFor(in) {
+			if o != in {
+				t.Fatalf("linear profile produced out %d for in %d", o, in)
+			}
 		}
 	}
 	r, err := BuildRegression(c)
@@ -75,7 +95,7 @@ func TestLinearProfileSampling(t *testing.T) {
 
 func TestRegressionGeomeanAndFallback(t *testing.T) {
 	pair := LanguagePair{Name: "x", Ratio: 2, Spread: 0, MinIn: 10, MaxIn: 10}
-	c := BuildCorpus(pair, 50, stats.NewRNG(5, 6))
+	c := mustCorpus(t, pair, 50, stats.NewRNG(5, 6))
 	r, err := BuildRegression(c)
 	if err != nil {
 		t.Fatal(err)
@@ -95,11 +115,7 @@ func TestRegressionGeomeanAndFallback(t *testing.T) {
 func TestRegressionNearestNeighborChoice(t *testing.T) {
 	// Hand-build a corpus with two input lengths, distinct outputs.
 	pair := LanguagePair{Name: "n", Ratio: 1, MinIn: 1, MaxIn: 100}
-	c := &Corpus{Pair: pair, byIn: map[int][]int{
-		10: {30, 30, 30},
-		20: {80, 80, 80},
-	}}
-	c.Samples = []Sample{{10, 30}, {20, 80}}
+	c := bucket(pair, []uint16{10, 20, 10, 20, 20, 10}, []uint16{30, 80, 30, 80, 80, 30})
 	r, err := BuildRegression(c)
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +126,14 @@ func TestRegressionNearestNeighborChoice(t *testing.T) {
 	if got := r.Predict(19); got != 80 {
 		t.Errorf("Predict(19) = %d, want 80 (closer to 20)", got)
 	}
+	if got := r.Predict(15); got != 30 {
+		t.Errorf("Predict(15) = %d, want 30 (a tie snaps to the shorter input)", got)
+	}
 }
 
 func TestBuildRegressionEmptyCorpus(t *testing.T) {
 	pair := LanguagePair{Name: "e", Ratio: 1, MinIn: 1, MaxIn: 5}
-	c := &Corpus{Pair: pair, byIn: map[int][]int{}}
+	c := mustCorpus(t, pair, 0, stats.NewRNG(1, 1))
 	if _, err := BuildRegression(c); err == nil {
 		t.Error("empty corpus should fail regression build")
 	}
@@ -141,7 +160,7 @@ func TestLibrary(t *testing.T) {
 		// The actual length must come from the profiled set for that
 		// input length (Section VI methodology).
 		found := false
-		for _, o := range p.Corpus.OutLengthsFor(in) {
+		for _, o := range p.Corpus().OutLengthsFor(in) {
 			if o == actual {
 				found = true
 			}
@@ -163,13 +182,9 @@ func TestLibraryDeterministicAcrossConstruction(t *testing.T) {
 	}
 	pa, _ := a.Predictor("mt-zh")
 	pb, _ := b.Predictor("mt-zh")
-	if len(pa.Corpus.Samples) != len(pb.Corpus.Samples) {
-		t.Fatal("corpora sizes differ")
-	}
-	for i := range pa.Corpus.Samples {
-		if pa.Corpus.Samples[i] != pb.Corpus.Samples[i] {
-			t.Fatal("same-seed libraries built different corpora")
-		}
+	ca, cb := pa.Corpus(), pb.Corpus()
+	if !slices.Equal(ca.ins, cb.ins) || !slices.Equal(ca.outs, cb.outs) || !slices.Equal(ca.off, cb.off) {
+		t.Fatal("same-seed libraries built different corpora")
 	}
 }
 
@@ -187,7 +202,7 @@ func TestPredictionWithinProfiledRangeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		outs := p.Corpus.OutLengthsFor(in)
+		outs := p.Corpus().OutLengthsFor(in)
 		lo, hi := outs[0], outs[0]
 		for _, o := range outs {
 			if o < lo {
@@ -201,5 +216,260 @@ func TestPredictionWithinProfiledRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The reference: BuildCorpus and BuildRegression as they were before the
+// corpus became flat arrays — a slice of samples plus a map of output
+// lists, and a map-backed table searched with sort.SearchInts. The flat
+// corpus must draw, bucket, summarize, predict and sample exactly as it.
+
+type refSample struct {
+	InLen, OutLen int
+}
+
+type refCorpus struct {
+	Pair    LanguagePair
+	Samples []refSample
+	byIn    map[int][]int
+}
+
+func buildCorpusRef(pair LanguagePair, n int, rng *rand.Rand) *refCorpus {
+	c := &refCorpus{Pair: pair, byIn: make(map[int][]int)}
+	for i := 0; i < n; i++ {
+		in := pair.MinIn + rng.IntN(pair.MaxIn-pair.MinIn+1)
+		out := pair.sampleOut(in, rng)
+		c.Samples = append(c.Samples, refSample{InLen: in, OutLen: out})
+		c.byIn[in] = append(c.byIn[in], out)
+	}
+	return c
+}
+
+func (c *refCorpus) SummaryFor(inLen int) stats.Summary {
+	outs := c.byIn[inLen]
+	xs := make([]float64, len(outs))
+	for i, o := range outs {
+		xs[i] = float64(o)
+	}
+	return stats.Summarize(xs)
+}
+
+type refRegression struct {
+	pair   LanguagePair
+	table  map[int]int
+	inLens []int
+}
+
+func buildRegressionRef(c *refCorpus) (*refRegression, error) {
+	r := &refRegression{pair: c.Pair, table: make(map[int]int)}
+	if c.Pair.Linear {
+		return r, nil
+	}
+	for in, outs := range c.byIn {
+		xs := make([]float64, len(outs))
+		for i, o := range outs {
+			xs[i] = float64(o)
+		}
+		gm, err := stats.GeoMean(xs)
+		if err != nil {
+			return nil, fmt.Errorf("seqlen: profile %q input %d: %w", c.Pair.Name, in, err)
+		}
+		r.table[in] = int(math.Round(gm))
+		r.inLens = append(r.inLens, in)
+	}
+	if len(r.inLens) == 0 {
+		return nil, fmt.Errorf("seqlen: empty corpus for profile %q", c.Pair.Name)
+	}
+	sort.Ints(r.inLens)
+	return r, nil
+}
+
+func (r *refRegression) Predict(inLen int) int {
+	if r.pair.Linear {
+		return inLen
+	}
+	if out, ok := r.table[inLen]; ok {
+		return out
+	}
+	i := sort.SearchInts(r.inLens, inLen)
+	switch {
+	case i == 0:
+		return r.table[r.inLens[0]]
+	case i >= len(r.inLens):
+		return r.table[r.inLens[len(r.inLens)-1]]
+	default:
+		lo, hi := r.inLens[i-1], r.inLens[i]
+		if inLen-lo <= hi-inLen {
+			return r.table[lo]
+		}
+		return r.table[hi]
+	}
+}
+
+// sampleInstanceRef is SampleInstance over the reference corpus.
+func sampleInstanceRef(c *refCorpus, r *refRegression, rng *rand.Rand) (inLen, actualOut, predictedOut int) {
+	s := c.Samples[rng.IntN(len(c.Samples))]
+	candidates := c.byIn[s.InLen]
+	return s.InLen, candidates[rng.IntN(len(candidates))], r.Predict(s.InLen)
+}
+
+// checkCorpusMatchesReference builds one corpus and its regression both
+// ways from the same seed and compares everything a caller can observe.
+func checkCorpusMatchesReference(t *testing.T, pair LanguagePair, n int, seed uint64) {
+	t.Helper()
+	c, err := BuildCorpus(pair, n, stats.NewRNG(seed, 1))
+	ref := buildCorpusRef(pair, n, stats.NewRNG(seed, 1))
+	if err != nil {
+		for _, s := range ref.Samples {
+			if s.OutLen > math.MaxUint16 {
+				return // outside the 16-bit corpus, reported as an error
+			}
+		}
+		t.Fatalf("%+v: BuildCorpus: %v", pair, err)
+	}
+	if len(c.ins) != len(ref.Samples) {
+		t.Fatalf("%+v: %d inputs, reference %d", pair, len(c.ins), len(ref.Samples))
+	}
+	for i, s := range ref.Samples {
+		if int(c.ins[i]) != s.InLen {
+			t.Fatalf("%+v: input %d is %d, reference %d", pair, i, c.ins[i], s.InLen)
+		}
+	}
+	var refIns []int
+	for in := range ref.byIn {
+		refIns = append(refIns, in)
+	}
+	sort.Ints(refIns)
+	if got := slices.Collect(c.InputLengths()); !slices.Equal(got, refIns) {
+		t.Fatalf("%+v: InputLengths %v, reference %v", pair, got, refIns)
+	}
+	for in := pair.MinIn - 10; in <= pair.MaxIn+10; in++ {
+		if got, want := c.OutLengthsFor(in), ref.byIn[in]; !slices.Equal(got, want) {
+			t.Fatalf("%+v: outputs for input %d are %v, reference %v", pair, in, got, want)
+		}
+		if got, want := c.SummaryFor(in), ref.SummaryFor(in); got != want {
+			t.Fatalf("%+v: SummaryFor(%d) = %+v, reference %+v", pair, in, got, want)
+		}
+	}
+	r, err := BuildRegression(c)
+	refR, refErr := buildRegressionRef(ref)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("%+v: BuildRegression error %v, reference %v", pair, err, refErr)
+	}
+	if err != nil {
+		return
+	}
+	for in := pair.MinIn - 10; in <= pair.MaxIn+10; in++ {
+		if got, want := r.Predict(in), refR.Predict(in); got != want {
+			t.Fatalf("%+v: Predict(%d) = %d, reference %d", pair, in, got, want)
+		}
+	}
+	lib := &Library{predictors: map[string]*Predictor{"p": {corpus: c, regression: r}}}
+	rng, refRNG := stats.NewRNG(seed, 2), stats.NewRNG(seed, 2)
+	if len(ref.Samples) == 0 {
+		if _, _, _, err := lib.SampleInstance("p", rng); err == nil {
+			t.Fatalf("%+v: SampleInstance drew from an empty corpus", pair)
+		}
+		return
+	}
+	for i := 0; i < 1000; i++ {
+		in, actual, predicted, err := lib.SampleInstance("p", rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIn, wantActual, wantPredicted := sampleInstanceRef(ref, refR, refRNG)
+		if in != wantIn || actual != wantActual || predicted != wantPredicted {
+			t.Fatalf("%+v: draw %d = (%d,%d,%d), reference (%d,%d,%d)",
+				pair, i, in, actual, predicted, wantIn, wantActual, wantPredicted)
+		}
+	}
+	if rng.Uint64() != refRNG.Uint64() {
+		t.Fatalf("%+v: SampleInstance consumed the RNG differently from the reference", pair)
+	}
+}
+
+// TestCorpusMatchesReference runs the reference check over every
+// built-in profile at the library's corpus size and seeds.
+func TestCorpusMatchesReference(t *testing.T) {
+	for name, pair := range Profiles() {
+		for _, seed := range []uint64{1, 2, 42, 0xA11CE} {
+			t.Run(fmt.Sprintf("%s/%d", name, seed), func(t *testing.T) {
+				checkCorpusMatchesReference(t, pair, DefaultCorpusSize, seed)
+			})
+		}
+	}
+}
+
+// FuzzCorpusMatchesReference varies the seed and the LanguagePair shape
+// — ratio, spread, outlier probability and scale, input bounds up to a
+// few hundred, and linearity — and checks the flat corpus against the
+// map-based reference.
+func FuzzCorpusMatchesReference(f *testing.F) {
+	for _, pair := range Profiles() {
+		f.Add(uint64(1), pair.Ratio, pair.Spread, pair.OutlierProb, pair.OutlierScale,
+			uint16(pair.MinIn), uint16(pair.MaxIn-pair.MinIn), pair.Linear, uint16(1500))
+	}
+	f.Add(uint64(7), 3.0, 0.4, 0.5, 3.0, uint16(0), uint16(299), false, uint16(40)) // sparse: gaps and ties
+	f.Add(uint64(9), 0.01, 0.0, 0.0, 1.0, uint16(290), uint16(0), false, uint16(3))
+	f.Add(uint64(11), 1.0, 0.0, 0.0, 1.0, uint16(142), uint16(87), true, uint16(0)) // empty
+	f.Fuzz(func(t *testing.T, seed uint64, ratio, spread, outlierProb, outlierScale float64,
+		minIn, span uint16, linear bool, n uint16) {
+		finite := func(x, lo, hi float64) float64 {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return lo
+			}
+			return lo + math.Mod(math.Abs(x), hi-lo)
+		}
+		pair := LanguagePair{
+			Name:         "fuzz",
+			Ratio:        finite(ratio, 0.01, 8),
+			Spread:       finite(spread, 0, 0.5),
+			OutlierProb:  finite(outlierProb, 0, 1),
+			OutlierScale: finite(outlierScale, 1, 4),
+			MinIn:        int(minIn % 300),
+			Linear:       linear,
+		}
+		pair.MaxIn = pair.MinIn + int(span%300)
+		checkCorpusMatchesReference(t, pair, int(n%3000), seed)
+	})
+}
+
+// TestBuildCorpusRejectsOutOfRange covers the 16-bit storage limits: an
+// empty or oversized input range, and an output too long to store.
+func TestBuildCorpusRejectsOutOfRange(t *testing.T) {
+	for _, pair := range []LanguagePair{
+		{Name: "inverted", Ratio: 1, MinIn: 10, MaxIn: 5},
+		{Name: "negative", Ratio: 1, MinIn: -1, MaxIn: 5},
+		{Name: "wide", Ratio: 1, MinIn: 1, MaxIn: math.MaxUint16 + 1},
+		{Name: "long", Ratio: 1e4, MinIn: 100, MaxIn: 100},
+	} {
+		if _, err := BuildCorpus(pair, 10, stats.NewRNG(1, 1)); err == nil {
+			t.Errorf("%s: BuildCorpus accepted %+v", pair.Name, pair)
+		}
+	}
+}
+
+// TestNewLibraryAllocs pins what one library build costs: five corpora,
+// their regressions and the predictor map in at most 128 KB and 150
+// heap objects.
+func TestNewLibraryAllocs(t *testing.T) {
+	build := func() {
+		if _, err := NewLibrary(42); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	objects := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("NewLibrary: %d B in %d objects", bytes, objects)
+	if bytes > 128<<10 || objects > 150 {
+		t.Errorf("NewLibrary allocates %d B in %d objects; want at most %d B and 150", bytes, objects, 128<<10)
 	}
 }

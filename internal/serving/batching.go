@@ -169,13 +169,14 @@ func groupRequests(requests []*workload.Task, windowCycles int64, maxBatch int,
 	return nil
 }
 
-// collectMembers builds the per-request (member) sample set of a
-// completed batched run: latency is measured from each original
+// collectMembers overwrites sm with the per-request (member) sample set
+// of a completed batched run: latency is measured from each original
 // request's arrival to its fused task's completion, and normalized
 // turnaround uses the request's batch-1 isolated time. Requests arriving
 // before cut are excluded from the measured samples.
-func (s *Server) collectMembers(res *sim.Result, members map[int][]memberRequest, cut int64) *sampleSet {
-	sm := &sampleSet{dispatched: len(res.Tasks), makespan: res.Cycles}
+func (s *Server) collectMembers(sm *sampleSet, res *sim.Result, members map[int][]memberRequest, cut int64) {
+	sm.reset()
+	sm.dispatched, sm.makespan = len(res.Tasks), res.Cycles
 	for _, task := range res.Tasks {
 		ms := members[task.ID]
 		sm.requests += len(ms)
@@ -196,10 +197,12 @@ func (s *Server) collectMembers(res *sim.Result, members map[int][]memberRequest
 			}
 		}
 	}
-	return sm
 }
 
 // memberStats derives per-request statistics from a batched run.
 func (s *Server) memberStats(res *sim.Result, members map[int][]memberRequest, cut int64) (BatchStats, error) {
-	return s.statsOf(s.collectMembers(res, members, cut))
+	var sm sampleSet
+	var sorted []float64
+	s.collectMembers(&sm, res, members, cut)
+	return s.statsOf(&sm, &sorted)
 }

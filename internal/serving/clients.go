@@ -189,7 +189,7 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64)
 		}
 	}
 	ss.simulations++
-	ss.samples = *ss.srv.collectTasks(res, ss.cut())
+	ss.srv.collectTasks(&ss.samples, res, ss.cut())
 	if ss.traced {
 		ss.retainCompletions(res.Tasks)
 	}

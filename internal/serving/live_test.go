@@ -10,6 +10,7 @@ package serving
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,6 +27,7 @@ import (
 // run.
 func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 	t.Helper()
+	var sm sampleSet
 	fresh := make([]*workload.Task, len(ss.reqs))
 	for i, r := range ss.reqs {
 		fresh[i] = materialize(i, r, r.Arrival, ss.factor(i))
@@ -39,7 +41,8 @@ func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ss.srv.collectMembers(res, members, ss.cut()), nil
+		ss.srv.collectMembers(&sm, res, members, ss.cut())
+		return &sm, nil
 	}
 	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, fresh)
 	if err != nil {
@@ -52,7 +55,18 @@ func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 		ss.retainCompletions(res.Tasks)
 		completions, ss.completions = ss.completions, kept
 	}
-	return ss.srv.collectTasks(res, ss.cut()), completions
+	ss.srv.collectTasks(&sm, res, ss.cut())
+	return &sm, completions
+}
+
+// sameSamples reports whether two sample sets hold the same material: a
+// kept buffer emptied by a later refresh is an empty slice where a fresh
+// collect leaves nil, so the slices compare element by element.
+func sameSamples(a, b *sampleSet) bool {
+	return a.requests == b.requests && a.dispatched == b.dispatched &&
+		slices.Equal(a.latencies, b.latencies) && slices.Equal(a.ntts, b.ntts) &&
+		a.violated == b.violated && a.makespan == b.makespan &&
+		a.cnnBatches == b.cnnBatches && a.cnnMembers == b.cnnMembers
 }
 
 // backendMemo is the state checkReplay swaps out and back in.
@@ -92,7 +106,7 @@ func checkReplay(t *testing.T, ns *NodeSession, label string) {
 			t.Fatalf("%s: NPU %d still dirty after Stats", label, i)
 		}
 		sm, completions := replay(t, b)
-		if !reflect.DeepEqual(b.samples, *sm) {
+		if !sameSamples(&b.samples, sm) {
 			t.Fatalf("%s: NPU %d samples diverge from the replay:\n live   %+v\n replay %+v", label, i, b.samples, *sm)
 		}
 		if !reflect.DeepEqual(b.completions, completions) {
@@ -398,8 +412,9 @@ func TestLiveRefreshIsIncremental(t *testing.T) {
 }
 
 // TestClosedSessionAnswersCounts pins what Close keeps: the stream's
-// templates, samples, completions and live simulator go, and the counts
-// Pending, Routed and Fleet answer as before.
+// templates, samples, completions, live simulator and the node's kept
+// statistics buffers go, and the counts Pending, Routed and Fleet answer
+// as before.
 func TestClosedSessionAnswersCounts(t *testing.T) {
 	s := newServer(t)
 	ns, err := s.OpenNode(NodeConfig{
@@ -427,9 +442,13 @@ func TestClosedSessionAnswersCounts(t *testing.T) {
 			pending, ns.Pending(), routed, ns.Routed(), fleet, ns.Fleet())
 	}
 	for i, b := range ns.backends {
-		if b.reqs != nil || b.live != nil || b.view != nil || b.completions != nil || b.samples.latencies != nil {
+		if b.reqs != nil || b.live != nil || b.view != nil || b.completions != nil ||
+			b.samples.latencies != nil || b.sorted != nil {
 			t.Errorf("closed NPU %d still pins its stream", i)
 		}
+	}
+	if ns.merged.latencies != nil || ns.merged.ntts != nil || ns.sorted != nil {
+		t.Error("closed node still pins its merged samples or sort buffer")
 	}
 }
 
@@ -451,7 +470,7 @@ func TestLiveSessionRebuildsOnEarlierArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm, _ := replay(t, sess)
-		if !reflect.DeepEqual(sess.samples, *sm) {
+		if !sameSamples(&sess.samples, sm) {
 			t.Fatalf("%s: samples diverge from the replay", label)
 		}
 		if sess.Rebuilds() != rebuilds || sess.Materialized() != materialized {

@@ -157,6 +157,15 @@ type NodeSession struct {
 	last       NodeStats
 	statsAt    int
 	statsValid bool
+	// merged and tierSets are the node-wide and per-tier sample sets
+	// Stats merges the backends' samples into, and sorted the scratch
+	// buffer statsOf sorts every backend's, the merged and each tier's
+	// latencies in. All three are overwritten by each Stats and kept
+	// between polls, so a poll allocates only for new requests; Close
+	// releases them.
+	merged   sampleSet
+	tierSets []sampleSet
+	sorted   []float64
 }
 
 // OpenNode validates the configuration and opens a node session with
@@ -208,6 +217,7 @@ func (s *Server) OpenNode(cfg NodeConfig) (*NodeSession, error) {
 	}
 	if len(cfg.Fleet) > 0 {
 		ns.tiers = append([]Tier(nil), cfg.Fleet...)
+		ns.tierSets = make([]sampleSet, len(cfg.Fleet))
 		ns.tierSpeed = tierSpeed
 		ns.tierWeights = make([]int, len(cfg.Fleet))
 		for t, tier := range cfg.Fleet {
@@ -668,10 +678,9 @@ func (ns *NodeSession) Stats() (NodeStats, error) {
 		return ns.last, nil
 	}
 	out := NodeStats{PerNPU: make([]BatchStats, len(ns.backends))}
-	var merged sampleSet
-	var tierSets []sampleSet
-	if ns.tiers != nil {
-		tierSets = make([]sampleSet, len(ns.tiers))
+	ns.merged.reset()
+	for t := range ns.tierSets {
+		ns.tierSets[t].reset()
 	}
 	for i, b := range ns.backends {
 		if b.Pending() == 0 {
@@ -680,13 +689,13 @@ func (ns *NodeSession) Stats() (NodeStats, error) {
 		if err := b.refresh(); err != nil {
 			return NodeStats{}, fmt.Errorf("serving: NPU %d: %w", i, err)
 		}
-		merged.merge(&b.samples)
-		if tierSets != nil {
-			tierSets[ns.tierOf[i]].merge(&b.samples)
+		ns.merged.merge(&b.samples)
+		if ns.tierSets != nil {
+			ns.tierSets[ns.tierOf[i]].merge(&b.samples)
 		}
 		// The backend memoizes its derived statistics; only refreshed
 		// NPUs re-derive them.
-		if st, err := b.Stats(); err == nil {
+		if st, err := b.stats(&ns.sorted); err == nil {
 			out.PerNPU[i] = st
 		} else {
 			// All of this NPU's requests fell inside the warm-up window:
@@ -695,16 +704,16 @@ func (ns *NodeSession) Stats() (NodeStats, error) {
 			out.PerNPU[i].Dispatched = b.samples.dispatched
 		}
 	}
-	agg, err := ns.srv.statsOf(&merged)
+	agg, err := ns.srv.statsOf(&ns.merged, &ns.sorted)
 	if err != nil {
 		return NodeStats{}, err
 	}
 	out.BatchStats = agg
 	if ns.scale != nil {
-		out.Scaling = ns.scalingStats(&merged)
+		out.Scaling = ns.scalingStats(&ns.merged)
 	}
-	if tierSets != nil {
-		out.Tiers = ns.tierStats(tierSets)
+	if ns.tierSets != nil {
+		out.Tiers = ns.tierStats()
 	}
 	ns.last = out
 	ns.statsAt = ns.submitted
@@ -728,11 +737,13 @@ func (ns *NodeSession) Drain() (NodeStats, error) {
 }
 
 // Close seals the node session and every backend, releasing the streams
-// they pinned; subsequent calls error, except the counts Pending, Routed
-// and Fleet keep answering. Close is idempotent.
+// they pinned and the node's sample and scratch buffers; subsequent calls
+// error, except the counts Pending, Routed and Fleet keep answering.
+// Close is idempotent.
 func (ns *NodeSession) Close() error {
 	ns.closed = true
 	ns.drained = true
+	ns.merged, ns.tierSets, ns.sorted = sampleSet{}, nil, nil
 	for _, b := range ns.backends {
 		if err := b.Close(); err != nil {
 			return err

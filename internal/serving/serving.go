@@ -218,6 +218,13 @@ func (s *Server) newSim(policy string, preemptive bool, selector string,
 // sample-by-sample (rather than pre-aggregated) so the node session can
 // merge per-NPU sets before deriving percentiles — a percentile of a
 // union is not derivable from per-NPU percentiles.
+//
+// A session's set and a node's merged and per-tier sets are kept across
+// polls: every refresh or merge overwrites them in place (reset, then
+// collect or merge), so a poll allocates only when the stream outgrew
+// their capacity. Session.Close and NodeSession.Close release them.
+// statsOf never writes to a set; it sorts a copy of the latencies in
+// the caller's scratch buffer.
 type sampleSet struct {
 	// requests were admitted and completed (members, on batched runs);
 	// dispatched counts NPU tasks after coalescing.
@@ -233,38 +240,41 @@ type sampleSet struct {
 	cnnBatches, cnnMembers int
 }
 
-// merge folds other sample sets into one node-level set. Latency samples
-// concatenate in argument order (percentiles sort internally, so order
-// only pins determinism); the node's makespan is the slowest NPU's.
-func (m *sampleSet) merge(parts ...*sampleSet) {
-	for _, p := range parts {
-		m.requests += p.requests
-		m.dispatched += p.dispatched
-		m.latencies = append(m.latencies, p.latencies...)
-		m.ntts = append(m.ntts, p.ntts...)
-		m.violated += p.violated
-		if p.makespan > m.makespan {
-			m.makespan = p.makespan
-		}
-		m.cnnBatches += p.cnnBatches
-		m.cnnMembers += p.cnnMembers
-	}
+// reset empties the set for a fresh collect or merge, keeping the
+// latency and NTT buffers' capacity.
+func (m *sampleSet) reset() {
+	*m = sampleSet{latencies: m.latencies[:0], ntts: m.ntts[:0]}
 }
 
-// collectTasks builds the sample set of an unbatched run: one request
-// per completed task, excluding arrivals before cut.
-func (s *Server) collectTasks(res *sim.Result, cut int64) *sampleSet {
-	return s.collect(res.Tasks, res.Cycles, cut)
+// merge folds another sample set into a node-level set. Latency samples
+// concatenate in call order (percentiles read a sorted copy, so order
+// only pins the slice-order means); the node's makespan is the slowest
+// NPU's.
+func (m *sampleSet) merge(p *sampleSet) {
+	m.requests += p.requests
+	m.dispatched += p.dispatched
+	m.latencies = append(m.latencies, p.latencies...)
+	m.ntts = append(m.ntts, p.ntts...)
+	m.violated += p.violated
+	if p.makespan > m.makespan {
+		m.makespan = p.makespan
+	}
+	m.cnnBatches += p.cnnBatches
+	m.cnnMembers += p.cnnMembers
 }
 
-// collect builds an unbatched sample set from completed tasks in request
-// order and the run's makespan, excluding arrivals before cut.
-func (s *Server) collect(tasks []*sched.Task, makespan, cut int64) *sampleSet {
-	sm := &sampleSet{
-		requests:   len(tasks),
-		dispatched: len(tasks),
-		makespan:   makespan,
-	}
+// collectTasks overwrites sm with the samples of an unbatched run: one
+// request per completed task, excluding arrivals before cut.
+func (s *Server) collectTasks(sm *sampleSet, res *sim.Result, cut int64) {
+	s.collect(sm, res.Tasks, res.Cycles, cut)
+}
+
+// collect overwrites sm with an unbatched sample set from completed
+// tasks in request order and the run's makespan, excluding arrivals
+// before cut.
+func (s *Server) collect(sm *sampleSet, tasks []*sched.Task, makespan, cut int64) {
+	sm.reset()
+	sm.requests, sm.dispatched, sm.makespan = len(tasks), len(tasks), makespan
 	for _, t := range tasks {
 		if t.Arrival < cut {
 			continue
@@ -275,7 +285,6 @@ func (s *Server) collect(tasks []*sched.Task, makespan, cut int64) *sampleSet {
 			sm.violated++
 		}
 	}
-	return sm
 }
 
 // guardPercentile makes the small-sample degradation uniform: any
@@ -292,17 +301,23 @@ func guardPercentile(p, fallback float64) float64 {
 
 // statsOf derives the steady-state statistics from a sample set. It is
 // the single aggregation point shared by the batch entry points, the
-// session memo, and the node session's per-NPU and merged views.
-func (s *Server) statsOf(sm *sampleSet) (BatchStats, error) {
+// session memo, and the node session's per-NPU and merged views. The
+// means sum the set in slice order; the percentiles all read one sorted
+// copy of its latencies, made in *sorted — a scratch buffer the caller
+// keeps (a session's own, or its node's for every backend, the merged
+// set and the tiers) — so a poll sorts each set once and allocates
+// nothing once the buffer has grown.
+func (s *Server) statsOf(sm *sampleSet, sorted *[]float64) (BatchStats, error) {
 	out := BatchStats{Stats: Stats{Requests: sm.requests}, Dispatched: sm.dispatched}
 	out.Measured = len(sm.latencies)
 	if out.Measured == 0 {
 		return BatchStats{}, fmt.Errorf("serving: no requests survive the warm-up window")
 	}
 	out.MeanLatencyMS = stats.Mean(sm.latencies)
-	out.P50LatencyMS = guardPercentile(stats.Percentile(sm.latencies, 50), out.MeanLatencyMS)
-	out.P95LatencyMS = guardPercentile(stats.Percentile(sm.latencies, 95), out.P50LatencyMS)
-	out.P99LatencyMS = guardPercentile(stats.Percentile(sm.latencies, 99), out.P95LatencyMS)
+	*sorted = stats.SortedCopy(*sorted, sm.latencies)
+	out.P50LatencyMS = guardPercentile(stats.PercentileSorted(*sorted, 50), out.MeanLatencyMS)
+	out.P95LatencyMS = guardPercentile(stats.PercentileSorted(*sorted, 95), out.P50LatencyMS)
+	out.P99LatencyMS = guardPercentile(stats.PercentileSorted(*sorted, 99), out.P95LatencyMS)
 	out.MeanNTT = stats.Mean(sm.ntts)
 	out.SLAViolations4x = float64(sm.violated) / float64(out.Measured)
 	if sec := s.cfg.Seconds(sm.makespan); sec > 0 {
@@ -319,7 +334,10 @@ func (s *Server) statsOf(sm *sampleSet) (BatchStats, error) {
 // steadyStats computes the steady-state statistics of a completed run,
 // excluding requests that arrived before cut.
 func (s *Server) steadyStats(res *sim.Result, cut int64) (Stats, error) {
-	st, err := s.statsOf(s.collectTasks(res, cut))
+	var sm sampleSet
+	var sorted []float64
+	s.collectTasks(&sm, res, cut)
+	st, err := s.statsOf(&sm, &sorted)
 	if err != nil {
 		return Stats{}, err
 	}

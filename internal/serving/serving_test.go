@@ -137,7 +137,7 @@ func TestStatsSmallSamplePath(t *testing.T) {
 	// One measured sample: every percentile equals it.
 	one := sampleSet{requests: 3, dispatched: 3, latencies: []float64{7.5},
 		ntts: []float64{2.0}, makespan: 1 << 20}
-	st, err := s.statsOf(&one)
+	st, err := s.statsOf(&one, new([]float64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestStatsSmallSamplePath(t *testing.T) {
 	}
 
 	// No measured samples: an error, never NaN-laden statistics.
-	if _, err := s.statsOf(&sampleSet{requests: 2, dispatched: 2}); err == nil {
+	if _, err := s.statsOf(&sampleSet{requests: 2, dispatched: 2}, new([]float64)); err == nil {
 		t.Error("empty measured set should error")
 	}
 
@@ -226,7 +226,7 @@ func TestStatsOfLeavesSamplesIntact(t *testing.T) {
 	}
 	want := append([]float64(nil), sm.latencies...)
 	wantNTT := append([]float64(nil), sm.ntts...)
-	if _, err := s.statsOf(&sm); err != nil {
+	if _, err := s.statsOf(&sm, new([]float64)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {

@@ -73,13 +73,17 @@ type Session struct {
 	dirty   bool
 	drained bool
 	closed  bool
-	// samples memoizes the raw measured material of the last refresh;
-	// last memoizes the statistics derived from it. The node session
-	// merges backends' samples before deriving aggregate statistics, so
-	// both layers are kept.
+	// samples memoizes the raw measured material of the last refresh,
+	// collected into the same buffers every time; last memoizes the
+	// statistics derived from it. The node session merges backends'
+	// samples before deriving aggregate statistics, so both layers are
+	// kept. sorted is the scratch buffer a standalone session's Stats
+	// sorts latencies in; a node backend sorts in its node's instead.
+	// Close releases all three.
 	samples    sampleSet
 	last       BatchStats
 	statsValid bool
+	sorted     []float64
 	// simulations counts how many refreshes ran the simulator (the
 	// incremental-stats memoization instrumentation).
 	simulations int
@@ -211,11 +215,17 @@ func (ss *Session) Stats() (BatchStats, error) {
 	if ss.closed {
 		return BatchStats{}, fmt.Errorf("serving: session closed")
 	}
+	return ss.stats(&ss.sorted)
+}
+
+// stats is Stats sorting latencies in the caller's scratch buffer (see
+// statsOf): the session's own, or its node's.
+func (ss *Session) stats(sorted *[]float64) (BatchStats, error) {
 	if err := ss.refresh(); err != nil {
 		return BatchStats{}, err
 	}
 	if !ss.statsValid {
-		out, err := ss.srv.statsOf(&ss.samples)
+		out, err := ss.srv.statsOf(&ss.samples, sorted)
 		if err != nil {
 			return BatchStats{}, err
 		}
@@ -234,11 +244,9 @@ func (ss *Session) refresh() error {
 	if !ss.dirty {
 		return nil
 	}
-	sm, err := ss.compute()
-	if err != nil {
+	if err := ss.compute(); err != nil {
 		return err
 	}
-	ss.samples = *sm
 	ss.dirty = false
 	ss.statsValid = false
 	return nil
@@ -270,7 +278,7 @@ func (ss *Session) Close() error {
 	ss.closed = true
 	ss.drain()
 	ss.reqs, ss.factors, ss.completions = nil, nil, nil
-	ss.samples, ss.last, ss.statsValid = sampleSet{}, BatchStats{}, false
+	ss.samples, ss.last, ss.statsValid, ss.sorted = sampleSet{}, BatchStats{}, false, nil
 	return nil
 }
 
@@ -323,10 +331,11 @@ func materialize(id int, t *workload.Task, at int64, factor float64) *workload.T
 	}
 }
 
-// compute simulates the stream and collects its raw measured samples:
-// unbatched sessions on the live simulator (advanceLive), batched ones
-// by re-simulating the whole coalesced stream from cycle 0.
-func (ss *Session) compute() (*sampleSet, error) {
+// compute simulates the stream and collects its raw measured samples
+// into ss.samples: unbatched sessions on the live simulator
+// (advanceLive), batched ones by re-simulating the whole coalesced
+// stream from cycle 0.
+func (ss *Session) compute() error {
 	ss.simulations++
 	if ss.cfg.Window <= 0 {
 		return ss.advanceLive()
@@ -337,21 +346,23 @@ func (ss *Session) compute() (*sampleSet, error) {
 	}
 	tasks, members, err := ss.coalesce(fresh)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, tasks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return ss.srv.collectMembers(res, members, ss.cut()), nil
+	ss.srv.collectMembers(&ss.samples, res, members, ss.cut())
+	return nil
 }
 
 // advanceLive admits the requests submitted since the last refresh into
 // the live simulator — rebuilding it from cycle 0 first when it is gone
 // or one of them arrives before its bound — advances it to the latest
 // arrival, and collects the samples of the whole stream in submission
-// order: finished live entries as they are, the rest as projected.
-func (ss *Session) advanceLive() (*sampleSet, error) {
+// order into ss.samples: finished live entries as they are, the rest as
+// projected.
+func (ss *Session) advanceLive() error {
 	if ss.live != nil {
 		for _, t := range ss.reqs[ss.admitted:] {
 			if t.Arrival < ss.bound {
@@ -364,27 +375,28 @@ func (ss *Session) advanceLive() (*sampleSet, error) {
 		live, err := ss.srv.newSim(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector,
 			ss.entries(0), nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ss.live = live
 		ss.rebuilds++
 	} else if err := ss.live.Admit(ss.entries(ss.admitted)...); err != nil {
-		return nil, err
+		return err
 	}
 	ss.admitted = len(ss.reqs)
 	ss.bound = ss.latestArrival()
 	if err := ss.live.AdvanceTo(ss.bound); err != nil {
-		return nil, err
+		return err
 	}
 	ss.view = append(ss.view[:0], ss.live.Tasks()...)
 	makespan, err := ss.live.Project(func(t *sched.Task, _ int64) { ss.view[t.ID] = t })
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ss.traced {
 		ss.retainCompletions(ss.view)
 	}
-	return ss.srv.collect(ss.view, makespan, ss.cut()), nil
+	ss.srv.collect(&ss.samples, ss.view, makespan, ss.cut())
+	return nil
 }
 
 // entries materializes fresh scheduler entries for reqs[from:].

@@ -257,8 +257,9 @@ type TierStats struct {
 }
 
 // tierStats derives the per-tier breakdown from the tier-partitioned
-// sample sets Stats merged.
-func (ns *NodeSession) tierStats(sets []sampleSet) []TierStats {
+// sample sets Stats merged (ns.tierSets), sorting each tier's latencies
+// once in the node's scratch buffer.
+func (ns *NodeSession) tierStats() []TierStats {
 	out := make([]TierStats, len(ns.tiers))
 	for t := range ns.tiers {
 		ts := TierStats{Tier: ns.tiers[t].Name}
@@ -267,13 +268,14 @@ func (ns *NodeSession) tierStats(sets []sampleSet) []TierStats {
 				ts.NPUs++
 			}
 		}
-		sm := &sets[t]
+		sm := &ns.tierSets[t]
 		ts.Requests = sm.requests
 		ts.Measured = len(sm.latencies)
 		if ts.Measured > 0 {
 			ts.MeanLatencyMS = stats.Mean(sm.latencies)
-			ts.P50LatencyMS = guardPercentile(stats.Percentile(sm.latencies, 50), ts.MeanLatencyMS)
-			ts.P95LatencyMS = guardPercentile(stats.Percentile(sm.latencies, 95), ts.P50LatencyMS)
+			ns.sorted = stats.SortedCopy(ns.sorted, sm.latencies)
+			ts.P50LatencyMS = guardPercentile(stats.PercentileSorted(ns.sorted, 50), ts.MeanLatencyMS)
+			ts.P95LatencyMS = guardPercentile(stats.PercentileSorted(ns.sorted, 95), ts.P50LatencyMS)
 			if ns.scale != nil {
 				violated := 0
 				for _, l := range sm.latencies {

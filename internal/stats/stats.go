@@ -99,7 +99,15 @@ func Percentile(xs []float64, p float64) float64 {
 // not matter (the autoscaler's per-tick latency window, cleared right
 // after the read), this turns a per-call allocation into none.
 func PercentileInPlace(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
+	sort.Float64s(xs)
+	return PercentileSorted(xs, p)
+}
+
+// PercentileSorted is Percentile over an input already sorted ascending
+// (sort.Float64s order): it neither copies nor sorts, so a caller that
+// reads several percentiles of one sample sorts it once (see SortedCopy).
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
 		return math.NaN()
 	}
 	if p < 0 {
@@ -108,18 +116,28 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sort.Float64s(xs)
-	if len(xs) == 1 {
-		return xs[0]
+	if len(sorted) == 1 {
+		return sorted[0]
 	}
-	rank := p / 100 * float64(len(xs)-1)
+	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return xs[lo]
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// SortedCopy copies xs over dst's backing array (growing it only when
+// xs is longer than its capacity), sorts the copy ascending and returns
+// it: the one sort PercentileSorted reads any number of percentiles
+// from. xs is left as it was; pass a kept dst to sort without
+// allocating.
+func SortedCopy(dst, xs []float64) []float64 {
+	dst = append(dst[:0], xs...)
+	sort.Float64s(dst)
+	return dst
 }
 
 // Summary captures the five-number summary of a sample plus mean and count.
@@ -135,18 +153,20 @@ type Summary struct {
 }
 
 // Summarize computes a Summary for xs. An empty sample yields a zero
-// Summary with N == 0.
+// Summary with N == 0. It sorts one copy of xs and reads the three
+// quartiles from it; the mean sums xs in slice order.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
+	sorted := SortedCopy(nil, xs)
 	return Summary{
 		N:      len(xs),
 		Mean:   Mean(xs),
 		Min:    Min(xs),
-		P25:    Percentile(xs, 25),
-		Median: Percentile(xs, 50),
-		P75:    Percentile(xs, 75),
+		P25:    PercentileSorted(sorted, 25),
+		Median: PercentileSorted(sorted, 50),
+		P75:    PercentileSorted(sorted, 75),
 		Max:    Max(xs),
 	}
 }

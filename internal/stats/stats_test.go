@@ -218,3 +218,75 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// summarizeRef is Summarize as it was before it sorted once: each
+// quartile copies and sorts the whole sample through Percentile.
+func summarizeRef(xs []float64) Summary {
+	if len(xs) == 0 {
+		return Summary{}
+	}
+	return Summary{
+		N:      len(xs),
+		Mean:   Mean(xs),
+		Min:    Min(xs),
+		P25:    Percentile(xs, 25),
+		Median: Percentile(xs, 50),
+		P75:    Percentile(xs, 75),
+		Max:    Max(xs),
+	}
+}
+
+// TestSummarizeMatchesPercentileForm pins the sort-once Summarize to the
+// three-Percentile form bit for bit, on random samples of random sizes
+// (a single sample and heavy duplication included), and checks that it
+// leaves its input in place.
+func TestSummarizeMatchesPercentileForm(t *testing.T) {
+	rng := NewRNG(20, 1)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.IntN(200)
+		xs := make([]float64, n)
+		distinct := 1 + rng.IntN(n)
+		for i := range xs {
+			xs[i] = float64(rng.IntN(distinct)) * rng.Float64() * 1e3
+			if trial%3 == 0 {
+				xs[i] = math.Round(xs[i] / 100) // many duplicates
+			}
+		}
+		orig := append([]float64(nil), xs...)
+		got, want := Summarize(xs), summarizeRef(xs)
+		if got != want {
+			t.Fatalf("trial %d (n=%d): Summarize %+v, three-Percentile form %+v", trial, n, got, want)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: Summarize reordered its input", trial)
+			}
+		}
+	}
+}
+
+// TestPercentileSortedMatchesPercentile reads every percentile of one
+// SortedCopy and checks it against Percentile's copy-and-sort, and that
+// a kept buffer large enough is reused rather than reallocated.
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	rng := NewRNG(20, 2)
+	buf := make([]float64, 0, 64)
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 1+rng.IntN(64))
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+		}
+		sorted := SortedCopy(buf, xs)
+		if &sorted[0] != &buf[:1][0] {
+			t.Fatal("SortedCopy reallocated a buffer with room for the sample")
+		}
+		for p := -10.0; p <= 110; p += 2.5 {
+			if got, want := PercentileSorted(sorted, p), Percentile(xs, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d p=%v: PercentileSorted %v, Percentile %v", trial, p, got, want)
+			}
+		}
+	}
+	if !math.IsNaN(PercentileSorted(nil, 50)) {
+		t.Error("PercentileSorted of an empty slice should be NaN")
+	}
+}

@@ -45,7 +45,7 @@ func (s *System) PredictOutputLen(m *Model, inLen int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.Regression.Predict(inLen), nil
+	return p.Regression().Predict(inLen), nil
 }
 
 // Disassemble writes the ISA-level listing of a compiled program.

@@ -25,15 +25,23 @@ go test ./...
 (cd bench && go vet ./... && go test -short ./...)
 
 # Domain invariants (determinism, facade boundary, write-once
-# registries, must-check errors, no-copy state): the repo must lint
-# clean, and the tripwire itself must still trip — a premalint that
-# stops flagging the seeded-violation fixture is a silent CI hole.
+# registries, must-check errors, no-copy state, no test-only exports):
+# the repo must lint clean, and each analyzer seeded in the
+# seeded-violation fixture must still trip on its own — a premalint
+# analyzer that stops flagging it is a silent CI hole, even while
+# another one keeps the whole run failing. The binary is built once so
+# the exit status (1 = findings, 2 = usage or load error) survives.
 echo "premalint"
-go run ./cmd/premalint ./...
-if go run ./cmd/premalint ./internal/lint/testdata/broken >/dev/null 2>&1; then
-	echo "premalint: seeded-violation fixture passed the lint — tripwire is broken" >&2
-	exit 1
-fi
+go build -o "$tmpdir/premalint" ./cmd/premalint
+"$tmpdir/premalint" ./...
+for analyzer in determinism expgolden floatorder testonly; do
+	status=0
+	"$tmpdir/premalint" -only "$analyzer" ./internal/lint/testdata/broken >/dev/null 2>&1 || status=$?
+	if [ "$status" -ne 1 ]; then
+		echo "premalint: -only $analyzer exited $status on the seeded-violation fixture, want 1 — its tripwire is broken" >&2
+		exit 1
+	fi
+done
 
 # The streaming node-session paths (per-NPU session backends, the
 # shared router, closed-loop injection, autoscaling) are

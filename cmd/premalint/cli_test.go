@@ -13,7 +13,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exit = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"determinism", "errdrop", "facadeimport", "registryonce", "statecopy", "timerinsim"} {
+	for _, name := range []string{"determinism", "errdrop", "facadeimport", "registryonce", "statecopy", "testonly", "timerinsim"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}
@@ -34,9 +34,8 @@ func TestSeededViolation(t *testing.T) {
 	}
 }
 
-// TestOnlyFilter checks -only restricts the run: the broken fixture's
-// only violation is a determinism one, so an errdrop-only run is
-// clean.
+// TestOnlyFilter checks -only restricts the run: the broken fixture
+// seeds no errdrop violation, so an errdrop-only run is clean.
 func TestOnlyFilter(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-only", "errdrop", "../../internal/lint/testdata/broken"}, &out, &errb); code != 0 {

@@ -2,8 +2,8 @@
 // repro/internal/lint) over Go packages and exits non-zero on any
 // unsuppressed finding. It is the CI tripwire for the conventions the
 // reproduction's guarantees rest on: replay determinism, facade-only
-// consumers, init-time registries, must-check errors, and no-copy
-// state structs.
+// consumers, init-time registries, must-check errors, no-copy state
+// structs, and no internal/ exports that only tests use.
 //
 // Usage:
 //

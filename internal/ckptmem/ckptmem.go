@@ -90,23 +90,6 @@ func (m *Manager) Clone() *Manager {
 	return c
 }
 
-// NPUResidentBytes returns the bytes currently held in NPU memory.
-func (m *Manager) NPUResidentBytes() int64 { return m.used }
-
-// Contexts returns the number of tracked checkpointed contexts.
-func (m *Manager) Contexts() int { return len(m.ctxs) }
-
-// SpilledContexts returns how many tracked contexts live in host memory.
-func (m *Manager) SpilledContexts() int {
-	n := 0
-	for _, c := range m.ctxs {
-		if c.spilled {
-			n++
-		}
-	}
-	return n
-}
-
 // hostTransferCycles is the cost of moving bytes across the host link.
 func (m *Manager) hostTransferCycles(bytes int64) int64 {
 	if bytes <= 0 {
@@ -186,15 +169,4 @@ func (m *Manager) Restore(task int) (extraCycles int64, err error) {
 	}
 	m.used -= c.bytes
 	return 0, nil
-}
-
-// Drop discards a task's context without restoring it (task killed or
-// completed without resuming).
-func (m *Manager) Drop(task int) {
-	if c, ok := m.ctxs[task]; ok {
-		if !c.spilled {
-			m.used -= c.bytes
-		}
-		delete(m.ctxs, task)
-	}
 }

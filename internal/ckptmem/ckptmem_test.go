@@ -123,20 +123,9 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	m := mustNew(t, small())
-	if _, err := m.Save(1, 40, 0); err != nil {
-		t.Fatal(err)
-	}
-	m.Drop(1)
-	if m.NPUResidentBytes() != 0 || m.Contexts() != 0 {
-		t.Error("drop did not release")
-	}
-	m.Drop(42) // idempotent for unknown tasks
-}
-
 // Property: resident bytes never exceed the pool and never go negative,
-// under arbitrary interleavings of save/restore/drop.
+// under arbitrary interleavings of saves and oldest- or newest-first
+// restores.
 func TestAccountingInvariantProperty(t *testing.T) {
 	f := func(ops []uint8, sizes []uint16) bool {
 		m, err := New(small())
@@ -171,7 +160,9 @@ func TestAccountingInvariantProperty(t *testing.T) {
 				if len(live) > 0 {
 					id := live[len(live)-1]
 					live = live[:len(live)-1]
-					m.Drop(id)
+					if _, err := m.Restore(id); err != nil {
+						return false
+					}
 				}
 			}
 			if m.NPUResidentBytes() < 0 || m.NPUResidentBytes() > 100 {

@@ -180,9 +180,9 @@ func TestAddNPUAfterFailureIsFresh(t *testing.T) {
 	if _, err := st.Fail(0, 60); err != nil {
 		t.Fatal(err)
 	}
-	fresh := st.AddNPU()
+	fresh := st.AddNPUWithSpeed(1)
 	if fresh != 2 {
-		t.Fatalf("AddNPU appended index %d, want 2 (failed slots are never reused)", fresh)
+		t.Fatalf("AddNPUWithSpeed appended index %d, want 2 (failed slots are never reused)", fresh)
 	}
 	if st.FreeAt(fresh) != 0 || st.InFlight(fresh, 1<<40) != 0 {
 		t.Errorf("fresh backend carries state: freeAt=%d", st.FreeAt(fresh))

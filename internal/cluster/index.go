@@ -23,7 +23,7 @@ package cluster
 //     backlog scan.
 //
 // Both indexes are maintained incrementally through Commit / Fail /
-// Cordon / Uncordon / Retire / AddNPU. Decisions must be made in
+// Cordon / Uncordon / Retire / AddNPUWithSpeed. Decisions must be made in
 // nondecreasing arrival order (the same contract the fluid horizons
 // already impose), which is what lets the drain-event heap and the
 // busy-to-idle migration settle monotonically.
@@ -599,7 +599,7 @@ func (s *State) indexUncordon(i int) {
 	}
 }
 
-// indexAdd registers a fresh slot (AddNPU) with both indexes.
+// indexAdd registers a fresh slot (AddNPUWithSpeed) with both indexes.
 func (s *State) indexAdd(i int, speed float64) {
 	if s.qidx != nil {
 		s.qidx.count = append(s.qidx.count, 0)

@@ -5,7 +5,7 @@ package cluster
 // here as references — the same pruned-vs-naive pattern router_test.go
 // uses for the fluid horizons. The churn test drives both through
 // random chaos events and autoscale-style add/retire sequences; the
-// edge-case tests pin the index maintenance paths (fail-then-AddNPU
+// edge-case tests pin the index maintenance paths (fail-then-AddNPUWithSpeed
 // slot freshness, cordon/uncordon re-insertion ordering, retire while a
 // backend sits at a heap head).
 
@@ -80,7 +80,7 @@ func scanRouterFor(p RoutingPolicy) func(*workload.Task, *State) int {
 // TestIndexedRoutersMatchScanUnderChurn drives the indexed router and
 // the retained linear scan over one shared state through a long stream
 // interleaved with chaos events (fail with reclaim re-routing, cordon,
-// uncordon) and autoscale churn (AddNPU, retire), on homogeneous and
+// uncordon) and autoscale churn (AddNPUWithSpeed, retire), on homogeneous and
 // tiered fleets, and requires every single decision to match.
 func TestIndexedRoutersMatchScanUnderChurn(t *testing.T) {
 	cases := []struct {
@@ -175,7 +175,7 @@ func churnIdentity(t *testing.T, policy RoutingPolicy, speeds []float64, seed ui
 
 // TestIndexFailThenAddNPUSlotFreshness pins the epoch guard: drain
 // events queued against a failed slot's old life must never corrupt the
-// counters, and a fresh AddNPU slot starts empty and immediately wins.
+// counters, and a fresh AddNPUWithSpeed slot starts empty and immediately wins.
 func TestIndexFailThenAddNPUSlotFreshness(t *testing.T) {
 	st := NewState(3)
 	r, err := NewRouter(LeastQueued)
@@ -206,10 +206,10 @@ func TestIndexFailThenAddNPUSlotFreshness(t *testing.T) {
 		}
 		st.Commit(target, task)
 	}
-	fresh := st.AddNPU()
+	fresh := st.AddNPUWithSpeed(1)
 	task := stateTask(100, 0, 1_000_000)
 	if got := r.Decide(task, st); got != fresh {
-		t.Fatalf("after AddNPU the empty fresh slot should win, got %d want %d", got, fresh)
+		t.Fatalf("after AddNPUWithSpeed the empty fresh slot should win, got %d want %d", got, fresh)
 	}
 	st.Commit(fresh, task)
 	// Decide far past every horizon the failed slot ever queued: its

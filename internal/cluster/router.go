@@ -47,7 +47,7 @@ func NewRouter(p RoutingPolicy) (Router, error) {
 // routed to it (estimated cycles, the same Algorithm 1 estimates the
 // NPU-local schedulers consume).
 //
-// The NPU set is dynamic: AddNPU grows it mid-stream; Retire marks a
+// The NPU set is dynamic: AddNPUWithSpeed grows it mid-stream; Retire marks a
 // backend draining (the autoscaler's voluntary scale-down — its routed
 // work still completes but nothing new lands there); Cordon takes a
 // backend out of rotation reversibly (Uncordon returns it) without the
@@ -124,16 +124,12 @@ func (s *State) Routable(i int) bool {
 	return !s.draining[i] && !s.cordoned[i] && !s.failed[i]
 }
 
-// AddNPU appends a fresh idle backend to the node mid-stream (the
-// autoscaler's scale-up path) and returns its index. The new backend
-// carries no state from any previously failed or retired slot.
-func (s *State) AddNPU() int { return s.AddNPUWithSpeed(1) }
-
-// AddNPUWithSpeed appends a fresh idle backend with the given
+// AddNPUWithSpeed appends a fresh idle backend to the node mid-stream
+// (the autoscaler's scale-up path) and returns its index. speed is its
 // service-time multiplier relative to the node's base config (1 = base
-// speed, 2 = takes twice as long). Speed-aware routers normalize
-// completion-time estimates by it; everything else about the slot is
-// identical to AddNPU.
+// speed, 2 = takes twice as long); speed-aware routers normalize
+// completion-time estimates by it. The new backend carries no state
+// from any previously failed or retired slot.
 func (s *State) AddNPUWithSpeed(speed float64) int {
 	if speed <= 0 {
 		speed = 1
@@ -252,9 +248,9 @@ func (s *State) Uncordon(i int) error {
 // commits it here (serving.NodeSession.route) reclaims them as the tail
 // of that stream, in routing (arrival) order. now must be nondecreasing
 // across Fail and InFlight calls. The backend's fluid state is cleared:
-// nothing of a failed slot is ever reused (AddNPU appends fresh slots).
-// Failing the last active backend is refused — that would leave the
-// routers with zero routable NPUs.
+// nothing of a failed slot is ever reused (AddNPUWithSpeed appends
+// fresh slots). Failing the last active backend is refused — that would
+// leave the routers with zero routable NPUs.
 func (s *State) Fail(i int, now int64) (int, error) {
 	if i < 0 || i >= len(s.freeAt) {
 		return 0, fmt.Errorf("cluster: failure of unknown NPU %d (node size %d)", i, len(s.freeAt))

@@ -2,8 +2,8 @@ package cluster
 
 // state_test.go tests the fluid State directly — InFlight/Backlog edge
 // cases previously covered only indirectly through Route equivalence —
-// plus the dynamic NPU set (AddNPU/Retire) the autoscaling node session
-// drives.
+// plus the dynamic NPU set (AddNPUWithSpeed/Retire) the autoscaling
+// node session drives.
 
 import (
 	"testing"
@@ -122,9 +122,9 @@ func TestStateAddAndRetire(t *testing.T) {
 	if err := st.Retire(0); err == nil {
 		t.Fatal("retiring the last active NPU should be refused")
 	}
-	idx := st.AddNPU()
+	idx := st.AddNPUWithSpeed(1)
 	if idx != 1 || st.NPUs() != 2 || st.Active() != 2 {
-		t.Fatalf("AddNPU -> index %d, %d NPUs, %d active", idx, st.NPUs(), st.Active())
+		t.Fatalf("AddNPUWithSpeed -> index %d, %d NPUs, %d active", idx, st.NPUs(), st.Active())
 	}
 	st.Commit(idx, stateTask(0, 0, 100))
 	if err := st.Retire(idx); err != nil {
@@ -173,7 +173,7 @@ func TestRoutersSkipDraining(t *testing.T) {
 }
 
 // TestRoundRobinResumesAddedNPU checks a scale-up joins the rotation:
-// after AddNPU every active backend receives a share.
+// after AddNPUWithSpeed every active backend receives a share.
 func TestRoundRobinResumesAddedNPU(t *testing.T) {
 	router, err := NewRouter(RoundRobin)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestRoundRobinResumesAddedNPU(t *testing.T) {
 		counts[target]++
 		st.Commit(target, task)
 	}
-	st.AddNPU()
+	st.AddNPUWithSpeed(1)
 	for i := 4; i < 10; i++ {
 		task := stateTask(i, int64(i), 10)
 		target := router.Decide(task, st)

@@ -94,9 +94,6 @@ func New(cfg npu.Config) (*Compiler, error) {
 	return &Compiler{cfg: cfg}, nil
 }
 
-// Config returns the target configuration.
-func (c *Compiler) Config() npu.Config { return c.cfg }
-
 // Compile lowers a model instance. For CNNs, inLen/outLen are ignored.
 func (c *Compiler) Compile(m *dnn.Model, batch, inLen, outLen int) (*npu.Program, error) {
 	if batch <= 0 {

@@ -81,7 +81,7 @@ func TestLatenciesLandInPaperBand(t *testing.T) {
 	// Section IV-D: network-wide inference time is 0.5 to 45 ms across
 	// the eight benchmarks. Allow modest slack at both ends.
 	c := newCompiler(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	for _, m := range dnn.Suite() {
 		for _, b := range dnn.BatchSizes {
 			inLen, outLen := 0, 0
@@ -160,7 +160,7 @@ func TestBatchMonotonicity(t *testing.T) {
 
 func TestLiveBytesBoundedByUBUF(t *testing.T) {
 	c := newCompiler(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	for _, m := range dnn.Suite() {
 		inLen, outLen := 0, 0
 		if m.IsRNN() {

@@ -77,7 +77,7 @@ func TestSharedPoolPrefix(t *testing.T) {
 	if len(encOnly.Instrs) != len(full.Instrs) || &encOnly.Instrs[0] != &full.Instrs[0] {
 		t.Fatal("instances of one (model, batch) should share one pool")
 	}
-	fresh, err := New(c.Config())
+	fresh, err := New(c.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestConcurrentCompilesMatchFresh(t *testing.T) {
 					errs <- err.Error()
 					continue
 				}
-				fresh, err := New(c.Config())
+				fresh, err := New(c.cfg)
 				if err != nil {
 					errs <- err.Error()
 					continue

@@ -218,19 +218,15 @@ func TestRunsEqualPerStepUnroll(t *testing.T) {
 				if got, want := an.EstimateWithOutLen(m, b, in, out), an.EstimateLayers(want, b); got != want {
 					t.Errorf("%s: estimate %d, reference %d", name, got, want)
 				}
-				var macs, maxOut int64
+				var macs int64
 				for _, l := range want {
 					macs += l.MACs(b)
-					maxOut = max(maxOut, dnn.Bytes(l.OutputElems(b)))
 				}
 				if got := m.TotalMACs(b, in, out); got != macs {
 					t.Errorf("%s: TotalMACs %d, reference %d", name, got, macs)
 				}
 				if got, want := m.TotalWeightBytes(in, out), refWeightBytes(want); got != want {
 					t.Errorf("%s: TotalWeightBytes %d, reference %d", name, got, want)
-				}
-				if got := m.MaxOutputBytes(b, in, out); got != maxOut {
-					t.Errorf("%s: MaxOutputBytes %d, reference %d", name, got, maxOut)
 				}
 			}
 			// Estimate itself unrolls to the regression's predicted

@@ -270,13 +270,6 @@ func (p *Plane) renderBackend(i int) (string, error) {
 	return b.String(), nil
 }
 
-// Commands returns a copy of the command log so far.
-func (p *Plane) Commands() []CommandRecord {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]CommandRecord(nil), p.commands...)
-}
-
 // sortedVerbs is used by tests to assert help stays complete.
 func sortedVerbs() []string {
 	verbs := []string{"help", "time", "list", "get", "cordon", "uncordon",

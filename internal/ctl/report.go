@@ -167,6 +167,8 @@ func (s *Series) MaxEstP95MS() float64 {
 
 // Strip renders the backend's per-tick utilization as a Unicode block
 // strip; '·' marks ticks before the backend existed.
+//
+//premalint:ignore testonly reportTemplate calls it for the HTML report's per-NPU strips (premasim -report-html, /report); no Go file names it
 func (n NPUSeries) Strip() string {
 	var b strings.Builder
 	for _, u := range n.Util {

@@ -87,6 +87,8 @@ func (m *Model) Runs(inLen, outLen int) []Run {
 // Validate checks the model definition: a CNN must have static layers and
 // every layer must be self-consistent; an RNN must have an unroll function,
 // valid length bounds, and self-consistent bodies, each checked once.
+//
+//premalint:ignore testonly a check; dnn's TestAllModelsValidate runs it on every zoo model
 func (m *Model) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("dnn: model without a name")
@@ -157,19 +159,4 @@ func (m *Model) TotalWeightBytes(inLen, outLen int) int64 {
 		}
 	}
 	return total
-}
-
-// MaxOutputBytes returns the largest single-layer output-activation
-// footprint of the instantiated model — an upper bound on checkpointed
-// live state for one in-flight layer.
-func (m *Model) MaxOutputBytes(batch, inLen, outLen int) int64 {
-	var max int64
-	for _, r := range m.Runs(inLen, outLen) {
-		for _, l := range r.Body {
-			if b := Bytes(l.OutputElems(batch)); b > max {
-				max = b
-			}
-		}
-	}
-	return max
 }

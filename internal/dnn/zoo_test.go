@@ -220,19 +220,6 @@ func TestModelValidateFailures(t *testing.T) {
 	}
 }
 
-func TestMaxOutputBytes(t *testing.T) {
-	m := VGG16()
-	got := m.MaxOutputBytes(1, 0, 0)
-	// c01/c02 emit 224*224*64 elements = 6.4MB at 2 bytes each.
-	want := int64(224 * 224 * 64 * 2)
-	if got != want {
-		t.Errorf("VGG16 MaxOutputBytes = %d, want %d", got, want)
-	}
-	if m.MaxOutputBytes(16, 0, 0) != want*16 {
-		t.Error("MaxOutputBytes should scale with batch")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if CNN.String() != "CNN" || RNN.String() != "RNN" {
 		t.Error("class names wrong")

@@ -44,6 +44,8 @@ func Default() Model {
 }
 
 // Validate checks the coefficients.
+//
+//premalint:ignore testonly a check; energy's TestDefaultValidates runs it on Default and broken coefficients
 func (m Model) Validate() error {
 	if m.PJPerMAC <= 0 || m.PJPerSRAMByte <= 0 || m.PJPerDRAMByte <= 0 {
 		return fmt.Errorf("energy: non-positive per-event coefficients")
@@ -125,15 +127,4 @@ func (m Model) Run(cfg npu.Config, tasks []*sched.Task, events []preempt.Cost, m
 	}
 	b.StaticJ = m.StaticWatts * cfg.Seconds(makespan)
 	return b
-}
-
-// EfficiencyGain compares two runs over the same work: the ratio of
-// total energies (baseline over candidate), which — with PREMA's
-// negligible hardware overhead — tracks the throughput ratio as
-// Section VI-F argues.
-func EfficiencyGain(baseline, candidate Breakdown) float64 {
-	if candidate.Total() <= 0 {
-		return 0
-	}
-	return baseline.Total() / candidate.Total()
 }

@@ -267,14 +267,11 @@ func TestFig1Direction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Fig1Headline(tables[0])
-	if err != nil {
-		t.Fatal(err)
+	co := tables[0].Rows[3]
+	if gain := parse(t, co[3]); gain <= 1.0 {
+		t.Errorf("co-location should raise throughput, got %.2fx", gain)
 	}
-	if sum.ThroughputGain <= 1.0 {
-		t.Errorf("co-location should raise throughput, got %.2fx", sum.ThroughputGain)
-	}
-	if sum.LatencyCost <= 1.0 {
-		t.Errorf("co-location should cost latency, got %.2fx", sum.LatencyCost)
+	if cost := parse(t, co[4]); cost <= 1.0 {
+		t.Errorf("co-location should cost latency, got %.2fx", cost)
 	}
 }

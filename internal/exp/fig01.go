@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/dnn"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -166,26 +165,3 @@ func runFig1(s *Suite) ([]*Table, error) {
 		fmt.Sprintf("%.2fx", co.latencyMS/isoLatency))
 	return []*Table{t}, nil
 }
-
-// Fig1Summary exposes the headline ratios for tests.
-type Fig1Summary struct {
-	ThroughputGain float64
-	LatencyCost    float64
-}
-
-// Fig1Headline parses the co-located row of a regenerated fig1 table.
-func Fig1Headline(t *Table) (Fig1Summary, error) {
-	if t.ID != "fig1" || len(t.Rows) < 4 {
-		return Fig1Summary{}, fmt.Errorf("exp: not a fig1 table")
-	}
-	var out Fig1Summary
-	if _, err := fmt.Sscanf(t.Rows[3][3], "%fx", &out.ThroughputGain); err != nil {
-		return Fig1Summary{}, err
-	}
-	if _, err := fmt.Sscanf(t.Rows[3][4], "%fx", &out.LatencyCost); err != nil {
-		return Fig1Summary{}, err
-	}
-	return out, nil
-}
-
-var _ = metrics.Run{} // keep the import set stable across edits

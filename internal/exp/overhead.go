@@ -10,11 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// profileDevices and profileLayerConfigs alias the profile package so the
-// experiment body reads like the paper's methodology.
-func profileDevices() []profile.Device      { return profile.Devices() }
-func profileLayerConfigs(n int) []dnn.Layer { return profile.LayerConfigs(n) }
-
 func init() {
 	register(Experiment{
 		ID:    "overhead",
@@ -94,11 +89,11 @@ func runDeterminism(s *Suite) ([]*Table, error) {
 		Headers: []string{"device", "max deviation %", "avg stddev %"},
 		Note:    "GPUs: measured latency always within ~4% of the average; TPUv2 ~0.2% stddev",
 	}
-	devices := profileDevices()
+	devices := profile.Devices()
 	for _, d := range devices {
-		layers := profileLayerConfigs(50)
+		layers := profile.LayerConfigs(50)
 		if d.Name == "CloudTPUv2" {
-			layers = profileLayerConfigs(100)
+			layers = profile.LayerConfigs(100)
 		}
 		var maxDev, sumStd float64
 		for i, l := range layers {

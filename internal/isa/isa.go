@@ -87,6 +87,8 @@ func DecodeInstr(b []byte) (layer int, in npu.Instr, err error) {
 
 // Write serializes a program's flattened stream: each instruction is
 // written once per layer that executes it, tagged with that layer's index.
+//
+//premalint:ignore testonly the listing round trip's writer; isa's tests and FuzzISARead read its streams back
 func Write(w io.Writer, p *npu.Program) error {
 	var hdr [headerSize]byte
 	copy(hdr[0:4], Magic)
@@ -124,6 +126,8 @@ func Write(w io.Writer, p *npu.Program) error {
 // indices must keep the layer count within npu.MaxLayers. Model/batch
 // metadata is not part of the binary format; callers may set those fields
 // afterwards.
+//
+//premalint:ignore testonly the listing round trip's reader; isa's tests and FuzzISARead check it against Write
 func Read(r io.Reader) (*npu.Program, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -208,6 +212,8 @@ func Disassemble(p *npu.Program, w io.Writer) error {
 }
 
 // ParseOp resolves an assembly mnemonic to its opcode.
+//
+//premalint:ignore testonly the inverse of Op.String that isa's TestParseOp round-trips
 func ParseOp(s string) (npu.Op, error) {
 	switch strings.ToUpper(strings.TrimSpace(s)) {
 	case "LOAD_TILE":

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"iter"
+	"maps"
 	"os"
 	"runtime"
 	"slices"
@@ -70,8 +71,9 @@ func TestProgramStreamRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d instructions in %d layers, want %d in %d",
 			loaded.StreamLen(), loaded.Layers(), prog.StreamLen(), prog.Layers())
 	}
+	loadedBlocks := maps.Collect(loaded.Blocks())
 	for layer, block := range prog.Blocks() {
-		if !slices.Equal(loaded.Block(layer), block) {
+		if !slices.Equal(loadedBlocks[layer], block) {
 			t.Fatalf("layer %d differs", layer)
 		}
 	}
@@ -276,8 +278,8 @@ func TestReadAllocatesByBytesRead(t *testing.T) {
 		t.Errorf("read %d layers, %d instructions in %d runs; want 10000001, 1 in at most 3",
 			p.Layers(), p.StreamLen(), len(p.Runs))
 	}
-	if got := p.Block(10_000_000); !slices.Equal(got, []npu.Instr{gemm}) {
-		t.Errorf("last layer holds %v", got)
+	if got := maps.Collect(p.Blocks()); len(got) != 1 || !slices.Equal(got[10_000_000], []npu.Instr{gemm}) {
+		t.Errorf("layers holding instructions: %v, want only the last", got)
 	}
 
 	for _, c := range []struct {

@@ -46,6 +46,7 @@ func TestGoldenFixtures(t *testing.T) {
 		{"registryonce", "testdata/src/registryonce"},
 		{"errdrop", "testdata/src/errdrop"},
 		{"statecopy", "testdata/src/statecopy"},
+		{"testonly", "testdata/src/testonly"},
 		{"timerinsim", "testdata/src/timerinsim"},
 	}
 	for _, tc := range cases {

@@ -2,7 +2,8 @@
 // (go/parser + go/ast + go/types) static-analysis pass that mechanically
 // enforces the repository's domain invariants — determinism of the
 // simulation paths, facade-only consumers, init-time-only registries,
-// must-check error APIs, and no-copy state structs.
+// must-check error APIs, no-copy state structs, and an internal/ export
+// surface that non-test code uses.
 //
 // The framework deliberately avoids golang.org/x/tools: a Loader walks
 // the module, parses every non-test package and type-checks it with a
@@ -64,6 +65,7 @@ func Analyzers() []*Analyzer {
 		registryOnceAnalyzer,
 		errDropAnalyzer,
 		stateCopyAnalyzer,
+		testOnlyAnalyzer,
 		timerInSimAnalyzer,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })

@@ -39,6 +39,10 @@ type Package struct {
 	// trees may produce some, and analysis still proceeds on whatever
 	// type information was recoverable.
 	TypeErrors []error
+
+	// loader built the package; an analyzer that needs the whole
+	// module (testonly) reaches it from here.
+	loader *Loader
 }
 
 // Loader parses and type-checks packages of one module. It is also the
@@ -56,6 +60,7 @@ type Loader struct {
 	fset *token.FileSet
 	std  types.Importer
 	pkgs map[string]*Package
+	refs *refIndex // built by the first testonly run
 }
 
 // NewLoader returns a Loader for the module rooted at dir (the
@@ -111,9 +116,6 @@ func modulePath(gomod string) (string, error) {
 	}
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
-
-// Fset returns the loader-wide file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // importPathFor maps an absolute package directory to its import path
 // within the module.
@@ -191,10 +193,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	})
 
 	p := &Package{
-		Path:  path,
-		Dir:   dir,
-		Fset:  l.fset,
-		Files: files,
+		Path:   path,
+		Dir:    dir,
+		Fset:   l.fset,
+		Files:  files,
+		loader: l,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Uses:       map[*ast.Ident]types.Object{},

@@ -1,6 +1,9 @@
 // Package broken is the seeded-violation fixture: ci.sh runs
-// premalint over this directory and requires a non-zero exit, proving
-// the tripwire actually trips.
+// premalint -only <analyzer> over this directory for each analyzer
+// seeded here (determinism, expgolden, floatorder, testonly) and
+// requires every run to exit 1, proving each tripwire actually trips.
+// Clock and MeanScore are exported and no non-test file calls them,
+// which is testonly's seeded violation.
 package broken
 
 import "time"

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 // Run summarizes one multi-tasked simulation.
@@ -75,23 +74,6 @@ func SLAViolationRate(tasks []*sched.Task, target float64) float64 {
 		}
 	}
 	return float64(violated) / float64(len(tasks))
-}
-
-// TailLatency returns the p-th percentile turnaround time, in cycles,
-// over the selected tasks. keep selects which tasks participate (e.g.
-// only high-priority ones for Figure 14); nil keeps all.
-func TailLatency(tasks []*sched.Task, p float64, keep func(*sched.Task) bool) float64 {
-	var xs []float64
-	for _, t := range tasks {
-		if keep != nil && !keep(t) {
-			continue
-		}
-		xs = append(xs, float64(t.Turnaround()))
-	}
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return stats.Percentile(xs, p)
 }
 
 // Aggregate averages Run metrics across repeated simulation runs (the

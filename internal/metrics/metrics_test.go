@@ -127,28 +127,6 @@ func TestSLAMonotoneInTarget(t *testing.T) {
 	}
 }
 
-func TestTailLatency(t *testing.T) {
-	var tasks []*sched.Task
-	for i := 1; i <= 100; i++ {
-		prio := sched.Low
-		if i%2 == 0 {
-			prio = sched.High
-		}
-		tasks = append(tasks, doneTask(i, prio, 100, int64(i)*100))
-	}
-	all := TailLatency(tasks, 50, nil)
-	if all != 5050 {
-		t.Errorf("median turnaround = %v, want 5050", all)
-	}
-	hi := TailLatency(tasks, 95, func(t *sched.Task) bool { return t.Priority == sched.High })
-	if hi <= all {
-		t.Errorf("95th percentile of high tasks should exceed the overall median")
-	}
-	if !math.IsNaN(TailLatency(tasks, 95, func(t *sched.Task) bool { return false })) {
-		t.Error("empty selection should be NaN")
-	}
-}
-
 func TestAveragedAndRelative(t *testing.T) {
 	runs := []Run{
 		{ANTT: 2, STP: 4, Fairness: 0.5},

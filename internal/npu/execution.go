@@ -149,9 +149,6 @@ func (e *Execution) Executed() int64 { return e.done }
 // time at the cursor's speed: Program().TotalCycles at nominal speed.
 func (e *Execution) TotalCycles() int64 { return e.total }
 
-// Remaining returns the cycles left until completion.
-func (e *Execution) Remaining() int64 { return e.total - e.done }
-
 // Advance executes up to budget cycles and returns the cycles actually
 // consumed (less than budget only when the program completes first). It
 // may stop mid-instruction; scheduling-quantum expiry does not itself
@@ -230,25 +227,4 @@ func (e *Execution) KillToLayerStart() (wasted int64) {
 	e.pc = r.Body[int(e.step)%len(r.Body)].Off
 	e.settle()
 	return wasted
-}
-
-// Progress returns the executed fraction in [0,1].
-func (e *Execution) Progress() float64 {
-	if e.total == 0 {
-		return 1
-	}
-	return float64(e.done) / float64(e.total)
-}
-
-// CurrentLayer returns the layer index of the in-flight instruction, or -1
-// once the program has completed.
-func (e *Execution) CurrentLayer() int {
-	if e.Done() {
-		return -1
-	}
-	layer := int(e.step)
-	for _, r := range e.prog.Runs[:e.run] {
-		layer += r.Layers()
-	}
-	return layer
 }

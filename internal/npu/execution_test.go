@@ -217,11 +217,6 @@ func checkProgramMatchesLayers(t *testing.T, prog int, p *Program, layers [][]In
 	if i != len(ref) {
 		t.Fatalf("prog %d: stream ends after %d of %d instructions", prog, i, len(ref))
 	}
-	for layer, block := range layers {
-		if !slices.Equal(p.Block(layer), block) {
-			t.Fatalf("prog %d: Block(%d) differs from the reference", prog, layer)
-		}
-	}
 	next := 0
 	for layer, block := range p.Blocks() {
 		for next < len(layers) && len(layers[next]) == 0 {

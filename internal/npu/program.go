@@ -125,20 +125,6 @@ func (p *Program) Layers() int {
 	return n
 }
 
-// Block returns the instructions of one instantiated layer.
-func (p *Program) Block(layer int) []Instr {
-	if layer >= 0 {
-		for _, r := range p.Runs {
-			if n := r.Layers(); layer >= n {
-				layer -= n
-				continue
-			}
-			return p.block(r.Body[layer%len(r.Body)])
-		}
-	}
-	panic(fmt.Sprintf("npu: program %q has no layer %d", p.Model, layer))
-}
-
 // Blocks iterates the layers that hold instructions, in execution order,
 // yielding each one's index and block. A run whose body holds none is
 // stepped over whole, however many layers it stands for.
@@ -206,6 +192,8 @@ func (p *Program) AppendLayer(block ...Instr) {
 // Validate checks program invariants: non-negative repeat counts, at most
 // MaxLayers layers, spans inside the pool, positive latencies,
 // non-negative live state, and a consistent total.
+//
+//premalint:ignore testonly a check; compiler's TestCompiledProgramsValidate runs it on every compiled program
 func (p *Program) Validate() error {
 	layers := 0
 	var sum int64

@@ -157,11 +157,6 @@ func profKey(model, layer string, batch int) string {
 	return fmt.Sprintf("%s/%s/b%d", model, layer, batch)
 }
 
-// Observe records a measured per-layer latency sample.
-func (p *Profile) Observe(model, layer string, batch int, cycles int64) {
-	p.observe(profKey(model, layer, batch), cycles, 1)
-}
-
 // observe records n samples of the same latency under key k.
 func (p *Profile) observe(k string, cycles, n int64) {
 	e := p.table[k]

@@ -198,8 +198,8 @@ func TestProfileObserveAveraging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof.Observe("m", "l", 1, 100)
-	prof.Observe("m", "l", 1, 200)
+	prof.observe(profKey("m", "l", 1), 100, 1)
+	prof.observe(profKey("m", "l", 1), 200, 1)
 	model := &dnn.Model{Name: "m", Class: dnn.CNN,
 		Static: []dnn.Layer{dnn.NewFC("l", 8, 8, false)}}
 	got, err := prof.Estimate(model, 1, 0)

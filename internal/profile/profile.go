@@ -45,16 +45,6 @@ func Devices() []Device {
 	}
 }
 
-// DeviceByName looks up a profiled device.
-func DeviceByName(name string) (Device, error) {
-	for _, d := range Devices() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return Device{}, fmt.Errorf("profile: unknown device %q", name)
-}
-
 // BaseLatency returns the device's deterministic latency for one layer at
 // the given batch size, in seconds.
 func (d Device) BaseLatency(l dnn.Layer, batch int) float64 {

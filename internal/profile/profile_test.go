@@ -6,22 +6,25 @@ import (
 	"repro/internal/stats"
 )
 
+// device looks a profiled device up by name in the roster.
+func device(t *testing.T, name string) Device {
+	t.Helper()
+	for _, d := range Devices() {
+		if d.Name == name {
+			return d
+		}
+	}
+	t.Fatalf("device %q missing from the roster", name)
+	return Device{}
+}
+
 func TestDevicesRoster(t *testing.T) {
 	devs := Devices()
 	if len(devs) != 5 {
 		t.Fatalf("%d devices, want 5 (four GPUs + Cloud TPUv2, Section V-B)", len(devs))
 	}
-	if _, err := DeviceByName("V100"); err != nil {
-		t.Error("V100 missing")
-	}
-	if _, err := DeviceByName("CloudTPUv2"); err != nil {
-		t.Error("CloudTPUv2 missing")
-	}
-	if _, err := DeviceByName("H100"); err == nil {
-		t.Error("unknown device should error")
-	}
-	tpu, _ := DeviceByName("CloudTPUv2")
-	v100, _ := DeviceByName("V100")
+	tpu := device(t, "CloudTPUv2")
+	v100 := device(t, "V100")
 	if tpu.Jitter >= v100.Jitter {
 		t.Error("TPUv2 must be steadier than the GPUs (0.2% vs ~4% bound)")
 	}
@@ -29,8 +32,8 @@ func TestDevicesRoster(t *testing.T) {
 
 func TestBaseLatencyDeterministicAndOrdered(t *testing.T) {
 	layers := LayerConfigs(10)
-	v100, _ := DeviceByName("V100")
-	gtx, _ := DeviceByName("GTX1070")
+	v100 := device(t, "V100")
+	gtx := device(t, "GTX1070")
 	for _, l := range layers {
 		a := v100.BaseLatency(l, 1)
 		b := v100.BaseLatency(l, 1)
@@ -50,7 +53,7 @@ func TestGPUVariationWithinPaperBound(t *testing.T) {
 	if len(layers) < 20 {
 		t.Fatalf("only %d layer configs generated", len(layers))
 	}
-	v100, _ := DeviceByName("V100")
+	v100 := device(t, "V100")
 	rng := stats.NewRNG(1, 2)
 	for _, l := range layers {
 		v := v100.Characterize(l, 1, 1000, rng)
@@ -65,7 +68,7 @@ func TestGPUVariationWithinPaperBound(t *testing.T) {
 
 func TestTPUVariationTighter(t *testing.T) {
 	// Section V-B(2): TPUv2 shows ~0.2% standard deviation.
-	tpu, _ := DeviceByName("CloudTPUv2")
+	tpu := device(t, "CloudTPUv2")
 	rng := stats.NewRNG(3, 4)
 	layers := LayerConfigs(100)
 	var sum float64

@@ -82,7 +82,7 @@ func refRunWithTrace(srv *serving.Server, sc *Scenario, tr *telemetry.Trace) (re
 	}()
 
 	for i, e := range sc.Events {
-		if err := ns.Schedule(e.At, e.Op); err != nil {
+		if err := ns.ScheduleCycle(srv.NPU().Cycles(e.At), e.Op); err != nil {
 			return nil, fmt.Errorf("scenario: event %d: %w", i, err)
 		}
 	}
@@ -98,7 +98,7 @@ func refRunWithTrace(srv *serving.Server, sc *Scenario, tr *telemetry.Trace) (re
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
-	if err := ns.AdvanceTo(sc.Span()); err != nil {
+	if err := ns.AdvanceToCycle(srv.NPU().Cycles(sc.Span())); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	st, err := ns.Drain()

@@ -176,7 +176,7 @@ func TestNoEventScenarioMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.AdvanceTo(sc.Span()); err != nil {
+	if err := ns.AdvanceToCycle(srv.NPU().Cycles(sc.Span())); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ns.Drain()

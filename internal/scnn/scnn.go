@@ -48,6 +48,8 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the configuration.
+//
+//premalint:ignore testonly a check; scnn's TestConfigValidate runs it on DefaultConfig and broken configs
 func (c Config) Validate() error {
 	if c.Multipliers <= 0 || c.AccumulatorBanks <= 0 {
 		return fmt.Errorf("scnn: non-positive array dims")

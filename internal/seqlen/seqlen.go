@@ -170,17 +170,6 @@ func (c *Corpus) outsFor(inLen int) []uint16 {
 	return c.outs[c.off[k]:c.off[k+1]]
 }
 
-// OutLengthsFor returns a copy of the profiled output lengths observed
-// for one input length, in draw order (empty if none was).
-func (c *Corpus) OutLengthsFor(inLen int) []int {
-	outs := c.outsFor(inLen)
-	xs := make([]int, len(outs))
-	for i, o := range outs {
-		xs[i] = int(o)
-	}
-	return xs
-}
-
 // InputLengths yields every input length the corpus observed, ascending.
 func (c *Corpus) InputLengths() iter.Seq[int] {
 	return func(yield func(int) bool) {

@@ -2,8 +2,9 @@ package serving
 
 // chaos.go is the fault-injection surface of the streaming node
 // session: timed operations (NPU failure, slowdown/restore,
-// cordon/uncordon) scheduled on the deterministic stream clock and
-// fired interleaved with the autoscaler's ticks as arrivals advance the
+// cordon/uncordon) scheduled at a cycle of the deterministic stream
+// clock (ScheduleCycle) and fired interleaved with the autoscaler's
+// ticks as arrivals, or an explicit AdvanceToCycle, advance the
 // session. The scenario engine (internal/scenario) is the declarative
 // driver; the mechanics live here because they are inseparable from the
 // routing state:
@@ -36,9 +37,9 @@ package serving
 //     routed work drains, nothing new lands on it, and no scale-down
 //     credit is taken (the slot still counts against MaxNPUs).
 //
-// Everything is deterministic: operations fire in (time, schedule
+// Everything is deterministic: operations fire in (cycle, schedule
 // order), before any autoscale tick due at the same cycle, and before
-// the routing decision of any arrival at or after their timestamp. The
+// the routing decision of any arrival at or after their cycle. The
 // same stream plus the same schedule replays byte-identically, which is
 // what makes chaos testable in CI (chaos_test.go and the scenario
 // corpus lock this in).
@@ -46,7 +47,6 @@ package serving
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -152,25 +152,15 @@ type nodeOp struct {
 	op  NodeOp
 }
 
-// Schedule queues op to fire when the stream clock reaches at.
-// Operations may be scheduled at any point of the stream so long as
+// ScheduleCycle queues op to fire when the stream clock reaches cycle
+// at. Operations may be scheduled at any point of the stream so long as
 // they are not in the past — the clock never rewinds — and fire
-// deterministically as arrivals (or an explicit AdvanceTo) advance the
-// clock past their timestamp: in time order, schedule order at equal
-// times, and always before an autoscale tick due at the same cycle, so
+// deterministically as arrivals (or an explicit AdvanceToCycle) advance
+// the clock past their cycle: in time order, schedule order at equal
+// cycles, and always before an autoscale tick due at the same cycle, so
 // the scaler sees the post-event fleet. A FailNPU is refused once
 // closed-loop clients are pinned (OfferClients): their requests never
 // pass the router, so a failure could not reclaim them.
-func (ns *NodeSession) Schedule(at time.Duration, op NodeOp) error {
-	if at < 0 {
-		return fmt.Errorf("serving: negative operation time %v", at)
-	}
-	return ns.ScheduleCycle(ns.srv.cfg.Cycles(at), op)
-}
-
-// ScheduleCycle is Schedule on the cycle-granular stream clock — the
-// control plane's entry point, which tracks virtual time in cycles and
-// must not lose precision round-tripping through durations.
 func (ns *NodeSession) ScheduleCycle(at int64, op NodeOp) error {
 	if ns.closed {
 		return fmt.Errorf("serving: node session closed")
@@ -205,19 +195,13 @@ func (ns *NodeSession) ScheduleCycle(at int64, op NodeOp) error {
 	return nil
 }
 
-// AdvanceTo advances the stream clock to at without offering traffic,
-// firing every scheduled operation and autoscale tick due on the way —
-// the scenario executor's way to flush events past the last arrival
+// AdvanceToCycle advances the stream clock to cycle now without
+// offering traffic, firing every scheduled operation and autoscale tick
+// due on the way — the control plane's stepping primitive between
+// buffered arrivals, and its way to flush events past the last arrival
 // (a failure after the final request, a recovery window) before Drain.
 // The clock never moves backward; subsequent submissions must arrive at
-// or after at.
-func (ns *NodeSession) AdvanceTo(at time.Duration) error {
-	return ns.AdvanceToCycle(ns.srv.cfg.Cycles(at))
-}
-
-// AdvanceToCycle is AdvanceTo on the cycle-granular stream clock — the
-// control plane's stepping primitive: it advances virtual time between
-// buffered arrivals without the duration round-trip losing cycles.
+// or after now.
 func (ns *NodeSession) AdvanceToCycle(now int64) error {
 	if ns.closed {
 		return fmt.Errorf("serving: node session closed")

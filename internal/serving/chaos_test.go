@@ -21,7 +21,7 @@ import (
 
 func mustSchedule(t *testing.T, ns *NodeSession, at time.Duration, op NodeOp) {
 	t.Helper()
-	if err := ns.Schedule(at, op); err != nil {
+	if err := ns.ScheduleCycle(ns.srv.cfg.Cycles(at), op); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +58,7 @@ func TestScheduleValidation(t *testing.T) {
 		{"unknown kind", time.Millisecond, NodeOp{Kind: OpKind(99), NPU: 0}},
 	}
 	for _, c := range cases {
-		if err := ns.Schedule(c.at, c.op); err == nil {
+		if err := ns.ScheduleCycle(ns.srv.cfg.Cycles(c.at), c.op); err == nil {
 			t.Errorf("%s: schedule accepted", c.name)
 		}
 	}
@@ -70,15 +70,15 @@ func TestScheduleValidation(t *testing.T) {
 		Models: rampModels, BatchSizes: []int{1}}, workload.RNGFor(3, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Schedule(time.Millisecond, NodeOp{Kind: CordonNPU, NPU: 0}); err == nil {
+	if err := ns.ScheduleCycle(ns.srv.cfg.Cycles(time.Millisecond), NodeOp{Kind: CordonNPU, NPU: 0}); err == nil {
 		t.Error("schedule in the past accepted")
 	}
-	if err := ns.Schedule(30*time.Millisecond, NodeOp{Kind: CordonNPU, NPU: 0}); err != nil {
+	if err := ns.ScheduleCycle(ns.srv.cfg.Cycles(30*time.Millisecond), NodeOp{Kind: CordonNPU, NPU: 0}); err != nil {
 		t.Errorf("mid-stream future schedule refused: %v", err)
 	}
 	// A mid-stream failure is an ordinary operation: the backend's own
 	// stream holds the in-flight requests it reclaims.
-	if err := ns.Schedule(40*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1}); err != nil {
+	if err := ns.ScheduleCycle(ns.srv.cfg.Cycles(40*time.Millisecond), NodeOp{Kind: FailNPU, NPU: 1}); err != nil {
 		t.Errorf("mid-stream failure refused: %v", err)
 	}
 }
@@ -148,7 +148,7 @@ func TestOfferClientsPinsOnlyRoutableBackends(t *testing.T) {
 	ns := openChaosNode(t, s, 3, nil)
 	mustSchedule(t, ns, 5*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
 	mustSchedule(t, ns, 5*time.Millisecond, NodeOp{Kind: CordonNPU, NPU: 2})
-	if err := ns.AdvanceTo(5 * time.Millisecond); err != nil {
+	if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(5 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ns.OfferClients(ClientSpec{Clients: 4, Think: 2 * time.Millisecond,
@@ -173,7 +173,7 @@ func TestFailureRefusedAfterClients(t *testing.T) {
 	if _, err := ns.OfferClients(spec, workload.RNGFor(7, 1)); err != nil {
 		t.Fatal(err)
 	}
-	failErr := ns.Schedule(10*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
+	failErr := ns.ScheduleCycle(ns.srv.cfg.Cycles(10*time.Millisecond), NodeOp{Kind: FailNPU, NPU: 1})
 	if failErr == nil {
 		t.Fatal("failure scheduled after closed-loop clients accepted")
 	}
@@ -197,7 +197,7 @@ func TestFailureReclaimConservesRequests(t *testing.T) {
 	mustSchedule(t, ns, 60*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
 
 	n := offerRamp(t, ns, 17)
-	if err := ns.AdvanceTo(rampHorizon); err != nil {
+	if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(rampHorizon)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ns.Drain()
@@ -259,7 +259,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		mustSchedule(t, ns, 70*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
 		mustSchedule(t, ns, 110*time.Millisecond, NodeOp{Kind: RestoreNPU, NPU: 0})
 		offerRamp(t, ns, 23)
-		if err := ns.AdvanceTo(rampHorizon); err != nil {
+		if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(rampHorizon)); err != nil {
 			t.Fatal(err)
 		}
 		st, err := ns.Drain()
@@ -398,7 +398,7 @@ func TestScalerRecoversAfterFailure(t *testing.T) {
 		BatchSizes: []int{1}}, []float64{2, 2, 2, 2, 2}, workload.RNGFor(31, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.AdvanceTo(rampHorizon); err != nil {
+	if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(rampHorizon)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ns.Drain(); err != nil {
@@ -434,7 +434,7 @@ func TestFailLastActiveSurfaces(t *testing.T) {
 	s := newServer(t)
 	ns := openChaosNode(t, s, 1, nil)
 	mustSchedule(t, ns, 10*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 0})
-	if err := ns.AdvanceTo(20 * time.Millisecond); err == nil {
+	if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(20 * time.Millisecond)); err == nil {
 		t.Fatal("failing the last active NPU did not error")
 	}
 }
@@ -497,7 +497,7 @@ func TestMeanFleetMatchesScaleEvents(t *testing.T) {
 		mustSchedule(t, ns, 60*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 0})
 		mustSchedule(t, ns, 100*time.Millisecond, NodeOp{Kind: RestoreNPU, NPU: 1})
 		offerRamp(t, ns, seed)
-		if err := ns.AdvanceTo(rampHorizon); err != nil {
+		if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(rampHorizon)); err != nil {
 			t.Fatal(err)
 		}
 		timeline := ns.Timeline()

@@ -58,12 +58,14 @@ type ClientSpec struct {
 // unbatched session (Window 0): window coalescing would re-time the
 // completions that gate each next release.
 func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
-	return ss.offerClients(spec, rng, 1)
+	return ss.offerClients(spec, rng, 1, nil)
 }
 
 // offerClients is OfferClients on an NPU that serves the clients'
-// requests at factor× their nominal service time.
-func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64) (int, error) {
+// requests at factor× their nominal service time. A non-nil stamp sees
+// each realized request, in realization order, before it is submitted
+// (a traced node gives it a trace ID and a submit event there).
+func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64, stamp func(*workload.Task)) (int, error) {
 	if ss.closed {
 		return 0, fmt.Errorf("serving: session closed")
 	}
@@ -184,6 +186,9 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64)
 	// already ran to, so the next refresh after a further submission
 	// rebuilds it from cycle 0.
 	for _, t := range realized {
+		if stamp != nil {
+			stamp(t)
+		}
 		if err := ss.submit(t, factor); err != nil {
 			return 0, err
 		}

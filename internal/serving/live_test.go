@@ -80,11 +80,11 @@ type backendMemo struct {
 // checkReplay polls the node — Stats and, traced, TraceEvents — and
 // checks every backend's refreshed samples and completions against its
 // replay, then the node's answers against the ones it derives with the
-// replays swapped in. Both derivations bypass the node-level memo, which
-// is keyed on submissions alone and so can lag a timeline change.
+// replays swapped in. The poll reads the node's memoized stats, as a
+// user's poll does; the replay side bypasses the memo so it derives
+// from the swapped-in backends.
 func checkReplay(t *testing.T, ns *NodeSession, label string) {
 	t.Helper()
-	ns.statsValid = false
 	got, err := ns.Stats()
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -249,7 +249,7 @@ func TestLiveMatchesReplayTieredReclaim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Schedule(15*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 0}); err != nil {
+	if err := ns.ScheduleCycle(ns.srv.cfg.Cycles(15*time.Millisecond), NodeOp{Kind: FailNPU, NPU: 0}); err != nil {
 		t.Fatal(err)
 	}
 	stream := liveStream(t, s, 73, 3, 10*time.Millisecond, 3.5)

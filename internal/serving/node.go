@@ -18,7 +18,7 @@ package serving
 // same client's previous request on its serving NPU. The fluid router
 // state keeps balancing the open-loop and submitted traffic around that
 // pinned load. Pinned requests never pass the router, so a node with
-// pinned clients refuses failures (see Schedule).
+// pinned clients refuses failures (see ScheduleCycle).
 
 import (
 	"errors"
@@ -286,9 +286,7 @@ func (ns *NodeSession) Submit(t *workload.Task) error {
 		return err
 	}
 	if tr := ns.tracer(); tr != nil {
-		t.TraceID = ns.traceNext
-		ns.traceNext++
-		tr.RecordSubmit(t.Arrival, t.TraceID, ns.modelSym(tr, t))
+		ns.traceSubmit(tr, t)
 	}
 	if err := ns.route(t); err != nil {
 		return err
@@ -305,7 +303,7 @@ func (ns *NodeSession) Submit(t *workload.Task) error {
 // appends to a backend's stream and commits a horizon, one of each per
 // request, so a backend's in-flight requests are the tail of its stream
 // — the ledger failNPU reclaims from. Pinned closed-loop clients append
-// without committing; Schedule refuses failures once they exist.
+// without committing; ScheduleCycle refuses failures once they exist.
 func (ns *NodeSession) route(t *workload.Task) error {
 	target := ns.router.Decide(t, ns.state)
 	factor := ns.speed[target]
@@ -399,7 +397,7 @@ func (ns *NodeSession) OfferRamp(base Spec, loads []float64, rng *rand.Rand) (in
 // loop against that backend at the backend's current speed (see
 // Session.OfferClients). Pinned closed-loop traffic is invisible to the
 // fluid router state — the router keeps balancing the open-loop and
-// submitted streams — so no failure could reclaim it: Schedule refuses
+// submitted streams — so no failure could reclaim it: ScheduleCycle refuses
 // failures once clients are pinned. It returns how many requests were
 // realized across all NPUs.
 func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
@@ -434,6 +432,10 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 		perNPU[routable[ns.clientNext%len(routable)]]++
 		ns.clientNext++
 	}
+	var stamp func(*workload.Task)
+	if tr := ns.tracer(); tr != nil {
+		stamp = func(t *workload.Task) { ns.traceSubmit(tr, t) }
+	}
 	total := 0
 	for i, clients := range perNPU {
 		if clients == 0 {
@@ -441,7 +443,7 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 		}
 		sub := spec
 		sub.Clients = clients
-		n, err := ns.backends[i].offerClients(sub, rng, ns.speed[i])
+		n, err := ns.backends[i].offerClients(sub, rng, ns.speed[i], stamp)
 		if err != nil {
 			return total, fmt.Errorf("serving: NPU %d: %w", i, err)
 		}
@@ -458,10 +460,6 @@ var errClientsPinned = errors.New("serving: closed-loop clients pin to their NPU
 
 // Pending reports how many requests have been submitted node-wide.
 func (ns *NodeSession) Pending() int { return ns.submitted }
-
-// Clock reports the stream clock in cycles: the latest arrival routed
-// or instant explicitly advanced to.
-func (ns *NodeSession) Clock() int64 { return ns.lastArrival }
 
 // EstimateWindow appends the node's most recent fluid latency estimates
 // (ms, oldest first, at most the ring size) to dst and returns it — the

@@ -202,10 +202,6 @@ func (ss *Session) Offer(spec Spec, rng *rand.Rand) (int, error) {
 // answering after Close.
 func (ss *Session) Pending() int { return ss.count }
 
-// Simulations reports how many times the session ran the simulator —
-// repeated Stats calls without new submissions answer from the memo.
-func (ss *Session) Simulations() int { return ss.simulations }
-
 // Stats computes the steady-state statistics of everything submitted so
 // far. The result is memoized: a second call without intervening
 // submissions does not re-simulate. Statistics are per original request;

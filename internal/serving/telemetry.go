@@ -56,6 +56,15 @@ func (ns *NodeSession) tierSym(i int) telemetry.Sym {
 	return ns.tierSyms[ns.tierOf[i]]
 }
 
+// traceSubmit gives t the node's next trace request ID and records its
+// submit edge at its arrival: routed submissions and closed-loop client
+// requests alike.
+func (ns *NodeSession) traceSubmit(tr *telemetry.Tracer, t *workload.Task) {
+	t.TraceID = ns.traceNext
+	ns.traceNext++
+	tr.RecordSubmit(t.Arrival, t.TraceID, ns.modelSym(tr, t))
+}
+
 // modelSym answers the Sym for t's model name. Generator-built tasks
 // carry a small 1-based ModelID, so the steady-state lookup is one
 // slice index; the first sight of each model (and any task built

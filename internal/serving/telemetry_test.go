@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/npu"
 	"repro/internal/telemetry"
+	"repro/internal/workload"
 )
 
 // tracedChaosRun drives one tiered, autoscaled, fault-injected ramp
@@ -44,7 +45,7 @@ func tracedChaosRun(t *testing.T) ([]byte, NodeStats) {
 	mustSchedule(t, ns, 40*time.Millisecond, NodeOp{Kind: SlowNPU, NPU: 0, Factor: 2})
 	mustSchedule(t, ns, 80*time.Millisecond, NodeOp{Kind: FailNPU, NPU: 1})
 	offerRamp(t, ns, 17)
-	if err := ns.AdvanceTo(rampHorizon); err != nil {
+	if err := ns.AdvanceToCycle(ns.srv.cfg.Cycles(rampHorizon)); err != nil {
 		t.Fatal(err)
 	}
 	events, err := ns.TraceEvents()
@@ -238,7 +239,7 @@ func TestTraceEventsOneCopy(t *testing.T) {
 		}
 		return a.NPU < b.NPU
 	})
-	want := telemetry.MergeEvents(tr.Tracer.Events(), completions)
+	want := telemetry.MergeEvents(tr.Tracer.AppendEvents(nil), completions)
 	for i := range want {
 		want[i].AtMS = s.cfg.Millis(want[i].Cycle)
 	}
@@ -306,5 +307,54 @@ func TestTieredScaleDownFollowsWeights(t *testing.T) {
 	}
 	if active["fast"] != 4 || active["slow"] != 1 {
 		t.Errorf("halved fleet = %v active, want 4 fast / 1 slow (inverse D'Hondt)", active)
+	}
+}
+
+// TestClientRequestsTraced: on a traced node, closed-loop client
+// requests take their own trace IDs after the open-loop stream's, so
+// every request of the node submits once and completes exactly once.
+func TestClientRequestsTraced(t *testing.T) {
+	s := newServer(t)
+	ns, err := s.OpenNode(NodeConfig{
+		NPUs: 2, Routing: cluster.LeastWork,
+		Session: SessionConfig{Policy: "PREMA", Preemptive: true},
+		Trace:   telemetry.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := ns.Offer(Spec{Horizon: 20 * time.Millisecond, OfferedLoad: 1,
+		Models: rampModels, BatchSizes: []int{1}}, workload.RNGFor(3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients, err := ns.OfferClients(ClientSpec{Clients: 4, Think: 2 * time.Millisecond,
+		Horizon: 40 * time.Millisecond, Models: rampModels}, workload.RNGFor(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := ns.TraceEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	submits, completes := map[int]int{}, map[int]int{}
+	for _, e := range events {
+		switch e.Kind {
+		case telemetry.KindSubmit:
+			submits[e.Req]++
+		case telemetry.KindComplete:
+			completes[e.Req]++
+		}
+	}
+	total := open + clients
+	if open == 0 || clients == 0 || len(submits) != total || len(completes) != total {
+		t.Errorf("%d open-loop and %d client requests: %d IDs submit, %d complete; want every one",
+			open, clients, len(submits), len(completes))
+	}
+	for id := 0; id < total; id++ {
+		if submits[id] != 1 || completes[id] != 1 {
+			t.Errorf("request %d: %d submit and %d complete events, want one of each",
+				id, submits[id], completes[id])
+		}
 	}
 }

@@ -49,6 +49,8 @@ func StdDev(xs []float64) float64 {
 
 // GeoMean returns the geometric mean of xs. Non-positive values are
 // rejected with an error since the geometric mean is undefined for them.
+//
+//premalint:ignore testonly seqlen's buildRegressionRef, the reference the flat regression is checked against, computes its geomeans
 func GeoMean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: geomean of empty slice")
@@ -182,17 +184,6 @@ func (s Summary) IQR() float64 { return s.P75 - s.P25 }
 
 // Clamp restricts v to the inclusive range [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// ClampInt restricts v to the inclusive range [lo, hi].
-func ClampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo
 	}

@@ -148,12 +148,6 @@ func TestClamp(t *testing.T) {
 	if got := Clamp(0.5, 0, 1); got != 0.5 {
 		t.Errorf("Clamp(0.5,0,1) = %v", got)
 	}
-	if got := ClampInt(10, 1, 3); got != 3 {
-		t.Errorf("ClampInt(10,1,3) = %v", got)
-	}
-	if got := ClampInt(-1, 1, 3); got != 1 {
-		t.Errorf("ClampInt(-1,1,3) = %v", got)
-	}
 }
 
 func TestCeilDiv(t *testing.T) {

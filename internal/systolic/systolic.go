@@ -27,6 +27,8 @@ type Array struct {
 }
 
 // New constructs an array of the given dimensions.
+//
+//premalint:ignore testonly the cycle-stepped array systolic's TestMeasuredCyclesMatchAnalyticFormula measures the tile-time model on
 func New(rows, cols int) (*Array, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("systolic: non-positive dims %dx%d", rows, cols)
@@ -38,15 +40,11 @@ func New(rows, cols int) (*Array, error) {
 	return &Array{rows: rows, cols: cols, weights: w}, nil
 }
 
-// Rows returns the array height (k dimension).
-func (a *Array) Rows() int { return a.rows }
-
-// Cols returns the array width (m dimension).
-func (a *Array) Cols() int { return a.cols }
-
 // LoadWeights latches a weight tile into the PE grid (the LOAD_TILE weight
 // path). The tile may be smaller than the array; the remainder is zeroed,
 // modelling the under-utilized edge tiles of Figure 3(c).
+//
+//premalint:ignore testonly latches the tiles systolic's TestStreamMatchesMatMulProperty streams through the oracle array
 func (a *Array) LoadWeights(tile [][]int32) error {
 	if len(tile) > a.rows {
 		return fmt.Errorf("systolic: weight tile has %d rows > array %d", len(tile), a.rows)
@@ -84,6 +82,8 @@ type Result struct {
 // skewed one cycle per row; partial sums flow downward one PE per cycle;
 // column j's results for activation column t emerge after the full
 // pipeline fill.
+//
+//premalint:ignore testonly runs the oracle array; systolic's TestMeasuredCyclesMatchAnalyticFormula reads its cycles
 func (a *Array) Stream(act [][]int32) (Result, error) {
 	if !a.loaded {
 		return Result{}, fmt.Errorf("systolic: Stream before LoadWeights")
@@ -205,6 +205,8 @@ func (a *Array) Stream(act [][]int32) (Result, error) {
 // MatMul is the reference product used to verify the array: given W
 // (rows x cols) and activations act (n columns of height rows), it returns
 // out[j][t] = sum_i W[i][j] * act[t][i].
+//
+//premalint:ignore testonly the reference product systolic's TestStreamMatchesMatMulProperty checks the array's output against
 func MatMul(w [][]int32, act [][]int32, cols int) [][]int32 {
 	n := len(act)
 	out := make([][]int32, cols)
@@ -228,6 +230,8 @@ func MatMul(w [][]int32, act [][]int32, cols int) [][]int32 {
 // PipelineCycles is the analytic occupancy the array should measure for n
 // streamed columns: fill (rows), stream (n), drain (cols), minus the one
 // cycle of overlap between fill and the first commit.
+//
+//premalint:ignore testonly the analytic tile time systolic's TestMeasuredCyclesMatchAnalyticFormula holds the array's measured cycles to
 func PipelineCycles(rows, cols, n int) int {
 	return n + rows + cols - 1
 }

@@ -36,7 +36,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("negative cols should be rejected")
 	}
 	a, err := New(3, 5)
-	if err != nil || a.Rows() != 3 || a.Cols() != 5 {
+	if err != nil || a.rows != 3 || a.cols != 5 {
 		t.Errorf("New(3,5) = %v, %v", a, err)
 	}
 }

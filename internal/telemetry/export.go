@@ -1,9 +1,9 @@
 package telemetry
 
-// export.go is the aggregation half of the package: merging the
-// recorded event stream with derived completions into one sorted trace,
-// and decomposing per-request latency into queue/service/stretch shares
-// (jsonl.go encodes the result as JSON Lines). All accumulation here
+// export.go is the aggregation half of the package: the merge order of
+// the recorded event stream and the derived completions, and the
+// decomposition of per-request latency into queue/service/stretch
+// shares (jsonl.go encodes the result as JSON Lines). All accumulation here
 // runs in sorted order — per-request state is keyed in a map but folded
 // in request-ID order — so the derived numbers are bit-identical across
 // replays (the floatorder premalint analyzer guards the pattern).
@@ -15,7 +15,10 @@ import "sort"
 // precede completions at equal cycles; the inputs' internal order is
 // preserved) and stamps each event's Seq with its sorted index. Both
 // inputs may share no ordering assumptions beyond being individually
-// deterministic.
+// deterministic. It is the reference order: serving.NodeSession.TraceEvents,
+// the export path, assembles the same trace in one exact-size slice.
+//
+//premalint:ignore testonly the reference serving's TestTraceEventsOneCopy holds NodeSession.TraceEvents to
 func MergeEvents(recorded, completions []Event) []Event {
 	out := make([]Event, 0, len(recorded)+len(completions))
 	out = append(out, recorded...)

@@ -116,15 +116,6 @@ func (r *Recorder) Record(s TickSample) {
 	r.total++
 }
 
-// Len reports how many samples the ring currently holds.
-func (r *Recorder) Len() int { return len(r.buf) }
-
-// Total reports how many samples were ever recorded.
-func (r *Recorder) Total() int { return r.total }
-
-// Cap reports the ring's capacity.
-func (r *Recorder) Cap() int { return r.cap }
-
 // Samples returns the recorded ticks oldest-first as a fresh slice.
 func (r *Recorder) Samples() []TickSample {
 	out := make([]TickSample, 0, len(r.buf))

@@ -20,11 +20,13 @@
 // samples recorded, bounded by the capacity, so a handle at the default
 // capacities costs a few hundred bytes until something is recorded.
 //
-// The serving package fills both (serving.NodeConfig.Trace); this
-// package owns the aggregation: MergeEvents orders the stream,
-// Summarize derives queue/service/stretch decompositions and the
-// worst-latency traces, and EncodeJSONL exports everything as sorted
-// JSON Lines into one allocation of exactly the output's size.
+// The serving package fills both (serving.NodeConfig.Trace) and
+// exports the trace: serving.NodeSession.TraceEvents merges the
+// recorded events with the derived completions into one cycle-sorted,
+// sequence-stamped slice. This package owns the rest of the
+// aggregation: Summarize derives queue/service/stretch decompositions
+// and the worst-latency traces, and EncodeJSONL exports everything as
+// sorted JSON Lines into one allocation of exactly the output's size.
 package telemetry
 
 // Event kinds, one per request lifecycle edge the node session traces.
@@ -49,8 +51,8 @@ const (
 
 // Event is one compact per-request lifecycle record. Cycle is the
 // virtual instant (NPU cycles); Seq is the event's index in the sorted
-// export, stamped by MergeEvents. Fields that do not apply to a kind
-// are zero and omitted from the JSONL encoding.
+// export, stamped by serving.NodeSession.TraceEvents. Fields that do
+// not apply to a kind are zero and omitted from the JSONL encoding.
 type Event struct {
 	// Seq is the event's position in the sorted merged stream.
 	Seq int `json:"seq"`
@@ -273,13 +275,6 @@ func (t *Tracer) RecordStretch(cycle int64, req, npu int, tier Sym, factor float
 // Len reports how many events the ring currently holds.
 func (t *Tracer) Len() int { return t.n }
 
-// Total reports how many events were ever recorded; Total > Len means
-// the ring evicted early events.
-func (t *Tracer) Total() int { return t.total }
-
-// Cap reports the ring's capacity.
-func (t *Tracer) Cap() int { return t.cap }
-
 // event materializes ring slot i back into the export shape. Only the
 // float columns the slot's kind carries are read — the hot recording
 // methods leave the others untouched (stale from evicted events), so
@@ -313,10 +308,6 @@ func (t *Tracer) event(i int) Event {
 	}
 	return e
 }
-
-// Events returns the recorded events oldest-first as a fresh slice the
-// caller may mutate (MergeEvents does, to stamp sequence numbers).
-func (t *Tracer) Events() []Event { return t.AppendEvents(make([]Event, 0, t.n)) }
 
 // AppendEvents appends the recorded events to dst oldest-first and
 // answers the extended slice, so a caller assembling a larger trace

@@ -75,6 +75,8 @@ func (t *Timeline) BusyCycles() int64 {
 
 // Validate checks that no two spans overlap (one NPU executes one task at
 // a time under temporal multi-tasking, Section IV-A).
+//
+//premalint:ignore testonly a check; sim's TestAllTasksCompleteUnderEveryConfiguration and FuzzSimInvariants run it on every simulated timeline
 func (t *Timeline) Validate() error {
 	spans := t.Spans()
 	for i := 1; i < len(spans); i++ {

@@ -182,25 +182,3 @@ func (s *Suite) Close() error { return s.inner.FlushDiskCache() }
 
 // Experiments lists the registered paper experiment IDs.
 func Experiments() []string { return exp.IDs() }
-
-// RunExperiment regenerates one paper figure/table by ID and returns the
-// rendered tables.
-//
-// Deprecated: RunExperiment rebuilds a Suite — and therefore a cold
-// simulation cache — on every call. Use NewSuite and Suite.Run, which
-// share one cache across all experiments in the process.
-func RunExperiment(id string) ([]string, error) {
-	suite, err := NewSuite(SuiteOptions{})
-	if err != nil {
-		return nil, err
-	}
-	results, err := suite.Run(id)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, t := range results[0].Tables {
-		out = append(out, t.Text)
-	}
-	return out, nil
-}

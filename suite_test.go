@@ -6,8 +6,7 @@ import (
 
 // TestSuiteRunSharesCache proves the Suite pillar: one cache spans every
 // experiment a Suite runs, so overlapping sweeps answer from memory on
-// the second encounter — which the per-call RunExperiment shape could
-// never do.
+// the second encounter — which a suite built per call could never do.
 func TestSuiteRunSharesCache(t *testing.T) {
 	suite, err := NewSuite(SuiteOptions{Runs: 2})
 	if err != nil {
@@ -139,8 +138,5 @@ func TestSuiteErrors(t *testing.T) {
 	}
 	if len(Experiments()) < 15 {
 		t.Errorf("only %d experiments exposed", len(Experiments()))
-	}
-	if _, err := RunExperiment("nope"); err == nil {
-		t.Error("unknown experiment through the shim should error")
 	}
 }

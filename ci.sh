@@ -75,6 +75,9 @@ go test -fuzz=FuzzScaledExecution -fuzztime=5s -run '^$' ./internal/npu/
 # exactly the requests the work ledger the router state used to keep
 # would have reclaimed, under random commits, polls and fleet churn.
 go test -fuzz=FuzzFailReclaim -fuzztime=5s -run '^$' ./internal/cluster/
+# The count a compile grows a block pool by is the number of instructions
+# the lowering emits, for any valid layer of any kind at any batch.
+go test -fuzz=FuzzLowerCount -fuzztime=5s -run '^$' ./internal/compiler/
 # Any binary program stream reads or errors without panicking, allocating
 # by the bytes read rather than the header's claim, and an accepted
 # program writes back to a stream that reads as the same program.

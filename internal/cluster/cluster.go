@@ -169,6 +169,7 @@ func Run(opt Options, tasks []*workload.Task) (*Result, error) {
 		simulator, err := sim.New(sim.Options{
 			NPU: opt.NPU, Sched: opt.Sched,
 			Policy: policy, Preemptive: opt.Preemptive, Selector: selector,
+			Record: true,
 		}, workload.SchedTasks(buckets[i]))
 		if err != nil {
 			return nil, err

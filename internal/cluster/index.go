@@ -67,8 +67,6 @@ func (h *npuHeap) growTo(n int) {
 	}
 }
 
-func (h *npuHeap) len() int { return len(h.ents) }
-
 func (h *npuHeap) contains(i int) bool { return i < len(h.pos) && h.pos[i] >= 0 }
 
 // min returns the NPU id with the smallest (key, id), or -1 when empty.
@@ -317,11 +315,6 @@ func (b *idleSet) growTo(n int) {
 	for len(b.summary)*64 < len(b.words) {
 		b.summary = append(b.summary, 0)
 	}
-}
-
-func (b *idleSet) contains(i int) bool {
-	w := i >> 6
-	return w < len(b.words) && b.words[w]>>(uint(i)&63)&1 != 0
 }
 
 func (b *idleSet) set(i int) {

@@ -53,6 +53,20 @@ func TestCompileRejectsBadInputs(t *testing.T) {
 	if _, err := c.Compile(sa, 1, npu.MaxLayers/2+1, 0); err == nil {
 		t.Error("an instance past npu.MaxLayers layers should be rejected")
 	}
+	// An invalid layer, or one past a pool's int32 spans, is an error
+	// before anything is lowered.
+	for _, l := range []dnn.Layer{
+		dnn.NewConv("stride0", 8, 8, 4, 4, 3, 0, 1),
+		dnn.NewConv("huge", 60000, 60000, 60000, 60000, 1, 1, 0),
+	} {
+		bad := &dnn.Model{Name: "bad", Class: dnn.CNN, Static: []dnn.Layer{dnn.NewFC("fc", 8, 8, false), l}}
+		if _, err := c.Compile(bad, 1, 0, 0); err == nil {
+			t.Errorf("layer %q should be rejected", l.Name)
+		}
+		if n := len(c.pools[poolKey{"bad", 1}].instrs); n != 0 {
+			t.Errorf("layer %q: a rejected compile lowered %d instructions", l.Name, n)
+		}
+	}
 }
 
 func TestCompiledProgramsValidate(t *testing.T) {
@@ -305,4 +319,58 @@ func TestRandomConvCompileProperty(t *testing.T) {
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzLowerCount ties the count Compile grows a pool by to the lowering:
+// for any valid layer of any kind at any batch, count answers exactly the
+// number of instructions lowerLayer appends. The seeds are every zoo
+// layer at each of dnn.BatchSizes. A layer counted below one instruction
+// or past maxFuzzInstrs is too large to lower quickly and is skipped:
+// with these argument widths a GEMM's tile product cannot overflow, and a
+// vector layer lowers exactly the chunks its plan counts, whatever they
+// are.
+func FuzzLowerCount(f *testing.F) {
+	const maxFuzzInstrs = 1 << 18
+	seen := map[dnn.Layer]bool{}
+	for _, m := range dnn.All() {
+		runs := []dnn.Run{{Body: m.Static, Times: 1}}
+		if m.IsRNN() {
+			runs = m.Runs(m.MinInLen, m.MinInLen)
+		}
+		for _, r := range runs {
+			for _, l := range r.Body {
+				l.Name = ""
+				if seen[l] {
+					continue
+				}
+				seen[l] = true
+				for _, b := range dnn.BatchSizes {
+					f.Add(uint8(l.Kind), uint16(l.InH), uint16(l.InW), uint16(l.InC), uint16(l.OutC),
+						uint8(l.KH), uint8(l.KW), uint8(l.Stride), uint8(l.Padding),
+						uint16(l.InF), uint16(l.OutF), uint16(l.Hidden), uint16(l.InDim), l.FusedAct, uint8(b))
+				}
+			}
+		}
+	}
+	c, err := New(npu.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, inH, inW, inC, outC uint16, kh, kw, stride, pad uint8,
+		inF, outF, hidden, inDim uint16, fused bool, batch uint8) {
+		l := dnn.Layer{Kind: dnn.Kind(kind % 6),
+			InH: int(inH), InW: int(inW), InC: int(inC), OutC: int(outC),
+			KH: int(kh), KW: int(kw), Stride: int(stride), Padding: int(pad),
+			InF: int(inF), OutF: int(outF), Hidden: int(hidden), InDim: int(inDim), FusedAct: fused}
+		if l.Validate() != nil || batch == 0 {
+			t.Skip("not a valid layer")
+		}
+		n := c.count(l, int(batch))
+		if n < 1 || n > maxFuzzInstrs {
+			t.Skipf("%d instructions", n)
+		}
+		if got := len(c.lowerLayer(nil, l, int(batch))); got != n {
+			t.Fatalf("%+v at batch %d: count %d, lowering emits %d", l, batch, n, got)
+		}
+	})
 }

@@ -9,7 +9,6 @@ package ctl
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -268,13 +267,4 @@ func (p *Plane) renderBackend(i int) (string, error) {
 	fmt.Fprintf(&b, "  backlog    %.2fms\n", v.BacklogMS)
 	fmt.Fprintf(&b, "  routed     %d", v.Routed)
 	return b.String(), nil
-}
-
-// sortedVerbs is used by tests to assert help stays complete.
-func sortedVerbs() []string {
-	verbs := []string{"help", "time", "list", "get", "cordon", "uncordon",
-		"fail", "restore", "slow", "drain", "scale", "load", "snapshot",
-		"trace", "metrics", "report", "step", "pause", "resume", "quit"}
-	sort.Strings(verbs)
-	return verbs
 }

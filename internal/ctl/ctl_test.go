@@ -9,6 +9,7 @@ package ctl
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -269,6 +270,15 @@ func TestScheduledPastCommandRefused(t *testing.T) {
 	if _, err := p.Exec("cordon npu0"); err != nil {
 		t.Fatalf("cordon at the current instant: %v", err)
 	}
+}
+
+// sortedVerbs lists every command verb, sorted.
+func sortedVerbs() []string {
+	verbs := []string{"help", "time", "list", "get", "cordon", "uncordon",
+		"fail", "restore", "slow", "drain", "scale", "load", "snapshot",
+		"trace", "metrics", "report", "step", "pause", "resume", "quit"}
+	sort.Strings(verbs)
+	return verbs
 }
 
 func TestHelpListsEveryVerb(t *testing.T) {

@@ -18,9 +18,8 @@ package exp
 //
 // Cached outcomes are immutable by contract: consumers only aggregate
 // (metrics averaging, task pooling, SLA/tail statistics), so the same
-// runOutcome — including its task and preemption slices — may be handed
-// to any number of experiments. Nothing in internal/exp mutates a
-// completed task.
+// runOutcome — including its task slice — may be handed to any number of
+// experiments. Nothing in internal/exp mutates a completed task.
 //
 // Specs are canonicalized before fingerprinting (empty model/batch pools
 // and a zero arrival window resolve to the same defaults workload.Generate

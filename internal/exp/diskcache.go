@@ -33,12 +33,14 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/npu"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // diskFormatVersion invalidates every persisted cache when the snapshot
-// schema or the outcome semantics change.
-const diskFormatVersion = 1
+// schema or the outcome semantics change. Version 2 snapshots hold no
+// preemption events. The version is part of the fingerprint, so an older
+// file is ignored like any fingerprint mismatch (its name, hashed from its
+// fingerprint, is not even opened) and the run starts cold.
+const diskFormatVersion = 2
 
 // suiteFingerprint canonicalizes the suite-level cache version: format,
 // NPU configuration (all scalar fields) and profile seed. Scheduler
@@ -88,9 +90,8 @@ type diskTask struct {
 
 // diskOutcome snapshots one runOutcome.
 type diskOutcome struct {
-	Metrics     metrics.Run
-	Tasks       []diskTask
-	Preemptions []sim.PreemptionEvent
+	Metrics metrics.Run
+	Tasks   []diskTask
 }
 
 // diskFile is the persisted cache image.
@@ -127,7 +128,7 @@ func restoreTask(d diskTask) *sched.Task {
 }
 
 func snapshotOutcome(o runOutcome) diskOutcome {
-	d := diskOutcome{Metrics: o.metrics, Preemptions: o.preemptions}
+	d := diskOutcome{Metrics: o.metrics}
 	d.Tasks = make([]diskTask, len(o.tasks))
 	for i, t := range o.tasks {
 		d.Tasks[i] = snapshotTask(t)
@@ -136,7 +137,7 @@ func snapshotOutcome(o runOutcome) diskOutcome {
 }
 
 func restoreOutcome(d diskOutcome) runOutcome {
-	o := runOutcome{metrics: d.Metrics, preemptions: d.Preemptions}
+	o := runOutcome{metrics: d.Metrics}
 	o.tasks = make([]*sched.Task, len(d.Tasks))
 	for i, t := range d.Tasks {
 		o.tasks[i] = restoreTask(t)

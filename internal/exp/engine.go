@@ -16,8 +16,8 @@ package exp
 //  2. Stable assembly. Worker completion order is nondeterministic, so
 //     outcomes are written into an index-addressed slice and reduced
 //     sequentially in (configuration, run) order afterwards — float
-//     accumulation order, pooled task order, and pooled preemption order
-//     all match the sequential loop exactly.
+//     accumulation order and pooled task order both match the sequential
+//     loop exactly.
 //  3. Shared read-mostly state. The state shared across workers is the
 //     Suite's workload.Generator and its optional RunCache; both are
 //     mutex-guarded, and cache hits/misses cannot influence results
@@ -111,9 +111,8 @@ func (s *Suite) ForEach(n int, fn func(i int) error) error {
 
 // runOutcome is one simulation run's contribution to a MultiResult.
 type runOutcome struct {
-	metrics     metrics.Run
-	tasks       []*sched.Task
-	preemptions []sim.PreemptionEvent
+	metrics metrics.Run
+	tasks   []*sched.Task
 }
 
 // runOne resolves the run-th simulation of cfg: a cache hit returns the
@@ -172,7 +171,7 @@ func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, spec workloa
 	if err != nil {
 		return runOutcome{}, err
 	}
-	return runOutcome{metrics: m, tasks: res.Tasks, preemptions: res.Preemptions}, nil
+	return runOutcome{metrics: m, tasks: res.Tasks}, nil
 }
 
 // RunConfigs executes runs simulations of every configuration over
@@ -223,7 +222,6 @@ func (s *Suite) RunConfigsSched(cfgs []SchedulerConfig, scfg sched.Config, spec 
 			o := outcomes[ci*runs+r]
 			perRun[r] = o.metrics
 			out.Tasks = append(out.Tasks, o.tasks...)
-			out.Preemptions = append(out.Preemptions, o.preemptions...)
 		}
 		out.Agg = metrics.Averaged(perRun)
 		results[ci] = out

@@ -11,8 +11,7 @@ import (
 
 // fingerprint renders every observable field of a MultiResult with exact
 // float bit patterns, so two results compare equal only when they are
-// bit-identical: aggregate metrics, pooled task order and timing, and
-// pooled preemption order and cost.
+// bit-identical: aggregate metrics and pooled task order and timing.
 func fingerprint(m *MultiResult) string {
 	var b strings.Builder
 	bits := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
@@ -23,10 +22,6 @@ func fingerprint(m *MultiResult) string {
 			i, t.ID, t.Model, t.Batch, t.Priority, t.Arrival, t.EstimatedCycles,
 			t.IsolatedCycles, bits(t.Token), t.Start, t.Completion, t.Waited, t.Preemptions)
 	}
-	for i, p := range m.Preemptions {
-		fmt.Fprintf(&b, "preempt[%d]={cycle=%d victim=%d by=%d cost=%+v}\n",
-			i, p.Cycle, p.Preempted, p.Preempting, p.Cost)
-	}
 	return b.String()
 }
 
@@ -34,7 +29,7 @@ func fingerprint(m *MultiResult) string {
 // contract (see the package comment): fanning (configuration x run)
 // pairs over the worker pool must produce MultiResults bit-identical to
 // a sequential Workers=1 execution — same aggregate floats, same pooled
-// task order, same pooled preemption order.
+// task order.
 func TestEngineParallelMatchesSequential(t *testing.T) {
 	spec := workload.Spec{Tasks: 8}
 	const runs = 6

@@ -33,7 +33,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/npu"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -249,8 +248,6 @@ type MultiResult struct {
 	// Tasks pools every completed task of every run (for SLA and tail
 	// statistics across the whole experiment).
 	Tasks []*sched.Task
-	// Preemptions pools every preemption event.
-	Preemptions []sim.PreemptionEvent
 }
 
 // Experiment is a runnable evaluation entry.

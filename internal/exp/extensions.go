@@ -213,7 +213,7 @@ func runEnergy(s *Suite) ([]*Table, error) {
 			}
 			simulator, err := sim.New(sim.Options{
 				NPU: s.NPU, Sched: s.Sched, Policy: policy,
-				Preemptive: cfg.Preemptive, Selector: selector,
+				Preemptive: cfg.Preemptive, Selector: selector, Record: true,
 			}, workload.SchedTasks(tasks))
 			if err != nil {
 				return err

@@ -83,7 +83,7 @@ func runFig2(s *Suite) ([]*Table, error) {
 		}
 		simulator, err := sim.New(sim.Options{
 			NPU: s.NPU, Sched: s.Sched, Policy: policy,
-			Preemptive: c.preemptive, Selector: sel,
+			Preemptive: c.preemptive, Selector: sel, Record: true,
 		}, workload.SchedTasks(tasks))
 		if err != nil {
 			return nil, err

@@ -71,7 +71,7 @@ func runMechTrial(s *Suite, victim, preemptor *dnn.Model, victimBatch, preBatch 
 		}
 		simulator, err := sim.New(sim.Options{
 			NPU: s.NPU, Sched: s.Sched, Policy: policy,
-			Preemptive: cfg.Preemptive, Selector: sel,
+			Preemptive: cfg.Preemptive, Selector: sel, Record: true,
 		}, workload.SchedTasks(tasks))
 		if err != nil {
 			return nil, err

@@ -15,6 +15,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"repro/internal/dnn"
 	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -80,18 +81,23 @@ func NewServer(cfg npu.Config, scfg sched.Config, gen *workload.Generator) *Serv
 func (s *Server) NPU() npu.Config { return s.cfg }
 
 // meanServiceCycles estimates the mix's mean isolated service time by
-// sampling instances.
+// sampling programs: a request's isolated time at nominal speed is its
+// program's TotalCycles.
 func (s *Server) meanServiceCycles(models []string, batches []int, rng *rand.Rand) (float64, error) {
 	const samples = 24
 	var sum float64
 	for i := 0; i < samples; i++ {
 		name := models[rng.IntN(len(models))]
 		b := batches[rng.IntN(len(batches))]
-		task, err := s.gen.InstanceByName(i, name, b, sched.Medium, 0, rng)
+		m, err := dnn.ByName(name)
 		if err != nil {
 			return 0, err
 		}
-		sum += float64(task.IsolatedCycles)
+		prog, _, _, _, err := s.gen.Sample(m, b, rng)
+		if err != nil {
+			return 0, err
+		}
+		sum += float64(prog.TotalCycles)
 	}
 	return sum / samples, nil
 }

@@ -89,8 +89,10 @@ func checkSimInvariants(t *testing.T, res *Result, preemptive bool, label string
 // TestRandomizedConfigurations: the fuzzer drives the raw scenario
 // knobs (workload seed, policy, task count, arrival window, quantum,
 // preemption mechanism) and every generated run must satisfy the same
-// invariants. ci.sh exercises the seed corpus plus a short fuzz burst
-// on every run (`go test -fuzz=FuzzSimInvariants -fuzztime=5s`).
+// invariants. Each input also runs with Options.Record off, which must
+// change nothing but the records (checkRecordOff). ci.sh exercises the
+// seed corpus plus a short fuzz burst on every run
+// (`go test -fuzz=FuzzSimInvariants -fuzztime=5s`).
 func FuzzSimInvariants(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2), uint16(10), uint16(500), false, uint8(0))
 	f.Add(uint64(0xF022), uint8(5), uint8(7), uint16(25), uint16(1500), true, uint8(4))
@@ -122,10 +124,46 @@ func FuzzSimInvariants(f *testing.F) {
 		if preemptive {
 			selector = selectors[int(selectorIdx)%len(selectors)]
 		}
+		label := fmt.Sprintf("seed %#x (%s/%s)", seed, policy, selector)
 		res := runScenario(t, cfg, scfg, policy, preemptive, selector, tasks)
-		checkSimInvariants(t, res, preemptive,
-			fmt.Sprintf("seed %#x (%s/%s)", seed, policy, selector))
+		checkSimInvariants(t, res, preemptive, label)
+
+		// The same tasks again, recording nothing.
+		again, err := gen.Generate(spec, workload.RNGFor(seed, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := runScenarioRecord(t, cfg, scfg, policy, preemptive, selector, again, false)
+		checkRecordOff(t, bare, res, label)
 	})
+}
+
+// checkRecordOff asserts that a run with Options.Record off differs from
+// the recorded run of the same tasks only in the records: every task
+// matches field by field (its execution cursor by value), Cycles and
+// Wakes match, and Preemptions and Timeline are nil.
+func checkRecordOff(t *testing.T, bare, rec *Result, label string) {
+	t.Helper()
+	if bare.Preemptions != nil || bare.Timeline != nil {
+		t.Fatalf("%s: a run with Record off kept %d preemptions and timeline %v",
+			label, len(bare.Preemptions), bare.Timeline)
+	}
+	if len(bare.Tasks) != len(rec.Tasks) {
+		t.Fatalf("%s: %d tasks with Record off, %d with it on", label, len(bare.Tasks), len(rec.Tasks))
+	}
+	for i, g := range bare.Tasks {
+		w := rec.Tasks[i]
+		gv, wv := *g, *w
+		gv.Exec, wv.Exec = nil, nil
+		if gv != wv || *g.Exec != *w.Exec {
+			t.Fatalf("%s: task %d with Record off: %+v (cursor %+v), with it on: %+v (cursor %+v)",
+				label, i, gv, *g.Exec, wv, *w.Exec)
+		}
+	}
+	if bare.Cycles != rec.Cycles || bare.Wakes != rec.Wakes {
+		t.Fatalf("%s: Record off ran %d cycles and %d wakes, on %d and %d",
+			label, bare.Cycles, bare.Wakes, rec.Cycles, rec.Wakes)
+	}
 }
 
 // TestSimultaneousArrivals exercises the degenerate arrival pattern where

@@ -79,7 +79,7 @@ func TestInjectionMatchesBatch(t *testing.T) {
 		}
 		s, err := New(Options{
 			NPU: cfg, Sched: scfg, Policy: pol,
-			Preemptive: c.preemptive, Selector: sel,
+			Preemptive: c.preemptive, Selector: sel, Record: true,
 			OnComplete: func(done *sched.Task, now int64) []*sched.Task {
 				if done.ID == 0 {
 					return extras

@@ -5,7 +5,8 @@ package sim
 // bound; after every bound, Project must give each admitted task the
 // completion cycle (and the run the makespan) of a fresh Run over the
 // admitted prefix, and the live simulator's final Run must equal the
-// offline Run over the whole stream field by field.
+// offline Run over the whole stream field by field (its preemptions and
+// timeline too, when the live simulator records them).
 
 import (
 	"fmt"
@@ -44,18 +45,21 @@ type liveTrial struct {
 	// ckptMem, when positive, bounds the NPU's checkpoint memory (bytes),
 	// so saves can spill to host memory.
 	ckptMem int64
-	stream  []*workload.Task
-	bounds  []int64
-	admit   []int
+	// record sets Options.Record on the live simulator; offline runs
+	// always record.
+	record bool
+	stream []*workload.Task
+	bounds []int64
+	admit  []int
 }
 
 func (tr liveTrial) String() string {
-	return fmt.Sprintf("%s/%s q=%v mem=%d n=%d bounds=%v admit=%v",
-		tr.policy, tr.selector, tr.quantum, tr.ckptMem, len(tr.stream), tr.bounds, tr.admit)
+	return fmt.Sprintf("%s/%s q=%v mem=%d record=%v n=%d bounds=%v admit=%v",
+		tr.policy, tr.selector, tr.quantum, tr.ckptMem, tr.record, len(tr.stream), tr.bounds, tr.admit)
 }
 
 // liveOptions builds fresh simulator options for the trial's
-// configuration.
+// configuration, recording as the trial's live simulator does.
 func liveOptions(t testing.TB, cfg npu.Config, tr liveTrial) Options {
 	t.Helper()
 	scfg := sched.DefaultConfig()
@@ -67,7 +71,7 @@ func liveOptions(t testing.TB, cfg npu.Config, tr liveTrial) Options {
 	} else if pol, err = sched.ByName(tr.policy, scfg); err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{NPU: cfg, Sched: scfg, Policy: pol}
+	opt := Options{NPU: cfg, Sched: scfg, Policy: pol, Record: tr.record}
 	if tr.ckptMem > 0 {
 		mcfg := ckptmem.DefaultConfig()
 		mcfg.NPUMemBytes = tr.ckptMem
@@ -98,10 +102,12 @@ func fresh(stream []*workload.Task, idx []int) []*sched.Task {
 }
 
 // runOffline runs the given stream indices from cycle 0 on a fresh
-// simulator, in that order.
+// simulator, in that order, recording preemptions and the timeline.
 func runOffline(t testing.TB, cfg npu.Config, tr liveTrial, idx []int) (*Result, error) {
 	t.Helper()
-	s, err := New(liveOptions(t, cfg, tr), fresh(tr.stream, idx))
+	opt := liveOptions(t, cfg, tr)
+	opt.Record = true
+	s, err := New(opt, fresh(tr.stream, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,8 @@ type liveSize struct{ tasks, batch, bounds int }
 // of the offline run inside checkpoint saves and just after dispatches
 // (inside a restore, when the dispatch resumes a checkpointed task). Each
 // request is admitted at its last legal moment, as a serving session
-// admits it, or at a random earlier one.
+// admits it, or at a random earlier one. Half the trials record on the
+// live simulator.
 func newLiveTrial(t testing.TB, cfg npu.Config, gen *workload.Generator, rng *rand.Rand,
 	policy, selector string, size liveSize) liveTrial {
 	t.Helper()
@@ -210,6 +217,7 @@ func newLiveTrial(t testing.TB, cfg npu.Config, gen *workload.Generator, rng *ra
 			tr.admit[i] = rng.IntN(last + 1)
 		}
 	}
+	tr.record = rng.IntN(2) == 0
 	return tr
 }
 
@@ -295,8 +303,9 @@ func checkLive(t testing.TB, cfg npu.Config, tr liveTrial) {
 }
 
 // diffResults describes the first difference between two results, field
-// by field: every task's context-table entry, the preemption events, the
-// timeline spans, the wake count and the makespan.
+// by field: every task's context-table entry, the preemption events and
+// timeline spans where both results recorded them, the wake count and the
+// makespan.
 func diffResults(got, want *Result) string {
 	if len(got.Tasks) != len(want.Tasks) {
 		return fmt.Sprintf("%d tasks, want %d", len(got.Tasks), len(want.Tasks))
@@ -311,11 +320,13 @@ func diffResults(got, want *Result) string {
 			return fmt.Sprintf("task %d: %+v, want %+v", i, *g, *w)
 		}
 	}
-	if !slices.Equal(got.Preemptions, want.Preemptions) {
-		return fmt.Sprintf("preemptions %v, want %v", got.Preemptions, want.Preemptions)
-	}
-	if !slices.Equal(got.Timeline.Spans(), want.Timeline.Spans()) {
-		return fmt.Sprintf("timeline %v, want %v", got.Timeline.Spans(), want.Timeline.Spans())
+	if got.Timeline != nil && want.Timeline != nil {
+		if !slices.Equal(got.Preemptions, want.Preemptions) {
+			return fmt.Sprintf("preemptions %v, want %v", got.Preemptions, want.Preemptions)
+		}
+		if !slices.Equal(got.Timeline.Spans(), want.Timeline.Spans()) {
+			return fmt.Sprintf("timeline %v, want %v", got.Timeline.Spans(), want.Timeline.Spans())
+		}
 	}
 	if got.Wakes != want.Wakes || got.Cycles != want.Cycles {
 		return fmt.Sprintf("wakes %d cycles %d, want %d and %d", got.Wakes, got.Cycles, want.Wakes, want.Cycles)
@@ -349,7 +360,8 @@ func TestLiveEqualsOffline(t *testing.T) {
 func TestLiveBoundInsideSaveWindow(t *testing.T) {
 	cfg, scfg, gen := fixtures(t)
 	tasks := twoTasks(t, gen, cfg) // long low-priority victim, short high-priority preemptor
-	tr := liveTrial{policy: "HPF", selector: "static-checkpoint", quantum: scfg.Quantum, stream: tasks}
+	tr := liveTrial{policy: "HPF", selector: "static-checkpoint", quantum: scfg.Quantum,
+		record: true, stream: tasks}
 	res := offline(t, cfg, tr)
 	if len(res.Preemptions) != 1 || res.Preemptions[0].Cost.SaveCycles < 2 {
 		t.Fatalf("want one checkpoint preemption with a save window, got %+v", res.Preemptions)

@@ -18,11 +18,17 @@
 //     counts tasks admitted since the pause; and neither the idle jump
 //     nor the "scheduled nothing" jump to the next arrival crosses bound.
 //   - Project runs value copies of the unfinished tasks to completion on
-//     a throwaway simulator, leaving the live one untouched.
+//     a throwaway simulator that records nothing, leaving the live one
+//     untouched.
 //
 // Run is AdvanceTo with no bound: one event loop serves the offline run
 // and the live one, and a live simulator fed any admission chunks and
 // bounds ends on the Result the offline Run gives over the same tasks.
+//
+// Preemption events and occupancy spans are recorded only when
+// Options.Record asks for them: the mechanism characterisation (Figures
+// 5-6, the energy model) and the Figure 2 timeline read them, while a
+// serving backend, which reads only its tasks, records neither.
 package sim
 
 import (
@@ -75,6 +81,10 @@ type Options struct {
 	// known) — internal/serving's closed-loop replay relies on this.
 	// Project releases nothing through it.
 	OnComplete func(done *sched.Task, now int64) []*sched.Task
+	// Record fills Result.Preemptions and Result.Timeline, which stay nil
+	// without it. It changes nothing else: tasks, cycles and wakes are the
+	// same either way. Project clears it on its throwaway copy.
+	Record bool
 }
 
 // PreemptionEvent records one serviced preemption for the
@@ -92,14 +102,16 @@ type PreemptionEvent struct {
 type Result struct {
 	// Tasks are the completed context-table entries.
 	Tasks []*sched.Task
-	// Preemptions are the serviced preemption events in time order.
+	// Preemptions are the serviced preemption events in time order (DRAIN
+	// non-preemptions included); nil unless Options.Record is set.
 	Preemptions []PreemptionEvent
 	// Cycles is the makespan (completion of the last task).
 	Cycles int64
 	// Wakes counts scheduler invocations.
 	Wakes int64
 	// Timeline records NPU occupancy spans (one per contiguous run of
-	// a task), suitable for Figure 2-style rendering.
+	// a task), suitable for Figure 2-style rendering; nil unless
+	// Options.Record is set.
 	Timeline *trace.Timeline
 }
 
@@ -134,11 +146,9 @@ type Sim struct {
 	// scheduled nothing; a bound can hold it back.
 	waiting bool
 
-	// projection marks a throwaway copy made by Project: it records no
-	// timeline spans or preemption events, and reports each completion
-	// to onDone.
-	projection bool
-	onDone     func(*sched.Task, int64)
+	// onDone, on a throwaway copy made by Project, is told of each
+	// completion.
+	onDone func(*sched.Task, int64)
 
 	// live is the scratch buffer allLive refills at every scheduler
 	// wake, so token accounting allocates nothing in steady state.
@@ -179,7 +189,9 @@ func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 	}
 	s := &Sim{opt: opt, quantum: quantum, remaining: len(tasks),
 		lastArrival: last, bound: math.MinInt64}
-	s.result.Timeline = &trace.Timeline{}
+	if opt.Record {
+		s.result.Timeline = &trace.Timeline{}
+	}
 	s.pending = append(s.pending, tasks...)
 	sort.Slice(s.pending, func(i, j int) bool {
 		if s.pending[i].Arrival != s.pending[j].Arrival {
@@ -234,8 +246,7 @@ func (s *Sim) AdvanceTo(bound int64) error {
 // each copy at its completion cycle, and returns the projected makespan.
 // The copy shares the policy and selector (policies keep no decision
 // state between picks), releases nothing through OnComplete, and records
-// no timeline spans or preemption events; the live simulator is left
-// untouched.
+// nothing (Record is cleared); the live simulator is left untouched.
 func (s *Sim) Project(onDone func(t *sched.Task, now int64)) (int64, error) {
 	if s.remaining == 0 {
 		return s.now, nil
@@ -244,9 +255,9 @@ func (s *Sim) Project(onDone func(t *sched.Task, now int64)) (int64, error) {
 		opt: s.opt, quantum: s.quantum, now: s.now, runSince: s.runSince,
 		remaining: s.remaining, lastArrival: s.lastArrival, bound: s.bound,
 		stepping: s.stepping, stepStart: s.stepStart, waiting: s.waiting,
-		projection: true, onDone: onDone,
+		onDone: onDone,
 	}
-	p.opt.OnComplete = nil
+	p.opt.OnComplete, p.opt.Record = nil, false
 	if s.opt.CkptMem != nil {
 		p.opt.CkptMem = s.opt.CkptMem.Clone()
 	}
@@ -508,10 +519,10 @@ func (s *Sim) apply(dec sched.Decision) error {
 	return s.dispatch(dec.Candidate)
 }
 
-// recordPreemption appends one serviced preemption at the current cycle;
-// a projection records none.
+// recordPreemption appends one serviced preemption at the current cycle
+// when the run records.
 func (s *Sim) recordPreemption(preempted, preempting int, cost preempt.Cost) {
-	if s.projection {
+	if !s.opt.Record {
 		return
 	}
 	s.result.Preemptions = append(s.result.Preemptions, PreemptionEvent{
@@ -564,9 +575,9 @@ func (s *Sim) dispatch(t *sched.Task) error {
 }
 
 // endSpan closes the running task's current occupancy span at the
-// current cycle; a projection records none.
+// current cycle when the run records.
 func (s *Sim) endSpan() {
-	if s.projection || s.running == nil || s.now <= s.runSince {
+	if !s.opt.Record || s.running == nil || s.now <= s.runSince {
 		return
 	}
 	s.result.Timeline.Add(trace.Span{

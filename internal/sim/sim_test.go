@@ -23,8 +23,17 @@ func fixtures(t *testing.T) (npu.Config, sched.Config, *workload.Generator) {
 	return cfg, scfg, gen
 }
 
+// runScenario runs the tasks to completion under the named
+// configuration, recording preemptions and the timeline.
 func runScenario(t *testing.T, cfg npu.Config, scfg sched.Config, policy string,
 	preemptive bool, selector string, tasks []*workload.Task) *Result {
+	t.Helper()
+	return runScenarioRecord(t, cfg, scfg, policy, preemptive, selector, tasks, true)
+}
+
+// runScenarioRecord is runScenario with Options.Record given.
+func runScenarioRecord(t *testing.T, cfg npu.Config, scfg sched.Config, policy string,
+	preemptive bool, selector string, tasks []*workload.Task, record bool) *Result {
 	t.Helper()
 	pol, err := sched.ByName(policy, scfg)
 	if err != nil {
@@ -37,7 +46,7 @@ func runScenario(t *testing.T, cfg npu.Config, scfg sched.Config, policy string,
 		}
 	}
 	s, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol,
-		Preemptive: preemptive, Selector: sel}, workload.SchedTasks(tasks))
+		Preemptive: preemptive, Selector: sel, Record: record}, workload.SchedTasks(tasks))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,21 +194,31 @@ func (g *Generator) Analytic() *predictor.Analytic { return g.analytic }
 // Compiler exposes the generator's compiler.
 func (g *Generator) Compiler() *compiler.Compiler { return g.comp }
 
+// Sample draws one concrete instance of a model and compiles it through
+// the program cache: an RNN's sequence lengths come from the profile
+// corpus (the only RNG draws an instance makes), a CNN draws nothing.
+// Instance builds its task on this step.
+func (g *Generator) Sample(m *dnn.Model, batch int, rng *rand.Rand) (
+	prog *npu.Program, inLen, actualOut, predictedOut int, err error) {
+	if m.IsRNN() {
+		inLen, actualOut, predictedOut, err = g.lib.SampleInstance(m.SeqProfile, rng)
+		if err != nil {
+			return nil, 0, 0, 0, err
+		}
+	}
+	prog, err = g.compile(m, batch, inLen, actualOut)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	return prog, inLen, actualOut, predictedOut, nil
+}
+
 // Instance compiles one concrete task instance of a model: RNN lengths
 // are sampled from the profile corpus; the returned task carries both the
 // ground-truth program and the predictor's estimate.
 func (g *Generator) Instance(id int, m *dnn.Model, batch int, prio sched.Priority,
 	arrival int64, est Estimator, rng *rand.Rand) (*Task, error) {
-
-	inLen, actualOut, predictedOut := 0, 0, 0
-	if m.IsRNN() {
-		var err error
-		inLen, actualOut, predictedOut, err = g.lib.SampleInstance(m.SeqProfile, rng)
-		if err != nil {
-			return nil, err
-		}
-	}
-	prog, err := g.compile(m, batch, inLen, actualOut)
+	prog, inLen, actualOut, predictedOut, err := g.Sample(m, batch, rng)
 	if err != nil {
 		return nil, err
 	}

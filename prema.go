@@ -268,6 +268,7 @@ func (s *System) Simulate(cfg Scheduler, tasks []*Instance) (*Result, error) {
 	simulator, err := sim.New(sim.Options{
 		NPU: s.opt.NPU, Sched: s.opt.Sched,
 		Policy: policy, Preemptive: cfg.Preemptive, Selector: selector,
+		Record: true,
 	}, workload.SchedTasks(tasks))
 	if err != nil {
 		return nil, err

@@ -454,7 +454,7 @@ func BenchmarkSimulateEightTasksPREMA(b *testing.B) {
 			b.Fatal(err)
 		}
 		s, err := sim.New(sim.Options{NPU: cfg, Sched: scfg, Policy: policy,
-			Preemptive: true, Selector: selector}, workload.SchedTasks(tasks))
+			Preemptive: true, Selector: selector}, workload.Entries(tasks))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -154,5 +154,19 @@ echo "smoke: cmd/premapredict"
 go run ./cmd/premapredict -model CNN-AN >/dev/null
 echo "smoke: cmd/premabench"
 go run ./cmd/premabench -exp fig7 -runs 2 >/dev/null
+# A persisted cache answers a repeated run in full, and a cache
+# directory keeps one file per configuration: the file an older,
+# unversioned cache format left there is deleted.
+cachedir="$tmpdir/cachedir"
+mkdir "$cachedir"
+: > "$cachedir/prema-cache-0123456789abcdef.gob"
+go build -o "$tmpdir/premabench" ./cmd/premabench
+"$tmpdir/premabench" -exp fig11 -runs 2 -cachedir "$cachedir" -cachestats >/dev/null
+"$tmpdir/premabench" -exp fig11 -runs 2 -cachedir "$cachedir" -cachestats | grep -q '12 hits, 0 misses'
+if [ "$(ls -A "$cachedir" | wc -l)" -ne 1 ]; then
+	echo "premabench -cachedir: want exactly one cache file, have:" >&2
+	ls -A "$cachedir" >&2
+	exit 1
+fi
 
 echo "ci.sh: all green"

@@ -21,7 +21,9 @@
 // resolve through a keyed simulation-result cache shared across all
 // selected experiments; cached and fresh results are bit-identical, so
 // -cache only changes runtime, never output. -cachedir persists the
-// cache on disk, so a repeated invocation skips warm work too.
+// cache on disk, so a repeated invocation skips warm work too; it keeps
+// one file per NPU configuration and deletes the files an older cache
+// format left there.
 package main
 
 import (

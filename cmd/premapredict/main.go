@@ -61,7 +61,7 @@ func main() {
 			}
 			task := insts[0]
 			pred := cfg.Millis(task.EstimatedCycles)
-			act := cfg.Millis(task.IsolatedCycles)
+			act := cfg.Millis(task.Program.TotalCycles)
 			e := math.Abs(pred-act) / act
 			errSum += e
 			if i == 0 || m.IsRNN() {

@@ -32,18 +32,18 @@ func Example() {
 	// tasks=4 ANTT>=1: true STP<=4: true
 }
 
-// Comparing two schedulers on identical workloads: regenerate the same
-// run index so the task mixes match exactly.
+// Comparing two schedulers on one workload: a simulation leaves its
+// instances unchanged, so both schedulers run the identical task mix.
 func ExampleSystem_Simulate() {
 	sys, err := prema.NewSystem()
 	if err != nil {
 		panic(err)
 	}
+	tasks, err := sys.Workload(prema.WorkloadSpec{Tasks: 8}, 3)
+	if err != nil {
+		panic(err)
+	}
 	antt := func(cfg prema.Scheduler) float64 {
-		tasks, err := sys.Workload(prema.WorkloadSpec{Tasks: 8}, 3)
-		if err != nil {
-			panic(err)
-		}
 		res, err := sys.Simulate(cfg, tasks)
 		if err != nil {
 			panic(err)

@@ -27,20 +27,17 @@ func main() {
 
 	// The Figure 2 cast: I1 = long low-priority (VGGNet b16),
 	// I2 = short low-priority (GoogLeNet b1), I3 = high-priority
-	// arriving mid-execution (AlexNet b1). Instances regenerate per
-	// configuration so every scheduler sees a fresh scenario.
-	makeTasks := func() []*prema.Instance {
-		tasks, err := sys.Instances(1,
-			prema.TaskSpec{Model: "CNN-VN", Batch: 16, Priority: prema.Low},
-			prema.TaskSpec{Model: "CNN-GN", Batch: 1, Priority: prema.Low,
-				Arrival: 2 * time.Millisecond},
-			prema.TaskSpec{Model: "CNN-AN", Batch: 1, Priority: prema.High,
-				Arrival: 5 * time.Millisecond},
-		)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return tasks
+	// arriving mid-execution (AlexNet b1). A simulation leaves the
+	// instances unchanged, so every scheduler runs the same scenario.
+	tasks, err := sys.Instances(1,
+		prema.TaskSpec{Model: "CNN-VN", Batch: 16, Priority: prema.Low},
+		prema.TaskSpec{Model: "CNN-GN", Batch: 1, Priority: prema.Low,
+			Arrival: 2 * time.Millisecond},
+		prema.TaskSpec{Model: "CNN-AN", Batch: 1, Priority: prema.High,
+			Arrival: 5 * time.Millisecond},
+	)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	configs := []struct {
@@ -55,7 +52,7 @@ func main() {
 			Preemptive: true, Mechanism: prema.Dynamic}},
 	}
 	for _, c := range configs {
-		res, err := sys.Simulate(c.cfg, makeTasks())
+		res, err := sys.Simulate(c.cfg, tasks)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func main() {
 	for _, t := range tasks {
 		fmt.Printf("  task %d: %-8s batch %-2d priority %-6s arrives %6.2f ms (isolated %6.2f ms, predicted %6.2f ms)\n",
 			t.ID, t.Model, t.Batch, t.Priority,
-			cfg.Millis(t.Arrival), cfg.Millis(t.IsolatedCycles), cfg.Millis(t.EstimatedCycles))
+			cfg.Millis(t.Arrival), cfg.Millis(t.Program.TotalCycles), cfg.Millis(t.EstimatedCycles))
 	}
 
 	// Simulate under the paper's scheduler: token-based PREMA policy

@@ -170,7 +170,7 @@ func Run(opt Options, tasks []*workload.Task) (*Result, error) {
 			NPU: opt.NPU, Sched: opt.Sched,
 			Policy: policy, Preemptive: opt.Preemptive, Selector: selector,
 			Record: true,
-		}, workload.SchedTasks(buckets[i]))
+		}, workload.Entries(buckets[i]))
 		if err != nil {
 			return nil, err
 		}

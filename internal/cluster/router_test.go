@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -19,7 +18,7 @@ func syntheticStream(n int, seed uint64) []*workload.Task {
 	for i := range tasks {
 		at += int64(rng.ExpFloat64() * 50_000)
 		est := int64(10_000 + rng.ExpFloat64()*500_000)
-		tasks[i] = &workload.Task{Task: &sched.Task{ID: i, Arrival: at, EstimatedCycles: est}}
+		tasks[i] = &workload.Task{ID: i, Arrival: at, EstimatedCycles: est}
 	}
 	return tasks
 }
@@ -123,7 +122,7 @@ func TestNewRouterRejectsUnknown(t *testing.T) {
 func TestStateInFlightPrunes(t *testing.T) {
 	st := NewState(1)
 	for i := 0; i < 200; i++ {
-		st.Commit(0, &workload.Task{Task: &sched.Task{ID: i, Arrival: int64(i), EstimatedCycles: 10}})
+		st.Commit(0, &workload.Task{ID: i, Arrival: int64(i), EstimatedCycles: 10})
 	}
 	// Serial horizons end at 10, 20, ..., 2000: at cycle 995 the first
 	// 99 are drained.
@@ -134,7 +133,7 @@ func TestStateInFlightPrunes(t *testing.T) {
 		t.Errorf("in-flight at 2000: got %d, want 0", got)
 	}
 	// Fully drained state accepts new work.
-	st.Commit(0, &workload.Task{Task: &sched.Task{ID: 200, Arrival: 3000, EstimatedCycles: 10}})
+	st.Commit(0, &workload.Task{ID: 200, Arrival: 3000, EstimatedCycles: 10})
 	if got := st.InFlight(0, 3000); got != 1 {
 		t.Errorf("in-flight after recommit: got %d, want 1", got)
 	}

@@ -8,14 +8,13 @@ package cluster
 import (
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // stateTask builds a minimal routable task: the State only reads
 // Arrival and EstimatedCycles.
 func stateTask(id int, arrival, est int64) *workload.Task {
-	return &workload.Task{Task: &sched.Task{ID: id, Arrival: arrival, EstimatedCycles: est}}
+	return &workload.Task{ID: id, Arrival: arrival, EstimatedCycles: est}
 }
 
 func TestStateEmpty(t *testing.T) {

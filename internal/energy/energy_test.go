@@ -88,7 +88,7 @@ func runOnce(t *testing.T, policy string, preemptive bool, selector string) (Bre
 		}
 	}
 	s, err := sim.New(sim.Options{NPU: cfg, Sched: scfg, Policy: pol,
-		Preemptive: preemptive, Selector: sel, Record: true}, workload.SchedTasks(tasks))
+		Preemptive: preemptive, Selector: sel, Record: true}, workload.Entries(tasks))
 	if err != nil {
 		t.Fatal(err)
 	}

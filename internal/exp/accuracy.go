@@ -51,7 +51,7 @@ func runAccuracy(s *Suite) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			actual := float64(task.IsolatedCycles)
+			actual := float64(task.Program.TotalCycles)
 			pred := float64(task.EstimatedCycles)
 			errFrac := math.Abs(pred-actual) / actual
 			rowErr[i%3] += errFrac
@@ -127,7 +127,7 @@ func runPredictorAblation(s *Suite) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			actual := float64(task.IsolatedCycles)
+			actual := float64(task.Program.TotalCycles)
 			ea, err := analytic.Estimate(task.ModelRef, b, task.InLen)
 			if err != nil {
 				return nil, err

@@ -10,6 +10,11 @@ package exp
 //     configuration, and the generator's profile seed. A file whose
 //     fingerprint mismatches is ignored wholesale; stale results can
 //     never leak across configuration changes.
+//   - Pruned: a file is named by its format version and a hash of its
+//     fingerprint, and attaching deletes every cache file of another
+//     format version (no build can read it again), so a directory shared
+//     across versions holds one file per NPU configuration and profile
+//     seed, not one per version that ever wrote to it.
 //   - Fail-open: a missing, truncated, corrupt or concurrently rewritten
 //     file is ignored (the run starts cold); persistence can slow a run
 //     down, never poison it.
@@ -26,9 +31,12 @@ package exp
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/npu"
@@ -37,9 +45,9 @@ import (
 
 // diskFormatVersion invalidates every persisted cache when the snapshot
 // schema or the outcome semantics change. Version 2 snapshots hold no
-// preemption events. The version is part of the fingerprint, so an older
-// file is ignored like any fingerprint mismatch (its name, hashed from its
-// fingerprint, is not even opened) and the run starts cold.
+// preemption events. The version is part of the fingerprint and of the
+// file name, so an older file is never opened (AttachDiskCache deletes
+// it) and the run starts cold.
 const diskFormatVersion = 2
 
 // suiteFingerprint canonicalizes the suite-level cache version: format,
@@ -155,6 +163,10 @@ func fromDiskKey(k diskKey) runKey {
 		schedFP: k.SchedFP, specFP: k.SpecFP, seed: k.Seed, run: k.Run}
 }
 
+// diskCachePrefix starts the name of every cache file of the current
+// format version.
+var diskCachePrefix = fmt.Sprintf("prema-cache-v%d-", diskFormatVersion)
+
 // diskCachePath is the cache file location for a suite fingerprint: one
 // file per fingerprint, so configuration changes warm separate files
 // instead of invalidating each other.
@@ -164,19 +176,43 @@ func diskCachePath(dir, fingerprint string) string {
 		h ^= uint64(fingerprint[i])
 		h *= 1099511628211
 	}
-	return filepath.Join(dir, fmt.Sprintf("prema-cache-%016x.gob", h))
+	return filepath.Join(dir, fmt.Sprintf("%s%016x.gob", diskCachePrefix, h))
 }
 
-// AttachDiskCache loads persisted outcomes for this suite's fingerprint
-// from dir into the suite's cache and remembers where FlushDiskCache
-// should write back. The suite must have a cache (Cache != nil). Loading
-// is fail-open: unreadable, corrupt or fingerprint-mismatched files are
-// ignored and the run starts cold.
+// pruneDiskCache deletes every cache file in dir that is not of the
+// current format version, unversioned names of the first format
+// included. Files of the current version stay, whatever configuration
+// wrote them.
+func pruneDiskCache(dir string) error {
+	files, err := filepath.Glob(filepath.Join(dir, "prema-cache-*.gob"))
+	if err != nil {
+		return err
+	}
+	for _, f := range files {
+		if strings.HasPrefix(filepath.Base(f), diskCachePrefix) {
+			continue
+		}
+		if err := os.Remove(f); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
+// AttachDiskCache deletes dir's cache files of other format versions
+// (pruneDiskCache), loads persisted outcomes for this suite's
+// fingerprint from dir into the suite's cache and remembers where
+// FlushDiskCache should write back. The suite must have a cache
+// (Cache != nil). Loading is fail-open: unreadable, corrupt or
+// fingerprint-mismatched files are ignored and the run starts cold.
 func (s *Suite) AttachDiskCache(dir string) error {
 	if s.Cache == nil {
 		return fmt.Errorf("exp: AttachDiskCache on a cacheless suite")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := pruneDiskCache(dir); err != nil {
 		return err
 	}
 	fp := suiteFingerprint(s.NPU, s.ProfileSeed)

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -103,6 +105,82 @@ func TestDiskCacheIgnoresCorruptAndMismatched(t *testing.T) {
 	}
 	if other.Simulations() == 0 {
 		t.Error("mismatched configuration was answered from another configuration's cache")
+	}
+}
+
+// TestDiskCachePrunesOtherVersions pins the directory's upkeep: attaching
+// deletes every cache file of another format version, unversioned names
+// of the first format included, and keeps the current version's files of
+// other configurations and every file that is not a cache file; the warm
+// run stays byte-identical.
+func TestDiskCachePrunesOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	spec := workload.Spec{Tasks: 3}
+	cfgs := []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")}
+
+	other := fastSuite(t)
+	other.NPU.SW, other.NPU.SH = 64, 64
+	gen, err := workload.NewGenerator(other.NPU, other.ProfileSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Gen = gen
+	if err := other.AttachDiskCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.RunMulti(NP("FCFS"), spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.FlushDiskCache(); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{"prema-cache-0123456789abcdef.gob", "prema-cache-v1-0123456789abcdef.gob"}
+	for _, name := range append(slices.Clone(stale), "notes.gob") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cold := diskSuite(t, dir)
+	first, err := cold.RunConfigs(cfgs, spec, cold.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.FlushDiskCache(); err != nil {
+		t.Fatal(err)
+	}
+	names := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	want := []string{filepath.Base(cold.diskPath), filepath.Base(other.diskPath), "notes.gob"}
+	slices.Sort(want)
+	if got := names(); !slices.Equal(got, want) {
+		t.Errorf("cache directory holds %v, want %v", got, want)
+	}
+
+	warm := diskSuite(t, dir)
+	second, err := warm.RunConfigs(cfgs, spec, warm.Runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := warm.Simulations(); got != 0 {
+		t.Errorf("warm run simulated %d times; every run should come from disk", got)
+	}
+	for i := range first {
+		if fingerprint(first[i]) != fingerprint(second[i]) {
+			t.Errorf("%s: warm result diverges from cold", cfgs[i].Label)
+		}
+	}
+	if got := names(); !slices.Equal(got, want) {
+		t.Errorf("after the warm run the cache directory holds %v, want %v", got, want)
 	}
 }
 

@@ -159,7 +159,7 @@ func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, spec workloa
 	simulator, err := sim.New(sim.Options{
 		NPU: s.NPU, Sched: scfg,
 		Policy: policy, Preemptive: cfg.Preemptive, Selector: selector,
-	}, workload.SchedTasks(tasks))
+	}, workload.Entries(tasks))
 	if err != nil {
 		return runOutcome{}, err
 	}

@@ -46,7 +46,7 @@ func runFig1(s *Suite) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		gap := float64(probe.IsolatedCycles) / loadFactor
+		gap := float64(probe.Program.TotalCycles) / loadFactor
 		var tasks []*workload.Task
 		for i := 0; i < requests; i++ {
 			arrival := int64(float64(i)*gap) + rng.Int64N(int64(gap/2)+1)
@@ -66,7 +66,7 @@ func runFig1(s *Suite) ([]*Table, error) {
 		}
 		simulator, err := sim.New(sim.Options{
 			NPU: s.NPU, Sched: s.Sched, Policy: policy,
-		}, workload.SchedTasks(tasks))
+		}, workload.Entries(tasks))
 		if err != nil {
 			return streamStats{}, err
 		}
@@ -85,8 +85,8 @@ func runFig1(s *Suite) ([]*Table, error) {
 		}, nil
 	}
 
-	// Each trial is independent (its own RNG stream and executions), so
-	// trials fan out through the engine; reduction stays in trial order.
+	// Each trial is independent (its own RNG stream), so trials fan out
+	// through the engine; reduction stays in trial order.
 	type trialStats struct {
 		gn, rn, co streamStats
 	}
@@ -109,18 +109,8 @@ func runFig1(s *Suite) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		// Co-located: both streams share one NPU. Clone fresh
-		// executions by regenerating with the same RNG stream.
-		rng2 := workload.RNGFor(s.Seed^0xF161, trial)
-		gn2, err := makeStream(models[0], 0, rng2)
-		if err != nil {
-			return err
-		}
-		rn2, err := makeStream(models[1], 1000, rng2)
-		if err != nil {
-			return err
-		}
-		c, err := run(append(gn2, rn2...))
+		// Co-located: both streams share one NPU.
+		c, err := run(append(gn, rn...))
 		if err != nil {
 			return err
 		}

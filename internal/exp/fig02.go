@@ -84,7 +84,7 @@ func runFig2(s *Suite) ([]*Table, error) {
 		simulator, err := sim.New(sim.Options{
 			NPU: s.NPU, Sched: s.Sched, Policy: policy,
 			Preemptive: c.preemptive, Selector: sel, Record: true,
-		}, workload.SchedTasks(tasks))
+		}, workload.Entries(tasks))
 		if err != nil {
 			return nil, err
 		}

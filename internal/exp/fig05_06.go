@@ -50,7 +50,7 @@ func runMechTrial(s *Suite, victim, preemptor *dnn.Model, victimBatch, preBatch 
 		// execution (Section IV-D), away from the extreme edges so a
 		// preemption is actually possible.
 		frac := 0.05 + 0.9*rng.Float64()
-		arrival := int64(frac * float64(vt.IsolatedCycles))
+		arrival := int64(frac * float64(vt.Program.TotalCycles))
 		pt, err := s.Gen.Instance(1, preemptor, preBatch, sched.High, arrival, nil, rng)
 		if err != nil {
 			return nil, err
@@ -72,7 +72,7 @@ func runMechTrial(s *Suite, victim, preemptor *dnn.Model, victimBatch, preBatch 
 		simulator, err := sim.New(sim.Options{
 			NPU: s.NPU, Sched: s.Sched, Policy: policy,
 			Preemptive: cfg.Preemptive, Selector: sel, Record: true,
-		}, workload.SchedTasks(tasks))
+		}, workload.Entries(tasks))
 		if err != nil {
 			return nil, err
 		}

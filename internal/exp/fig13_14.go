@@ -98,7 +98,7 @@ func runFig14(s *Suite) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			isoSamples = append(isoSamples, float64(probe.IsolatedCycles))
+			isoSamples = append(isoSamples, float64(probe.Program.TotalCycles))
 		}
 		iso := percentile95(isoSamples)
 
@@ -131,10 +131,19 @@ func runFig14(s *Suite) ([]*Table, error) {
 				return err
 			}
 			// Re-identify the probe so IDs stay unique; it
-			// arrives mid-window to experience queueing.
-			probe.Task.ID = 100
-			probe.Task.Arrival = rng.Int64N(int64(10e-3 * s.NPU.FreqHz))
-			all := append(workload.SchedTasks(competitors), probe.Task)
+			// arrives mid-window to experience queueing. Its entry is
+			// built at arrival 0 and then moved, which keeps a known
+			// defect of these tables: sched.NewTask stamps the entry's
+			// last token-wait accrual at arrival 0, so under PREMA the
+			// probe accrues token wait from cycle 0, not from its
+			// arrival. Built at its arrival, premabench -exp fig14
+			// -runs 2 reads PREMA/iso 1.6x instead of 1.5x on average
+			// (CNN-AN 1.7x instead of 1.2x, CNN-MN 1.6x instead of
+			// 1.0x); mending it changes the paper-sweep golden digests
+			// (ROADMAP, benchmark upkeep).
+			entry := probe.Entry(100, 0, 1)
+			entry.Arrival = rng.Int64N(int64(10e-3 * s.NPU.FreqHz))
+			all := append(workload.Entries(competitors), entry)
 			simulator, err := sim.New(sim.Options{
 				NPU: s.NPU, Sched: s.Sched, Policy: policy,
 				Preemptive: cfg.Preemptive, Selector: sel,

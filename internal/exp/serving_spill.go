@@ -197,7 +197,7 @@ func runSpill(s *Suite) ([]*Table, error) {
 				}
 				opt.CkptMem = mem
 			}
-			simulator, err := sim.New(opt, workload.SchedTasks(tasks))
+			simulator, err := sim.New(opt, workload.Entries(tasks))
 			if err != nil {
 				return err
 			}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -71,23 +72,19 @@ func (s *Server) RunBatched(bs BatchSpec, policy string, preemptive bool, select
 	// re-instances the group at its batch size with a randomly sampled
 	// priority, dispatching when its window closes (the last member's
 	// arrival).
-	var tasks []*workload.Task
+	var entries []*sched.Task
 	members := map[int][]memberRequest{} // task ID -> original requests
-	nextID := 0
-	flush := func(group []*workload.Task) error {
-		batch := len(group)
-		if batch > bs.MaxBatch {
-			batch = bs.MaxBatch
-		}
-		arrival := group[len(group)-1].Arrival
+	flush := func(group []int) error {
+		batch := min(len(group), bs.MaxBatch)
+		arrival := requests[group[len(group)-1]].Arrival
 		prio := sched.Priorities[rng.IntN(len(sched.Priorities))]
-		task, err := s.gen.InstanceByName(nextID, group[0].Model, batch, prio, arrival, rng)
+		id := len(entries)
+		task, err := s.gen.InstanceByName(id, requests[group[0]].Model, batch, prio, arrival, rng)
 		if err != nil {
 			return err
 		}
-		tasks = append(tasks, task)
-		members[nextID] = groupMembers(group)
-		nextID++
+		entries = append(entries, task.Entry(id, arrival, 1))
+		members[id] = groupMembers(requests, group, nominal)
 		return nil
 	}
 	passThrough := func(r *workload.Task) bool {
@@ -96,54 +93,76 @@ func (s *Server) RunBatched(bs BatchSpec, policy string, preemptive bool, select
 	if err := groupRequests(requests, windowCycles, bs.MaxBatch, passThrough, flush); err != nil {
 		return BatchStats{}, err
 	}
-	if len(tasks) == 0 {
+	if len(entries) == 0 {
 		return BatchStats{}, fmt.Errorf("serving: batching produced no tasks")
 	}
 
-	res, err := s.simulate(policy, preemptive, selector, tasks)
+	res, err := s.simulate(policy, preemptive, selector, entries)
 	if err != nil {
 		return BatchStats{}, err
 	}
 	return s.memberStats(res, members, s.warmupCut(bs.Spec.Horizon, bs.Spec.WarmupFraction))
 }
 
-// groupMembers projects a request group onto its member records.
-func groupMembers(group []*workload.Task) []memberRequest {
+// nominal is the service-time factor of a request on a nominal-speed NPU.
+func nominal(int) float64 { return 1 }
+
+// groupMembers projects a request group (indices into reqs) onto its
+// member records: each member's isolated time is its program's total at
+// factor(i), the speed of the NPU request i was routed to.
+func groupMembers(reqs []*workload.Task, group []int, factor func(int) float64) []memberRequest {
 	ms := make([]memberRequest, len(group))
-	for i, r := range group {
-		ms[i] = memberRequest{arrival: r.Arrival, isolated: r.IsolatedCycles}
+	for k, i := range group {
+		ms[k] = memberRequest{arrival: reqs[i].Arrival, isolated: isolatedCycles(reqs[i].Program, factor(i))}
 	}
 	return ms
+}
+
+// isolatedCycles is a program's uninterrupted execution time at
+// factor× the nominal service time: the IsolatedCycles of an entry
+// built at that factor.
+func isolatedCycles(prog *npu.Program, factor float64) int64 {
+	if factor == 1 {
+		return prog.TotalCycles
+	}
+	return npu.NewScaledExecution(prog, factor).TotalCycles()
 }
 
 // groupRequests runs the windowed grouping shared by RunBatched and the
 // Session coalescer: requests are visited in arrival order; pass-through
 // requests flush immediately as singleton groups, others accumulate per
 // model and flush when the group's window expires or the batch cap
-// fills, and the tail groups flush in sorted model order. For a given
+// fills, and the tail groups flush in sorted model order. A group lists
+// its members as indices into requests, in arrival order. For a given
 // stream the sequence of flush calls is deterministic, so flush may
 // consume randomness.
 func groupRequests(requests []*workload.Task, windowCycles int64, maxBatch int,
-	passThrough func(*workload.Task) bool, flush func([]*workload.Task) error) error {
+	passThrough func(*workload.Task) bool, flush func([]int) error) error {
 
-	ordered := append([]*workload.Task(nil), requests...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
+	ordered := make([]int, len(requests))
+	for i := range ordered {
+		ordered[i] = i
+	}
+	sort.SliceStable(ordered, func(i, j int) bool {
+		return requests[ordered[i]].Arrival < requests[ordered[j]].Arrival
+	})
 
 	type group struct {
-		opened int64
-		tasks  []*workload.Task
+		opened  int64
+		members []int
 	}
 	open := map[string]*group{}
-	for _, r := range ordered {
+	for _, i := range ordered {
+		r := requests[i]
 		if passThrough(r) {
-			if err := flush([]*workload.Task{r}); err != nil {
+			if err := flush([]int{i}); err != nil {
 				return err
 			}
 			continue
 		}
 		g := open[r.Model]
-		if g != nil && (r.Arrival-g.opened > windowCycles || len(g.tasks) >= maxBatch) {
-			if err := flush(g.tasks); err != nil {
+		if g != nil && (r.Arrival-g.opened > windowCycles || len(g.members) >= maxBatch) {
+			if err := flush(g.members); err != nil {
 				return err
 			}
 			delete(open, r.Model)
@@ -153,7 +172,7 @@ func groupRequests(requests []*workload.Task, windowCycles int64, maxBatch int,
 			g = &group{opened: r.Arrival}
 			open[r.Model] = g
 		}
-		g.tasks = append(g.tasks, r)
+		g.members = append(g.members, i)
 	}
 	// Deterministic flush order for the tail groups.
 	var names []string
@@ -162,7 +181,7 @@ func groupRequests(requests []*workload.Task, windowCycles int64, maxBatch int,
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := flush(open[name].tasks); err != nil {
+		if err := flush(open[name].members); err != nil {
 			return err
 		}
 	}

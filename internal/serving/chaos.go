@@ -31,8 +31,8 @@ package serving
 //     all see the degradation consistently. Work already queued before
 //     the slowdown keeps its nominal speed (the approximation a
 //     per-backend offline simulation affords); a reclaimed request is
-//     re-routed as its nominal template, and its new backend applies
-//     its own speed.
+//     re-routed as a copy of its nominal request, and its new backend
+//     applies its own speed.
 //   - cordon/uncordon: the backend leaves rotation reversibly — its
 //     routed work drains, nothing new lands on it, and no scale-down
 //     credit is taken (the slot still counts against MaxNPUs).
@@ -339,7 +339,9 @@ func (ns *NodeSession) failNPU(i int, at int64) error {
 				Req: t.TraceID, NPU: i, Tier: ns.tierName(i),
 			})
 		}
-		if err := ns.route(materialize(t.ID, t, at, 1)); err != nil {
+		rearrival := *t
+		rearrival.Arrival = at
+		if err := ns.route(&rearrival); err != nil {
 			return fmt.Errorf("re-routing reclaimed request %d: %w", t.ID, err)
 		}
 	}

@@ -98,11 +98,11 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64,
 	// The generation run sees the session's current stream plus the
 	// client traffic, so the realized completions reflect the shared
 	// NPU. IDs continue the submission indices: the replay (compute)
-	// re-stamps templates with exactly these IDs, keeping every
+	// numbers its entries with exactly these IDs, keeping every
 	// tie-break identical between generation and replay.
 	entries := make([]*sched.Task, 0, len(ss.reqs)+spec.Clients)
 	for i, t := range ss.reqs {
-		entries = append(entries, entry(i, t, t.Arrival, ss.factor(i)))
+		entries = append(entries, t.Entry(i, t.Arrival, ss.factor(i)))
 	}
 	nextID := len(ss.reqs)
 	var realized []*workload.Task
@@ -128,10 +128,7 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64,
 		owner[nextID] = client
 		nextID++
 		realized = append(realized, inst)
-		if factor != 1 {
-			return entry(inst.ID, inst, arrival, factor), nil
-		}
-		return inst.Task, nil // the instance's own entry runs at nominal speed
+		return inst.Entry(inst.ID, arrival, factor), nil
 	}
 
 	for c := 0; c < spec.Clients; c++ {

@@ -3,7 +3,7 @@ package serving
 // live_test.go proves the live backends against a from-scratch replay.
 // At every poll, each backend's memoized samples and traced completions
 // must equal those of replay — the unbatched refresh as it was before
-// backends kept a live simulator: materialize every request, simulate the
+// backends kept a live simulator: an entry for every request, simulate the
 // whole stream from cycle 0, collect — and the node's Stats and
 // TraceEvents must equal what the node derives from the replays.
 
@@ -28,21 +28,21 @@ import (
 func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 	t.Helper()
 	var sm sampleSet
-	fresh := make([]*workload.Task, len(ss.reqs))
-	for i, r := range ss.reqs {
-		fresh[i] = materialize(i, r, r.Arrival, ss.factor(i))
-	}
 	if ss.cfg.Window > 0 {
-		tasks, members, err := ss.coalesce(fresh)
+		entries, members, err := ss.coalesce()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, tasks)
+		res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ss.srv.collectMembers(&sm, res, members, ss.cut())
 		return &sm, nil
+	}
+	fresh := make([]*sched.Task, len(ss.reqs))
+	for i, r := range ss.reqs {
+		fresh[i] = r.Entry(i, r.Arrival, ss.factor(i))
 	}
 	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, fresh)
 	if err != nil {
@@ -361,7 +361,7 @@ func TestLiveRefreshIsIncremental(t *testing.T) {
 	}
 	step := func() {
 		submit()
-		at += ns.backends[0].reqs[0].IsolatedCycles * 3 / 5
+		at += ns.backends[0].reqs[0].Program.TotalCycles * 3 / 5
 	}
 	for i := 0; i < 4000; i++ {
 		step()
@@ -412,7 +412,7 @@ func TestLiveRefreshIsIncremental(t *testing.T) {
 }
 
 // TestClosedSessionAnswersCounts pins what Close keeps: the stream's
-// templates, samples, completions, live simulator and the node's kept
+// requests, samples, completions, live simulator and the node's kept
 // statistics buffers go, and the counts Pending, Routed and Fleet answer
 // as before.
 func TestClosedSessionAnswersCounts(t *testing.T) {

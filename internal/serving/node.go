@@ -310,7 +310,7 @@ func (ns *NodeSession) route(t *workload.Task) error {
 	if err := ns.backends[target].submit(t, factor); err != nil {
 		return err
 	}
-	ns.state.CommitCycles(target, t, scaledEstimate(t.EstimatedCycles, factor))
+	ns.state.CommitCycles(target, t, t.EstimateAt(factor))
 	// The request's fluid latency estimate (queueing plus service on its
 	// target): the scaler's per-tick latency signal, and the ring the
 	// control plane's snapshot percentiles read from.

@@ -177,10 +177,10 @@ func defaultSuite() []string {
 
 // simulate resolves the scheduler configuration (fresh policy and
 // selector instances per call; see the sched.Policy contract) and runs
-// one simulation over the given tasks.
+// one simulation over the given entries.
 func (s *Server) simulate(policy string, preemptive bool, selector string,
-	tasks []*workload.Task) (*sim.Result, error) {
-	return s.simulateHook(policy, preemptive, selector, workload.SchedTasks(tasks), nil)
+	entries []*sched.Task) (*sim.Result, error) {
+	return s.simulateHook(policy, preemptive, selector, entries, nil)
 }
 
 // simulateHook is simulate with the closed-loop completion hook wired
@@ -373,7 +373,7 @@ func (s *Server) Run(spec Spec, policy string, preemptive bool, selector string,
 	if err != nil {
 		return Stats{}, err
 	}
-	res, err := s.simulate(policy, preemptive, selector, tasks)
+	res, err := s.simulate(policy, preemptive, selector, workload.Entries(tasks))
 	if err != nil {
 		return Stats{}, err
 	}

@@ -178,7 +178,7 @@ func TestSteadyStatsTinyWarmupSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.simulate("FCFS", false, "", tasks)
+	res, err := s.simulate("FCFS", false, "", workload.Entries(tasks))
 	if err != nil {
 		t.Fatal(err)
 	}

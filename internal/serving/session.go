@@ -7,8 +7,8 @@ package serving
 // steady-state statistics the batch entry points compute.
 //
 // An unbatched Session keeps one live simulator that moves forward with
-// its stream (see internal/sim's resumable API). Each request is
-// materialized and simulated once: Stats admits the requests submitted
+// its stream (see internal/sim's resumable API). Each request gets one
+// scheduler entry, simulated once: Stats admits the requests submitted
 // since the last call, advances the simulator to the latest arrival —
 // nothing before it depends on a later request — and projects only the
 // work still in flight. A stream that changed other than by appending
@@ -24,7 +24,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -59,10 +58,10 @@ type Session struct {
 	srv *Server
 	cfg SessionConfig
 
-	// reqs are the submitted request templates in submission order.
-	// Simulations materialize their own scheduler entries from them, so a
-	// template is never mutated by a simulation. count is how many there
-	// are; it outlives reqs, which Close drops.
+	// reqs are the submitted requests in submission order. Simulations
+	// build their own scheduler entries from them (workload.Task.Entry),
+	// so a request is never mutated by a simulation. count is how many
+	// there are; it outlives reqs, which Close drops.
 	reqs  []*workload.Task
 	count int
 	// factors holds each request's service-time factor, parallel to
@@ -100,7 +99,7 @@ type Session struct {
 	// each unfinished one replaced by its projected copy.
 	view []*sched.Task
 	// materialized and rebuilds count the scheduler entries the live path
-	// created and the live simulators it built (export_test.go).
+	// built and the live simulators it built (export_test.go).
 	materialized, rebuilds int
 
 	// traced makes a refresh retain one completion record per simulated
@@ -137,9 +136,9 @@ func (s *Server) Open(cfg SessionConfig) (*Session, error) {
 	return &Session{srv: s, cfg: cfg}, nil
 }
 
-// Submit appends one request to the stream. The task is treated as a
-// template: its ID is reassigned to the submission index and a fresh
-// scheduler entry is materialized per simulation.
+// Submit appends one request to the stream. The session never changes
+// it: each simulation builds a fresh scheduler entry from it, numbered by
+// the submission index.
 func (ss *Session) Submit(t *workload.Task) error { return ss.submit(t, 1) }
 
 // submit appends one request served at factor× its nominal service time.
@@ -266,8 +265,8 @@ func (ss *Session) drain() {
 	ss.live, ss.view = nil, nil
 }
 
-// Close seals the session and releases the stream it pinned: request
-// templates, the sample memo, traced completions and the live simulator.
+// Close seals the session and releases the stream it pinned: submitted
+// requests, the sample memo, traced completions and the live simulator.
 // Pending keeps answering; Submit/Offer/Stats/Drain error. Close is
 // idempotent.
 func (ss *Session) Close() error {
@@ -296,37 +295,6 @@ func (ss *Session) cut() int64 {
 	return int64(float64(ss.latestArrival()) * warmupFraction(ss.cfg.WarmupFraction))
 }
 
-// entry materializes a fresh scheduler entry from a submitted template,
-// arriving at cycle at: a new execution cursor at factor× the nominal
-// service time, with the estimate scaled to match, re-stamped with id
-// (the submission index) as its ID.
-func entry(id int, t *workload.Task, at int64, factor float64) *sched.Task {
-	return sched.NewTask(id, t.Model, t.Batch, t.Priority, at,
-		npu.NewScaledExecution(t.Program, factor), scaledEstimate(t.EstimatedCycles, factor))
-}
-
-// scaledEstimate is an estimate at factor× the nominal service time.
-func scaledEstimate(est int64, factor float64) int64 {
-	if factor == 1 {
-		return est
-	}
-	return int64(float64(est) * factor)
-}
-
-// materialize wraps a fresh entry (see entry) in a simulatable instance of
-// the template, keeping its model instance, compiled program and trace
-// ID: a simulation's copy of a request, or a failure-reclaimed request
-// re-arriving at the failure instant.
-func materialize(id int, t *workload.Task, at int64, factor float64) *workload.Task {
-	return &workload.Task{
-		Task:     entry(id, t, at, factor),
-		ModelRef: t.ModelRef,
-		InLen:    t.InLen, ActualOut: t.ActualOut, PredictedOut: t.PredictedOut,
-		Program: t.Program,
-		TraceID: t.TraceID,
-	}
-}
-
 // compute simulates the stream and collects its raw measured samples
 // into ss.samples: unbatched sessions on the live simulator
 // (advanceLive), batched ones by re-simulating the whole coalesced
@@ -336,15 +304,11 @@ func (ss *Session) compute() error {
 	if ss.cfg.Window <= 0 {
 		return ss.advanceLive()
 	}
-	fresh := make([]*workload.Task, len(ss.reqs))
-	for i, t := range ss.reqs {
-		fresh[i] = materialize(i, t, t.Arrival, ss.factor(i))
-	}
-	tasks, members, err := ss.coalesce(fresh)
+	entries, members, err := ss.coalesce()
 	if err != nil {
 		return err
 	}
-	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, tasks)
+	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, entries)
 	if err != nil {
 		return err
 	}
@@ -395,12 +359,13 @@ func (ss *Session) advanceLive() error {
 	return nil
 }
 
-// entries materializes fresh scheduler entries for reqs[from:].
+// entries builds fresh scheduler entries for reqs[from:], each numbered
+// by its submission index and running at its factor.
 func (ss *Session) entries(from int) []*sched.Task {
 	out := make([]*sched.Task, 0, len(ss.reqs)-from)
 	for i := from; i < len(ss.reqs); i++ {
 		t := ss.reqs[i]
-		out = append(out, entry(i, t, t.Arrival, ss.factor(i)))
+		out = append(out, t.Entry(i, t.Arrival, ss.factor(i)))
 	}
 	ss.materialized += len(out)
 	return out
@@ -409,45 +374,37 @@ func (ss *Session) entries(from int) []*sched.Task {
 // coalesce fuses same-model CNN requests arriving within the batching
 // window into batched dispatches, mirroring the TensorRT-Inference-Server
 // runtime feature RunBatched models (the grouping loop is shared; see
-// groupRequests). Unlike RunBatched's generator-driven coalescer,
-// submitted instances are preserved: single-member groups, RNN requests
-// and pre-batched submissions pass through unchanged, and only
-// multi-member groups are re-instanced at the fused batch size. A fused
-// dispatch arrives when its window closes (the last member's arrival),
-// runs at the speed its NPU had then (the last member's factor) and
-// inherits the highest member priority, keeping coalescing
-// deterministic — no randomness is consumed. requests are materialized
-// entries, each stamped with its submission index.
-func (ss *Session) coalesce(requests []*workload.Task) ([]*workload.Task, map[int][]memberRequest, error) {
+// groupRequests), and returns the scheduler entries to simulate. Unlike
+// RunBatched's generator-driven coalescer, submitted instances are
+// preserved: single-member groups, RNN requests and pre-batched
+// submissions pass through as their own entries, and only multi-member
+// groups are re-instanced at the fused batch size. A fused dispatch
+// arrives when its window closes (the last member's arrival), runs at
+// the speed its NPU had then (the last member's factor) and inherits the
+// highest member priority, keeping coalescing deterministic — no
+// randomness is consumed. A member's isolated time is its own program's
+// total at its own factor.
+func (ss *Session) coalesce() ([]*sched.Task, map[int][]memberRequest, error) {
 	windowCycles := ss.srv.cfg.Cycles(ss.cfg.Window)
-	var tasks []*workload.Task
+	var entries []*sched.Task
 	members := map[int][]memberRequest{}
-	nextID := 0
-	flush := func(group []*workload.Task) error {
-		last := group[len(group)-1]
-		factor := ss.factor(last.ID)
-		var fused *workload.Task
-		if len(group) == 1 {
-			fused = materialize(nextID, ss.reqs[last.ID], last.Arrival, factor)
-		} else {
-			prio := group[0].Priority
-			for _, t := range group[1:] {
-				if t.Priority > prio {
-					prio = t.Priority
-				}
+	flush := func(group []int) error {
+		id, last := len(entries), group[len(group)-1]
+		at, factor := ss.reqs[last].Arrival, ss.factor(last)
+		fused := ss.reqs[last]
+		if len(group) > 1 {
+			prio := ss.reqs[group[0]].Priority
+			for _, i := range group[1:] {
+				prio = max(prio, ss.reqs[i].Priority)
 			}
-			inst, err := ss.srv.gen.Instance(nextID, group[0].ModelRef, len(group), prio, last.Arrival, nil, nil)
+			inst, err := ss.srv.gen.Instance(id, ss.reqs[group[0]].ModelRef, len(group), prio, at, nil, nil)
 			if err != nil {
 				return err
 			}
-			if factor != 1 {
-				inst.Task = entry(nextID, inst, inst.Arrival, factor)
-			}
 			fused = inst
 		}
-		tasks = append(tasks, fused)
-		members[nextID] = groupMembers(group)
-		nextID++
+		entries = append(entries, fused.Entry(id, at, factor))
+		members[id] = groupMembers(ss.reqs, group, ss.factor)
 		return nil
 	}
 	passThrough := func(r *workload.Task) bool {
@@ -455,11 +412,11 @@ func (ss *Session) coalesce(requests []*workload.Task) ([]*workload.Task, map[in
 		// submissions pass through unbatched.
 		return r.ModelRef == nil || r.ModelRef.IsRNN() || r.Batch > 1 || windowCycles == 0
 	}
-	if err := groupRequests(requests, windowCycles, ss.cfg.MaxBatch, passThrough, flush); err != nil {
+	if err := groupRequests(ss.reqs, windowCycles, ss.cfg.MaxBatch, passThrough, flush); err != nil {
 		return nil, nil, err
 	}
-	if len(tasks) == 0 {
+	if len(entries) == 0 {
 		return nil, nil, fmt.Errorf("serving: batching produced no tasks")
 	}
-	return tasks, members, nil
+	return entries, members, nil
 }

@@ -92,7 +92,7 @@ func (ns *NodeSession) Telemetry() *telemetry.Trace { return ns.trace }
 
 // completionRec is one simulated completion a traced backend retains:
 // enough to derive the request's complete event without re-touching the
-// simulator (the template carries the trace ID).
+// simulator (the submitted request carries the trace ID).
 type completionRec struct {
 	req       int
 	cycle     int64

@@ -50,7 +50,7 @@ func benchRun(b *testing.B, policyName string, preemptive bool, selectorName str
 			}
 		}
 		s, err := sim.New(sim.Options{NPU: cfg, Sched: scfg, Policy: policy,
-			Preemptive: preemptive, Selector: selector}, workload.SchedTasks(tasks))
+			Preemptive: preemptive, Selector: selector}, workload.Entries(tasks))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // injectSet builds the five-instance scenario the injection tests run:
 // three base tasks plus two extras at the given fixed arrivals. Each
 // call replays the same RNG stream, so repeated calls produce identical
-// instances (instances are single-use across simulations).
+// instances.
 func injectSet(t *testing.T, gen *workload.Generator, extra1, extra2 int64) []*workload.Task {
 	t.Helper()
 	rng := workload.RNGFor(0x17EC7, 1)
@@ -62,11 +62,9 @@ func TestInjectionMatchesBatch(t *testing.T) {
 		}
 		extra1, extra2 := c0+10_000, c0+250_000
 
-		want := runScenario(t, cfg, scfg, c.policy, c.preemptive, c.selector,
-			injectSet(t, gen, extra1, extra2))
-
 		full := injectSet(t, gen, extra1, extra2)
-		extras := workload.SchedTasks(full[3:])
+		want := runScenario(t, cfg, scfg, c.policy, c.preemptive, c.selector, full)
+		extras := workload.Entries(full[3:])
 		pol, err := sched.ByName(c.policy, scfg)
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +84,7 @@ func TestInjectionMatchesBatch(t *testing.T) {
 				}
 				return nil
 			},
-		}, workload.SchedTasks(full[:3]))
+		}, workload.Entries(full[:3]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +128,8 @@ func TestInjectionMatchesBatch(t *testing.T) {
 func TestInjectionRejectsPastArrival(t *testing.T) {
 	cfg, scfg, gen := fixtures(t)
 	set := injectSet(t, gen, 1<<40, 1<<40)
-	late := workload.SchedTasks(set[3:4]) // arrival far in the future
-	late[0].Arrival = 0                   // ...rewritten into the past
+	late := workload.Entries(set[3:4]) // arrival far in the future
+	late[0].Arrival = 0                // ...rewritten into the past
 	pol, err := sched.ByName("FCFS", scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +137,7 @@ func TestInjectionRejectsPastArrival(t *testing.T) {
 	s, err := New(Options{
 		NPU: cfg, Sched: scfg, Policy: pol,
 		OnComplete: func(done *sched.Task, now int64) []*sched.Task { return late },
-	}, workload.SchedTasks(set[:3]))
+	}, workload.Entries(set[:3]))
 	if err != nil {
 		t.Fatal(err)
 	}

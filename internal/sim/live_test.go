@@ -88,15 +88,12 @@ func liveOptions(t testing.TB, cfg npu.Config, tr liveTrial) Options {
 	return opt
 }
 
-// fresh materializes new scheduler entries for the given stream
-// indices, IDs re-stamped with those indices (a simulation consumes its
-// entries).
+// fresh builds new scheduler entries for the given stream indices, IDs
+// re-stamped with those indices (a simulation consumes its entries).
 func fresh(stream []*workload.Task, idx []int) []*sched.Task {
 	out := make([]*sched.Task, 0, len(idx))
 	for _, i := range idx {
-		t := stream[i]
-		out = append(out, sched.NewTask(i, t.Model, t.Batch, t.Priority, t.Arrival,
-			npu.NewExecution(t.Program), t.EstimatedCycles))
+		out = append(out, stream[i].Entry(i, stream[i].Arrival, 1))
 	}
 	return out
 }
@@ -162,7 +159,7 @@ func newLiveTrial(t testing.TB, cfg npu.Config, gen *workload.Generator, rng *ra
 	at := rng.Int64N(2) * rng.Int64N(100_000)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			prev := tr.stream[i-1].IsolatedCycles
+			prev := tr.stream[i-1].Program.TotalCycles
 			switch rng.IntN(8) {
 			case 0, 1: // a run of equal arrivals
 			case 2: // an idle gap
@@ -418,7 +415,7 @@ func TestLiveJumpsStopAtBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso := first.IsolatedCycles
+	iso := first.Program.TotalCycles
 	stream := []*workload.Task{first,
 		liveInstance(t, gen, rng, 5*iso, 1), liveInstance(t, gen, rng, 10*iso, 1)}
 	for _, tr := range []liveTrial{

@@ -46,7 +46,7 @@ func runScenarioRecord(t *testing.T, cfg npu.Config, scfg sched.Config, policy s
 		}
 	}
 	s, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol,
-		Preemptive: preemptive, Selector: sel, Record: record}, workload.SchedTasks(tasks))
+		Preemptive: preemptive, Selector: sel, Record: record}, workload.Entries(tasks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func twoTasks(t *testing.T, gen *workload.Generator, cfg npu.Config) []*workload
 		t.Fatal(err)
 	}
 	pre, err := gen.InstanceByName(1, "CNN-AN", 1, sched.High,
-		victim.IsolatedCycles/3, rng)
+		victim.Program.TotalCycles/3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +81,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol}, nil); err == nil {
 		t.Error("empty task list should be rejected")
 	}
-	if _, err := New(Options{NPU: cfg, Sched: scfg}, workload.SchedTasks(tasks)); err == nil {
+	if _, err := New(Options{NPU: cfg, Sched: scfg}, workload.Entries(tasks)); err == nil {
 		t.Error("missing policy should be rejected")
 	}
 	if _, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol, Preemptive: true},
-		workload.SchedTasks(tasks)); err == nil {
+		workload.Entries(tasks)); err == nil {
 		t.Error("preemptive without selector should be rejected")
 	}
 	bad := cfg
 	bad.SW = 0
 	if _, err := New(Options{NPU: bad, Sched: scfg, Policy: pol},
-		workload.SchedTasks(tasks)); err == nil {
+		workload.Entries(tasks)); err == nil {
 		t.Error("invalid NPU config should be rejected")
 	}
 }
@@ -328,16 +328,18 @@ func TestLateInjectedArrivalWithinDefaultBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entry := first.Entry(first.ID, first.Arrival, 1)
+	var injectedAt int64
 	s, err := New(Options{
 		NPU: cfg, Sched: scfg, Policy: pol,
 		OnComplete: func(done *sched.Task, now int64) []*sched.Task {
-			if done != first.Task {
+			if done != entry {
 				return nil
 			}
-			next.Arrival = now + cfg.Cycles(3*time.Second)
-			return []*sched.Task{next.Task}
+			injectedAt = now + cfg.Cycles(3*time.Second)
+			return []*sched.Task{next.Entry(next.ID, injectedAt, 1)}
 		},
-	}, []*sched.Task{first.Task})
+	}, []*sched.Task{entry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +347,8 @@ func TestLateInjectedArrivalWithinDefaultBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tasks) != 2 || res.Tasks[1].Start != next.Arrival {
-		t.Errorf("injected task should start at its arrival %d", next.Arrival)
+	if len(res.Tasks) != 2 || res.Tasks[1].Start != injectedAt {
+		t.Errorf("injected task should start at its arrival %d", injectedAt)
 	}
 }
 
@@ -370,7 +372,7 @@ func TestMaxCyclesGuard(t *testing.T) {
 	tasks := twoTasks(t, gen, cfg)
 	pol, _ := sched.ByName("FCFS", scfg)
 	s, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol, MaxCycles: 10},
-		workload.SchedTasks(tasks))
+		workload.Entries(tasks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +411,7 @@ func TestFiniteCheckpointMemorySpills(t *testing.T) {
 		sel, _ := sched.SelectorByName("static-checkpoint")
 		s, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol,
 			Preemptive: true, Selector: sel, CkptMem: m},
-			workload.SchedTasks(tasks))
+			workload.Entries(tasks))
 		if err != nil {
 			t.Fatal(err)
 		}

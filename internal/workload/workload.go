@@ -6,6 +6,11 @@
 // unrolled sequence length sampled from the profile-driven
 // characterization corpus, while the scheduler sees only the predicted
 // length (Section VI's methodology).
+//
+// A generated task is a request record (Task); a simulation builds the
+// scheduler's context-table entries from it (Task.Entry, Entries) and
+// never changes the record, so one workload can be simulated under any
+// number of scheduler configurations.
 package workload
 
 import (
@@ -65,9 +70,28 @@ func (oracleEstimator) Estimate(*dnn.Model, int, int) (int64, error) {
 	return 0, fmt.Errorf("workload: oracle estimator is resolved by the generator")
 }
 
-// Task pairs a scheduler context-table entry with its provenance.
+// Task is one generated inference request, a plain record: what was
+// asked for (model, batch, priority, arrival), what the predictor
+// estimated, and how the request was realized (sampled sequence lengths,
+// compiled program). No simulation runs or mutates a Task: each one
+// builds its own scheduler entry from it (Entry), so the same Task can
+// be simulated any number of times.
 type Task struct {
-	*sched.Task
+	// ID is the request's index in its workload: the TaskID its
+	// scheduler entries carry unless the caller renumbers them.
+	ID int
+	// Model is the workload label.
+	Model string
+	// Batch is the inference batch size.
+	Batch int
+	// Priority is the user-defined priority level.
+	Priority sched.Priority
+	// Arrival is the dispatch cycle.
+	Arrival int64
+	// EstimatedCycles is the predictor's network-wide latency estimate
+	// at nominal speed.
+	EstimatedCycles int64
+
 	ModelRef                *dnn.Model
 	InLen                   int
 	ActualOut, PredictedOut int
@@ -83,6 +107,25 @@ type Task struct {
 	// array index to resolve the model's interned name without touching
 	// the string; it has no meaning across generators.
 	ModelID int
+}
+
+// Entry builds a fresh scheduler entry for the request: a context-table
+// entry (Figure 4) with TaskID id, arriving at cycle at, over a new
+// execution cursor at factor× the nominal service time, with the
+// estimate scaled to match (EstimateAt). Every simulation takes its
+// entries from here; at factor 1 the cursor is npu.NewExecution's.
+func (t *Task) Entry(id int, at int64, factor float64) *sched.Task {
+	return sched.NewTask(id, t.Model, t.Batch, t.Priority, at,
+		npu.NewScaledExecution(t.Program, factor), t.EstimateAt(factor))
+}
+
+// EstimateAt answers the request's estimate at factor× the nominal
+// service time.
+func (t *Task) EstimateAt(factor float64) int64 {
+	if factor == 1 {
+		return t.EstimatedCycles
+	}
+	return int64(float64(t.EstimatedCycles) * factor)
 }
 
 // Generator builds workloads against one NPU configuration, compiling
@@ -104,8 +147,8 @@ type Generator struct {
 	mu sync.Mutex
 	// progCache memoizes compiled programs by (model, batch, inLen,
 	// outLen). Programs are immutable after compilation and every
-	// task gets its own Execution cursor, so sharing is safe and
-	// makes cross-policy comparisons over identical workloads cheap.
+	// scheduler entry gets its own Execution cursor, so sharing is safe
+	// and makes cross-policy comparisons over identical workloads cheap.
 	progCache map[progKey]*npu.Program
 	// estCache memoizes analytic estimates by the same key shape
 	// (predicted output length).
@@ -197,7 +240,7 @@ func (g *Generator) Compiler() *compiler.Compiler { return g.comp }
 // Sample draws one concrete instance of a model and compiles it through
 // the program cache: an RNN's sequence lengths come from the profile
 // corpus (the only RNG draws an instance makes), a CNN draws nothing.
-// Instance builds its task on this step.
+// Instance builds its request record on this step.
 func (g *Generator) Sample(m *dnn.Model, batch int, rng *rand.Rand) (
 	prog *npu.Program, inLen, actualOut, predictedOut int, err error) {
 	if m.IsRNN() {
@@ -213,9 +256,10 @@ func (g *Generator) Sample(m *dnn.Model, batch int, rng *rand.Rand) (
 	return prog, inLen, actualOut, predictedOut, nil
 }
 
-// Instance compiles one concrete task instance of a model: RNN lengths
-// are sampled from the profile corpus; the returned task carries both the
-// ground-truth program and the predictor's estimate.
+// Instance compiles one concrete request of a model: RNN lengths are
+// sampled from the profile corpus; the returned record carries both the
+// ground-truth program and the predictor's estimate. It builds no
+// scheduler entry (see Task.Entry).
 func (g *Generator) Instance(id int, m *dnn.Model, batch int, prio sched.Priority,
 	arrival int64, est Estimator, rng *rand.Rand) (*Task, error) {
 	prog, inLen, actualOut, predictedOut, err := g.Sample(m, batch, rng)
@@ -236,10 +280,9 @@ func (g *Generator) Instance(id int, m *dnn.Model, batch int, prio sched.Priorit
 		return nil, err
 	}
 
-	exec := npu.NewExecution(prog)
-	st := sched.NewTask(id, m.Name, batch, prio, arrival, exec, estimated)
 	return &Task{
-		Task:     st,
+		ID: id, Model: m.Name, Batch: batch, Priority: prio,
+		Arrival: arrival, EstimatedCycles: estimated,
 		ModelRef: m,
 		ModelID:  g.modelID(m.Name),
 		InLen:    inLen, ActualOut: actualOut, PredictedOut: predictedOut,
@@ -312,11 +355,13 @@ func (g *Generator) Generate(spec Spec, rng *rand.Rand) ([]*Task, error) {
 	return tasks, nil
 }
 
-// SchedTasks projects the generated tasks to their scheduler entries.
-func SchedTasks(ts []*Task) []*sched.Task {
+// Entries builds a fresh nominal-speed scheduler entry for every task,
+// keeping its ID and arrival (see Task.Entry): new entries on every
+// call, so the same tasks can be simulated again.
+func Entries(ts []*Task) []*sched.Task {
 	out := make([]*sched.Task, len(ts))
 	for i, t := range ts {
-		out[i] = t.Task
+		out[i] = t.Entry(t.ID, t.Arrival, 1)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestGenerateSpecBounds(t *testing.T) {
 		if task.Arrival < 0 || task.Arrival > windowCycles {
 			t.Errorf("arrival %d outside [0,%d]", task.Arrival, windowCycles)
 		}
-		if task.IsolatedCycles <= 0 || task.EstimatedCycles <= 0 {
+		if task.Program.TotalCycles <= 0 || task.EstimatedCycles <= 0 {
 			t.Error("non-positive task cycle counts")
 		}
 		found := false
@@ -79,7 +80,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].Model != b[i].Model || a[i].Arrival != b[i].Arrival ||
 			a[i].Batch != b[i].Batch || a[i].Priority != b[i].Priority ||
-			a[i].IsolatedCycles != b[i].IsolatedCycles {
+			a[i].Program.TotalCycles != b[i].Program.TotalCycles {
 			t.Fatalf("task %d differs between same-seed generations", i)
 		}
 	}
@@ -107,8 +108,8 @@ func TestOracleEstimatorIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		if task.EstimatedCycles != task.IsolatedCycles {
-			t.Errorf("oracle estimate %d != isolated %d", task.EstimatedCycles, task.IsolatedCycles)
+		if task.EstimatedCycles != task.Program.TotalCycles {
+			t.Errorf("oracle estimate %d != isolated %d", task.EstimatedCycles, task.Program.TotalCycles)
 		}
 	}
 	// The marker must not be called directly.
@@ -160,8 +161,9 @@ func TestProgramCacheSharesImmutablePrograms(t *testing.T) {
 		t.Error("identical instances should share the cached program")
 	}
 	// But executions must be independent cursors.
-	a.Task.Exec.Advance(100)
-	if b.Task.Exec.Executed() != 0 {
+	ea, eb := a.Entry(a.ID, a.Arrival, 1), b.Entry(b.ID, b.Arrival, 1)
+	ea.Exec.Advance(100)
+	if eb.Exec.Executed() != 0 {
 		t.Error("executions share state")
 	}
 }
@@ -173,27 +175,81 @@ func TestInstanceByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	if task.Model != "CNN-GN" || task.Arrival != 123 || task.Batch != 4 {
-		t.Errorf("instance fields wrong: %+v", task.Task)
+		t.Errorf("instance fields wrong: %+v", task)
 	}
 	if _, err := g.InstanceByName(0, "NOPE", 1, sched.Low, 0, RNGFor(1, 1)); err == nil {
 		t.Error("unknown model should error")
 	}
 }
 
-func TestSchedTasksProjection(t *testing.T) {
+func TestEntriesAreFresh(t *testing.T) {
 	g := newGen(t)
 	tasks, err := g.Generate(Spec{Tasks: 3}, RNGFor(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := SchedTasks(tasks)
-	if len(st) != 3 {
-		t.Fatal("projection length wrong")
+	first, second := Entries(tasks), Entries(tasks)
+	if len(first) != 3 || len(second) != 3 {
+		t.Fatal("one entry per task expected")
 	}
-	for i := range st {
-		if st[i] != tasks[i].Task {
-			t.Error("projection does not alias the scheduler entries")
+	for i, task := range tasks {
+		e := first[i]
+		if e.ID != task.ID || e.Arrival != task.Arrival || e.Model != task.Model ||
+			e.EstimatedCycles != task.EstimatedCycles || e.IsolatedCycles != task.Program.TotalCycles {
+			t.Errorf("entry %d does not carry its task: %+v", i, e)
 		}
+		if e == second[i] || e.Exec == second[i].Exec {
+			t.Errorf("entry %d is shared between calls", i)
+		}
+	}
+	// Running one call's entries leaves the next call's untouched.
+	first[0].Exec.Advance(100)
+	first[0].Start, first[0].Completion = 0, 1
+	if again := Entries(tasks)[0]; again.Exec.Executed() != 0 || again.Start != -1 || again.Completion != -1 {
+		t.Error("a simulated entry leaked into a later call")
+	}
+}
+
+// TestEntryMatchesNewTask pins Entry to the constructor it folds: a
+// context-table entry over a cursor at the factor, with the estimate
+// scaled to match.
+func TestEntryMatchesNewTask(t *testing.T) {
+	g := newGen(t)
+	tasks, err := g.Generate(Spec{Tasks: 8}, RNGFor(6, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{1, 1.5, 2, 3} {
+		for i, task := range tasks {
+			at := task.Arrival + int64(i)*1000
+			want := sched.NewTask(i+10, task.Model, task.Batch, task.Priority, at,
+				npu.NewScaledExecution(task.Program, f), int64(float64(task.EstimatedCycles)*f))
+			if got := task.Entry(i+10, at, f); !reflect.DeepEqual(got, want) {
+				t.Errorf("factor %v task %d: Entry\n%+v\nwant\n%+v", f, i, got, want)
+			}
+		}
+	}
+	if e := tasks[0].Entry(0, 0, 1); !reflect.DeepEqual(e.Exec, npu.NewExecution(tasks[0].Program)) {
+		t.Error("a nominal-speed entry's cursor differs from npu.NewExecution's")
+	}
+}
+
+// TestInstanceAllocs pins a warm-cache Instance to one allocation, the
+// request record: it builds no scheduler entry or cursor.
+func TestInstanceAllocs(t *testing.T) {
+	g := newGen(t)
+	m := dnn.AlexNet()
+	rng := RNGFor(1, 1)
+	if _, err := g.Instance(0, m, 4, sched.Low, 0, nil, rng); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := g.Instance(1, m, 4, sched.Low, 7, nil, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm-cache Instance made %v allocations, want 1", allocs)
 	}
 }
 

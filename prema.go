@@ -230,28 +230,12 @@ type Result struct {
 	Timeline *Timeline
 }
 
-// checkFresh rejects instances that already ran through a simulation:
-// scheduler entries are stateful (tokens, execution cursor, completion),
-// so re-simulating one silently produces garbage. Regenerate the
-// workload (same run index gives the identical mix) instead.
-func checkFresh(tasks []*Instance) error {
-	for _, t := range tasks {
-		if t.Completion >= 0 || t.Start >= 0 {
-			return fmt.Errorf("prema: task %d (%s) was already simulated; instances are single-use — regenerate the workload",
-				t.ID, t.Model)
-		}
-	}
-	return nil
-}
-
 // Simulate runs one workload under the given scheduler configuration.
-// Instances are single-use: draw a fresh workload (same run index, same
-// mix) for every Simulate call.
+// The simulation builds its own scheduler entries from the instances and
+// leaves them unchanged, so the same workload can be simulated under any
+// number of configurations.
 func (s *System) Simulate(cfg Scheduler, tasks []*Instance) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkFresh(tasks); err != nil {
 		return nil, err
 	}
 	policy, err := sched.ByName(string(cfg.Policy), s.opt.Sched)
@@ -269,7 +253,7 @@ func (s *System) Simulate(cfg Scheduler, tasks []*Instance) (*Result, error) {
 		NPU: s.opt.NPU, Sched: s.opt.Sched,
 		Policy: policy, Preemptive: cfg.Preemptive, Selector: selector,
 		Record: true,
-	}, workload.SchedTasks(tasks))
+	}, workload.Entries(tasks))
 	if err != nil {
 		return nil, err
 	}
@@ -332,9 +316,6 @@ func (r *NodeResult) SLAViolationRate(target float64) float64 {
 // each accelerator under its local scheduler.
 func (s *System) SimulateNode(node Node, tasks []*Instance) (*NodeResult, error) {
 	if err := node.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkFresh(tasks); err != nil {
 		return nil, err
 	}
 	routing, err := node.Routing.toCluster()

@@ -150,7 +150,7 @@ func TestInstances(t *testing.T) {
 		t.Fatalf("built %d instances, want 2", len(insts))
 	}
 	if insts[0].Batch != 16 || insts[0].Priority != Low {
-		t.Errorf("spec not honored: %+v", insts[0].Task)
+		t.Errorf("spec not honored: %+v", insts[0])
 	}
 	if insts[1].Priority != Medium {
 		t.Errorf("zero priority should default to medium, got %v", insts[1].Priority)
@@ -204,7 +204,7 @@ func TestOracleWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range tasks {
-		if task.EstimatedCycles != task.IsolatedCycles {
+		if task.EstimatedCycles != task.Program.TotalCycles {
 			t.Error("oracle workload should carry exact estimates")
 		}
 	}

@@ -1,6 +1,7 @@
 package prema
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -108,16 +109,17 @@ func TestCustomPolicyEndToEnd(t *testing.T) {
 		t.Errorf("session under custom policy produced no throughput: %+v", st)
 	}
 
-	// Reusing simulated instances is rejected (they are single-use).
-	if _, err := sys.Simulate(cfg, tasks); err == nil {
-		t.Error("re-simulating consumed instances should error")
-	}
-
-	// Through a node simulation, on a fresh draw of the same mix.
-	tasks, err = sys.Workload(WorkloadSpec{Tasks: 6}, 2)
+	// Instances are reusable: simulating the same ones again gives the
+	// same result.
+	again, err := sys.Simulate(cfg, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(again, res) {
+		t.Error("re-simulating the same instances changed the result")
+	}
+
+	// Through a node simulation, on the same instances.
 	nres, err := sys.SimulateNode(Node{NPUs: 2, Routing: LeastWork,
 		Local: cfg}, tasks)
 	if err != nil {

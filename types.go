@@ -29,8 +29,11 @@ type (
 	// inference-task context-table entry (Figure 4). Results expose
 	// completed Tasks; custom scheduling policies receive them.
 	Task = sched.Task
-	// Instance is a generated, compiled task instance: a Task plus its
-	// provenance (model, sampled sequence lengths, compiled program).
+	// Instance is a generated, compiled inference request, a plain
+	// record: model, batch, priority, arrival, estimate, sampled
+	// sequence lengths and compiled program. Every simulation builds
+	// its own Tasks from instances and leaves them unchanged, so one
+	// workload can be simulated under any number of schedulers.
 	Instance = workload.Task
 	// Priority is a user-defined service priority level.
 	Priority = sched.Priority

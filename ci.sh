@@ -90,6 +90,9 @@ go test -fuzz=FuzzCorpusMatchesReference -fuzztime=5s -run '^$' ./internal/seqle
 # accepted scenario runs to the same transcript and report on the
 # control plane as on the reference executor it replaced.
 go test -fuzz=FuzzScenarioParse -fuzztime=5s -run '^$' ./internal/scenario/
+# Any control-plane script errors or runs on a small plane without
+# panicking, and replays to the same transcript and report.
+go test -fuzz=FuzzCtlScript -fuzztime=5s -run '^$' ./internal/ctl/
 
 # The examples are the public-API consumers: every one must build and
 # run to completion against the current facade.
@@ -106,6 +109,22 @@ go run ./cmd/premasim -npus 2 -routing least-work -policy FCFS -tasks 6 >/dev/nu
 go run ./cmd/premasim -npus 2 -routing least-queued -policy PREMA -preemptive -clients 4 -think 2ms -serve-horizon 150ms >/dev/null
 go run ./cmd/premasim -npus 4 -clients 4 -fleet 70%:fast,30%:slow -serve-horizon 150ms >/dev/null
 go run ./cmd/premasim -autoscale queue-depth -slo 8ms -min-npus 1 -max-npus 4 -policy FCFS -serve-horizon 150ms >/dev/null
+# One scheduler rule (sched.Spec) behind every text surface: a mechanism
+# on a non-preemptive scheduler is refused by the flags and by scenario
+# text alike. The binary is built once so a build failure cannot pass
+# for a refusal.
+go build -o "$tmpdir/premasim" ./cmd/premasim
+printf 'scenario np-mechanism\nfleet initial=2\npolicy FCFS mechanism=static-kill\nsegment 20ms\nload 1\n' \
+	> "$tmpdir/np-mechanism.txt"
+for args in "-policy FCFS -mechanism static-kill" "-scenario $tmpdir/np-mechanism.txt"; do
+	status=0
+	# shellcheck disable=SC2086 # args is a word list on purpose
+	"$tmpdir/premasim" $args >/dev/null 2>&1 || status=$?
+	if [ "$status" -ne 1 ]; then
+		echo "premasim $args exited $status, want 1: a mechanism on a non-preemptive scheduler must be refused" >&2
+		exit 1
+	fi
+done
 # Scenario smoke: the corpus doubles as a regression suite — every file
 # must parse, run and pass its assertions (non-zero exit otherwise).
 # .txt is the homogeneous corpus, .scn the heterogeneous-fleet stress

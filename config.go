@@ -182,24 +182,12 @@ type Scheduler struct {
 }
 
 // Validate checks the configuration against the registries and the
-// preemption invariant.
-func (s Scheduler) Validate() error {
-	if err := s.Policy.Validate(); err != nil {
-		return err
-	}
-	if !s.Preemptive && s.Mechanism != "" {
-		return fmt.Errorf("prema: mechanism %q set on a non-preemptive scheduler (set Preemptive or drop the mechanism)",
-			s.Mechanism)
-	}
-	return s.Mechanism.Validate()
-}
+// preemption invariant (see sched.Spec).
+func (s Scheduler) Validate() error { return s.spec().Validate() }
 
-// mechanism resolves the effective mechanism label for the simulator.
-func (s Scheduler) mechanism() Mechanism {
-	if s.Preemptive && s.Mechanism == "" {
-		return Dynamic
-	}
-	return s.Mechanism
+// spec is the configuration as the simulator's scheduler spec.
+func (s Scheduler) spec() sched.Spec {
+	return sched.Spec{Policy: string(s.Policy), Preemptive: s.Preemptive, Selector: string(s.Mechanism)}
 }
 
 // AutoscaleConfig attaches an SLO-driven scaling policy to a node

@@ -3,6 +3,13 @@ package prema
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/exp"
+	"repro/internal/scenario"
+	"repro/internal/sched"
+	"repro/internal/serving"
+	"repro/internal/workload"
 )
 
 // TestParseHelpers covers the typed-identifier parse paths.
@@ -131,6 +138,73 @@ func TestRegistryListings(t *testing.T) {
 	for _, want := range []string{"analytic", "oracle"} {
 		if !strings.Contains(est, want) {
 			t.Errorf("estimator listing missing %s: %s", want, est)
+		}
+	}
+}
+
+// TestSchedulerSpecOneVerdict feeds the same scheduler triples to every
+// driver that takes one, and every driver must give sched.Spec's
+// accept-or-reject answer: the preemption rule and the dynamic default
+// live in one place.
+func TestSchedulerSpecOneVerdict(t *testing.T) {
+	sys := newSystem(t)
+	tasks, err := sys.Workload(WorkloadSpec{Tasks: 4}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serving.NewServer(sys.NPU(), sys.SchedConfig(), sys.gen)
+	suite, err := exp.NewSuiteFor(sys.NPU(), sys.SchedConfig(), sys.gen, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := scenario.Parse("scenario verdict\nfleet initial=2\nsegment 20ms\nload 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := []struct {
+		name string
+		run  func(sched.Spec) error
+	}{
+		{"sched.Spec", sched.Spec.Validate},
+		{"serving.Server.Open", func(sp sched.Spec) error {
+			_, err := srv.Open(serving.SessionConfig{Policy: sp.Policy, Preemptive: sp.Preemptive, Selector: sp.Selector})
+			return err
+		}},
+		{"cluster.Run", func(sp sched.Spec) error {
+			_, err := cluster.Run(cluster.Options{NPUs: 2, NPU: sys.NPU(), Sched: sys.SchedConfig(), Local: sp}, tasks)
+			return err
+		}},
+		{"exp.Suite.RunConfigs", func(sp sched.Spec) error {
+			_, err := suite.RunConfigs([]exp.SchedulerConfig{{Label: "verdict", Spec: sp}}, workload.Spec{Tasks: 2}, 1)
+			return err
+		}},
+		{"scenario.Validate", func(sp sched.Spec) error {
+			sc := *base
+			sc.Scheduler = sp
+			return sc.Validate()
+		}},
+		{"prema.Scheduler.Validate", func(sp sched.Spec) error {
+			return Scheduler{Policy: Policy(sp.Policy), Preemptive: sp.Preemptive, Mechanism: Mechanism(sp.Selector)}.Validate()
+		}},
+	}
+	cases := []struct {
+		spec sched.Spec
+		ok   bool
+	}{
+		{sched.Spec{Policy: "FCFS"}, true},
+		{sched.Spec{Policy: "FCFS", Selector: "static-kill"}, false},
+		{sched.Spec{Policy: "PREMA", Preemptive: true}, true},
+		{sched.Spec{Policy: "NOPE"}, false},
+		{sched.Spec{}, false},
+		{sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "bogus"}, false},
+		{sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic-checkpoint"}, true},
+		{sched.Spec{Policy: "HPF", Preemptive: true, Selector: "static-kill"}, true},
+	}
+	for _, c := range cases {
+		for _, d := range drivers {
+			if err := d.run(c.spec); (err == nil) != c.ok {
+				t.Errorf("%s on %+v: error %v, want accepted=%v", d.name, c.spec, err, c.ok)
+			}
 		}
 	}
 }

@@ -127,7 +127,7 @@ func (s *System) OpenControlPlane(cfg ControlPlaneConfig) (*ControlPlane, error)
 			Session: serving.SessionConfig{
 				Policy:         string(cfg.Scheduler.Policy),
 				Preemptive:     cfg.Scheduler.Preemptive,
-				Selector:       string(cfg.Scheduler.mechanism()),
+				Selector:       string(cfg.Scheduler.Mechanism),
 				Horizon:        cfg.Horizon,
 				WarmupFraction: cfg.WarmupFraction,
 			},

@@ -31,17 +31,16 @@ func main() {
 	// fails at 80ms, and the assertions require the queue-depth scaler
 	// to have refilled the fleet by 160ms.
 	sc := &prema.Scenario{
-		Name:       "code-built-failure",
-		Fleet:      prema.ScenarioFleet{Initial: 2, Min: 2, Max: 6},
-		Routing:    prema.NodeLeastWork,
-		Policy:     "PREMA",
-		Preemptive: true,
-		Scaler:     "queue-depth",
-		SLO:        8 * time.Millisecond,
-		Models:     []string{"CNN-AN", "CNN-GN", "CNN-MN", "RNN-SA"},
-		Seed:       7,
-		Segment:    40 * time.Millisecond,
-		Load:       []float64{0.5, 2, 2, 2, 0.5},
+		Name:      "code-built-failure",
+		Fleet:     prema.ScenarioFleet{Initial: 2, Min: 2, Max: 6},
+		Routing:   prema.NodeLeastWork,
+		Scheduler: prema.SchedulerSpec{Policy: "PREMA", Preemptive: true},
+		Scaler:    "queue-depth",
+		SLO:       8 * time.Millisecond,
+		Models:    []string{"CNN-AN", "CNN-GN", "CNN-MN", "RNN-SA"},
+		Seed:      7,
+		Segment:   40 * time.Millisecond,
+		Load:      []float64{0.5, 2, 2, 2, 0.5},
 		Events: []prema.ScenarioEvent{
 			{At: 80 * time.Millisecond, Op: prema.ChaosOp{Kind: prema.ChaosFail, NPU: 0}},
 		},

@@ -63,12 +63,8 @@ type Options struct {
 	NPU npu.Config
 	// Sched is the NPU-local scheduler configuration.
 	Sched sched.Config
-	// LocalPolicy is the NPU-local scheduling policy label.
-	LocalPolicy string
-	// Preemptive enables the preemptible-NPU path locally.
-	Preemptive bool
-	// Selector is the local preemption-mechanism selector label.
-	Selector string
+	// Local is the scheduler every NPU runs.
+	Local sched.Spec
 	// Parallel bounds how many per-NPU simulations run concurrently;
 	// 0 or 1 runs them sequentially. Results are identical either way:
 	// the NPUs share no state and outcomes are assembled in NPU order.
@@ -134,18 +130,9 @@ func Run(opt Options, tasks []*workload.Task) (*Result, error) {
 	if err := opt.NPU.Validate(); err != nil {
 		return nil, err
 	}
-	// Validate the labels once before fanning out.
-	if _, err := sched.ByName(opt.LocalPolicy, opt.Sched); err != nil {
+	// Validate the scheduler once before fanning out.
+	if err := opt.Local.Validate(); err != nil {
 		return nil, err
-	}
-	sel := opt.Selector
-	if opt.Preemptive {
-		if sel == "" {
-			sel = "dynamic"
-		}
-		if _, err := sched.SelectorByName(sel); err != nil {
-			return nil, err
-		}
 	}
 	buckets, err := Route(opt, tasks)
 	if err != nil {
@@ -156,19 +143,13 @@ func Run(opt Options, tasks []*workload.Task) (*Result, error) {
 	// own policy and selector instances (policies keep scratch state;
 	// see the sched.Policy contract), so buckets may run concurrently.
 	runBucket := func(i int) (*sim.Result, error) {
-		policy, err := sched.ByName(opt.LocalPolicy, opt.Sched)
+		policy, selector, err := opt.Local.New(opt.Sched)
 		if err != nil {
 			return nil, err
 		}
-		var selector sched.MechanismSelector
-		if opt.Preemptive {
-			if selector, err = sched.SelectorByName(sel); err != nil {
-				return nil, err
-			}
-		}
 		simulator, err := sim.New(sim.Options{
 			NPU: opt.NPU, Sched: opt.Sched,
-			Policy: policy, Preemptive: opt.Preemptive, Selector: selector,
+			Policy: policy, Preemptive: opt.Local.Preemptive, Selector: selector,
 			Record: true,
 		}, workload.Entries(buckets[i]))
 		if err != nil {

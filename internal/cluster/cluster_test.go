@@ -25,7 +25,7 @@ func defaultOpts(npus int, routing RoutingPolicy) Options {
 	return Options{
 		NPUs: npus, Routing: routing,
 		NPU: npu.DefaultConfig(), Sched: sched.DefaultConfig(),
-		LocalPolicy: "PREMA", Preemptive: true, Selector: "dynamic",
+		Local: sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"},
 	}
 }
 
@@ -111,7 +111,7 @@ func TestRunValidation(t *testing.T) {
 		t.Error("zero NPUs should be rejected")
 	}
 	badPolicy := defaultOpts(2, RoundRobin)
-	badPolicy.LocalPolicy = "NOPE"
+	badPolicy.Local.Policy = "NOPE"
 	if _, err := Run(badPolicy, tasks); err == nil {
 		t.Error("unknown local policy should be rejected")
 	}
@@ -172,8 +172,7 @@ func TestPREMAHelpsInsideCluster(t *testing.T) {
 	// under contention: PREMA should beat FCFS on ANTT at 2 NPUs.
 	run := func(policy string, preemptive bool) float64 {
 		opt := defaultOpts(2, LeastWork)
-		opt.LocalPolicy = policy
-		opt.Preemptive = preemptive
+		opt.Local = sched.Spec{Policy: policy, Preemptive: preemptive}
 		var sum float64
 		const runs = 5
 		for r := 0; r < runs; r++ {

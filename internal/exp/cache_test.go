@@ -74,8 +74,7 @@ func TestCacheIgnoresLabels(t *testing.T) {
 	spec := workload.Spec{Tasks: 4}
 	const runs = 2
 	a := StaticCkpt("PREMA") // label "Static-PREMA"
-	b := SchedulerConfig{Label: "P-PREMA/static-checkpoint", Policy: "PREMA",
-		Preemptive: true, Selector: "static-checkpoint"}
+	b := preemptive("P-PREMA/static-checkpoint", "PREMA", "static-checkpoint")
 	if _, err := s.RunConfigs([]SchedulerConfig{a}, spec, runs); err != nil {
 		t.Fatal(err)
 	}

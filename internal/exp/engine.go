@@ -137,33 +137,16 @@ func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spe
 	return o, nil
 }
 
-// simulateOne executes the run-th simulation of cfg: fresh policy and
-// selector instances, the deterministic per-run workload, one simulator.
+// simulateOne executes the run-th simulation of cfg: the deterministic
+// per-run workload on one simulator with fresh policy and selector
+// instances.
 func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spec, run int) (runOutcome, error) {
 	atomic.AddInt64(&s.simulations, 1)
-	policy, err := sched.ByName(cfg.Policy, scfg)
+	tasks, err := s.Gen.Generate(spec, workload.RNGFor(s.Seed, run))
 	if err != nil {
 		return runOutcome{}, err
 	}
-	var selector sched.MechanismSelector
-	if cfg.Selector != "" {
-		if selector, err = sched.SelectorByName(cfg.Selector); err != nil {
-			return runOutcome{}, err
-		}
-	}
-	rng := workload.RNGFor(s.Seed, run)
-	tasks, err := s.Gen.Generate(spec, rng)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	simulator, err := sim.New(sim.Options{
-		NPU: s.NPU, Sched: scfg,
-		Policy: policy, Preemptive: cfg.Preemptive, Selector: selector,
-	}, workload.Entries(tasks))
-	if err != nil {
-		return runOutcome{}, err
-	}
-	res, err := simulator.Run()
+	res, err := s.simulate(cfg.Spec, sim.Options{Sched: scfg}, workload.Entries(tasks))
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("%s run %d: %w", cfg.Label, run, err)
 	}
@@ -172,6 +155,22 @@ func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, spec workloa
 		return runOutcome{}, err
 	}
 	return runOutcome{metrics: m, tasks: res.Tasks}, nil
+}
+
+// simulate runs one simulation of entries under spec on the suite's NPU
+// with fresh policy and selector instances (see sched.Spec.New); opt
+// carries the scheduler configuration and the run's other options.
+func (s *Suite) simulate(spec sched.Spec, opt sim.Options, entries []*sched.Task) (*sim.Result, error) {
+	policy, selector, err := spec.New(opt.Sched)
+	if err != nil {
+		return nil, err
+	}
+	opt.NPU, opt.Policy, opt.Preemptive, opt.Selector = s.NPU, policy, spec.Preemptive, selector
+	simulator, err := sim.New(opt, entries)
+	if err != nil {
+		return nil, err
+	}
+	return simulator.Run()
 }
 
 // RunConfigs executes runs simulations of every configuration over
@@ -193,13 +192,8 @@ func (s *Suite) RunConfigsSched(cfgs []SchedulerConfig, scfg sched.Config, spec 
 	}
 	// Surface configuration mistakes once, before fanning out.
 	for _, cfg := range cfgs {
-		if _, err := sched.ByName(cfg.Policy, scfg); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
-		}
-		if cfg.Selector != "" {
-			if _, err := sched.SelectorByName(cfg.Selector); err != nil {
-				return nil, err
-			}
 		}
 	}
 	outcomes := make([]runOutcome, len(cfgs)*runs)

@@ -96,12 +96,12 @@ func TestEngineParallelMatchesSequential(t *testing.T) {
 // configuration surfaces as an error, not a panic or partial result.
 func TestEngineFirstError(t *testing.T) {
 	s := fastSuite(t)
-	if _, err := s.RunConfigs([]SchedulerConfig{{Label: "bad", Policy: "nope"}},
+	if _, err := s.RunConfigs([]SchedulerConfig{NP("nope")},
 		workload.Spec{Tasks: 2}, 2); err == nil {
 		t.Fatal("unknown policy should error")
 	}
-	if _, err := s.RunConfigs([]SchedulerConfig{{Label: "bad", Policy: "FCFS",
-		Preemptive: true, Selector: "nope"}}, workload.Spec{Tasks: 2}, 2); err == nil {
+	if _, err := s.RunConfigs([]SchedulerConfig{preemptive("bad", "FCFS", "nope")},
+		workload.Spec{Tasks: 2}, 2); err == nil {
 		t.Fatal("unknown selector should error")
 	}
 }

@@ -198,47 +198,45 @@ func NewSuiteFor(cfg npu.Config, scfg sched.Config, gen *workload.Generator, pro
 	}, nil
 }
 
-// SchedulerConfig identifies one evaluated scheduler configuration.
+// SchedulerConfig is one evaluated scheduler configuration: a scheduler
+// under its figure legend name.
 type SchedulerConfig struct {
 	// Label is the figure legend name ("NP-FCFS", "Dynamic-PREMA", ...).
 	Label string
-	// Policy is the sched.ByName policy label.
-	Policy string
-	// Preemptive enables the preemption path.
-	Preemptive bool
-	// Selector is the sched.SelectorByName label (empty for NP-*).
-	Selector string
+	sched.Spec
 }
 
 // NP returns the non-preemptive configuration for a policy.
 func NP(policy string) SchedulerConfig {
-	return SchedulerConfig{Label: "NP-" + policy, Policy: policy}
+	return SchedulerConfig{Label: "NP-" + policy, Spec: sched.Spec{Policy: policy}}
+}
+
+// preemptive returns a preemptive configuration of policy serviced by
+// the given mechanism selector.
+func preemptive(label, policy, selector string) SchedulerConfig {
+	return SchedulerConfig{Label: label, Spec: sched.Spec{Policy: policy, Preemptive: true, Selector: selector}}
 }
 
 // StaticCkpt returns the preemptive, always-CHECKPOINT configuration.
 func StaticCkpt(policy string) SchedulerConfig {
-	return SchedulerConfig{Label: "Static-" + policy, Policy: policy,
-		Preemptive: true, Selector: "static-checkpoint"}
+	return preemptive("Static-"+policy, policy, "static-checkpoint")
 }
 
 // StaticKill returns the preemptive, always-KILL configuration.
 func StaticKill(policy string) SchedulerConfig {
-	return SchedulerConfig{Label: "StaticKill-" + policy, Policy: policy,
-		Preemptive: true, Selector: "static-kill"}
+	return preemptive("StaticKill-"+policy, policy, "static-kill")
 }
 
 // DynamicCkpt returns the Algorithm 3 configuration with CHECKPOINT
 // saving.
 func DynamicCkpt(policy string) SchedulerConfig {
-	return SchedulerConfig{Label: "Dynamic-" + policy, Policy: policy,
-		Preemptive: true, Selector: "dynamic-checkpoint"}
+	return preemptive("Dynamic-"+policy, policy, "dynamic-checkpoint")
 }
 
 // DynamicKill returns the Algorithm 3 configuration with KILL saving
 // (Figure 15 sensitivity).
 func DynamicKill(policy string) SchedulerConfig {
-	return SchedulerConfig{Label: "DynamicKill-" + policy, Policy: policy,
-		Preemptive: true, Selector: "dynamic-kill"}
+	return preemptive("DynamicKill-"+policy, policy, "dynamic-kill")
 }
 
 // MultiResult aggregates a configuration's outcome across runs.

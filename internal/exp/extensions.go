@@ -7,7 +7,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/preempt"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -35,20 +34,12 @@ func init() {
 	})
 }
 
-// clusterLocal is one NPU-local scheduler configuration of the cluster
-// sweep.
-type clusterLocal struct {
-	label      string
-	policy     string
-	preemptive bool
-}
-
 // clusterCell is one (node size x routing policy x local scheduler) cell
 // of the cluster sweep.
 type clusterCell struct {
 	npus    int
 	routing cluster.RoutingPolicy
-	local   clusterLocal
+	local   SchedulerConfig
 }
 
 // runCluster sweeps NPU counts, routing policies, and local schedulers
@@ -68,10 +59,7 @@ func runCluster(s *Suite) ([]*Table, error) {
 			"SLA viol.@4x", "preemptions/run"},
 		Note: "beyond-paper extension: the Algorithm 1 predictor also powers work-balanced routing",
 	}
-	locals := []clusterLocal{
-		{"NP-FCFS", "FCFS", false},
-		{"Dynamic-PREMA", "PREMA", true},
-	}
+	locals := []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")}
 	var cells []clusterCell
 	for _, npus := range []int{1, 2, 4} {
 		for _, routing := range []cluster.RoutingPolicy{cluster.RoundRobin, cluster.LeastQueued, cluster.LeastWork} {
@@ -100,9 +88,7 @@ func runCluster(s *Suite) ([]*Table, error) {
 		}
 		res, err := cluster.Run(cluster.Options{
 			NPUs: cell.npus, Routing: cell.routing,
-			NPU: s.NPU, Sched: s.Sched,
-			LocalPolicy: cell.local.policy, Preemptive: cell.local.preemptive,
-			Selector: "dynamic",
+			NPU: s.NPU, Sched: s.Sched, Local: cell.local.Spec,
 		}, ts)
 		if err != nil {
 			return err
@@ -123,7 +109,7 @@ func runCluster(s *Suite) ([]*Table, error) {
 			sla += metrics.SLAViolationRate(res.Tasks, 4) / runs
 			preempts += float64(res.Preemptions) / runs
 		}
-		t.AddRow(fmt.Sprintf("%d", cell.npus), cell.routing.String(), cell.local.label,
+		t.AddRow(fmt.Sprintf("%d", cell.npus), cell.routing.String(), cell.local.Label,
 			fmt.Sprintf("%.2f", antt),
 			fmt.Sprintf("%.2f", stp),
 			fmt.Sprintf("%.1f%%", sla*100),
@@ -146,8 +132,7 @@ func runKillGranularity(s *Suite) ([]*Table, error) {
 	mechs := []string{"static-checkpoint", "static-kill-layer", "static-kill"}
 	cfgs := []SchedulerConfig{NP("FCFS")}
 	for _, mech := range mechs {
-		cfgs = append(cfgs, SchedulerConfig{Label: "P-PREMA/" + mech, Policy: "PREMA",
-			Preemptive: true, Selector: mech})
+		cfgs = append(cfgs, preemptive("P-PREMA/"+mech, "PREMA", mech))
 	}
 	// One engine batch covers the baseline and all three granularities.
 	results, err := s.RunConfigs(cfgs, workload.Spec{Tasks: 8}, s.Runs)
@@ -196,29 +181,12 @@ func runEnergy(s *Suite) ([]*Table, error) {
 		// per run), then reduce the breakdowns in run order.
 		perRun := make([]energy.Breakdown, runs)
 		err := s.ForEach(runs, func(r int) error {
-			policy, err := sched.ByName(cfg.Policy, s.Sched)
-			if err != nil {
-				return err
-			}
-			var selector sched.MechanismSelector
-			if cfg.Selector != "" {
-				if selector, err = sched.SelectorByName(cfg.Selector); err != nil {
-					return err
-				}
-			}
 			rng := workload.RNGFor(s.Seed^0xE6E, r)
 			tasks, err := s.Gen.Generate(workload.Spec{Tasks: 8}, rng)
 			if err != nil {
 				return err
 			}
-			simulator, err := sim.New(sim.Options{
-				NPU: s.NPU, Sched: s.Sched, Policy: policy,
-				Preemptive: cfg.Preemptive, Selector: selector, Record: true,
-			}, workload.Entries(tasks))
-			if err != nil {
-				return err
-			}
-			res, err := simulator.Run()
+			res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
 			if err != nil {
 				return err
 			}

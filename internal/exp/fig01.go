@@ -60,17 +60,7 @@ func runFig1(s *Suite) ([]*Table, error) {
 	}
 
 	run := func(tasks []*workload.Task) (streamStats, error) {
-		policy, err := sched.ByName("FCFS", s.Sched)
-		if err != nil {
-			return streamStats{}, err
-		}
-		simulator, err := sim.New(sim.Options{
-			NPU: s.NPU, Sched: s.Sched, Policy: policy,
-		}, workload.Entries(tasks))
-		if err != nil {
-			return streamStats{}, err
-		}
-		res, err := simulator.Run()
+		res, err := s.simulate(NP("FCFS").Spec, sim.Options{Sched: s.Sched}, workload.Entries(tasks))
 		if err != nil {
 			return streamStats{}, err
 		}

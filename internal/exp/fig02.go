@@ -46,16 +46,11 @@ func runFig2(s *Suite) ([]*Table, error) {
 		return []*workload.Task{i1, i2, i3}, nil
 	}
 
-	configs := []struct {
-		label      string
-		policy     string
-		preemptive bool
-		selector   string
-	}{
-		{"(a) NP-FCFS", "FCFS", false, ""},
-		{"(b) NP-HPF", "HPF", false, ""},
-		{"(c) P-HPF", "HPF", true, "static-checkpoint"},
-		{"(d) P-PREMA", "PREMA", true, "dynamic"},
+	configs := []SchedulerConfig{
+		{Label: "(a) NP-FCFS", Spec: sched.Spec{Policy: "FCFS"}},
+		{Label: "(b) NP-HPF", Spec: sched.Spec{Policy: "HPF"}},
+		preemptive("(c) P-HPF", "HPF", "static-checkpoint"),
+		preemptive("(d) P-PREMA", "PREMA", "dynamic"),
 	}
 
 	t := &Table{
@@ -71,24 +66,7 @@ func runFig2(s *Suite) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		policy, err := sched.ByName(c.policy, s.Sched)
-		if err != nil {
-			return nil, err
-		}
-		var sel sched.MechanismSelector
-		if c.selector != "" {
-			if sel, err = sched.SelectorByName(c.selector); err != nil {
-				return nil, err
-			}
-		}
-		simulator, err := sim.New(sim.Options{
-			NPU: s.NPU, Sched: s.Sched, Policy: policy,
-			Preemptive: c.preemptive, Selector: sel, Record: true,
-		}, workload.Entries(tasks))
-		if err != nil {
-			return nil, err
-		}
-		res, err := simulator.Run()
+		res, err := s.simulate(c.Spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
 		if err != nil {
 			return nil, err
 		}
@@ -98,13 +76,13 @@ func runFig2(s *Suite) ([]*Table, error) {
 			byID[task.ID] = task
 			avgNTT += task.NTT() / float64(len(res.Tasks))
 		}
-		t.AddRow(c.label,
+		t.AddRow(c.Label,
 			fmt.Sprintf("%.2f", s.NPU.Millis(byID[1].Turnaround())),
 			fmt.Sprintf("%.2f", s.NPU.Millis(byID[2].Turnaround())),
 			fmt.Sprintf("%.2f", s.NPU.Millis(byID[3].Turnaround())),
 			fmt.Sprintf("%.2f", byID[3].NTT()),
 			fmt.Sprintf("%.2f", avgNTT))
-		timelines += c.label + "\n" + res.Timeline.Render(s.NPU, 80) + "\n"
+		timelines += c.Label + "\n" + res.Timeline.Render(s.NPU, 80) + "\n"
 	}
 	t.Note += "\n" + timelines
 	return []*Table{t}, nil

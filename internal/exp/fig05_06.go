@@ -40,61 +40,29 @@ type mechPair struct {
 func runMechTrial(s *Suite, victim, preemptor *dnn.Model, victimBatch, preBatch int,
 	mech string, trial int) (mechPair, error) {
 
-	build := func(salt uint64) ([]*workload.Task, error) {
-		rng := workload.RNGFor(s.Seed^salt, trial)
-		vt, err := s.Gen.Instance(0, victim, victimBatch, sched.Low, 0, nil, rng)
-		if err != nil {
-			return nil, err
-		}
-		// Preemption point uniformly random across the victim's
-		// execution (Section IV-D), away from the extreme edges so a
-		// preemption is actually possible.
-		frac := 0.05 + 0.9*rng.Float64()
-		arrival := int64(frac * float64(vt.Program.TotalCycles))
-		pt, err := s.Gen.Instance(1, preemptor, preBatch, sched.High, arrival, nil, rng)
-		if err != nil {
-			return nil, err
-		}
-		return []*workload.Task{vt, pt}, nil
-	}
-
-	runWith := func(cfg SchedulerConfig, tasks []*workload.Task) (*sim.Result, error) {
-		policy, err := sched.ByName(cfg.Policy, s.Sched)
-		if err != nil {
-			return nil, err
-		}
-		var sel sched.MechanismSelector
-		if cfg.Selector != "" {
-			if sel, err = sched.SelectorByName(cfg.Selector); err != nil {
-				return nil, err
-			}
-		}
-		simulator, err := sim.New(sim.Options{
-			NPU: s.NPU, Sched: s.Sched, Policy: policy,
-			Preemptive: cfg.Preemptive, Selector: sel, Record: true,
-		}, workload.Entries(tasks))
-		if err != nil {
-			return nil, err
-		}
-		return simulator.Run()
-	}
-
-	const salt = 0xF5F6
-	baseTasks, err := build(salt)
+	rng := workload.RNGFor(s.Seed^0xF5F6, trial)
+	vt, err := s.Gen.Instance(0, victim, victimBatch, sched.Low, 0, nil, rng)
 	if err != nil {
 		return mechPair{}, err
 	}
-	baseRes, err := runWith(NP("FCFS"), baseTasks)
+	// Preemption point uniformly random across the victim's execution
+	// (Section IV-D), away from the extreme edges so a preemption is
+	// actually possible.
+	frac := 0.05 + 0.9*rng.Float64()
+	arrival := int64(frac * float64(vt.Program.TotalCycles))
+	pt, err := s.Gen.Instance(1, preemptor, preBatch, sched.High, arrival, nil, rng)
 	if err != nil {
 		return mechPair{}, err
 	}
-	mechTasks, err := build(salt)
+	tasks := []*workload.Task{vt, pt}
+	runWith := func(spec sched.Spec) (*sim.Result, error) {
+		return s.simulate(spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
+	}
+	baseRes, err := runWith(NP("FCFS").Spec)
 	if err != nil {
 		return mechPair{}, err
 	}
-	cfg := SchedulerConfig{Label: "P-HPF/" + mech, Policy: "HPF",
-		Preemptive: true, Selector: "static-" + mech}
-	mechRes, err := runWith(cfg, mechTasks)
+	mechRes, err := runWith(sched.Spec{Policy: "HPF", Preemptive: true, Selector: "static-" + mech})
 	if err != nil {
 		return mechPair{}, err
 	}

@@ -108,16 +108,6 @@ func runFig14(s *Suite) ([]*Table, error) {
 		turns := make([]float64, len(cfgs)*runs)
 		err := s.ForEach(len(turns), func(i int) error {
 			cfg, r := cfgs[i/runs], i%runs
-			policy, err := sched.ByName(cfg.Policy, s.Sched)
-			if err != nil {
-				return err
-			}
-			var sel sched.MechanismSelector
-			if cfg.Selector != "" {
-				if sel, err = sched.SelectorByName(cfg.Selector); err != nil {
-					return err
-				}
-			}
 			rng := workload.RNGFor(s.Seed^0xF14, r*1000+hash8(m.Name))
 			// Probe first so its instance sampling matches the
 			// isolated measurement exactly.
@@ -144,14 +134,7 @@ func runFig14(s *Suite) ([]*Table, error) {
 			entry := probe.Entry(100, 0, 1)
 			entry.Arrival = rng.Int64N(int64(10e-3 * s.NPU.FreqHz))
 			all := append(workload.Entries(competitors), entry)
-			simulator, err := sim.New(sim.Options{
-				NPU: s.NPU, Sched: s.Sched, Policy: policy,
-				Preemptive: cfg.Preemptive, Selector: sel,
-			}, all)
-			if err != nil {
-				return err
-			}
-			res, err := simulator.Run()
+			res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched}, all)
 			if err != nil {
 				return err
 			}

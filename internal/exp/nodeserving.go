@@ -29,7 +29,7 @@ func init() {
 // closedCell is one (clients x local scheduler) cell of the sweep.
 type closedCell struct {
 	clients int
-	local   clusterLocal
+	local   SchedulerConfig
 }
 
 // runClosedLoop sweeps the closed-loop client population on a 2-NPU
@@ -51,10 +51,7 @@ func runClosedLoop(s *Suite) ([]*Table, error) {
 			"p99 lat (ms)", "SLA viol.@4x"},
 		Note: "closed loops self-limit: throughput saturates at node capacity while latency keeps climbing",
 	}
-	locals := []clusterLocal{
-		{"NP-FCFS", "FCFS", false},
-		{"Dynamic-PREMA", "PREMA", true},
-	}
+	locals := []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")}
 	var cells []closedCell
 	for _, clients := range []int{1, 4, 16, 64} {
 		for _, local := range locals {
@@ -70,9 +67,9 @@ func runClosedLoop(s *Suite) ([]*Table, error) {
 			NPUs:    npus,
 			Routing: cluster.LeastWork,
 			Session: serving.SessionConfig{
-				Policy:     cell.local.policy,
-				Preemptive: cell.local.preemptive,
-				Selector:   selectorFor(cell.local.preemptive),
+				Policy:     cell.local.Policy,
+				Preemptive: cell.local.Preemptive,
+				Selector:   cell.local.Selector,
 				Horizon:    horizon,
 			},
 		})
@@ -104,19 +101,11 @@ func runClosedLoop(s *Suite) ([]*Table, error) {
 			p99 += st.P99LatencyMS / runs
 			sla += st.SLAViolations4x / runs
 		}
-		t.AddRow(fmt.Sprintf("%d", cell.clients), cell.local.label,
+		t.AddRow(fmt.Sprintf("%d", cell.clients), cell.local.Label,
 			fmt.Sprintf("%.0f", thr),
 			fmt.Sprintf("%.2f", lat),
 			fmt.Sprintf("%.2f", p99),
 			fmt.Sprintf("%.1f%%", sla*100))
 	}
 	return []*Table{t}, nil
-}
-
-// selectorFor resolves the local mechanism selector label.
-func selectorFor(preemptive bool) string {
-	if preemptive {
-		return "dynamic"
-	}
-	return ""
 }

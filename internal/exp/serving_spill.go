@@ -47,18 +47,11 @@ func runBatching(s *Suite) ([]*Table, error) {
 	}
 	const trials = 3
 	for _, window := range []time.Duration{0, time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond} {
-		for _, c := range []struct {
-			label      string
-			policy     string
-			preemptive bool
-		}{
-			{"NP-FCFS", "FCFS", false},
-			{"Dynamic-PREMA", "PREMA", true},
-		} {
+		for _, c := range []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")} {
 			perTrial := make([]serving.BatchStats, trials)
 			err := s.ForEach(trials, func(trial int) error {
 				st, err := server.RunBatched(serving.BatchSpec{Spec: spec, Window: window},
-					c.policy, c.preemptive, "dynamic", workload.RNGFor(s.Seed^0xBA7C, trial))
+					c.Spec, workload.RNGFor(s.Seed^0xBA7C, trial))
 				if err != nil {
 					return err
 				}
@@ -75,7 +68,7 @@ func runBatching(s *Suite) ([]*Table, error) {
 				lat += st.MeanLatencyMS / trials
 				p95 += st.P95LatencyMS / trials
 			}
-			t.AddRow(window.String(), c.label,
+			t.AddRow(window.String(), c.Label,
 				fmt.Sprintf("%.1f", batch),
 				fmt.Sprintf("%.0f", thr),
 				fmt.Sprintf("%.1f", lat),
@@ -90,16 +83,7 @@ func runBatching(s *Suite) ([]*Table, error) {
 // paper's scheduling claims.
 func runLoadCurve(s *Suite) ([]*Table, error) {
 	server := serving.NewServer(s.NPU, s.Sched, s.Gen)
-	configs := []struct {
-		label      string
-		policy     string
-		preemptive bool
-		selector   string
-	}{
-		{"NP-FCFS", "FCFS", false, ""},
-		{"P-SJF", "SJF", true, "static-checkpoint"},
-		{"Dynamic-PREMA", "PREMA", true, "dynamic"},
-	}
+	configs := []SchedulerConfig{NP("FCFS"), StaticCkpt("SJF"), DynamicCkpt("PREMA")}
 	t := &Table{
 		ID:    "loadcurve",
 		Title: "Mean NTT (and p95 latency ms) vs offered load, 400ms Poisson streams",
@@ -115,7 +99,7 @@ func runLoadCurve(s *Suite) ([]*Table, error) {
 			err := s.ForEach(trials, func(trial int) error {
 				st, err := server.Run(serving.Spec{
 					Horizon: 400 * time.Millisecond, OfferedLoad: load,
-				}, c.policy, c.preemptive, c.selector, workload.RNGFor(s.Seed^0x10AD, trial))
+				}, c.Spec, workload.RNGFor(s.Seed^0x10AD, trial))
 				if err != nil {
 					return err
 				}
@@ -171,23 +155,12 @@ func runSpill(s *Suite) ([]*Table, error) {
 		}
 		perRun := make([]spillRun, runs)
 		err := s.ForEach(runs, func(r int) error {
-			policy, err := sched.ByName("PREMA", s.Sched)
-			if err != nil {
-				return err
-			}
-			selector, err := sched.SelectorByName("dynamic")
-			if err != nil {
-				return err
-			}
 			rng := workload.RNGFor(s.Seed^0x5B111, r)
 			tasks, err := s.Gen.Generate(spec, rng)
 			if err != nil {
 				return err
 			}
-			opt := sim.Options{
-				NPU: s.NPU, Sched: s.Sched,
-				Policy: policy, Preemptive: true, Selector: selector,
-			}
+			opt := sim.Options{Sched: s.Sched}
 			if pool.bytes > 0 {
 				cfg := ckptmem.DefaultConfig()
 				cfg.NPUMemBytes = pool.bytes
@@ -197,11 +170,7 @@ func runSpill(s *Suite) ([]*Table, error) {
 				}
 				opt.CkptMem = mem
 			}
-			simulator, err := sim.New(opt, workload.Entries(tasks))
-			if err != nil {
-				return err
-			}
-			res, err := simulator.Run()
+			res, err := s.simulate(sched.Spec{Policy: "PREMA", Preemptive: true}, opt, workload.Entries(tasks))
 			if err != nil {
 				return err
 			}

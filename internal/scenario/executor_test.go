@@ -64,9 +64,9 @@ func refRunWithTrace(srv *serving.Server, sc *Scenario, tr *telemetry.Trace) (re
 		Routing: sc.Routing,
 		Trace:   tr,
 		Session: serving.SessionConfig{
-			Policy:         sc.Policy,
-			Preemptive:     sc.Preemptive,
-			Selector:       sc.Selector,
+			Policy:         sc.Scheduler.Policy,
+			Preemptive:     sc.Scheduler.Preemptive,
+			Selector:       sc.Scheduler.Selector,
 			Horizon:        sc.Horizon(),
 			WarmupFraction: sc.Warmup,
 		},

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/sched"
 	"repro/internal/serving"
 )
 
@@ -45,10 +46,9 @@ var defaultModels = []string{"CNN-AN", "CNN-GN", "CNN-MN", "RNN-SA"}
 // Parse reads a scenario from its text form and validates it.
 func Parse(src string) (*Scenario, error) {
 	sc := &Scenario{
-		Policy:     "PREMA",
-		Preemptive: true,
-		Routing:    cluster.LeastWork,
-		Models:     append([]string(nil), defaultModels...),
+		Scheduler: sched.Spec{Policy: "PREMA", Preemptive: true},
+		Routing:   cluster.LeastWork,
+		Models:    append([]string(nil), defaultModels...),
 	}
 	seen := map[string]int{}
 	for i, raw := range strings.Split(src, "\n") {
@@ -201,14 +201,14 @@ func (sc *Scenario) parsePolicy(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: policy <label> [preemptive] [mechanism=<label>]")
 	}
-	sc.Policy, sc.Preemptive, sc.Selector = args[0], false, ""
+	sc.Scheduler = sched.Spec{Policy: args[0]}
 	for _, a := range args[1:] {
 		if a == "preemptive" {
-			sc.Preemptive = true
+			sc.Scheduler.Preemptive = true
 			continue
 		}
 		if v, ok := strings.CutPrefix(a, "mechanism="); ok {
-			sc.Selector = v
+			sc.Scheduler.Selector = v
 			continue
 		}
 		return fmt.Errorf("unknown policy option %q (known: preemptive mechanism=<label>)", a)

@@ -46,8 +46,8 @@ assert recovered_by 160ms
 	if sc.Routing != cluster.LeastQueued {
 		t.Errorf("routing = %v", sc.Routing)
 	}
-	if sc.Policy != "PREMA" || !sc.Preemptive {
-		t.Errorf("policy = %q preemptive=%v", sc.Policy, sc.Preemptive)
+	if sc.Scheduler.Policy != "PREMA" || !sc.Scheduler.Preemptive {
+		t.Errorf("policy = %q preemptive=%v", sc.Scheduler.Policy, sc.Scheduler.Preemptive)
 	}
 	if sc.Scaler != "queue-depth" || sc.SLO != 8*time.Millisecond || sc.Tick != 2*time.Millisecond {
 		t.Errorf("scaler = %q slo=%v tick=%v", sc.Scaler, sc.SLO, sc.Tick)
@@ -97,8 +97,8 @@ func TestParseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Policy != "PREMA" || !sc.Preemptive {
-		t.Errorf("default policy = %q preemptive=%v", sc.Policy, sc.Preemptive)
+	if sc.Scheduler.Policy != "PREMA" || !sc.Scheduler.Preemptive {
+		t.Errorf("default policy = %q preemptive=%v", sc.Scheduler.Policy, sc.Scheduler.Preemptive)
 	}
 	if sc.Routing != cluster.LeastWork {
 		t.Errorf("default routing = %v", sc.Routing)

@@ -75,9 +75,9 @@ func RunWithTrace(srv *serving.Server, sc *Scenario, tr *telemetry.Trace) (rep *
 			Routing: sc.Routing,
 			Trace:   tr,
 			Session: serving.SessionConfig{
-				Policy:         sc.Policy,
-				Preemptive:     sc.Preemptive,
-				Selector:       sc.Selector,
+				Policy:         sc.Scheduler.Policy,
+				Preemptive:     sc.Scheduler.Preemptive,
+				Selector:       sc.Scheduler.Selector,
 				Horizon:        sc.Horizon(),
 				WarmupFraction: sc.Warmup,
 			},

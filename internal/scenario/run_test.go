@@ -32,17 +32,16 @@ func newServer(t testing.TB) *serving.Server {
 // closed-loop recovery asserted.
 func failureScenario() *Scenario {
 	return &Scenario{
-		Name:       "replay-probe",
-		Fleet:      Fleet{Initial: 2, Min: 2, Max: 6},
-		Routing:    cluster.LeastWork,
-		Policy:     "PREMA",
-		Preemptive: true,
-		Scaler:     "queue-depth",
-		SLO:        8 * time.Millisecond,
-		Models:     append([]string(nil), defaultModels...),
-		Seed:       7,
-		Segment:    40 * time.Millisecond,
-		Load:       []float64{0.5, 2, 2, 2, 0.5},
+		Name:      "replay-probe",
+		Fleet:     Fleet{Initial: 2, Min: 2, Max: 6},
+		Routing:   cluster.LeastWork,
+		Scheduler: sched.Spec{Policy: "PREMA", Preemptive: true},
+		Scaler:    "queue-depth",
+		SLO:       8 * time.Millisecond,
+		Models:    append([]string(nil), defaultModels...),
+		Seed:      7,
+		Segment:   40 * time.Millisecond,
+		Load:      []float64{0.5, 2, 2, 2, 0.5},
 		Events: []Event{
 			{At: 80 * time.Millisecond, Op: serving.NodeOp{Kind: serving.FailNPU, NPU: 0}},
 		},
@@ -132,16 +131,15 @@ func TestBrokenAssertionFailsReportNotRun(t *testing.T) {
 // autoscaled node session over the identical stream.
 func TestNoEventScenarioMatchesPlainRun(t *testing.T) {
 	sc := &Scenario{
-		Name:       "no-events",
-		Fleet:      Fleet{Initial: 2, Min: 1, Max: 6},
-		Routing:    cluster.LeastWork,
-		Policy:     "PREMA",
-		Preemptive: true,
-		Scaler:     "queue-depth",
-		SLO:        8 * time.Millisecond,
-		Models:     append([]string(nil), defaultModels...),
-		Segment:    40 * time.Millisecond, // Seed 0 → the facade default
-		Load:       []float64{0.4, 1.5, 3.0, 1.5, 0.4},
+		Name:      "no-events",
+		Fleet:     Fleet{Initial: 2, Min: 1, Max: 6},
+		Routing:   cluster.LeastWork,
+		Scheduler: sched.Spec{Policy: "PREMA", Preemptive: true},
+		Scaler:    "queue-depth",
+		SLO:       8 * time.Millisecond,
+		Models:    append([]string(nil), defaultModels...),
+		Segment:   40 * time.Millisecond, // Seed 0 → the facade default
+		Load:      []float64{0.4, 1.5, 3.0, 1.5, 0.4},
 	}
 	rep, err := Run(newServer(t), sc)
 	if err != nil {
@@ -216,17 +214,16 @@ func TestNoEventScenarioMatchesPlainRun(t *testing.T) {
 // a per-tier SLO assertion on each tier.
 func tieredScenario() *Scenario {
 	return &Scenario{
-		Name:       "tiered-probe",
-		Fleet:      Fleet{Initial: 4, Min: 2, Max: 8, Tiers: "50%:fast,50%:slow"},
-		Routing:    cluster.LeastWork,
-		Policy:     "PREMA",
-		Preemptive: true,
-		Scaler:     "queue-depth",
-		SLO:        8 * time.Millisecond,
-		Models:     append([]string(nil), defaultModels...),
-		Seed:       23,
-		Segment:    40 * time.Millisecond,
-		Load:       []float64{1, 2, 1},
+		Name:      "tiered-probe",
+		Fleet:     Fleet{Initial: 4, Min: 2, Max: 8, Tiers: "50%:fast,50%:slow"},
+		Routing:   cluster.LeastWork,
+		Scheduler: sched.Spec{Policy: "PREMA", Preemptive: true},
+		Scaler:    "queue-depth",
+		SLO:       8 * time.Millisecond,
+		Models:    append([]string(nil), defaultModels...),
+		Seed:      23,
+		Segment:   40 * time.Millisecond,
+		Load:      []float64{1, 2, 1},
 		Asserts: []Assertion{
 			{Kind: AssertTierSLO, Tier: "fast", Max: 1},
 			{Kind: AssertTierSLO, Tier: "slow", Max: 1},
@@ -306,14 +303,13 @@ func TestEvalTierSLO(t *testing.T) {
 // run error (the guard refuses to wipe the node out), not a report.
 func TestWipeOutSurfaces(t *testing.T) {
 	sc := &Scenario{
-		Name:       "wipe-out",
-		Fleet:      Fleet{Initial: 1},
-		Routing:    cluster.LeastWork,
-		Policy:     "PREMA",
-		Preemptive: true,
-		Models:     append([]string(nil), defaultModels...),
-		Segment:    20 * time.Millisecond,
-		Load:       []float64{0.5, 0.5},
+		Name:      "wipe-out",
+		Fleet:     Fleet{Initial: 1},
+		Routing:   cluster.LeastWork,
+		Scheduler: sched.Spec{Policy: "PREMA", Preemptive: true},
+		Models:    append([]string(nil), defaultModels...),
+		Segment:   20 * time.Millisecond,
+		Load:      []float64{0.5, 0.5},
 		Events: []Event{
 			{At: 10 * time.Millisecond, Op: serving.NodeOp{Kind: serving.FailNPU, NPU: 0}},
 		},

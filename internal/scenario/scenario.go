@@ -57,12 +57,10 @@ type Scenario struct {
 	// Routing is the node's router policy (default round-robin — the
 	// cluster package's zero value; scenarios usually pick least-work).
 	Routing cluster.RoutingPolicy
-	// Policy, Preemptive and Selector configure every backend's local
-	// scheduler (Policy defaults to "PREMA" preemptive when the text
-	// omits the directive; a zero-value struct must set it explicitly).
-	Policy     string
-	Preemptive bool
-	Selector   string
+	// Scheduler is every backend's local scheduler (preemptive PREMA
+	// when the text omits the directive; a zero-value struct must set
+	// it explicitly).
+	Scheduler sched.Spec
 	// Scaler names the autoscale policy; empty keeps the fleet fixed at
 	// Fleet.Initial. SLO is the scaler's P95 target (required with a
 	// scaler) and Tick its evaluation period (0 = the serving default).
@@ -136,18 +134,8 @@ func (sc *Scenario) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown routing policy %d", int(sc.Routing))
 	}
-	if sc.Policy == "" {
-		return fmt.Errorf("scenario: missing scheduling policy")
-	}
-	if !sched.HasPolicy(sc.Policy) {
-		return fmt.Errorf("scenario: unknown policy %q (known: %v)", sc.Policy, sched.PolicyNames())
-	}
-	if !sc.Preemptive && sc.Selector != "" {
-		return fmt.Errorf("scenario: mechanism %q set on a non-preemptive policy", sc.Selector)
-	}
-	if sc.Selector != "" && !sched.HasSelector(sc.Selector) {
-		return fmt.Errorf("scenario: unknown preemption mechanism %q (known: %v)",
-			sc.Selector, sched.SelectorNames())
+	if err := sc.Scheduler.Validate(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if sc.Scaler == "" {
 		if sc.Fleet.Min != 0 || sc.Fleet.Max != 0 {

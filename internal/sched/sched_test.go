@@ -470,3 +470,31 @@ func TestDefaultConfigMatchesTableII(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecNew: New builds fresh instances on every call, gives a
+// preemptive spec without a selector the dynamic one, builds no
+// selector for a non-preemptive spec and refuses one named on it.
+func TestSpecNew(t *testing.T) {
+	cfg := DefaultConfig()
+	preemptive := Spec{Policy: "PREMA", Preemptive: true}
+	p1, s1, err := preemptive.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, _, err := preemptive.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 == p2 {
+		t.Error("two New calls shared one policy instance")
+	}
+	if s1 == nil || s1.Name() != NewDynamic().Name() {
+		t.Errorf("empty selector on a preemptive spec built %v, want the dynamic selector", s1)
+	}
+	if _, s, err := (Spec{Policy: "FCFS"}).New(cfg); err != nil || s != nil {
+		t.Errorf("non-preemptive spec built selector %v, error %v; want none", s, err)
+	}
+	if _, _, err := (Spec{Policy: "FCFS", Selector: "dynamic"}).New(cfg); err == nil {
+		t.Error("a selector on a non-preemptive spec was accepted")
+	}
+}

@@ -53,9 +53,26 @@ type BatchStats struct {
 // batching window, and runs the batched tasks under the given scheduler.
 // Latency statistics are computed per original request (member), not per
 // fused task.
-func (s *Server) RunBatched(bs BatchSpec, policy string, preemptive bool, selector string,
-	rng *rand.Rand) (BatchStats, error) {
+func (s *Server) RunBatched(bs BatchSpec, scheduler sched.Spec, rng *rand.Rand) (BatchStats, error) {
+	entries, members, err := s.batchStream(bs, rng)
+	if err != nil {
+		return BatchStats{}, err
+	}
+	res, err := s.simulate(scheduler, entries)
+	if err != nil {
+		return BatchStats{}, err
+	}
+	return s.memberStats(res, members, s.warmupCut(bs.Spec.Horizon, defaultWarmup))
+}
 
+// batchStream generates RunBatched's batch-1 request stream and
+// coalesces it: it returns the scheduler entries to simulate and each
+// entry's member requests (by entry ID). Same-model CNN requests whose
+// arrivals fall within the window of the group's first request are
+// grouped, and every group — a pass-through request too — is
+// re-instanced at its batch size with a randomly sampled priority,
+// dispatching when its window closes (the last member's arrival).
+func (s *Server) batchStream(bs BatchSpec, rng *rand.Rand) ([]*sched.Task, map[int][]memberRequest, error) {
 	if bs.MaxBatch <= 0 {
 		bs.MaxBatch = 16
 	}
@@ -63,17 +80,11 @@ func (s *Server) RunBatched(bs BatchSpec, policy string, preemptive bool, select
 	base.BatchSizes = []int{1}
 	requests, err := s.Generate(base, rng)
 	if err != nil {
-		return BatchStats{}, err
+		return nil, nil, err
 	}
 	windowCycles := s.cfg.Cycles(bs.Window)
-
-	// Coalesce: group same-model CNN requests whose arrivals fall
-	// within windowCycles of the group's first request. The fused task
-	// re-instances the group at its batch size with a randomly sampled
-	// priority, dispatching when its window closes (the last member's
-	// arrival).
 	var entries []*sched.Task
-	members := map[int][]memberRequest{} // task ID -> original requests
+	members := map[int][]memberRequest{}
 	flush := func(group []int) error {
 		batch := min(len(group), bs.MaxBatch)
 		arrival := requests[group[len(group)-1]].Arrival
@@ -84,24 +95,26 @@ func (s *Server) RunBatched(bs BatchSpec, policy string, preemptive bool, select
 			return err
 		}
 		entries = append(entries, task.Entry(id, arrival, 1))
-		members[id] = groupMembers(requests, group, nominal)
+		ms := groupMembers(requests, group, nominal)
+		if len(group) == 1 {
+			// A lone request runs as its re-instanced program, which for
+			// an RNN has newly drawn sequence lengths: that program is
+			// the one its ideal is measured against.
+			ms[0].isolated = task.Program.TotalCycles
+		}
+		members[id] = ms
 		return nil
 	}
 	passThrough := func(r *workload.Task) bool {
 		return r.ModelRef.IsRNN() || windowCycles == 0
 	}
 	if err := groupRequests(requests, windowCycles, bs.MaxBatch, passThrough, flush); err != nil {
-		return BatchStats{}, err
+		return nil, nil, err
 	}
 	if len(entries) == 0 {
-		return BatchStats{}, fmt.Errorf("serving: batching produced no tasks")
+		return nil, nil, fmt.Errorf("serving: batching produced no tasks")
 	}
-
-	res, err := s.simulate(policy, preemptive, selector, entries)
-	if err != nil {
-		return BatchStats{}, err
-	}
-	return s.memberStats(res, members, s.warmupCut(bs.Spec.Horizon, bs.Spec.WarmupFraction))
+	return entries, members, nil
 }
 
 // nominal is the service-time factor of a request on a nominal-speed NPU.

@@ -1,16 +1,18 @@
 package serving
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 func TestBatchingDisabledMatchesUnbatchedShape(t *testing.T) {
 	s := newServer(t)
 	bs := BatchSpec{Spec: Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 0.5}}
-	st, err := s.RunBatched(bs, "FCFS", false, "", workload.RNGFor(11, 1))
+	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(11, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestBatchingCoalescesCNNRequests(t *testing.T) {
 			Models: []string{"CNN-AN", "CNN-GN"}},
 		Window: 4 * time.Millisecond,
 	}
-	st, err := s.RunBatched(bs, "FCFS", false, "", workload.RNGFor(12, 2))
+	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(12, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestRNNsNeverBatch(t *testing.T) {
 			Models: []string{"RNN-SA", "RNN-MT2"}},
 		Window: 8 * time.Millisecond,
 	}
-	st, err := s.RunBatched(bs, "FCFS", false, "", workload.RNGFor(13, 3))
+	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(13, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +69,12 @@ func TestBatchingRaisesThroughputUnderSaturation(t *testing.T) {
 	spec := Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 1.6,
 		Models: []string{"CNN-AN", "CNN-GN", "CNN-MN"}}
 	unbatched, err := s.RunBatched(BatchSpec{Spec: spec},
-		"FCFS", false, "", workload.RNGFor(14, 4))
+		sched.Spec{Policy: "FCFS"}, workload.RNGFor(14, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	batched, err := s.RunBatched(BatchSpec{Spec: spec, Window: 4 * time.Millisecond},
-		"FCFS", false, "", workload.RNGFor(14, 4))
+		sched.Spec{Policy: "FCFS"}, workload.RNGFor(14, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +92,41 @@ func TestBatchCapRespected(t *testing.T) {
 		Window:   20 * time.Millisecond,
 		MaxBatch: 4,
 	}
-	st, err := s.RunBatched(bs, "FCFS", false, "", workload.RNGFor(15, 5))
+	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(15, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.MeanBatch > 4 {
 		t.Errorf("mean batch %v exceeds the cap of 4", st.MeanBatch)
+	}
+}
+
+// TestBatchedPassThroughIsolated: on a window-0 stream every request
+// passes through alone and is re-instanced — an RNN with newly drawn
+// sequence lengths — so its member record's isolated time must be the
+// IsolatedCycles of the entry simulated for it.
+func TestBatchedPassThroughIsolated(t *testing.T) {
+	s := newServer(t)
+	bs := BatchSpec{Spec: Spec{Horizon: 200 * time.Millisecond, OfferedLoad: 0.6}}
+	entries, members, err := s.batchStream(bs, workload.RNGFor(16, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnns := 0
+	for _, e := range entries {
+		ms := members[e.ID]
+		if len(ms) != 1 {
+			t.Fatalf("entry %d carries %d members at window 0, want 1", e.ID, len(ms))
+		}
+		if ms[0].isolated != e.IsolatedCycles {
+			t.Errorf("entry %d (%s): member isolated %d cycles, simulated entry %d",
+				e.ID, e.Model, ms[0].isolated, e.IsolatedCycles)
+		}
+		if strings.HasPrefix(e.Model, "RNN") {
+			rnns++
+		}
+	}
+	if rnns == 0 {
+		t.Fatal("stream holds no RNN request")
 	}
 }

@@ -325,37 +325,40 @@ func (ns *NodeSession) failNPU(i int, at int64) error {
 		return err
 	}
 	ns.speed[i] = ns.state.Speed(i)
-	reclaimed := ns.backends[i].reclaimTail(inFlight)
+	reclaimed, ids := ns.backends[i].reclaimTail(inFlight)
 	delta := 0
 	if wasRoutable {
 		delta = -1
 	}
 	ns.record(at, "fail", i, delta, fmt.Sprintf("reclaimed %d", len(reclaimed)))
 	ns.reclaims += len(reclaimed)
-	for _, t := range reclaimed {
+	for k, t := range reclaimed {
+		id := 0
 		if tr := ns.tracer(); tr != nil {
+			id = ids[k]
 			tr.Record(telemetry.Event{
 				Cycle: at, Kind: telemetry.KindReclaim,
-				Req: t.TraceID, NPU: i, Tier: ns.tierName(i),
+				Req: id, NPU: i, Tier: ns.tierName(i),
 			})
 		}
 		rearrival := *t
 		rearrival.Arrival = at
-		if err := ns.route(&rearrival); err != nil {
+		if err := ns.route(&rearrival, id); err != nil {
 			return fmt.Errorf("re-routing reclaimed request %d: %w", t.ID, err)
 		}
 	}
 	return nil
 }
 
-// reclaimTail cuts the last n requests, with their factors, off the
-// session's stream and returns them in submission order — the
-// failure-reclaim path pulling a lost backend's in-flight work back out.
-// The stream no longer extends the one the live simulator admitted, so
-// the next Stats rebuilds it from cycle 0.
-func (ss *Session) reclaimTail(n int) []*workload.Task {
+// reclaimTail cuts the last n requests, with their factors and trace
+// IDs, off the session's stream and returns the requests and their IDs
+// (nil on an untraced backend) in submission order — the failure-reclaim
+// path pulling a lost backend's in-flight work back out. The stream no
+// longer extends the one the live simulator admitted, so the next Stats
+// rebuilds it from cycle 0.
+func (ss *Session) reclaimTail(n int) ([]*workload.Task, []int) {
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	keep := len(ss.reqs) - n
 	tail := append([]*workload.Task(nil), ss.reqs[keep:]...)
@@ -364,8 +367,13 @@ func (ss *Session) reclaimTail(n int) []*workload.Task {
 	if ss.factors != nil {
 		ss.factors = ss.factors[:keep]
 	}
+	var ids []int
+	if ss.traced {
+		ids = append(ids, ss.ids[keep:]...)
+		ss.ids = ss.ids[:keep]
+	}
 	ss.live = nil
 	ss.dirty = true
 	ss.statsValid = false
-	return tail
+	return tail, ids
 }

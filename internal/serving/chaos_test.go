@@ -10,6 +10,7 @@ package serving
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -311,37 +312,39 @@ func TestSlowdownDegradesLatency(t *testing.T) {
 	}
 }
 
-// TestReclaimTailKeepsFactors: cutting the in-flight tail off a stream
-// returns it in submission order and keeps every remaining request
-// paired with its own service-time factor.
+// TestReclaimTailKeepsFactors: cutting the in-flight tail off a traced
+// stream returns it and its trace IDs in submission order and keeps
+// every remaining request paired with its own service-time factor and
+// trace ID.
 func TestReclaimTailKeepsFactors(t *testing.T) {
 	s := newServer(t)
 	ss, err := s.Open(SessionConfig{Policy: "FCFS"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss.traced = true
 	var reqs []*workload.Task
 	for k, f := range []float64{1, 2, 3, 4} {
 		r, err := s.gen.InstanceByName(k, "CNN-AN", 1, sched.Low, int64(k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.submit(r, f); err != nil {
+		if err := ss.submit(r, f, 10+k); err != nil {
 			t.Fatal(err)
 		}
 		reqs = append(reqs, r)
 	}
-	if tail := ss.reclaimTail(0); tail != nil {
-		t.Errorf("reclaiming nothing returned %d requests", len(tail))
+	if tail, ids := ss.reclaimTail(0); tail != nil || ids != nil {
+		t.Errorf("reclaiming nothing returned %d requests, IDs %v", len(tail), ids)
 	}
-	tail := ss.reclaimTail(2)
-	if len(tail) != 2 || tail[0] != reqs[2] || tail[1] != reqs[3] {
-		t.Errorf("reclaimed %d requests; want requests 2 and 3 in order", len(tail))
+	tail, ids := ss.reclaimTail(2)
+	if len(tail) != 2 || tail[0] != reqs[2] || tail[1] != reqs[3] || !slices.Equal(ids, []int{12, 13}) {
+		t.Errorf("reclaimed %d requests, IDs %v; want requests 2 and 3 in order, IDs [12 13]", len(tail), ids)
 	}
 	if len(ss.reqs) != 2 || ss.Pending() != 2 || ss.reqs[0] != reqs[0] || ss.reqs[1] != reqs[1] ||
-		ss.factor(0) != 1 || ss.factor(1) != 2 {
-		t.Errorf("after reclaiming the last two: %d requests, factors %v; want requests 0 and 1 at x1 and x2",
-			len(ss.reqs), ss.factors)
+		ss.factor(0) != 1 || ss.factor(1) != 2 || !slices.Equal(ss.ids, []int{10, 11}) {
+		t.Errorf("after reclaiming the last two: %d requests, factors %v, IDs %v; want requests 0 and 1 at x1 and x2, IDs [10 11]",
+			len(ss.reqs), ss.factors, ss.ids)
 	}
 }
 

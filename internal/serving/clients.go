@@ -63,9 +63,10 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 
 // offerClients is OfferClients on an NPU that serves the clients'
 // requests at factor× their nominal service time. A non-nil stamp sees
-// each realized request, in realization order, before it is submitted
-// (a traced node gives it a trace ID and a submit event there).
-func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64, stamp func(*workload.Task)) (int, error) {
+// each realized request, in realization order, before it is submitted,
+// and answers its trace request ID (a traced node records its submit
+// event there).
+func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64, stamp func(*workload.Task) int) (int, error) {
 	if ss.closed {
 		return 0, fmt.Errorf("serving: session closed")
 	}
@@ -164,8 +165,11 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64,
 		}
 		return []*sched.Task{entry}
 	}
-	res, err := ss.srv.simulateHook(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector,
-		entries, onComplete)
+	simulator, err := ss.srv.newSim(ss.cfg.spec(), entries, onComplete)
+	if err != nil {
+		return 0, err
+	}
+	res, err := simulator.Run()
 	if err != nil {
 		return 0, err
 	}
@@ -183,10 +187,11 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64,
 	// already ran to, so the next refresh after a further submission
 	// rebuilds it from cycle 0.
 	for _, t := range realized {
+		id := 0
 		if stamp != nil {
-			stamp(t)
+			id = stamp(t)
 		}
-		if err := ss.submit(t, factor); err != nil {
+		if err := ss.submit(t, factor, id); err != nil {
 			return 0, err
 		}
 	}

@@ -33,7 +33,7 @@ func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, entries)
+		res, err := ss.srv.simulate(ss.cfg.spec(), entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func replay(t *testing.T, ss *Session) (*sampleSet, []completionRec) {
 	for i, r := range ss.reqs {
 		fresh[i] = r.Entry(i, r.Arrival, ss.factor(i))
 	}
-	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, fresh)
+	res, err := ss.srv.simulate(ss.cfg.spec(), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

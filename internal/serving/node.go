@@ -285,10 +285,11 @@ func (ns *NodeSession) Submit(t *workload.Task) error {
 	if err := ns.advanceTo(t.Arrival); err != nil {
 		return err
 	}
+	id := 0
 	if tr := ns.tracer(); tr != nil {
-		ns.traceSubmit(tr, t)
+		id = ns.traceSubmit(tr, t)
 	}
-	if err := ns.route(t); err != nil {
+	if err := ns.route(t, id); err != nil {
 		return err
 	}
 	ns.lastArrival = t.Arrival
@@ -297,17 +298,18 @@ func (ns *NodeSession) Submit(t *workload.Task) error {
 }
 
 // route makes one routing decision and commits it: the shared path of
-// fresh submissions and failure-reclaimed re-arrivals. The request
-// queues at the target backend's current speed, and the fluid router
-// state commits its estimate at that speed. route is the only path that
+// fresh submissions and failure-reclaimed re-arrivals, id being the
+// request's trace request ID. The request queues at the target backend's
+// current speed, and the fluid router state commits its estimate at that
+// speed. route is the only path that
 // appends to a backend's stream and commits a horizon, one of each per
 // request, so a backend's in-flight requests are the tail of its stream
 // — the ledger failNPU reclaims from. Pinned closed-loop clients append
 // without committing; ScheduleCycle refuses failures once they exist.
-func (ns *NodeSession) route(t *workload.Task) error {
+func (ns *NodeSession) route(t *workload.Task, id int) error {
 	target := ns.router.Decide(t, ns.state)
 	factor := ns.speed[target]
-	if err := ns.backends[target].submit(t, factor); err != nil {
+	if err := ns.backends[target].submit(t, factor, id); err != nil {
 		return err
 	}
 	ns.state.CommitCycles(target, t, t.EstimateAt(factor))
@@ -318,9 +320,9 @@ func (ns *NodeSession) route(t *workload.Task) error {
 	ns.estRing[ns.estCount%estWindow] = est
 	ns.estCount++
 	if tr := ns.tracer(); tr != nil {
-		tr.RecordRoute(t.Arrival, t.TraceID, target, ns.tierSym(target), est)
+		tr.RecordRoute(t.Arrival, id, target, ns.tierSym(target), est)
 		if factor > 1 {
-			tr.RecordStretch(t.Arrival, t.TraceID, target, ns.tierSym(target), factor)
+			tr.RecordStretch(t.Arrival, id, target, ns.tierSym(target), factor)
 		}
 	}
 	return nil
@@ -432,9 +434,9 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 		perNPU[routable[ns.clientNext%len(routable)]]++
 		ns.clientNext++
 	}
-	var stamp func(*workload.Task)
+	var stamp func(*workload.Task) int
 	if tr := ns.tracer(); tr != nil {
-		stamp = func(t *workload.Task) { ns.traceSubmit(tr, t) }
+		stamp = func(t *workload.Task) int { return ns.traceSubmit(tr, t) }
 	}
 	total := 0
 	for i, clients := range perNPU {

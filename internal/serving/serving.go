@@ -40,9 +40,6 @@ type Spec struct {
 	Models []string
 	// BatchSizes restricts batches (defaults to {1,4,16}).
 	BatchSizes []int
-	// WarmupFraction of the horizon is excluded from latency
-	// statistics (default 0.2).
-	WarmupFraction float64
 }
 
 // Stats summarizes the steady-state behaviour of one run.
@@ -175,47 +172,27 @@ func defaultSuite() []string {
 		"RNN-SA", "RNN-MT1", "RNN-MT2", "RNN-ASR"}
 }
 
-// simulate resolves the scheduler configuration (fresh policy and
-// selector instances per call; see the sched.Policy contract) and runs
-// one simulation over the given entries.
-func (s *Server) simulate(policy string, preemptive bool, selector string,
-	entries []*sched.Task) (*sim.Result, error) {
-	return s.simulateHook(policy, preemptive, selector, entries, nil)
-}
-
-// simulateHook is simulate with the closed-loop completion hook wired
-// through: onComplete may inject newly released requests (see
-// sim.Options.OnComplete).
-func (s *Server) simulateHook(policy string, preemptive bool, selector string,
-	entries []*sched.Task, onComplete func(*sched.Task, int64) []*sched.Task) (*sim.Result, error) {
-	simulator, err := s.newSim(policy, preemptive, selector, entries, onComplete)
+// simulate runs one simulation of the given entries under spec.
+func (s *Server) simulate(spec sched.Spec, entries []*sched.Task) (*sim.Result, error) {
+	simulator, err := s.newSim(spec, entries, nil)
 	if err != nil {
 		return nil, err
 	}
 	return simulator.Run()
 }
 
-// newSim resolves the scheduler configuration (fresh policy and selector
-// instances per simulator; see the sched.Policy contract) and prepares a
-// simulator over the given entries.
-func (s *Server) newSim(policy string, preemptive bool, selector string,
-	entries []*sched.Task, onComplete func(*sched.Task, int64) []*sched.Task) (*sim.Sim, error) {
-	pol, err := sched.ByName(policy, s.scfg)
+// newSim prepares a simulator over the given entries under spec, with
+// fresh policy and selector instances (see sched.Spec.New). onComplete
+// may inject newly released requests (see sim.Options.OnComplete).
+func (s *Server) newSim(spec sched.Spec, entries []*sched.Task,
+	onComplete func(*sched.Task, int64) []*sched.Task) (*sim.Sim, error) {
+	policy, selector, err := spec.New(s.scfg)
 	if err != nil {
 		return nil, err
 	}
-	var sel sched.MechanismSelector
-	if preemptive {
-		if selector == "" {
-			selector = "dynamic"
-		}
-		if sel, err = sched.SelectorByName(selector); err != nil {
-			return nil, err
-		}
-	}
 	return sim.New(sim.Options{
 		NPU: s.cfg, Sched: s.scfg,
-		Policy: pol, Preemptive: preemptive, Selector: sel,
+		Policy: policy, Preemptive: spec.Preemptive, Selector: selector,
 		OnComplete: onComplete,
 	}, entries)
 }
@@ -350,10 +327,14 @@ func (s *Server) steadyStats(res *sim.Result, cut int64) (Stats, error) {
 	return st.Stats, nil
 }
 
-// warmupFraction resolves the warm-up fraction default (0.2).
+// defaultWarmup is the fraction of the horizon excluded from latency
+// statistics by Run, RunBatched and every session that sets none.
+const defaultWarmup = 0.2
+
+// warmupFraction resolves the warm-up fraction default.
 func warmupFraction(f float64) float64 {
 	if f <= 0 {
-		return 0.2
+		return defaultWarmup
 	}
 	return f
 }
@@ -365,17 +346,15 @@ func (s *Server) warmupCut(horizon time.Duration, warmup float64) int64 {
 }
 
 // Run executes one sustained-load scenario under the given scheduler
-// configuration and returns steady-state statistics.
-func (s *Server) Run(spec Spec, policy string, preemptive bool, selector string,
-	rng *rand.Rand) (Stats, error) {
-
+// and returns steady-state statistics.
+func (s *Server) Run(spec Spec, scheduler sched.Spec, rng *rand.Rand) (Stats, error) {
 	tasks, err := s.Generate(spec, rng)
 	if err != nil {
 		return Stats{}, err
 	}
-	res, err := s.simulate(policy, preemptive, selector, workload.Entries(tasks))
+	res, err := s.simulate(scheduler, workload.Entries(tasks))
 	if err != nil {
 		return Stats{}, err
 	}
-	return s.steadyStats(res, s.warmupCut(spec.Horizon, spec.WarmupFraction))
+	return s.steadyStats(res, s.warmupCut(spec.Horizon, defaultWarmup))
 }

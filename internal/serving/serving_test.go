@@ -57,7 +57,7 @@ func TestGenerateStreamShape(t *testing.T) {
 func TestModerateLoadIsStable(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 400 * time.Millisecond, OfferedLoad: 0.5}
-	st, err := s.Run(spec, "FCFS", false, "", workload.RNGFor(3, 3))
+	st, err := s.Run(spec, sched.Spec{Policy: "FCFS"}, workload.RNGFor(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLatencyKneeGrowsWithLoad(t *testing.T) {
 	s := newServer(t)
 	lat := func(load float64) float64 {
 		st, err := s.Run(Spec{Horizon: 400 * time.Millisecond, OfferedLoad: load},
-			"FCFS", false, "", workload.RNGFor(4, 4))
+			sched.Spec{Policy: "FCFS"}, workload.RNGFor(4, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestPREMAHoldsLatencyLongerThanFCFS(t *testing.T) {
 	// below NP-FCFS on the same arrival stream.
 	s := newServer(t)
 	spec := Spec{Horizon: 400 * time.Millisecond, OfferedLoad: 0.85}
-	fcfs, err := s.Run(spec, "FCFS", false, "", workload.RNGFor(5, 5))
+	fcfs, err := s.Run(spec, sched.Spec{Policy: "FCFS"}, workload.RNGFor(5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prema, err := s.Run(spec, "PREMA", true, "dynamic", workload.RNGFor(5, 5))
+	prema, err := s.Run(spec, sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}, workload.RNGFor(5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,10 @@ func TestPREMAHoldsLatencyLongerThanFCFS(t *testing.T) {
 func TestRunRejectsUnknownPolicy(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 100 * time.Millisecond, OfferedLoad: 0.5}
-	if _, err := s.Run(spec, "NOPE", false, "", workload.RNGFor(6, 6)); err == nil {
+	if _, err := s.Run(spec, sched.Spec{Policy: "NOPE"}, workload.RNGFor(6, 6)); err == nil {
 		t.Error("unknown policy should error")
 	}
-	if _, err := s.Run(spec, "SJF", true, "bogus", workload.RNGFor(6, 6)); err == nil {
+	if _, err := s.Run(spec, sched.Spec{Policy: "SJF", Preemptive: true, Selector: "bogus"}, workload.RNGFor(6, 6)); err == nil {
 		t.Error("unknown selector should error")
 	}
 }
@@ -178,7 +178,7 @@ func TestSteadyStatsTinyWarmupSurvivors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.simulate("FCFS", false, "", workload.Entries(tasks))
+	res, err := s.simulate(sched.Spec{Policy: "FCFS"}, workload.Entries(tasks))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,14 +31,12 @@ import (
 
 // SessionConfig parameterizes a long-lived serving session.
 type SessionConfig struct {
-	// Policy is the scheduling-policy label (sched.ByName).
-	Policy string
-	// Preemptive enables the preemptible-NPU path.
+	// Policy, Preemptive and Selector are the local scheduler (see
+	// sched.Spec: an empty Selector means "dynamic" on a preemptive
+	// session and must stay empty on a non-preemptive one).
+	Policy     string
 	Preemptive bool
-	// Selector is the preemption-mechanism selector label; empty
-	// defaults to "dynamic" on preemptive sessions and must be empty on
-	// non-preemptive ones.
-	Selector string
+	Selector   string
 	// Window is the dynamic-batching window: same-model CNN requests
 	// arriving within a window are fused (0 disables batching).
 	Window time.Duration
@@ -68,6 +66,11 @@ type Session struct {
 	// reqs: the speed of the NPU it was routed to (a slow tier, a chaos
 	// slowdown). Nil while every request runs at nominal speed.
 	factors []float64
+	// ids holds each request's trace request ID, parallel to reqs, on a
+	// traced backend (nil otherwise): the node numbers submissions, so
+	// the same request submitted twice, or to two nodes, is two traced
+	// requests.
+	ids []int
 
 	dirty   bool
 	drained bool
@@ -111,21 +114,15 @@ type Session struct {
 	completions []completionRec
 }
 
+// spec is the session's local scheduler.
+func (cfg SessionConfig) spec() sched.Spec {
+	return sched.Spec{Policy: cfg.Policy, Preemptive: cfg.Preemptive, Selector: cfg.Selector}
+}
+
 // Open validates the scheduler configuration and opens a session.
 func (s *Server) Open(cfg SessionConfig) (*Session, error) {
-	if _, err := sched.ByName(cfg.Policy, s.scfg); err != nil {
+	if err := cfg.spec().Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Preemptive {
-		sel := cfg.Selector
-		if sel == "" {
-			sel = "dynamic"
-		}
-		if _, err := sched.SelectorByName(sel); err != nil {
-			return nil, err
-		}
-	} else if cfg.Selector != "" {
-		return nil, fmt.Errorf("serving: selector %q set on a non-preemptive session", cfg.Selector)
 	}
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("serving: negative batching window %v", cfg.Window)
@@ -139,10 +136,11 @@ func (s *Server) Open(cfg SessionConfig) (*Session, error) {
 // Submit appends one request to the stream. The session never changes
 // it: each simulation builds a fresh scheduler entry from it, numbered by
 // the submission index.
-func (ss *Session) Submit(t *workload.Task) error { return ss.submit(t, 1) }
+func (ss *Session) Submit(t *workload.Task) error { return ss.submit(t, 1, 0) }
 
-// submit appends one request served at factor× its nominal service time.
-func (ss *Session) submit(t *workload.Task, factor float64) error {
+// submit appends one request served at factor× its nominal service
+// time, under trace request ID id on a traced backend.
+func (ss *Session) submit(t *workload.Task, factor float64, id int) error {
 	if ss.closed {
 		return fmt.Errorf("serving: session closed")
 	}
@@ -161,6 +159,9 @@ func (ss *Session) submit(t *workload.Task, factor float64) error {
 	ss.reqs = append(ss.reqs, t)
 	if ss.factors != nil {
 		ss.factors = append(ss.factors, factor)
+	}
+	if ss.traced {
+		ss.ids = append(ss.ids, id)
 	}
 	ss.count = len(ss.reqs)
 	ss.dirty = true
@@ -272,7 +273,7 @@ func (ss *Session) drain() {
 func (ss *Session) Close() error {
 	ss.closed = true
 	ss.drain()
-	ss.reqs, ss.factors, ss.completions = nil, nil, nil
+	ss.reqs, ss.factors, ss.ids, ss.completions = nil, nil, nil, nil
 	ss.samples, ss.last, ss.statsValid, ss.sorted = sampleSet{}, BatchStats{}, false, nil
 	return nil
 }
@@ -308,7 +309,7 @@ func (ss *Session) compute() error {
 	if err != nil {
 		return err
 	}
-	res, err := ss.srv.simulate(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector, entries)
+	res, err := ss.srv.simulate(ss.cfg.spec(), entries)
 	if err != nil {
 		return err
 	}
@@ -332,8 +333,7 @@ func (ss *Session) advanceLive() error {
 		}
 	}
 	if ss.live == nil {
-		live, err := ss.srv.newSim(ss.cfg.Policy, ss.cfg.Preemptive, ss.cfg.Selector,
-			ss.entries(0), nil)
+		live, err := ss.srv.newSim(ss.cfg.spec(), ss.entries(0), nil)
 		if err != nil {
 			return err
 		}

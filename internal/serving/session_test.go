@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -15,7 +16,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 0.6}
 
-	want, err := s.Run(spec, "PREMA", true, "dynamic", workload.RNGFor(11, 4))
+	want, err := s.Run(spec, sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}, workload.RNGFor(11, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

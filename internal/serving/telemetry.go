@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -56,13 +55,14 @@ func (ns *NodeSession) tierSym(i int) telemetry.Sym {
 	return ns.tierSyms[ns.tierOf[i]]
 }
 
-// traceSubmit gives t the node's next trace request ID and records its
-// submit edge at its arrival: routed submissions and closed-loop client
-// requests alike.
-func (ns *NodeSession) traceSubmit(tr *telemetry.Tracer, t *workload.Task) {
-	t.TraceID = ns.traceNext
+// traceSubmit numbers a submission of t with the node's next trace
+// request ID, records its submit edge at its arrival and answers the ID:
+// routed submissions and closed-loop client requests alike.
+func (ns *NodeSession) traceSubmit(tr *telemetry.Tracer, t *workload.Task) int {
+	id := ns.traceNext
 	ns.traceNext++
-	tr.RecordSubmit(t.Arrival, t.TraceID, ns.modelSym(tr, t))
+	tr.RecordSubmit(t.Arrival, id, ns.modelSym(tr, t))
+	return id
 }
 
 // modelSym answers the Sym for t's model name. Generator-built tasks
@@ -92,7 +92,7 @@ func (ns *NodeSession) Telemetry() *telemetry.Trace { return ns.trace }
 
 // completionRec is one simulated completion a traced backend retains:
 // enough to derive the request's complete event without re-touching the
-// simulator (the submitted request carries the trace ID).
+// simulator.
 type completionRec struct {
 	req       int
 	cycle     int64
@@ -101,11 +101,11 @@ type completionRec struct {
 }
 
 // retainCompletions records one completion per request — the completed
-// tasks of a refresh, finished live or projected, in submission order —
-// sorted by (cycle, request) so the derived event order never depends on
-// simulator internals. Overwritten wholesale on every refresh: a
-// projected completion can still move as new arrivals compete for the
-// NPU, and a reclaim shrinks the stream.
+// tasks of a refresh, finished live or projected — under the request's
+// trace ID. TraceEvents orders them: a trace ID names one request of the
+// node, so (cycle, ID) is a total order. Overwritten wholesale on every
+// refresh: a projected completion can still move as new arrivals compete
+// for the NPU, and a reclaim shrinks the stream.
 func (ss *Session) retainCompletions(tasks []*sched.Task) {
 	ss.completions = ss.completions[:0]
 	for _, t := range tasks {
@@ -115,19 +115,12 @@ func (ss *Session) retainCompletions(tasks []*sched.Task) {
 			svc = lat / ntt
 		}
 		ss.completions = append(ss.completions, completionRec{
-			req:       ss.reqs[t.ID].TraceID,
+			req:       ss.ids[t.ID],
 			cycle:     t.Completion,
 			latencyMS: lat,
 			serviceMS: svc,
 		})
 	}
-	sort.Slice(ss.completions, func(i, j int) bool {
-		a, b := ss.completions[i], ss.completions[j]
-		if a.cycle != b.cycle {
-			return a.cycle < b.cycle
-		}
-		return a.req < b.req
-	})
 }
 
 // TraceEvents assembles the node's merged trace: the tracer's recorded

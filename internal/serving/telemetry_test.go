@@ -358,3 +358,61 @@ func TestClientRequestsTraced(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceIDsBelongToTheNode: a node numbers its own submissions, so
+// the same request records submitted to a second traced node leave the
+// first node's trace whole — one submit and exactly one complete event
+// per trace ID.
+func TestTraceIDsBelongToTheNode(t *testing.T) {
+	s := newServer(t)
+	stream, err := s.Generate(Spec{Horizon: 100 * time.Millisecond, OfferedLoad: 0.5,
+		Models: []string{"CNN-AN"}}, workload.RNGFor(3, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stream) < 3 {
+		t.Fatalf("stream holds %d requests, want at least 3", len(stream))
+	}
+	reqs := stream[:3]
+	open := func() *NodeSession {
+		ns, err := s.OpenNode(NodeConfig{NPUs: 1, Session: SessionConfig{Policy: "FCFS"},
+			Trace: telemetry.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ns
+	}
+	a, b := open(), open()
+	for _, r := range reqs {
+		if err := a.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range reqs[1:] {
+		if err := b.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := a.TraceEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	submits, completes := map[int]int{}, map[int]int{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case telemetry.KindSubmit:
+			submits[ev.Req]++
+		case telemetry.KindComplete:
+			completes[ev.Req]++
+		}
+	}
+	if len(submits) != len(reqs) || len(completes) != len(reqs) {
+		t.Fatalf("node A traced %d submitted and %d completed IDs, want %d of each: submits %v, completes %v",
+			len(submits), len(completes), len(reqs), submits, completes)
+	}
+	for id, n := range submits {
+		if n != 1 || completes[id] != 1 {
+			t.Errorf("trace ID %d: %d submit and %d complete events, want one of each", id, n, completes[id])
+		}
+	}
+}

@@ -96,11 +96,6 @@ type Task struct {
 	InLen                   int
 	ActualOut, PredictedOut int
 	Program                 *npu.Program
-	// TraceID is the node session's telemetry request ID, stamped at
-	// submit time when tracing is attached (serving.NodeConfig.Trace)
-	// and carried across failure re-routes so one request's lifecycle
-	// events correlate. Zero when tracing is off.
-	TraceID int
 	// ModelID is a small generator-local integer naming the task's
 	// model, assigned from 1 in first-use order (0 = unknown, for tasks
 	// built outside a Generator). The telemetry hot path uses it as an

@@ -179,7 +179,7 @@ func (s *System) OpenNode(cfg NodeSessionConfig) (*NodeSession, error) {
 		Session: serving.SessionConfig{
 			Policy:         string(cfg.Scheduler.Policy),
 			Preemptive:     cfg.Scheduler.Preemptive,
-			Selector:       string(cfg.Scheduler.mechanism()),
+			Selector:       string(cfg.Scheduler.Mechanism),
 			Window:         cfg.Window,
 			MaxBatch:       cfg.MaxBatch,
 			Horizon:        cfg.Horizon,
@@ -236,11 +236,10 @@ func (ns *NodeSession) Submit(req Request) error {
 // requests arrived.
 func (ns *NodeSession) OfferLoad(load float64, horizon time.Duration) (int, error) {
 	n, err := ns.inner.Offer(serving.Spec{
-		Horizon:        horizon,
-		OfferedLoad:    load,
-		Models:         ns.models,
-		BatchSizes:     []int{1},
-		WarmupFraction: 0, // warm-up is the session's, not the spec's
+		Horizon:     horizon,
+		OfferedLoad: load,
+		Models:      ns.models,
+		BatchSizes:  []int{1},
 	}, ns.rng)
 	if err != nil {
 		return 0, err
@@ -258,10 +257,9 @@ func (ns *NodeSession) OfferLoad(load float64, horizon time.Duration) (int, erro
 // the whole ramp.
 func (ns *NodeSession) OfferRamp(loads []float64, segment time.Duration) (int, error) {
 	n, err := ns.inner.OfferRamp(serving.Spec{
-		Horizon:        segment,
-		Models:         ns.models,
-		BatchSizes:     []int{1},
-		WarmupFraction: 0, // warm-up is the session's, not the spec's
+		Horizon:    segment,
+		Models:     ns.models,
+		BatchSizes: []int{1},
 	}, loads, ns.rng)
 	if err != nil {
 		return 0, err

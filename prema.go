@@ -235,19 +235,9 @@ type Result struct {
 // leaves them unchanged, so the same workload can be simulated under any
 // number of configurations.
 func (s *System) Simulate(cfg Scheduler, tasks []*Instance) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	policy, err := sched.ByName(string(cfg.Policy), s.opt.Sched)
+	policy, selector, err := cfg.spec().New(s.opt.Sched)
 	if err != nil {
 		return nil, err
-	}
-	var selector MechanismSelector
-	if cfg.Preemptive {
-		selector, err = sched.SelectorByName(string(cfg.mechanism()))
-		if err != nil {
-			return nil, err
-		}
 	}
 	simulator, err := sim.New(sim.Options{
 		NPU: s.opt.NPU, Sched: s.opt.Sched,
@@ -329,10 +319,8 @@ func (s *System) SimulateNode(node Node, tasks []*Instance) (*NodeResult, error)
 	res, err := cluster.Run(cluster.Options{
 		NPUs: node.NPUs, Routing: routing,
 		NPU: s.opt.NPU, Sched: s.opt.Sched,
-		LocalPolicy: string(node.Local.Policy),
-		Preemptive:  node.Local.Preemptive,
-		Selector:    string(node.Local.mechanism()),
-		Parallel:    parallel,
+		Local:    node.Local.spec(),
+		Parallel: parallel,
 	}, tasks)
 	if err != nil {
 		return nil, err

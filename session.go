@@ -102,7 +102,7 @@ func (s *System) Open(cfg SessionConfig) (*Session, error) {
 	inner, err := srv.Open(serving.SessionConfig{
 		Policy:         string(cfg.Scheduler.Policy),
 		Preemptive:     cfg.Scheduler.Preemptive,
-		Selector:       string(cfg.Scheduler.mechanism()),
+		Selector:       string(cfg.Scheduler.Mechanism),
 		Window:         cfg.Window,
 		MaxBatch:       cfg.MaxBatch,
 		Horizon:        cfg.Horizon,
@@ -167,11 +167,10 @@ func (ss *Session) SubmitInstance(inst *Instance) error {
 // SessionConfig.Window). It returns how many requests arrived.
 func (ss *Session) OfferLoad(load float64, horizon time.Duration) (int, error) {
 	n, err := ss.inner.Offer(serving.Spec{
-		Horizon:        horizon,
-		OfferedLoad:    load,
-		Models:         ss.models,
-		BatchSizes:     []int{1},
-		WarmupFraction: 0, // warm-up is the session's, not the spec's
+		Horizon:     horizon,
+		OfferedLoad: load,
+		Models:      ss.models,
+		BatchSizes:  []int{1},
 	}, ss.rng)
 	if err != nil {
 		return 0, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/serving"
 	"repro/internal/workload"
 )
@@ -19,7 +20,7 @@ func TestSessionStatsMatchServing(t *testing.T) {
 	spec := serving.Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 0.6}
 	srv := serving.NewServer(sys.NPU(), sys.SchedConfig(), sys.gen)
 
-	want, err := srv.Run(spec, "PREMA", true, "dynamic", workload.RNGFor(21, 2))
+	want, err := srv.Run(spec, sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}, workload.RNGFor(21, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

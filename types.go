@@ -25,6 +25,10 @@ type (
 	NPUConfig = npu.Config
 	// SchedConfig is the scheduler configuration (Table II).
 	SchedConfig = sched.Config
+	// SchedulerSpec is a Scheduler in label form, as a Scenario carries
+	// it: policy, preemptive flag and mechanism (Selector), checked by
+	// the same rules as Scheduler.Validate.
+	SchedulerSpec = sched.Spec
 	// Task is one inference request as the scheduler tracks it — an
 	// inference-task context-table entry (Figure 4). Results expose
 	// completed Tasks; custom scheduling policies receive them.

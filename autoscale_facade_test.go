@@ -6,6 +6,7 @@ package prema_test
 // participating exactly like a builtin.
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -155,5 +156,43 @@ func TestRegisterScalerRoundTrip(t *testing.T) {
 	}
 	if st.Scaling == nil || st.Scaling.PeakNPUs != 4 {
 		t.Errorf("custom burst scaler never reached the fleet maximum: %+v", st.Scaling)
+	}
+}
+
+// TestSpeedFactorBounded: a tier derate or a slowdown factor that is not
+// finite or exceeds 1000 is refused wherever the facade takes one, and
+// 1000 itself is accepted.
+func TestSpeedFactorBounded(t *testing.T) {
+	sys, err := prema.NewSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfs := prema.Scheduler{Policy: prema.FCFS}
+	open := func(fleet string) (nodeErr, planeErr error) {
+		ns, nodeErr := sys.OpenNode(prema.NodeSessionConfig{NPUs: 2, Scheduler: fcfs, Fleet: fleet})
+		if nodeErr == nil {
+			nodeErr = ns.Close()
+		}
+		cp, planeErr := sys.OpenControlPlane(prema.ControlPlaneConfig{NPUs: 2, Scheduler: fcfs, Fleet: fleet})
+		if planeErr == nil {
+			planeErr = cp.Close()
+		}
+		return nodeErr, planeErr
+	}
+	if nodeErr, planeErr := open("50%:fast,50%:x@1000"); nodeErr != nil || planeErr != nil {
+		t.Fatalf("a factor-1000 tier refused: node %v, control plane %v", nodeErr, planeErr)
+	}
+	for _, fleet := range []string{"50%:fast,50%:x@NaN", "50%:fast,50%:x@1e300", "50%:fast,50%:x@1000.5"} {
+		if nodeErr, planeErr := open(fleet); nodeErr == nil || planeErr == nil {
+			t.Errorf("fleet %q accepted: node %v, control plane %v", fleet, nodeErr, planeErr)
+		}
+	}
+	if err := (prema.ChaosOp{Kind: prema.ChaosSlow, Factor: 1000}).Validate(); err != nil {
+		t.Errorf("slowdown x1000 refused: %v", err)
+	}
+	for _, f := range []float64{math.NaN(), 1e300, 1000.5} {
+		if err := (prema.ChaosOp{Kind: prema.ChaosSlow, Factor: f}).Validate(); err == nil {
+			t.Errorf("slowdown x%v accepted", f)
+		}
 	}
 }

@@ -125,6 +125,14 @@ for args in "-policy FCFS -mechanism static-kill" "-scenario $tmpdir/np-mechanis
 		exit 1
 	fi
 done
+# A speed factor is finite and at most 1000: a NaN tier derate is
+# refused with an error, not a panic in the cursor.
+status=0
+"$tmpdir/premasim" -npus 4 -clients 4 -fleet 50%:fast,50%:x@NaN -serve-horizon 50ms >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+	echo "premasim -fleet 50%:fast,50%:x@NaN exited $status, want 1: a non-finite tier factor must be refused" >&2
+	exit 1
+fi
 # Scenario smoke: the corpus doubles as a regression suite — every file
 # must parse, run and pass its assertions (non-zero exit otherwise).
 # .txt is the homogeneous corpus, .scn the heterogeneous-fleet stress
@@ -172,14 +180,23 @@ go run ./cmd/premazoo -config >/dev/null
 echo "smoke: cmd/premapredict"
 go run ./cmd/premapredict -model CNN-AN >/dev/null
 echo "smoke: cmd/premabench"
-go run ./cmd/premabench -exp fig7 -runs 2 >/dev/null
+go build -o "$tmpdir/premabench" ./cmd/premabench
+"$tmpdir/premabench" -exp fig7 -runs 2 >/dev/null
+# The experiments that hand one drawn workload to several
+# configurations print the same tables on one worker and on two; only
+# the wall-time footers differ.
+for workers in 1 2; do
+	"$tmpdir/premabench" -exp autoscale,batching,energy,fig14 -runs 2 -parallel "$workers" \
+		> "$tmpdir/paired-$workers.raw"
+	grep -v "completed in" "$tmpdir/paired-$workers.raw" > "$tmpdir/paired-$workers.txt"
+done
+cmp "$tmpdir/paired-1.txt" "$tmpdir/paired-2.txt"
 # A persisted cache answers a repeated run in full, and a cache
 # directory keeps one file per configuration: the file an older,
 # unversioned cache format left there is deleted.
 cachedir="$tmpdir/cachedir"
 mkdir "$cachedir"
 : > "$cachedir/prema-cache-0123456789abcdef.gob"
-go build -o "$tmpdir/premabench" ./cmd/premabench
 "$tmpdir/premabench" -exp fig11 -runs 2 -cachedir "$cachedir" -cachestats >/dev/null
 "$tmpdir/premabench" -exp fig11 -runs 2 -cachedir "$cachedir" -cachestats | grep -q '12 hits, 0 misses'
 if [ "$(ls -A "$cachedir" | wc -l)" -ne 1 ]; then

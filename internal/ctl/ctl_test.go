@@ -234,6 +234,8 @@ func TestCommandErrors(t *testing.T) {
 		{"load +Inf", "bad offered load"},
 		{"slow npu0 xNaN", "slowdown factor must be finite"},
 		{"slow npu0 x+Inf", "slowdown factor must be finite"},
+		{"slow npu0 x1e300", "at most 1000"},
+		{"slow npu0 x1000.5", "at most 1000"},
 		{"step backwards extra", "usage: step"},
 		{"step -1ms", "bad step duration"},
 	}

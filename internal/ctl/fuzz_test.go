@@ -31,6 +31,8 @@ func FuzzCtlScript(f *testing.F) {
 	f.Add("@1ms load 8\n@2ms pause\n@3ms resume\n@4ms help\n@150ms quit\n@160ms time\n")
 	f.Add("@0ms scale 4\n@1ms fail npu3\n@2ms drain npu2\n@3ms cordon npu0\n@40ms snapshot\n@45ms get npu3\n@60ms report\n")
 	f.Add("@0ms load 0\n@30ms step\n@31ms step 5ms\n@50ms load 0.5\n@90ms uncordon npu0\n@100ms drain npu0\n@110ms fail npu1\n")
+	// Slowdowns past npu.MaxSpeedFactor, which a cursor could not run.
+	f.Add("@0ms slow npu0 x1e300\n@0ms slow npu1 x1e300\n@40ms snapshot\n")
 	srv := newServer(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		run := func() (transcript string, report []byte, runErr error, ok bool) {

@@ -29,8 +29,6 @@ func init() {
 // autoscaleCell is one (ramp x SLO x scaler) cell of the sweep.
 type autoscaleCell struct {
 	rampLabel string
-	rampIdx   int
-	ramp      []float64
 	slo       time.Duration
 	scaler    string
 }
@@ -42,9 +40,10 @@ type autoscaleCell struct {
 var autoscaleModels = []string{"CNN-AN", "CNN-GN", "CNN-MN", "RNN-SA"}
 
 // runAutoscale sweeps scaling policy x SLO target x load profile.
-// Every (cell x run) pair fans out through the engine's worker pool;
-// per-cell reduction happens in run order afterwards, so output is
-// independent of scheduling.
+// Every (ramp x run) pair fans out through the engine's worker pool and
+// serves its one drawn stream to each of the ramp's cells; per-cell
+// reduction happens in run order afterwards, so output is independent
+// of scheduling.
 func runAutoscale(s *Suite) ([]*Table, error) {
 	const (
 		segment = 40 * time.Millisecond
@@ -63,52 +62,63 @@ func runAutoscale(s *Suite) ([]*Table, error) {
 	slos := []time.Duration{4 * time.Millisecond, 10 * time.Millisecond}
 
 	var cells []autoscaleCell
-	for ri, ramp := range ramps {
+	for _, ramp := range ramps {
 		for _, slo := range slos {
 			for _, scaler := range scalers {
-				cells = append(cells, autoscaleCell{
-					rampLabel: ramp.label, rampIdx: ri, ramp: ramp.loads,
-					slo: slo, scaler: scaler,
-				})
+				cells = append(cells, autoscaleCell{rampLabel: ramp.label, slo: slo, scaler: scaler})
 			}
 		}
 	}
+	// Cells are listed ramp-major: ramp ri's cells are the block
+	// cells[ri*perRamp : (ri+1)*perRamp].
+	perRamp := len(cells) / len(ramps)
 
+	srv := serving.NewServer(s.NPU, s.Sched, s.Gen)
 	runs := s.Runs
 	results := make([]serving.NodeStats, len(cells)*runs)
-	err := s.ForEach(len(results), func(i int) error {
-		cell := cells[i/runs]
-		srv := serving.NewServer(s.NPU, s.Sched, s.Gen)
-		ns, err := srv.OpenNode(serving.NodeConfig{
-			NPUs:    minNPUs,
-			Routing: cluster.LeastWork,
-			Session: serving.SessionConfig{Policy: "FCFS", Horizon: horizon},
-			Autoscale: &serving.AutoscaleConfig{
-				Scaler:  cell.scaler,
-				SLO:     cell.slo,
-				MinNPUs: minNPUs,
-				MaxNPUs: maxNPUs,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		// Seed by (ramp, run) only: every scaler and SLO in a block sees
-		// the identical arrival stream, so the rows compare policy effect
-		// on paired workloads rather than sampling noise.
-		if _, err := ns.OfferRamp(serving.Spec{
+	// One job per (ramp, run): the ramp's arrival stream is drawn once,
+	// seeded by (ramp, run) only, and every scaler and SLO of the ramp's
+	// block serves it, so the rows compare policy effect on paired
+	// workloads rather than sampling noise.
+	err := s.ForEach(len(ramps)*runs, func(j int) error {
+		ri, r := j/runs, j%runs
+		stream, err := srv.GenerateRamp(serving.Spec{
 			Horizon:    segment,
 			Models:     autoscaleModels,
 			BatchSizes: []int{1},
-		}, cell.ramp, workload.RNGFor(s.Seed^0xA5CA1E, cell.rampIdx*runs+i%runs)); err != nil {
-			return err
-		}
-		st, err := ns.Drain()
+		}, ramps[ri].loads, workload.RNGFor(s.Seed^0xA5CA1E, j))
 		if err != nil {
 			return err
 		}
-		results[i] = st
-		return ns.Close()
+		for ci := ri * perRamp; ci < (ri+1)*perRamp; ci++ {
+			cell := cells[ci]
+			ns, err := srv.OpenNode(serving.NodeConfig{
+				NPUs:    minNPUs,
+				Routing: cluster.LeastWork,
+				Session: serving.SessionConfig{Policy: "FCFS", Horizon: horizon},
+				Autoscale: &serving.AutoscaleConfig{
+					Scaler:  cell.scaler,
+					SLO:     cell.slo,
+					MinNPUs: minNPUs,
+					MaxNPUs: maxNPUs,
+				},
+			})
+			if err != nil {
+				return err
+			}
+			for _, req := range stream {
+				if err := ns.Submit(req); err != nil {
+					return err
+				}
+			}
+			if results[ci*runs+r], err = ns.Drain(); err != nil {
+				return err
+			}
+			if err := ns.Close(); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

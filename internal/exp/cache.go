@@ -11,8 +11,10 @@ package exp
 //
 // A run's outcome is a pure function of (policy, selector, preemptive,
 // scheduler configuration, workload spec, seed, run index) for a fixed
-// Suite: the workload is regenerated from workload.RNGFor(seed, run) and
-// the simulator is deterministic. The Suite's generator (NPU config and
+// Suite: run r's workload is drawn from workload.RNGFor(seed, r) once per
+// RunConfigs call, on the call's first miss for r, and read by every
+// configuration of the call; the simulator is deterministic. A call the
+// cache answers in full draws nothing. The Suite's generator (NPU config and
 // profile seed) is deliberately NOT part of the key — the cache lives on
 // the Suite and never outlives it.
 //

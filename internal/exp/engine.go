@@ -11,8 +11,10 @@ package exp
 //
 //  1. Per-run isolation. Every run constructs its own policy and
 //     mechanism-selector instances (policies keep scratch state; see the
-//     sched.Policy contract) and regenerates its workload from
-//     workload.RNGFor(seed, run), so no mutable state crosses runs.
+//     sched.Policy contract) and fresh scheduler entries. Run r's
+//     workload is drawn from workload.RNGFor(seed, r) once per call and
+//     read by every configuration: a drawn workload.Task is a record no
+//     simulation changes, so no mutable state crosses runs.
 //  2. Stable assembly. Worker completion order is nondeterministic, so
 //     outcomes are written into an index-addressed slice and reduced
 //     sequentially in (configuration, run) order afterwards — float
@@ -115,19 +117,45 @@ type runOutcome struct {
 	tasks   []*sched.Task
 }
 
+// drawnRun is one run's workload within one RunConfigsSched call: drawn
+// on the first cache miss for the run and then read by every
+// configuration of the call that misses on it.
+type drawnRun struct {
+	once  sync.Once
+	tasks []*workload.Task
+	err   error
+}
+
+// draw answers the run-th workload of spec, drawing it from
+// workload.RNGFor(seed, run) on first use. Concurrent callers wait for
+// the one draw; a drawn workload is a set of records no simulation
+// changes.
+func (s *Suite) draw(d *drawnRun, spec workload.Spec, run int) ([]*workload.Task, error) {
+	d.once.Do(func() {
+		s.draws.Add(1)
+		d.tasks, d.err = s.Gen.Generate(spec, workload.RNGFor(s.Seed, run))
+	})
+	return d.tasks, d.err
+}
+
 // runOne resolves the run-th simulation of cfg: a cache hit returns the
 // memoized outcome (immutable by contract; see cache.go), a miss — or a
-// non-cacheable run — simulates via simulateOne and populates the cache.
-// Cached and simulated outcomes are bit-identical, so the engine's
-// determinism contract is unaffected by the cache state.
-func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spec, run int) (runOutcome, error) {
+// non-cacheable run — simulates the run's workload (drawn through d)
+// and populates the cache. Cached and simulated outcomes are
+// bit-identical, so the engine's determinism contract is unaffected by
+// the cache state.
+func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spec, run int, d *drawnRun) (runOutcome, error) {
 	key, cacheable := s.cacheKey(cfg, scfg, spec, run)
 	if cacheable {
 		if o, ok := s.Cache.lookup(key); ok {
 			return o, nil
 		}
 	}
-	o, err := s.simulateOne(cfg, scfg, spec, run)
+	tasks, err := s.draw(d, spec, run)
+	if err != nil {
+		return runOutcome{}, err
+	}
+	o, err := s.simulateOne(cfg, scfg, tasks, run)
 	if err != nil {
 		return runOutcome{}, err
 	}
@@ -137,15 +165,11 @@ func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spe
 	return o, nil
 }
 
-// simulateOne executes the run-th simulation of cfg: the deterministic
-// per-run workload on one simulator with fresh policy and selector
+// simulateOne executes the run-th simulation of cfg: fresh entries for
+// the run's workload on one simulator with fresh policy and selector
 // instances.
-func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spec, run int) (runOutcome, error) {
+func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, tasks []*workload.Task, run int) (runOutcome, error) {
 	atomic.AddInt64(&s.simulations, 1)
-	tasks, err := s.Gen.Generate(spec, workload.RNGFor(s.Seed, run))
-	if err != nil {
-		return runOutcome{}, err
-	}
 	res, err := s.simulate(cfg.Spec, sim.Options{Sched: scfg}, workload.Entries(tasks))
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("%s run %d: %w", cfg.Label, run, err)
@@ -175,9 +199,10 @@ func (s *Suite) simulate(spec sched.Spec, opt sim.Options, entries []*sched.Task
 
 // RunConfigs executes runs simulations of every configuration over
 // workloads drawn from spec, fanning all (configuration x run) pairs out
-// over the worker pool. The r-th run of every configuration regenerates
-// the identical workload (same RNG stream), so configurations are
-// compared on exactly the same task mixes. Results are returned in
+// over the worker pool. The r-th run of every configuration reads the
+// same workload, drawn once per call on the first cache miss for r, so
+// configurations are compared on exactly the same task mixes; a call
+// the cache answers in full draws nothing. Results are returned in
 // configuration order, each assembled in run order.
 func (s *Suite) RunConfigs(cfgs []SchedulerConfig, spec workload.Spec, runs int) ([]*MultiResult, error) {
 	return s.RunConfigsSched(cfgs, s.Sched, spec, runs)
@@ -196,9 +221,10 @@ func (s *Suite) RunConfigsSched(cfgs []SchedulerConfig, scfg sched.Config, spec 
 			return nil, err
 		}
 	}
+	draws := make([]drawnRun, runs)
 	outcomes := make([]runOutcome, len(cfgs)*runs)
 	err := s.ForEach(len(outcomes), func(i int) error {
-		o, err := s.runOne(cfgs[i/runs], scfg, spec, i%runs)
+		o, err := s.runOne(cfgs[i/runs], scfg, spec, i%runs, &draws[i%runs])
 		if err != nil {
 			return err
 		}

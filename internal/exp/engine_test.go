@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/dnn"
 	"repro/internal/workload"
 )
 
@@ -103,5 +105,67 @@ func TestEngineFirstError(t *testing.T) {
 	if _, err := s.RunConfigs([]SchedulerConfig{preemptive("bad", "FCFS", "nope")},
 		workload.Spec{Tasks: 2}, 2); err == nil {
 		t.Fatal("unknown selector should error")
+	}
+}
+
+// countingEstimator is an opaque estimator, so its runs bypass the run
+// cache, that counts its calls from any number of workers. Its estimate
+// is a function of its arguments, as the Estimator contract requires.
+type countingEstimator struct{ calls atomic.Int64 }
+
+func (c *countingEstimator) Estimate(m *dnn.Model, batch, inLen int) (int64, error) {
+	c.calls.Add(1)
+	return int64(batch)<<20 + int64(inLen)<<10 + int64(len(m.Name)), nil
+}
+
+// TestEngineDrawsEachRunOnce pins the pairing to one draw per run: every
+// configuration of a RunConfigs call reads run r's workload, so 3
+// configurations x 4 runs of 8 tasks estimate 32 tasks, not 96, however
+// many workers share the call.
+func TestEngineDrawsEachRunOnce(t *testing.T) {
+	cfgs := []SchedulerConfig{NP("FCFS"), StaticCkpt("SJF"), DynamicCkpt("PREMA")}
+	const runs, tasks = 4, 8
+	for _, workers := range []int{1, 2} {
+		s := fastSuite(t)
+		s.Workers = workers
+		est := &countingEstimator{}
+		if _, err := s.RunConfigs(cfgs, workload.Spec{Tasks: tasks, Estimator: est}, runs); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := est.calls.Load(), int64(runs*tasks); got != want {
+			t.Errorf("workers=%d: %d estimates, want %d (one draw per run)", workers, got, want)
+		}
+		if got := s.Draws(); got != runs {
+			t.Errorf("workers=%d: %d draws, want %d", workers, got, runs)
+		}
+		if got, want := s.Simulations(), int64(len(cfgs)*runs); got != want {
+			t.Errorf("workers=%d: %d simulations, want %d", workers, got, want)
+		}
+	}
+}
+
+// TestEngineCacheHitsDrawNothing: a run is drawn only on a cache miss,
+// so a repeated call the cache answers in full draws no workload, and a
+// call that adds one configuration draws each run once more.
+func TestEngineCacheHitsDrawNothing(t *testing.T) {
+	s := fastSuite(t)
+	cfgs := []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")}
+	spec := workload.Spec{Tasks: 8}
+	const runs = 3
+	steps := []struct {
+		cfgs  []SchedulerConfig
+		draws int64
+	}{
+		{cfgs, runs},
+		{cfgs, runs},
+		{append(cfgs, StaticCkpt("SJF")), 2 * runs},
+	}
+	for i, st := range steps {
+		if _, err := s.RunConfigs(st.cfgs, spec, runs); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Draws(); got != st.draws {
+			t.Errorf("call %d: %d draws in total, want %d", i, got, st.draws)
+		}
 	}
 }

@@ -11,9 +11,11 @@
 // evaluation decomposes into independent simulation runs — (scheduler
 // configuration x run index) pairs, or per-trial jobs for the
 // characterization figures — which fan out over Suite.Workers goroutines
-// (GOMAXPROCS by default). The engine is deterministic: each run draws
-// its workload from workload.RNGFor(Suite.Seed, run) and constructs its
-// own policy/selector instances, outcomes are written into
+// (GOMAXPROCS by default). The engine is deterministic: run r's
+// workload is drawn from workload.RNGFor(Suite.Seed, r) once per call
+// and read by every configuration (a drawn workload.Task is a record no
+// simulation changes), each simulation constructs its own
+// policy/selector instances and scheduler entries, outcomes are written into
 // index-addressed slices, and all reductions happen sequentially in
 // (configuration, run) order after the fan-out joins — so parallel
 // results are byte-identical to a sequential execution (Workers = 1),
@@ -156,6 +158,9 @@ type Suite struct {
 	// simulations counts simulateOne executions (cache misses plus
 	// non-cacheable runs); read via Simulations.
 	simulations int64
+	// draws counts the workloads RunConfigsSched drew, at most one per
+	// run per call (see draw).
+	draws atomic.Int64
 
 	// diskPath/diskFP are set by AttachDiskCache and consumed by
 	// FlushDiskCache (see diskcache.go).
@@ -204,6 +209,15 @@ type SchedulerConfig struct {
 	// Label is the figure legend name ("NP-FCFS", "Dynamic-PREMA", ...).
 	Label string
 	sched.Spec
+}
+
+// schedSpecs lists the configurations' scheduler specs, in order.
+func schedSpecs(cfgs []SchedulerConfig) []sched.Spec {
+	out := make([]sched.Spec, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = c.Spec
+	}
+	return out
 }
 
 // NP returns the non-preemptive configuration for a policy.

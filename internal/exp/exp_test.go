@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -273,5 +274,28 @@ func TestFig1Direction(t *testing.T) {
 	}
 	if cost := parse(t, co[4]); cost <= 1.0 {
 		t.Errorf("co-location should cost latency, got %.2fx", cost)
+	}
+}
+
+// TestDeterminismAllocs: the determinism experiment profiles its 300
+// layer configurations (1000 samples each) into one kept buffer, so on a
+// fresh suite it allocates at most 0.5 MB. With a fresh sample slice per
+// layer it allocated 2.48 MB.
+func TestDeterminismAllocs(t *testing.T) {
+	const ceiling = 500_000
+	s, err := NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := runDeterminism(s); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("determinism on a fresh suite: %d bytes", got)
+	if got > ceiling {
+		t.Errorf("determinism allocated %d bytes, want at most %d", got, ceiling)
 	}
 }

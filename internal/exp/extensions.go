@@ -43,10 +43,10 @@ type clusterCell struct {
 }
 
 // runCluster sweeps NPU counts, routing policies, and local schedulers
-// over a fixed 32-task offered load. The whole (cell x run) cross product
-// is flattened into one engine job list — there is no sequential outer
-// loop over node sizes or routers — and reduced per cell in run order
-// afterwards, so output stays byte-identical to a sequential sweep.
+// over a fixed 32-task offered load. Each run's workload is drawn once
+// and every cell simulated on it; the results are reduced per cell in
+// run order afterwards, so output stays byte-identical to a sequential
+// sweep.
 func runCluster(s *Suite) ([]*Table, error) {
 	const (
 		tasks = 32
@@ -72,28 +72,28 @@ func runCluster(s *Suite) ([]*Table, error) {
 		}
 	}
 
-	// One flattened job list: every node-level simulation of every cell
-	// is visible to the worker pool at once. The r-th run of every cell
-	// regenerates the identical workload (same RNG stream), so cells are
-	// compared on the same task mixes; each cluster.Run stays sequential
-	// internally (Parallel unset) because the engine already saturates
-	// the pool across cells.
+	// One job per run: its workload is drawn once and every cell is
+	// simulated on it, so cells are compared on the same task mixes.
+	// Results are index-addressed by (cell, run) and reduced per cell in
+	// run order afterwards; each cluster.Run stays sequential internally
+	// (Parallel unset) because the engine already saturates the pool
+	// across runs.
 	results := make([]*cluster.Result, len(cells)*runs)
-	err := s.ForEach(len(results), func(i int) error {
-		cell, r := cells[i/runs], i%runs
-		rng := workload.RNGFor(s.Seed^0xC105, r)
-		ts, err := s.Gen.Generate(workload.Spec{Tasks: tasks}, rng)
+	err := s.ForEach(runs, func(r int) error {
+		ts, err := s.Gen.Generate(workload.Spec{Tasks: tasks}, workload.RNGFor(s.Seed^0xC105, r))
 		if err != nil {
 			return err
 		}
-		res, err := cluster.Run(cluster.Options{
-			NPUs: cell.npus, Routing: cell.routing,
-			NPU: s.NPU, Sched: s.Sched, Local: cell.local.Spec,
-		}, ts)
-		if err != nil {
-			return err
+		for ci, cell := range cells {
+			res, err := cluster.Run(cluster.Options{
+				NPUs: cell.npus, Routing: cell.routing,
+				NPU: s.NPU, Sched: s.Sched, Local: cell.local.Spec,
+			}, ts)
+			if err != nil {
+				return err
+			}
+			results[ci*runs+r] = res
 		}
-		results[i] = res
 		return nil
 	})
 	if err != nil {
@@ -174,18 +174,17 @@ func runEnergy(s *Suite) ([]*Table, error) {
 		DynamicCkpt("PREMA"),
 		StaticKill("PREMA"),
 	}
-	var baseTotal float64
-	for i, cfg := range cfgs {
-		const runs = 10
-		// Fan the runs out through the engine (fresh policy/selector
-		// per run), then reduce the breakdowns in run order.
-		perRun := make([]energy.Breakdown, runs)
-		err := s.ForEach(runs, func(r int) error {
-			rng := workload.RNGFor(s.Seed^0xE6E, r)
-			tasks, err := s.Gen.Generate(workload.Spec{Tasks: 8}, rng)
-			if err != nil {
-				return err
-			}
+	const runs = 10
+	// One job per run: its workload is drawn once and simulated under
+	// every scheduler (fresh policy, selector and entries each), then
+	// the breakdowns are reduced per scheduler in run order.
+	perRun := make([]energy.Breakdown, len(cfgs)*runs)
+	err := s.ForEach(runs, func(r int) error {
+		tasks, err := s.Gen.Generate(workload.Spec{Tasks: 8}, workload.RNGFor(s.Seed^0xE6E, r))
+		if err != nil {
+			return err
+		}
+		for ci, cfg := range cfgs {
 			res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
 			if err != nil {
 				return err
@@ -194,14 +193,17 @@ func runEnergy(s *Suite) ([]*Table, error) {
 			for _, ev := range res.Preemptions {
 				costs = append(costs, ev.Cost)
 			}
-			perRun[r] = model.Run(s.NPU, res.Tasks, costs, res.Cycles)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			perRun[ci*runs+r] = model.Run(s.NPU, res.Tasks, costs, res.Cycles)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var baseTotal float64
+	for i, cfg := range cfgs {
 		var sum energy.Breakdown
-		for _, b := range perRun {
+		for _, b := range perRun[i*runs : (i+1)*runs] {
 			sum.ComputeJ += b.ComputeJ / runs
 			sum.SRAMJ += b.SRAMJ / runs
 			sum.DRAMJ += b.DRAMJ / runs

@@ -32,111 +32,104 @@ type mechPair struct {
 	ok               bool
 }
 
+// mechNames are the static mechanisms Figures 5 and 6 compare.
+var mechNames = [...]string{"kill", "checkpoint", "drain"}
+
+// mechPairs is one two-task trial's outcome under every mechanism, in
+// mechNames order.
+type mechPairs [len(mechNames)]mechPair
+
+// mechJob is one flattened (victim x preemptor x trial) two-task
+// preemption trial.
+type mechJob struct {
+	victim, pre *dnn.Model
+	vb, pb      int
+	trial       int
+}
+
 // runMechTrial executes the Section IV-D methodology once: a low-priority
 // task (victim) starts at cycle 0; a high-priority preemptor arrives at a
 // uniformly random point of the victim's isolated execution; P-HPF with
-// the given static mechanism services the preemption. The same workload
-// is also run under NP-FCFS for the Figure 6 normalizations.
-func runMechTrial(s *Suite, victim, preemptor *dnn.Model, victimBatch, preBatch int,
-	mech string, trial int) (mechPair, error) {
-
-	rng := workload.RNGFor(s.Seed^0xF5F6, trial)
-	vt, err := s.Gen.Instance(0, victim, victimBatch, sched.Low, 0, nil, rng)
+// each static mechanism services the preemption. The workload is drawn
+// once and run under NP-FCFS once, for the Figure 6 normalizations, and
+// under P-HPF once per mechanism.
+func runMechTrial(s *Suite, j mechJob) (mechPairs, error) {
+	rng := workload.RNGFor(s.Seed^0xF5F6, j.trial)
+	vt, err := s.Gen.Instance(0, j.victim, j.vb, sched.Low, 0, nil, rng)
 	if err != nil {
-		return mechPair{}, err
+		return mechPairs{}, err
 	}
 	// Preemption point uniformly random across the victim's execution
 	// (Section IV-D), away from the extreme edges so a preemption is
 	// actually possible.
 	frac := 0.05 + 0.9*rng.Float64()
 	arrival := int64(frac * float64(vt.Program.TotalCycles))
-	pt, err := s.Gen.Instance(1, preemptor, preBatch, sched.High, arrival, nil, rng)
+	pt, err := s.Gen.Instance(1, j.pre, j.pb, sched.High, arrival, nil, rng)
 	if err != nil {
-		return mechPair{}, err
+		return mechPairs{}, err
 	}
 	tasks := []*workload.Task{vt, pt}
-	runWith := func(spec sched.Spec) (*sim.Result, error) {
-		return s.simulate(spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
+	runWith := func(spec sched.Spec) (*sim.Result, *sched.Task, metrics.Run, error) {
+		res, err := s.simulate(spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
+		if err != nil {
+			return nil, nil, metrics.Run{}, err
+		}
+		// The preemptor is task ID 1 in every run.
+		var pre *sched.Task
+		for _, t := range res.Tasks {
+			if t.ID == 1 {
+				pre = t
+			}
+		}
+		if pre == nil {
+			return nil, nil, metrics.Run{}, fmt.Errorf("exp: preemptor task missing from results")
+		}
+		m, err := metrics.FromTasks(res.Tasks)
+		return res, pre, m, err
 	}
-	baseRes, err := runWith(NP("FCFS").Spec)
+	_, basePre, baseM, err := runWith(NP("FCFS").Spec)
 	if err != nil {
-		return mechPair{}, err
-	}
-	mechRes, err := runWith(sched.Spec{Policy: "HPF", Preemptive: true, Selector: "static-" + mech})
-	if err != nil {
-		return mechPair{}, err
+		return mechPairs{}, err
 	}
 
-	var out mechPair
-	// The preemptor is task ID 1 in both runs.
-	var basePre, mechPre *sched.Task
-	for _, t := range baseRes.Tasks {
-		if t.ID == 1 {
-			basePre = t
+	var out mechPairs
+	for mi, mech := range mechNames {
+		mechRes, mechPre, mechM, err := runWith(sched.Spec{Policy: "HPF", Preemptive: true, Selector: "static-" + mech})
+		if err != nil {
+			return mechPairs{}, err
 		}
-	}
-	for _, t := range mechRes.Tasks {
-		if t.ID == 1 {
-			mechPre = t
+		p := &out[mi]
+		// Figure 5(a): the first serviced preemption's latency. DRAIN
+		// runs record a zero-latency event; trials where the preemptor
+		// arrived while the NPU was already free produce no event and
+		// are skipped for the latency average (no preemption happened).
+		for _, ev := range mechRes.Preemptions {
+			if ev.Preempting == 1 {
+				p.preemptLatencyUS = s.NPU.Micros(ev.Cost.Latency())
+				p.ok = true
+				break
+			}
 		}
+		p.waitUS = s.NPU.Micros(mechPre.Start - mechPre.Arrival)
+		p.stpRatio = mechM.STP / baseM.STP
+		p.nttRatio = basePre.NTT() / mechPre.NTT()
 	}
-	if basePre == nil || mechPre == nil {
-		return mechPair{}, fmt.Errorf("exp: preemptor task missing from results")
-	}
-
-	// Figure 5(a): the first serviced preemption's latency. DRAIN runs
-	// record a zero-latency event; trials where the preemptor arrived
-	// while the NPU was already free produce no event and are skipped
-	// for the latency average (no preemption happened).
-	found := false
-	for _, ev := range mechRes.Preemptions {
-		if ev.Preempting == 1 {
-			out.preemptLatencyUS = s.NPU.Micros(ev.Cost.Latency())
-			found = true
-			break
-		}
-	}
-	out.ok = found
-	out.waitUS = s.NPU.Micros(mechPre.Start - mechPre.Arrival)
-
-	baseM, err := metrics.FromTasks(baseRes.Tasks)
-	if err != nil {
-		return mechPair{}, err
-	}
-	mechM, err := metrics.FromTasks(mechRes.Tasks)
-	if err != nil {
-		return mechPair{}, err
-	}
-	out.stpRatio = mechM.STP / baseM.STP
-	out.nttRatio = basePre.NTT() / mechPre.NTT()
 	return out, nil
 }
 
-var mechNames = []string{"kill", "checkpoint", "drain"}
-
-// mechJob is one flattened (victim x preemptor x mechanism x trial)
-// two-task preemption trial.
-type mechJob struct {
-	victim, pre *dnn.Model
-	vb, pb      int
-	mech        string
-	trial       int
-}
-
-// mechIndex flattens an (outer-model, batch, mechanism, trial) tuple into
-// a job-list index. Figure 5/6 job construction and result consumption
+// mechIndex flattens an (outer-model, batch, trial) tuple into a
+// job-list index. Figure 5/6 job construction and result consumption
 // both address through it, so the pairing cannot drift.
-func mechIndex(nb, nm, trials, oi, bi, mi, trial int) int {
-	return ((oi*nb+bi)*nm+mi)*trials + trial
+func mechIndex(nb, trials, oi, bi, trial int) int {
+	return (oi*nb+bi)*trials + trial
 }
 
 // runMechTrials fans the trials out through the engine; results come back
 // index-aligned with jobs so reductions preserve sequential order.
-func runMechTrials(s *Suite, jobs []mechJob) ([]mechPair, error) {
-	out := make([]mechPair, len(jobs))
+func runMechTrials(s *Suite, jobs []mechJob) ([]mechPairs, error) {
+	out := make([]mechPairs, len(jobs))
 	err := s.ForEach(len(jobs), func(i int) error {
-		j := jobs[i]
-		p, err := runMechTrial(s, j.victim, j.pre, j.vb, j.pb, j.mech, j.trial)
+		p, err := runMechTrial(s, jobs[i])
 		if err != nil {
 			return err
 		}
@@ -162,24 +155,22 @@ func runFig5(s *Suite) ([]*Table, error) {
 	sums := map[string][2]float64{} // mech -> [latency sum, wait sum] for the Avg row
 	counts := map[string][2]float64{}
 
-	// Flatten every (victim x batch x mechanism x trial) into one job
-	// list — the preemptor draw depends only on (trial, batch), exactly
-	// as in the sequential methodology — and fan it out. Construction
-	// and consumption share mechIndex, so results cannot drift out of
-	// alignment with their (victim, batch, mechanism) row.
-	nb, nm := len(dnn.BatchSizes), len(mechNames)
-	jobs := make([]mechJob, len(suite)*nb*nm*trials)
+	// Flatten every (victim x batch x trial) into one job list — the
+	// preemptor draw depends only on (trial, batch), exactly as in the
+	// sequential methodology — and fan it out; each job runs every
+	// mechanism. Construction and consumption share mechIndex, so
+	// results cannot drift out of alignment with their (victim, batch)
+	// row.
+	nb := len(dnn.BatchSizes)
+	jobs := make([]mechJob, len(suite)*nb*trials)
 	for vi, victim := range suite {
 		for bi, b := range dnn.BatchSizes {
-			for mi, mech := range mechNames {
-				for trial := 0; trial < trials; trial++ {
-					rng := workload.RNGFor(s.Seed^0xABCD, trial*131+b)
-					pre := suite[rng.IntN(len(suite))]
-					preB := dnn.BatchSizes[rng.IntN(len(dnn.BatchSizes))]
-					jobs[mechIndex(nb, nm, trials, vi, bi, mi, trial)] = mechJob{
-						victim: victim, pre: pre,
-						vb: b, pb: preB, mech: mech, trial: trial}
-				}
+			for trial := 0; trial < trials; trial++ {
+				rng := workload.RNGFor(s.Seed^0xABCD, trial*131+b)
+				pre := suite[rng.IntN(len(suite))]
+				preB := dnn.BatchSizes[rng.IntN(len(dnn.BatchSizes))]
+				jobs[mechIndex(nb, trials, vi, bi, trial)] = mechJob{
+					victim: victim, pre: pre, vb: b, pb: preB, trial: trial}
 			}
 		}
 	}
@@ -196,7 +187,7 @@ func runFig5(s *Suite) ([]*Table, error) {
 				var latSum, waitSum float64
 				var latN, waitN int
 				for trial := 0; trial < trials; trial++ {
-					p := pairs[mechIndex(nb, nm, trials, vi, bi, mi, trial)]
+					p := pairs[mechIndex(nb, trials, vi, bi, trial)][mi]
 					if p.ok {
 						latSum += p.preemptLatencyUS
 						latN++
@@ -253,22 +244,20 @@ func runFig6(s *Suite) ([]*Table, error) {
 	sums := map[string][2]float64{}
 	var rows float64
 
-	// Flatten (preemptor x batch x mechanism x trial) and fan out; the
-	// victim draw depends only on (trial, batch) as in the sequential
-	// methodology. mechIndex keys both construction and consumption.
-	nb, nm := len(dnn.BatchSizes), len(mechNames)
-	jobs := make([]mechJob, len(suite)*nb*nm*trials)
+	// Flatten (preemptor x batch x trial) and fan out, each job running
+	// every mechanism; the victim draw depends only on (trial, batch) as
+	// in the sequential methodology. mechIndex keys both construction
+	// and consumption.
+	nb := len(dnn.BatchSizes)
+	jobs := make([]mechJob, len(suite)*nb*trials)
 	for pi, pre := range suite {
 		for bi, b := range dnn.BatchSizes {
-			for mi, mech := range mechNames {
-				for trial := 0; trial < trials; trial++ {
-					rng := workload.RNGFor(s.Seed^0xDCBA, trial*137+b)
-					victim := suite[rng.IntN(len(suite))]
-					vb := dnn.BatchSizes[rng.IntN(len(dnn.BatchSizes))]
-					jobs[mechIndex(nb, nm, trials, pi, bi, mi, trial)] = mechJob{
-						victim: victim, pre: pre,
-						vb: vb, pb: b, mech: mech, trial: trial}
-				}
+			for trial := 0; trial < trials; trial++ {
+				rng := workload.RNGFor(s.Seed^0xDCBA, trial*137+b)
+				victim := suite[rng.IntN(len(suite))]
+				vb := dnn.BatchSizes[rng.IntN(len(dnn.BatchSizes))]
+				jobs[mechIndex(nb, trials, pi, bi, trial)] = mechJob{
+					victim: victim, pre: pre, vb: vb, pb: b, trial: trial}
 			}
 		}
 	}
@@ -284,7 +273,7 @@ func runFig6(s *Suite) ([]*Table, error) {
 			for mi, mech := range mechNames {
 				var stpSum, nttSum float64
 				for trial := 0; trial < trials; trial++ {
-					p := pairs[mechIndex(nb, nm, trials, pi, bi, mi, trial)]
+					p := pairs[mechIndex(nb, trials, pi, bi, trial)][mi]
 					stpSum += p.stpRatio
 					nttSum += p.nttRatio
 				}

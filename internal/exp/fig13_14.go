@@ -88,67 +88,61 @@ func runFig14(s *Suite) ([]*Table, error) {
 	var sumFCFS, sumPREMA float64
 	var nModels float64
 	for _, m := range dnn.Suite() {
-		// Isolated 95th percentile: the probe's isolated time varies
-		// only for RNNs (sampled lengths), so measure it over many
-		// instances.
-		var isoSamples []float64
-		for r := 0; r < runs; r++ {
-			rng := workload.RNGFor(s.Seed^0xF14, r*1000+hash8(m.Name))
-			probe, err := s.Gen.Instance(0, m, 1, sched.High, 0, nil, rng)
-			if err != nil {
-				return nil, err
-			}
-			isoSamples = append(isoSamples, float64(probe.Program.TotalCycles))
-		}
-		iso := percentile95(isoSamples)
-
-		// Fan every (configuration x run) probe simulation out through
-		// the engine; turns is index-addressed so the per-configuration
-		// turnaround series keeps its sequential run order.
+		// One job per run: the probe, its 7 competitors and the probe's
+		// arrival are drawn once, in that order, and feed the isolated
+		// sample and every scheduler. The probe's isolated time varies
+		// only for RNNs (sampled lengths), so the isolated 95th
+		// percentile is measured over every run's probe. Both series
+		// are index-addressed so they keep their sequential run order.
+		isoSamples := make([]float64, runs)
 		turns := make([]float64, len(cfgs)*runs)
-		err := s.ForEach(len(turns), func(i int) error {
-			cfg, r := cfgs[i/runs], i%runs
+		err := s.ForEach(runs, func(r int) error {
 			rng := workload.RNGFor(s.Seed^0xF14, r*1000+hash8(m.Name))
-			// Probe first so its instance sampling matches the
-			// isolated measurement exactly.
 			probe, err := s.Gen.Instance(0, m, 1, sched.High, 0, nil, rng)
 			if err != nil {
 				return err
 			}
-			spec := workload.Spec{Tasks: 7, BatchSizes: []int{1}}
-			competitors, err := s.Gen.Generate(spec, rng)
+			isoSamples[r] = float64(probe.Program.TotalCycles)
+			competitors, err := s.Gen.Generate(workload.Spec{Tasks: 7, BatchSizes: []int{1}}, rng)
 			if err != nil {
 				return err
 			}
-			// Re-identify the probe so IDs stay unique; it
-			// arrives mid-window to experience queueing. Its entry is
-			// built at arrival 0 and then moved, which keeps a known
-			// defect of these tables: sched.NewTask stamps the entry's
-			// last token-wait accrual at arrival 0, so under PREMA the
-			// probe accrues token wait from cycle 0, not from its
-			// arrival. Built at its arrival, premabench -exp fig14
-			// -runs 2 reads PREMA/iso 1.6x instead of 1.5x on average
-			// (CNN-AN 1.7x instead of 1.2x, CNN-MN 1.6x instead of
-			// 1.0x); mending it changes the paper-sweep golden digests
-			// (ROADMAP, benchmark upkeep).
-			entry := probe.Entry(100, 0, 1)
-			entry.Arrival = rng.Int64N(int64(10e-3 * s.NPU.FreqHz))
-			all := append(workload.Entries(competitors), entry)
-			res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched}, all)
-			if err != nil {
-				return err
-			}
-			for _, task := range res.Tasks {
-				if task.ID == 100 {
-					turns[i] = float64(task.Turnaround())
-					return nil
+			// The probe takes ID 100 so IDs stay unique, and arrives
+			// mid-window to experience queueing. Its entry is built at
+			// arrival 0 and then moved, which keeps a known defect of
+			// these tables: sched.NewTask stamps the entry's last
+			// token-wait accrual at arrival 0, so under PREMA the probe
+			// accrues token wait from cycle 0, not from its arrival.
+			// Built at its arrival, premabench -exp fig14 -runs 2 reads
+			// PREMA/iso 1.6x instead of 1.5x on average (CNN-AN 1.7x
+			// instead of 1.2x, CNN-MN 1.6x instead of 1.0x); mending it
+			// changes the paper-sweep golden digests (ROADMAP, benchmark
+			// upkeep).
+			arrival := rng.Int64N(int64(10e-3 * s.NPU.FreqHz))
+			for ci, cfg := range cfgs {
+				entry := probe.Entry(100, 0, 1)
+				entry.Arrival = arrival
+				res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched},
+					append(workload.Entries(competitors), entry))
+				if err != nil {
+					return err
+				}
+				found := false
+				for _, task := range res.Tasks {
+					if task.ID == 100 {
+						turns[ci*runs+r], found = float64(task.Turnaround()), true
+					}
+				}
+				if !found {
+					return fmt.Errorf("fig14: probe task missing from %s run %d", cfg.Label, r)
 				}
 			}
-			return fmt.Errorf("fig14: probe task missing from %s run %d", cfg.Label, r)
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		iso := percentile95(isoSamples)
 		tails := make([]float64, len(cfgs))
 		for ci := range cfgs {
 			tails[ci] = percentile95(turns[ci*runs : (ci+1)*runs])

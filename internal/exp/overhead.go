@@ -90,6 +90,7 @@ func runDeterminism(s *Suite) ([]*Table, error) {
 		Note:    "GPUs: measured latency always within ~4% of the average; TPUv2 ~0.2% stddev",
 	}
 	devices := profile.Devices()
+	var samples []float64 // one buffer for every layer's profiled samples
 	for _, d := range devices {
 		layers := profile.LayerConfigs(50)
 		if d.Name == "CloudTPUv2" {
@@ -98,7 +99,8 @@ func runDeterminism(s *Suite) ([]*Table, error) {
 		var maxDev, sumStd float64
 		for i, l := range layers {
 			rng := workload.RNGFor(s.Seed^0xDE7, i+hash8(d.Name))
-			v := d.Characterize(l, 1, 1000, rng)
+			samples = d.Measure(samples[:0], l, 1, 1000, rng)
+			v := profile.Summarize(samples)
 			if v.MaxDevFrac > maxDev {
 				maxDev = v.MaxDevFrac
 			}

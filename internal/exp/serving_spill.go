@@ -45,24 +45,27 @@ func runBatching(s *Suite) ([]*Table, error) {
 		Horizon: 400 * time.Millisecond, OfferedLoad: 1.6,
 		Models: []string{"CNN-AN", "CNN-GN", "CNN-VN", "CNN-MN"},
 	}
+	windows := []time.Duration{0, time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond}
+	configs := []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")}
+	specs := schedSpecs(configs)
 	const trials = 3
-	for _, window := range []time.Duration{0, time.Millisecond, 4 * time.Millisecond, 16 * time.Millisecond} {
-		for _, c := range []SchedulerConfig{NP("FCFS"), DynamicCkpt("PREMA")} {
-			perTrial := make([]serving.BatchStats, trials)
-			err := s.ForEach(trials, func(trial int) error {
-				st, err := server.RunBatched(serving.BatchSpec{Spec: spec, Window: window},
-					c.Spec, workload.RNGFor(s.Seed^0xBA7C, trial))
-				if err != nil {
-					return err
-				}
-				perTrial[trial] = st
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+	// One coalesced stream per (window, trial), run under both
+	// schedulers.
+	perTrial := make([][]serving.BatchStats, len(windows)*trials)
+	err := s.ForEach(len(perTrial), func(i int) error {
+		st, err := server.RunBatched(serving.BatchSpec{Spec: spec, Window: windows[i/trials]},
+			specs, workload.RNGFor(s.Seed^0xBA7C, i%trials))
+		perTrial[i] = st
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for wi, window := range windows {
+		for ci, c := range configs {
 			var batch, thr, lat, p95 float64
-			for _, st := range perTrial {
+			for _, sts := range perTrial[wi*trials : (wi+1)*trials] {
+				st := sts[ci]
 				batch += st.MeanBatch / trials
 				thr += st.ThroughputPerSec / trials
 				lat += st.MeanLatencyMS / trials
@@ -91,28 +94,28 @@ func runLoadCurve(s *Suite) ([]*Table, error) {
 			"P-SJF NTT", "P-SJF p95", "PREMA NTT", "PREMA p95"},
 		Note: "PREMA holds the latency knee to far higher load than NP-FCFS",
 	}
+	specs := schedSpecs(configs)
+	loads := []float64{0.3, 0.5, 0.7, 0.85, 0.95}
 	const trials = 4
-	for _, load := range []float64{0.3, 0.5, 0.7, 0.85, 0.95} {
+	// One Poisson stream per (load, trial), run under every scheduler.
+	perTrial := make([][]serving.Stats, len(loads)*trials)
+	err := s.ForEach(len(perTrial), func(i int) error {
+		st, err := server.Run(serving.Spec{
+			Horizon: 400 * time.Millisecond, OfferedLoad: loads[i/trials],
+		}, specs, workload.RNGFor(s.Seed^0x10AD, i%trials))
+		perTrial[i] = st
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for li, load := range loads {
 		row := []string{fmt.Sprintf("%.2f", load)}
-		for _, c := range configs {
-			perTrial := make([]serving.Stats, trials)
-			err := s.ForEach(trials, func(trial int) error {
-				st, err := server.Run(serving.Spec{
-					Horizon: 400 * time.Millisecond, OfferedLoad: load,
-				}, c.Spec, workload.RNGFor(s.Seed^0x10AD, trial))
-				if err != nil {
-					return err
-				}
-				perTrial[trial] = st
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for ci := range configs {
 			var ntt, p95 float64
-			for _, st := range perTrial {
-				ntt += st.MeanNTT / trials
-				p95 += st.P95LatencyMS / trials
+			for _, sts := range perTrial[li*trials : (li+1)*trials] {
+				ntt += sts[ci].MeanNTT / trials
+				p95 += sts[ci].P95LatencyMS / trials
 			}
 			row = append(row, fmt.Sprintf("%.2f", ntt), fmt.Sprintf("%.1f", p95))
 		}
@@ -145,21 +148,21 @@ func runSpill(s *Suite) ([]*Table, error) {
 	}
 	spec := workload.Spec{Tasks: 16, BatchSizes: []int{16}}
 	const runs = 8
-	var baseANTT float64
-	for pi, pool := range pools {
-		// Fan the runs out through the engine; each run owns its policy,
-		// selector and checkpoint-memory manager.
-		type spillRun struct {
-			antt   float64
-			ckptUS float64
+	type spillRun struct {
+		antt   float64
+		ckptUS float64
+	}
+	// One job per run: its workload is drawn once and simulated against
+	// every pool, each simulation owning its policy, selector and
+	// checkpoint-memory manager; the results are reduced per pool in run
+	// order.
+	perRun := make([]spillRun, len(pools)*runs)
+	err := s.ForEach(runs, func(r int) error {
+		tasks, err := s.Gen.Generate(spec, workload.RNGFor(s.Seed^0x5B111, r))
+		if err != nil {
+			return err
 		}
-		perRun := make([]spillRun, runs)
-		err := s.ForEach(runs, func(r int) error {
-			rng := workload.RNGFor(s.Seed^0x5B111, r)
-			tasks, err := s.Gen.Generate(spec, rng)
-			if err != nil {
-				return err
-			}
+		for pi, pool := range pools {
 			opt := sim.Options{Sched: s.Sched}
 			if pool.bytes > 0 {
 				cfg := ckptmem.DefaultConfig()
@@ -182,17 +185,20 @@ func runSpill(s *Suite) ([]*Table, error) {
 			for _, task := range res.Tasks {
 				ck += task.CheckpointCycles
 			}
-			perRun[r] = spillRun{
+			perRun[pi*runs+r] = spillRun{
 				antt:   m.ANTT,
 				ckptUS: s.NPU.Micros(ck) / float64(len(res.Tasks)),
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var baseANTT float64
+	for pi, pool := range pools {
 		var antt, ckptUS float64
-		for _, pr := range perRun {
+		for _, pr := range perRun[pi*runs : (pi+1)*runs] {
 			antt += pr.antt / runs
 			ckptUS += pr.ckptUS / runs
 		}

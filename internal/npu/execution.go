@@ -52,12 +52,21 @@ func NewExecution(prog *Program) *Execution {
 	return e
 }
 
+// MaxSpeedFactor bounds the service-time factor a backend runs at: a
+// slow tier's derate, a chaos slowdown, and a slowdown stacked on a
+// tier's derate are each at most this, and every surface that takes a
+// factor refuses one past it. A scaled latency is held to an Instr's
+// int32 range, which the zoo's longest instruction (100,352 cycles,
+// CNN-VN at batch 16) leaves above about 21,400×.
+const MaxSpeedFactor = 1000
+
 // NewScaledExecution returns a cursor positioned at the start of prog on
 // an NPU that takes factor× the nominal service time: each instruction
-// runs ceil(Cycles × factor) cycles. factor must be positive.
+// runs ceil(Cycles × factor) cycles. factor must lie in
+// (0, MaxSpeedFactor].
 func NewScaledExecution(prog *Program, factor float64) *Execution {
-	if !(factor > 0) {
-		panic(fmt.Sprintf("npu: non-positive speed factor %v", factor))
+	if !(factor > 0 && factor <= MaxSpeedFactor) {
+		panic(fmt.Sprintf("npu: speed factor %v outside (0, %d]", factor, MaxSpeedFactor))
 	}
 	if factor == 1 {
 		return NewExecution(prog)

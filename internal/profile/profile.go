@@ -54,17 +54,17 @@ func (d Device) BaseLatency(l dnn.Layer, batch int) float64 {
 	return lat + kernelLaunch
 }
 
-// Measure simulates n profiled runs of one layer and returns the samples
-// in seconds: the deterministic base perturbed by the device's jitter
-// (GPU DNN kernels are not input-data dependent, so there is no branch or
-// memory divergence to widen the distribution).
-func (d Device) Measure(l dnn.Layer, batch, n int, rng *rand.Rand) []float64 {
+// Measure simulates n profiled runs of one layer and appends the samples,
+// in seconds, to dst: the deterministic base perturbed by the device's
+// jitter (GPU DNN kernels are not input-data dependent, so there is no
+// branch or memory divergence to widen the distribution). A caller
+// profiling many layers hands back the same buffer, truncated.
+func (d Device) Measure(dst []float64, l dnn.Layer, batch, n int, rng *rand.Rand) []float64 {
 	base := d.BaseLatency(l, batch)
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = base * (1 + rng.NormFloat64()*d.Jitter)
+	for i := 0; i < n; i++ {
+		dst = append(dst, base*(1+rng.NormFloat64()*d.Jitter))
 	}
-	return xs
+	return dst
 }
 
 // Variation summarizes a profiled sample: its mean and the maximum
@@ -75,9 +75,8 @@ type Variation struct {
 	StdDevFrac  float64
 }
 
-// Characterize profiles one layer n times and summarizes the variation.
-func (d Device) Characterize(l dnn.Layer, batch, n int, rng *rand.Rand) Variation {
-	xs := d.Measure(l, batch, n, rng)
+// Summarize characterizes a profiled sample's variation.
+func Summarize(xs []float64) Variation {
 	mean := stats.Mean(xs)
 	v := Variation{MeanSeconds: mean}
 	for _, x := range xs {

@@ -56,7 +56,7 @@ func TestGPUVariationWithinPaperBound(t *testing.T) {
 	v100 := device(t, "V100")
 	rng := stats.NewRNG(1, 2)
 	for _, l := range layers {
-		v := v100.Characterize(l, 1, 1000, rng)
+		v := Summarize(v100.Measure(nil, l, 1, 1000, rng))
 		if v.MaxDevFrac > 0.08 {
 			t.Errorf("%s: max deviation %.1f%% too wide", l.Name, v.MaxDevFrac*100)
 		}
@@ -73,7 +73,7 @@ func TestTPUVariationTighter(t *testing.T) {
 	layers := LayerConfigs(100)
 	var sum float64
 	for _, l := range layers {
-		sum += tpu.Characterize(l, 1, 200, rng).StdDevFrac
+		sum += Summarize(tpu.Measure(nil, l, 1, 200, rng)).StdDevFrac
 	}
 	avg := sum / float64(len(layers))
 	if avg > 0.004 {

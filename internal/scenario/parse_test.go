@@ -108,13 +108,16 @@ func TestParseDefaults(t *testing.T) {
 	}
 }
 
-// nonFinite are texts whose numbers are NaN or infinite: each fails
-// validation, naming the directive, before it can reach the simulator.
+// nonFinite are texts whose numbers are NaN, infinite or past a speed
+// factor's bound: each fails validation, naming the directive, before
+// it can reach the simulator.
 // They seed FuzzScenarioParse too.
 var nonFinite = []struct{ name, src, wantErr string }{
 	{"slowdown NaN", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu0 xNaN\n", "slowdown factor must be finite"},
 	{"slowdown nan", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu1 nan\n", "slowdown factor must be finite"},
 	{"slowdown +Inf", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu0 x+Inf\n", "slowdown factor must be finite"},
+	{"slowdown 1e300", "scenario n\nfleet initial=2\nsegment 10ms\nload 1\nat 10ms slowdown npu0 x1e300\n", "at most 1000"},
+	{"tier NaN", "scenario n\nfleet initial=2 tiers=50%:fast,50%:x@NaN\nsegment 10ms\nload 1\n", "factor must be a number in [1, 1000]"},
 	{"load NaN", "scenario n\nfleet initial=1\nsegment 10ms\nload 1 NaN 1\n", "load segment 1 is negative or not finite"},
 	{"load +Inf", "scenario n\nfleet initial=1\nsegment 10ms\nload 1 +Inf 1\n", "load segment 1 is negative or not finite"},
 	{"load -Inf", "scenario n\nfleet initial=1\nsegment 10ms\nload 1 -Inf\n", "load segment 1 is negative or not finite"},

@@ -50,29 +50,44 @@ type BatchStats struct {
 }
 
 // RunBatched generates a batch-1 request stream, coalesces it per the
-// batching window, and runs the batched tasks under the given scheduler.
-// Latency statistics are computed per original request (member), not per
-// fused task.
-func (s *Server) RunBatched(bs BatchSpec, scheduler sched.Spec, rng *rand.Rand) (BatchStats, error) {
-	entries, members, err := s.batchStream(bs, rng)
-	if err != nil {
-		return BatchStats{}, err
+// batching window, and runs the batched tasks under every given
+// scheduler, each on fresh entries of the same coalesced stream. It
+// returns one result per scheduler, in order. Latency statistics are
+// computed per original request (member), not per fused task.
+func (s *Server) RunBatched(bs BatchSpec, schedulers []sched.Spec, rng *rand.Rand) ([]BatchStats, error) {
+	if len(schedulers) == 0 {
+		return nil, errNoSchedulers
 	}
-	res, err := s.simulate(scheduler, entries)
+	dispatched, members, err := s.batchStream(bs, rng)
 	if err != nil {
-		return BatchStats{}, err
+		return nil, err
 	}
-	return s.memberStats(res, members, s.warmupCut(bs.Spec.Horizon, defaultWarmup))
+	cut := s.warmupCut(bs.Spec.Horizon, defaultWarmup)
+	out := make([]BatchStats, len(schedulers))
+	var sm sampleSet
+	var sorted []float64
+	for i, scheduler := range schedulers {
+		res, err := s.simulate(scheduler, workload.Entries(dispatched))
+		if err != nil {
+			return nil, err
+		}
+		s.collectMembers(&sm, res, members, cut)
+		if out[i], err = s.statsOf(&sm, &sorted); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // batchStream generates RunBatched's batch-1 request stream and
-// coalesces it: it returns the scheduler entries to simulate and each
-// entry's member requests (by entry ID). Same-model CNN requests whose
-// arrivals fall within the window of the group's first request are
-// grouped, and every group — a pass-through request too — is
-// re-instanced at its batch size with a randomly sampled priority,
-// dispatching when its window closes (the last member's arrival).
-func (s *Server) batchStream(bs BatchSpec, rng *rand.Rand) ([]*sched.Task, map[int][]memberRequest, error) {
+// coalesces it: it returns the dispatched requests to simulate (each
+// carrying its TaskID and dispatch arrival) and each one's member
+// requests (by ID). Same-model CNN requests whose arrivals fall within
+// the window of the group's first request are grouped, and every group
+// — a pass-through request too — is re-instanced at its batch size with
+// a randomly sampled priority, dispatching when its window closes (the
+// last member's arrival).
+func (s *Server) batchStream(bs BatchSpec, rng *rand.Rand) ([]*workload.Task, map[int][]memberRequest, error) {
 	if bs.MaxBatch <= 0 {
 		bs.MaxBatch = 16
 	}
@@ -83,18 +98,18 @@ func (s *Server) batchStream(bs BatchSpec, rng *rand.Rand) ([]*sched.Task, map[i
 		return nil, nil, err
 	}
 	windowCycles := s.cfg.Cycles(bs.Window)
-	var entries []*sched.Task
+	var dispatched []*workload.Task
 	members := map[int][]memberRequest{}
 	flush := func(group []int) error {
 		batch := min(len(group), bs.MaxBatch)
 		arrival := requests[group[len(group)-1]].Arrival
 		prio := sched.Priorities[rng.IntN(len(sched.Priorities))]
-		id := len(entries)
+		id := len(dispatched)
 		task, err := s.gen.InstanceByName(id, requests[group[0]].Model, batch, prio, arrival, rng)
 		if err != nil {
 			return err
 		}
-		entries = append(entries, task.Entry(id, arrival, 1))
+		dispatched = append(dispatched, task)
 		ms := groupMembers(requests, group, nominal)
 		if len(group) == 1 {
 			// A lone request runs as its re-instanced program, which for
@@ -111,10 +126,10 @@ func (s *Server) batchStream(bs BatchSpec, rng *rand.Rand) ([]*sched.Task, map[i
 	if err := groupRequests(requests, windowCycles, bs.MaxBatch, passThrough, flush); err != nil {
 		return nil, nil, err
 	}
-	if len(entries) == 0 {
+	if len(dispatched) == 0 {
 		return nil, nil, fmt.Errorf("serving: batching produced no tasks")
 	}
-	return entries, members, nil
+	return dispatched, members, nil
 }
 
 // nominal is the service-time factor of a request on a nominal-speed NPU.
@@ -229,12 +244,4 @@ func (s *Server) collectMembers(sm *sampleSet, res *sim.Result, members map[int]
 			}
 		}
 	}
-}
-
-// memberStats derives per-request statistics from a batched run.
-func (s *Server) memberStats(res *sim.Result, members map[int][]memberRequest, cut int64) (BatchStats, error) {
-	var sm sampleSet
-	var sorted []float64
-	s.collectMembers(&sm, res, members, cut)
-	return s.statsOf(&sm, &sorted)
 }

@@ -12,10 +12,11 @@ import (
 func TestBatchingDisabledMatchesUnbatchedShape(t *testing.T) {
 	s := newServer(t)
 	bs := BatchSpec{Spec: Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 0.5}}
-	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(11, 1))
+	sts, err := s.RunBatched(bs, []sched.Spec{{Policy: "FCFS"}}, workload.RNGFor(11, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sts[0]
 	if st.Dispatched != st.Requests {
 		t.Errorf("window 0 should dispatch one task per request: %d vs %d",
 			st.Dispatched, st.Requests)
@@ -32,10 +33,11 @@ func TestBatchingCoalescesCNNRequests(t *testing.T) {
 			Models: []string{"CNN-AN", "CNN-GN"}},
 		Window: 4 * time.Millisecond,
 	}
-	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(12, 2))
+	sts, err := s.RunBatched(bs, []sched.Spec{{Policy: "FCFS"}}, workload.RNGFor(12, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sts[0]
 	if st.Dispatched >= st.Requests {
 		t.Errorf("batching should fuse requests: %d dispatched of %d", st.Dispatched, st.Requests)
 	}
@@ -51,10 +53,11 @@ func TestRNNsNeverBatch(t *testing.T) {
 			Models: []string{"RNN-SA", "RNN-MT2"}},
 		Window: 8 * time.Millisecond,
 	}
-	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(13, 3))
+	sts, err := s.RunBatched(bs, []sched.Spec{{Policy: "FCFS"}}, workload.RNGFor(13, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sts[0]
 	if st.Dispatched != st.Requests {
 		t.Errorf("RNN requests must pass through unbatched: %d vs %d",
 			st.Dispatched, st.Requests)
@@ -68,19 +71,18 @@ func TestBatchingRaisesThroughputUnderSaturation(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 1.6,
 		Models: []string{"CNN-AN", "CNN-GN", "CNN-MN"}}
-	unbatched, err := s.RunBatched(BatchSpec{Spec: spec},
-		sched.Spec{Policy: "FCFS"}, workload.RNGFor(14, 4))
+	fcfs := []sched.Spec{{Policy: "FCFS"}}
+	unbatched, err := s.RunBatched(BatchSpec{Spec: spec}, fcfs, workload.RNGFor(14, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := s.RunBatched(BatchSpec{Spec: spec, Window: 4 * time.Millisecond},
-		sched.Spec{Policy: "FCFS"}, workload.RNGFor(14, 4))
+	batched, err := s.RunBatched(BatchSpec{Spec: spec, Window: 4 * time.Millisecond}, fcfs, workload.RNGFor(14, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched.ThroughputPerSec <= unbatched.ThroughputPerSec {
+	if batched[0].ThroughputPerSec <= unbatched[0].ThroughputPerSec {
 		t.Errorf("batched throughput %.0f/s should beat unbatched %.0f/s under overload",
-			batched.ThroughputPerSec, unbatched.ThroughputPerSec)
+			batched[0].ThroughputPerSec, unbatched[0].ThroughputPerSec)
 	}
 }
 
@@ -92,10 +94,11 @@ func TestBatchCapRespected(t *testing.T) {
 		Window:   20 * time.Millisecond,
 		MaxBatch: 4,
 	}
-	st, err := s.RunBatched(bs, sched.Spec{Policy: "FCFS"}, workload.RNGFor(15, 5))
+	sts, err := s.RunBatched(bs, []sched.Spec{{Policy: "FCFS"}}, workload.RNGFor(15, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sts[0]
 	if st.MeanBatch > 4 {
 		t.Errorf("mean batch %v exceeds the cap of 4", st.MeanBatch)
 	}
@@ -108,12 +111,12 @@ func TestBatchCapRespected(t *testing.T) {
 func TestBatchedPassThroughIsolated(t *testing.T) {
 	s := newServer(t)
 	bs := BatchSpec{Spec: Spec{Horizon: 200 * time.Millisecond, OfferedLoad: 0.6}}
-	entries, members, err := s.batchStream(bs, workload.RNGFor(16, 6))
+	dispatched, members, err := s.batchStream(bs, workload.RNGFor(16, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rnns := 0
-	for _, e := range entries {
+	for _, e := range workload.Entries(dispatched) {
 		ms := members[e.ID]
 		if len(ms) != 1 {
 			t.Fatalf("entry %d carries %d members at window 0, want 1", e.ID, len(ms))

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/npu"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -113,8 +114,8 @@ func (op NodeOp) Validate() error {
 	switch op.Kind {
 	case SlowNPU:
 		// Written so that NaN fails it too.
-		if !(op.Factor > 1) || math.IsInf(op.Factor, 1) {
-			return fmt.Errorf("slowdown factor must be finite and exceed 1, got %v", op.Factor)
+		if !(op.Factor > 1 && op.Factor <= npu.MaxSpeedFactor) {
+			return fmt.Errorf("slowdown factor must be finite, exceed 1 and be at most %d, got %v", npu.MaxSpeedFactor, op.Factor)
 		}
 	case FailNPU, RestoreNPU, CordonNPU, UncordonNPU:
 		if op.Factor != 0 {
@@ -290,6 +291,9 @@ func (ns *NodeSession) apply(o nodeOp) error {
 		base := ns.state.Speed(i)
 		if ns.speed[i] != base {
 			return fmt.Errorf("NPU already slowed x%g; restore it first", ns.speed[i]/base)
+		}
+		if base*o.op.Factor > npu.MaxSpeedFactor {
+			return fmt.Errorf("slowdown x%g on a x%g tier exceeds x%d", o.op.Factor, base, npu.MaxSpeedFactor)
 		}
 		ns.speed[i] = base * o.op.Factor
 		ns.record(o.at, "slowdown", i, 0, fmt.Sprintf("x%g", o.op.Factor))

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/npu"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -55,6 +56,8 @@ func TestScheduleValidation(t *testing.T) {
 		// Far in the future, so nothing below fires them if accepted.
 		{"slow factor NaN", time.Hour, NodeOp{Kind: SlowNPU, NPU: 0, Factor: math.NaN()}},
 		{"slow factor +Inf", time.Hour, NodeOp{Kind: SlowNPU, NPU: 0, Factor: math.Inf(1)}},
+		{"slow factor above the bound", time.Hour, NodeOp{Kind: SlowNPU, NPU: 0, Factor: npu.MaxSpeedFactor + 0.5}},
+		{"slow factor 1e300", time.Hour, NodeOp{Kind: SlowNPU, NPU: 0, Factor: 1e300}},
 		{"factor on fail", time.Millisecond, NodeOp{Kind: FailNPU, NPU: 0, Factor: 2}},
 		{"unknown kind", time.Millisecond, NodeOp{Kind: OpKind(99), NPU: 0}},
 	}

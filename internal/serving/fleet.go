@@ -91,8 +91,9 @@ func ParseFleetTemplate(spec string) ([]TierSpec, error) {
 		switch {
 		case hasFactor:
 			factor, err = strconv.ParseFloat(factorStr, 64)
-			if err != nil || factor < 1 {
-				return nil, fmt.Errorf("serving: fleet tier %q: factor must be a number >= 1", entry)
+			// Written so that NaN fails it too.
+			if err != nil || !(factor >= 1 && factor <= npu.MaxSpeedFactor) {
+				return nil, fmt.Errorf("serving: fleet tier %q: factor must be a number in [1, %d]", entry, npu.MaxSpeedFactor)
 			}
 		default:
 			var known bool
@@ -149,9 +150,10 @@ func fleetSpeeds(tiers []Tier, base npu.Config) ([]float64, error) {
 		if tier.Weight <= 0 {
 			return nil, fmt.Errorf("serving: fleet tier %q has non-positive weight %d", tier.Name, tier.Weight)
 		}
-		if tier.NPU.FreqHz <= 0 || tier.NPU.FreqHz > base.FreqHz {
-			return nil, fmt.Errorf("serving: fleet tier %q clock %.0fHz outside (0, base %.0fHz]",
-				tier.Name, tier.NPU.FreqHz, base.FreqHz)
+		// Written so that a NaN clock fails it too.
+		if !(tier.NPU.FreqHz > 0 && tier.NPU.FreqHz <= base.FreqHz && base.FreqHz/tier.NPU.FreqHz <= npu.MaxSpeedFactor) {
+			return nil, fmt.Errorf("serving: fleet tier %q clock %.0fHz outside [base/%d, base %.0fHz]",
+				tier.Name, tier.NPU.FreqHz, npu.MaxSpeedFactor, base.FreqHz)
 		}
 		norm := tier.NPU
 		norm.FreqHz = base.FreqHz

@@ -56,6 +56,10 @@ func TestParseFleetTemplate(t *testing.T) {
 		"50%:fast,50%:turbo",   // unknown tier without factor
 		"50%:fast,50%:old@0.5", // factor under 1
 		"50%:fast,50%:@2",      // empty name
+		"50%:fast,50%:x@NaN",   // NaN factor
+		"50%:fast,50%:x@Inf",   // infinite factor
+		"50%:fast,50%:x@1e300", // factor past npu.MaxSpeedFactor
+		"50%:fast,50%:x@1000.5",
 	} {
 		if _, err := ParseFleetTemplate(bad); err == nil {
 			t.Errorf("template %q should be rejected", bad)
@@ -184,7 +188,13 @@ func TestOpenNodeFleetValidation(t *testing.T) {
 	foreign.UBUFBytes *= 2
 	half := base
 	half.FreqHz /= 2
+	nan := base
+	nan.FreqHz = math.NaN()
+	crawl := base
+	crawl.FreqHz /= 2 * npu.MaxSpeedFactor
 	for name, tiers := range map[string][]Tier{
+		"NaN clock":        {{Name: "nan", Weight: 100, NPU: nan}},
+		"clock past bound": {{Name: "crawl", Weight: 100, NPU: crawl}},
 		"weights not 100":  {{Name: "fast", Weight: 60, NPU: base}, {Name: "slow", Weight: 30, NPU: half}},
 		"zero weight":      {{Name: "fast", Weight: 100, NPU: base}, {Name: "slow", Weight: 0, NPU: half}},
 		"duplicate name":   {{Name: "fast", Weight: 50, NPU: base}, {Name: "fast", Weight: 50, NPU: half}},
@@ -241,6 +251,44 @@ func TestTieredChaosStacksOnDerate(t *testing.T) {
 	}
 	if err := ns.AdvanceToCycle(3); err == nil {
 		t.Error("restore of a backend at tier-nominal speed should fail")
+	}
+}
+
+// TestStackedSlowdownBounded: a slowdown stacked on a slow tier's derate
+// may reach npu.MaxSpeedFactor and no further; past it the operation
+// fails when it fires, leaving the backend at its tier nominal.
+func TestStackedSlowdownBounded(t *testing.T) {
+	s := newServer(t)
+	tiers, err := FleetFromTemplate(npu.DefaultConfig(), "50%:fast,50%:slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := s.OpenNode(NodeConfig{NPUs: 4, Routing: cluster.LeastWork, Fleet: tiers,
+		Session: SessionConfig{Policy: "FCFS", Horizon: rampHorizon}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Backend 2 is on the x2 slow tier.
+	for at, op := range []NodeOp{
+		{Kind: SlowNPU, NPU: 2, Factor: npu.MaxSpeedFactor / 2},
+		{Kind: RestoreNPU, NPU: 2},
+		{Kind: SlowNPU, NPU: 2, Factor: npu.MaxSpeedFactor/2 + 1},
+	} {
+		if err := ns.ScheduleCycle(int64(10*at), op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.AdvanceToCycle(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := ns.Fleet()[2].Speed; got != npu.MaxSpeedFactor {
+		t.Errorf("slowed slow-tier backend speed = %v, want %d", got, npu.MaxSpeedFactor)
+	}
+	if err := ns.AdvanceToCycle(25); err == nil {
+		t.Error("a stacked slowdown past the bound fired")
+	}
+	if got := ns.Fleet()[2].Speed; got != 2 {
+		t.Errorf("backend speed after the refused slowdown = %v, want the tier nominal 2", got)
 	}
 }
 

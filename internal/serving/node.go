@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
@@ -333,13 +332,29 @@ func (ns *NodeSession) route(t *workload.Task, id int) error {
 // a node of N NPUs saturates near load N), routed request-by-request
 // through the node's router. It returns how many requests arrived.
 func (ns *NodeSession) Offer(spec Spec, rng *rand.Rand) (int, error) {
+	return ns.offer(func() ([]*workload.Task, error) { return ns.srv.Generate(spec, rng) })
+}
+
+// OfferRamp drives a piecewise-constant offered-load profile — the
+// diurnal/burst scenario autoscaling exists for: it generates the ramp's
+// stream (Server.GenerateRamp, which sets the segment, idle-window and
+// empty-trough rules) and routes it through the node's router in
+// arrival order. It returns how many requests arrived across the whole
+// ramp.
+func (ns *NodeSession) OfferRamp(base Spec, loads []float64, rng *rand.Rand) (int, error) {
+	return ns.offer(func() ([]*workload.Task, error) { return ns.srv.GenerateRamp(base, loads, rng) })
+}
+
+// offer generates a stream and submits it request by request. A closed
+// or drained session is refused before anything is drawn.
+func (ns *NodeSession) offer(generate func() ([]*workload.Task, error)) (int, error) {
 	if ns.closed {
 		return 0, fmt.Errorf("serving: node session closed")
 	}
 	if ns.drained {
 		return 0, fmt.Errorf("serving: node session drained; no further submissions")
 	}
-	tasks, err := ns.srv.Generate(spec, rng)
+	tasks, err := generate()
 	if err != nil {
 		return 0, err
 	}
@@ -349,48 +364,6 @@ func (ns *NodeSession) Offer(spec Spec, rng *rand.Rand) (int, error) {
 		}
 	}
 	return len(tasks), nil
-}
-
-// OfferRamp drives a piecewise-constant offered-load profile — the
-// diurnal/burst scenario autoscaling exists for: segment i offers
-// loads[i] over [Offset+i*Horizon, Offset+(i+1)*Horizon) of the base
-// spec, all routed through the node's router in arrival order. An
-// empty trough is tolerated: a zero-load segment is an idle window,
-// and a segment whose sampled Poisson window holds no arrivals is
-// skipped rather than an error (segment offsets are absolute, so later
-// segments land where they should regardless). Negative loads are an
-// error. It returns how many requests arrived across the whole ramp.
-func (ns *NodeSession) OfferRamp(base Spec, loads []float64, rng *rand.Rand) (int, error) {
-	if len(loads) == 0 {
-		return 0, fmt.Errorf("serving: empty load ramp")
-	}
-	if base.Horizon <= 0 {
-		return 0, fmt.Errorf("serving: non-positive ramp segment %v", base.Horizon)
-	}
-	total := 0
-	for i, load := range loads {
-		if load < 0 {
-			return total, fmt.Errorf("serving: ramp segment %d has negative load %v", i, load)
-		}
-		if load == 0 {
-			continue // an idle window offers nothing
-		}
-		seg := base
-		seg.OfferedLoad = load
-		seg.Offset = base.Offset + time.Duration(i)*base.Horizon
-		n, err := ns.Offer(seg, rng)
-		if err != nil {
-			if errors.Is(err, ErrNoArrivals) {
-				continue
-			}
-			return total, fmt.Errorf("serving: ramp segment %d (load %v): %w", i, load, err)
-		}
-		total += n
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("serving: ramp produced no requests")
-	}
-	return total, nil
 }
 
 // OfferClients spreads a closed-loop client population across the

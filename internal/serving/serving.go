@@ -314,19 +314,6 @@ func (s *Server) statsOf(sm *sampleSet, sorted *[]float64) (BatchStats, error) {
 	return out, nil
 }
 
-// steadyStats computes the steady-state statistics of a completed run,
-// excluding requests that arrived before cut.
-func (s *Server) steadyStats(res *sim.Result, cut int64) (Stats, error) {
-	var sm sampleSet
-	var sorted []float64
-	s.collectTasks(&sm, res, cut)
-	st, err := s.statsOf(&sm, &sorted)
-	if err != nil {
-		return Stats{}, err
-	}
-	return st.Stats, nil
-}
-
 // defaultWarmup is the fraction of the horizon excluded from latency
 // statistics by Run, RunBatched and every session that sets none.
 const defaultWarmup = 0.2
@@ -345,16 +332,79 @@ func (s *Server) warmupCut(horizon time.Duration, warmup float64) int64 {
 	return int64(float64(s.cfg.Cycles(horizon)) * warmupFraction(warmup))
 }
 
-// Run executes one sustained-load scenario under the given scheduler
-// and returns steady-state statistics.
-func (s *Server) Run(spec Spec, scheduler sched.Spec, rng *rand.Rand) (Stats, error) {
+// Run generates one sustained-load stream and runs it under every given
+// scheduler, each on fresh entries of the same requests, so the
+// schedulers are compared on the identical stream. It returns one
+// steady-state result per scheduler, in order.
+func (s *Server) Run(spec Spec, schedulers []sched.Spec, rng *rand.Rand) ([]Stats, error) {
+	if len(schedulers) == 0 {
+		return nil, errNoSchedulers
+	}
 	tasks, err := s.Generate(spec, rng)
 	if err != nil {
-		return Stats{}, err
+		return nil, err
 	}
-	res, err := s.simulate(scheduler, workload.Entries(tasks))
-	if err != nil {
-		return Stats{}, err
+	cut := s.warmupCut(spec.Horizon, defaultWarmup)
+	out := make([]Stats, len(schedulers))
+	var sm sampleSet
+	var sorted []float64
+	for i, scheduler := range schedulers {
+		res, err := s.simulate(scheduler, workload.Entries(tasks))
+		if err != nil {
+			return nil, err
+		}
+		s.collectTasks(&sm, res, cut)
+		st, err := s.statsOf(&sm, &sorted)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = st.Stats
 	}
-	return s.steadyStats(res, s.warmupCut(spec.Horizon, defaultWarmup))
+	return out, nil
+}
+
+// errNoSchedulers refuses a Run or RunBatched given no scheduler to
+// compare.
+var errNoSchedulers = errors.New("serving: no scheduler to run")
+
+// GenerateRamp builds the stream of a piecewise-constant offered-load
+// profile: segment i offers loads[i] over [Offset+i*Horizon,
+// Offset+(i+1)*Horizon) of the base spec, the segments drawn in order
+// from rng and concatenated, so the stream is in arrival order. An empty
+// trough is tolerated: a zero-load segment is an idle window that draws
+// nothing, and a segment whose sampled Poisson window holds no arrivals
+// is skipped rather than an error (segment offsets are absolute, so
+// later segments land where they should regardless). Negative loads are
+// an error, and so is a ramp that produces no request at all.
+func (s *Server) GenerateRamp(base Spec, loads []float64, rng *rand.Rand) ([]*workload.Task, error) {
+	if len(loads) == 0 {
+		return nil, fmt.Errorf("serving: empty load ramp")
+	}
+	if base.Horizon <= 0 {
+		return nil, fmt.Errorf("serving: non-positive ramp segment %v", base.Horizon)
+	}
+	var tasks []*workload.Task
+	for i, load := range loads {
+		if load < 0 {
+			return nil, fmt.Errorf("serving: ramp segment %d has negative load %v", i, load)
+		}
+		if load == 0 {
+			continue // an idle window offers nothing
+		}
+		seg := base
+		seg.OfferedLoad = load
+		seg.Offset = base.Offset + time.Duration(i)*base.Horizon
+		segment, err := s.Generate(seg, rng)
+		if err != nil {
+			if errors.Is(err, ErrNoArrivals) {
+				continue
+			}
+			return nil, fmt.Errorf("serving: ramp segment %d (load %v): %w", i, load, err)
+		}
+		tasks = append(tasks, segment...)
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("serving: ramp produced no requests")
+	}
+	return tasks, nil
 }

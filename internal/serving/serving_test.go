@@ -57,10 +57,11 @@ func TestGenerateStreamShape(t *testing.T) {
 func TestModerateLoadIsStable(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 400 * time.Millisecond, OfferedLoad: 0.5}
-	st, err := s.Run(spec, sched.Spec{Policy: "FCFS"}, workload.RNGFor(3, 3))
+	sts, err := s.Run(spec, []sched.Spec{{Policy: "FCFS"}}, workload.RNGFor(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := sts[0]
 	if st.Measured == 0 || st.Requests < st.Measured {
 		t.Fatalf("bad counts: %+v", st)
 	}
@@ -83,11 +84,11 @@ func TestLatencyKneeGrowsWithLoad(t *testing.T) {
 	s := newServer(t)
 	lat := func(load float64) float64 {
 		st, err := s.Run(Spec{Horizon: 400 * time.Millisecond, OfferedLoad: load},
-			sched.Spec{Policy: "FCFS"}, workload.RNGFor(4, 4))
+			[]sched.Spec{{Policy: "FCFS"}}, workload.RNGFor(4, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.MeanNTT
+		return st[0].MeanNTT
 	}
 	lo, hi := lat(0.3), lat(0.95)
 	if hi <= lo {
@@ -101,14 +102,14 @@ func TestPREMAHoldsLatencyLongerThanFCFS(t *testing.T) {
 	// below NP-FCFS on the same arrival stream.
 	s := newServer(t)
 	spec := Spec{Horizon: 400 * time.Millisecond, OfferedLoad: 0.85}
-	fcfs, err := s.Run(spec, sched.Spec{Policy: "FCFS"}, workload.RNGFor(5, 5))
+	st, err := s.Run(spec, []sched.Spec{
+		{Policy: "FCFS"},
+		{Policy: "PREMA", Preemptive: true, Selector: "dynamic"},
+	}, workload.RNGFor(5, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prema, err := s.Run(spec, sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}, workload.RNGFor(5, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcfs, prema := st[0], st[1]
 	if prema.MeanNTT >= fcfs.MeanNTT {
 		t.Errorf("PREMA NTT %.2f should beat FCFS %.2f at high load",
 			prema.MeanNTT, fcfs.MeanNTT)
@@ -118,11 +119,14 @@ func TestPREMAHoldsLatencyLongerThanFCFS(t *testing.T) {
 func TestRunRejectsUnknownPolicy(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 100 * time.Millisecond, OfferedLoad: 0.5}
-	if _, err := s.Run(spec, sched.Spec{Policy: "NOPE"}, workload.RNGFor(6, 6)); err == nil {
+	if _, err := s.Run(spec, []sched.Spec{{Policy: "NOPE"}}, workload.RNGFor(6, 6)); err == nil {
 		t.Error("unknown policy should error")
 	}
-	if _, err := s.Run(spec, sched.Spec{Policy: "SJF", Preemptive: true, Selector: "bogus"}, workload.RNGFor(6, 6)); err == nil {
+	if _, err := s.Run(spec, []sched.Spec{{Policy: "SJF", Preemptive: true, Selector: "bogus"}}, workload.RNGFor(6, 6)); err == nil {
 		t.Error("unknown selector should error")
+	}
+	if _, err := s.Run(spec, nil, workload.RNGFor(6, 6)); err == nil {
+		t.Error("an empty scheduler list should error")
 	}
 }
 
@@ -189,7 +193,10 @@ func TestSteadyStatsTinyWarmupSurvivors(t *testing.T) {
 			latest = task.Arrival
 		}
 	}
-	st, err := s.steadyStats(res, latest) // the last arrival alone survives
+	var sm sampleSet
+	var sorted []float64
+	s.collectTasks(&sm, res, latest) // the last arrival alone survives
+	st, err := s.statsOf(&sm, &sorted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,11 @@ func TestSessionMatchesRun(t *testing.T) {
 	s := newServer(t)
 	spec := Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 0.6}
 
-	want, err := s.Run(spec, sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}, workload.RNGFor(11, 4))
+	st, err := s.Run(spec, []sched.Spec{{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}}, workload.RNGFor(11, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := st[0]
 
 	sess, err := s.Open(SessionConfig{
 		Policy: "PREMA", Preemptive: true, Selector: "dynamic",

@@ -52,6 +52,10 @@ type Spec struct {
 
 // Estimator abstracts the task-length predictor plugged into the
 // generated tasks (analytic, profile-based, oracle, or MAC proxy).
+// Estimate must be a function of its arguments: the experiment engine
+// draws each run's workload once, compares every configuration on it and
+// caches run outcomes by spec, all of which assume that the same request
+// always gets the same estimate.
 type Estimator interface {
 	Estimate(m *dnn.Model, batch, inLen int) (int64, error)
 }

@@ -20,10 +20,11 @@ func TestSessionStatsMatchServing(t *testing.T) {
 	spec := serving.Spec{Horizon: 300 * time.Millisecond, OfferedLoad: 0.6}
 	srv := serving.NewServer(sys.NPU(), sys.SchedConfig(), sys.gen)
 
-	want, err := srv.Run(spec, sched.Spec{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}, workload.RNGFor(21, 2))
+	st, err := srv.Run(spec, []sched.Spec{{Policy: "PREMA", Preemptive: true, Selector: "dynamic"}}, workload.RNGFor(21, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := st[0]
 
 	sess, err := sys.Open(SessionConfig{
 		Scheduler: Scheduler{Policy: PREMA, Preemptive: true, Mechanism: Dynamic},

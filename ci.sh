@@ -186,7 +186,7 @@ go build -o "$tmpdir/premabench" ./cmd/premabench
 # configurations print the same tables on one worker and on two; only
 # the wall-time footers differ.
 for workers in 1 2; do
-	"$tmpdir/premabench" -exp autoscale,batching,energy,fig14 -runs 2 -parallel "$workers" \
+	"$tmpdir/premabench" -exp autoscale,batching,energy,fig14,spill -runs 2 -parallel "$workers" \
 		> "$tmpdir/paired-$workers.raw"
 	grep -v "completed in" "$tmpdir/paired-$workers.raw" > "$tmpdir/paired-$workers.txt"
 done

@@ -11,9 +11,13 @@ package exp
 //
 //  1. Per-run isolation. Every run constructs its own policy and
 //     mechanism-selector instances (policies keep scratch state; see the
-//     sched.Policy contract) and fresh scheduler entries. Run r's
-//     workload is drawn from workload.RNGFor(seed, r) once per call and
-//     read by every configuration: a drawn workload.Task is a record no
+//     sched.Policy contract) and its own slab of scheduler entries
+//     (workload.Entries), which it keeps: the run cache and
+//     MultiResult.Tasks hold a run's entries, so unlike the harnesses
+//     that compare configurations within one job, the engine never
+//     refills a slab for another configuration. Run r's workload is
+//     drawn from workload.RNGFor(seed, r) once per call and read by
+//     every configuration: a drawn workload.Task is a record no
 //     simulation changes, so no mutable state crosses runs.
 //  2. Stable assembly. Worker completion order is nondeterministic, so
 //     outcomes are written into an index-addressed slice and reduced
@@ -165,9 +169,9 @@ func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spe
 	return o, nil
 }
 
-// simulateOne executes the run-th simulation of cfg: fresh entries for
-// the run's workload on one simulator with fresh policy and selector
-// instances.
+// simulateOne executes the run-th simulation of cfg: a new slab of
+// entries for the run's workload, which the outcome keeps, on one
+// simulator with fresh policy and selector instances.
 func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, tasks []*workload.Task, run int) (runOutcome, error) {
 	atomic.AddInt64(&s.simulations, 1)
 	res, err := s.simulate(cfg.Spec, sim.Options{Sched: scfg}, workload.Entries(tasks))

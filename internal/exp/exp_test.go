@@ -277,6 +277,39 @@ func TestFig1Direction(t *testing.T) {
 	}
 }
 
+// TestFig14Allocs: fig14 builds one slab of entries per (model, run)
+// and refills it for each of its three schedulers. Its second run on a
+// fresh suite at Runs 4, whose programs the first run compiled, allocates
+// at most 2.2 MB; with a new entry and cursor per request per scheduler
+// it allocated 3.30 MB. The first run also pays for compiling fig14's
+// programs (about 0.7 MB), which this pin leaves out. Skipped in -short:
+// under -race its two runs take half a minute.
+func TestFig14Allocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig14 twice")
+	}
+	const ceiling = 2_200_000
+	s, err := NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Runs = 4
+	if _, err := runFig14(s); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := runFig14(s); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("fig14 on a suite that has compiled its programs: %d bytes", got)
+	if got > ceiling {
+		t.Errorf("fig14 allocated %d bytes, want at most %d", got, ceiling)
+	}
+}
+
 // TestDeterminismAllocs: the determinism experiment profiles its 300
 // layer configurations (1000 samples each) into one kept buffer, so on a
 // fresh suite it allocates at most 0.5 MB. With a fresh sample slice per

@@ -176,16 +176,18 @@ func runEnergy(s *Suite) ([]*Table, error) {
 	}
 	const runs = 10
 	// One job per run: its workload is drawn once and simulated under
-	// every scheduler (fresh policy, selector and entries each), then
-	// the breakdowns are reduced per scheduler in run order.
+	// every scheduler (fresh policy and selector each, on the run's one
+	// slab of entries refilled), then the breakdowns are reduced per
+	// scheduler in run order.
 	perRun := make([]energy.Breakdown, len(cfgs)*runs)
 	err := s.ForEach(runs, func(r int) error {
 		tasks, err := s.Gen.Generate(workload.Spec{Tasks: 8}, workload.RNGFor(s.Seed^0xE6E, r))
 		if err != nil {
 			return err
 		}
+		entries := workload.Slab(len(tasks))
 		for ci, cfg := range cfgs {
-			res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched, Record: true}, workload.Entries(tasks))
+			res, err := s.simulate(cfg.Spec, sim.Options{Sched: s.Sched, Record: true}, workload.Refill(entries, tasks))
 			if err != nil {
 				return err
 			}

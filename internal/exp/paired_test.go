@@ -47,13 +47,13 @@ func renderExperiment(t *testing.T, s *Suite, id string) string {
 // TestPairedExperimentsMatchGolden: drawing each workload once and
 // handing the same records to every configuration leaves every paired
 // experiment's tables byte-identical, sequentially and on two workers.
-// In -short mode it runs autoscale, batching, energy and fig14 at Runs 1
-// on one and on two workers and requires equal tables instead, which
-// under -race checks the records the workers share.
+// In -short mode it runs autoscale, batching, energy, fig14 and spill at
+// Runs 1 on one and on two workers and requires equal tables instead,
+// which under -race checks the records the workers share.
 func TestPairedExperimentsMatchGolden(t *testing.T) {
 	if testing.Short() {
 		seq, par := pairedSuite(t, 1, 1), pairedSuite(t, 2, 1)
-		for _, id := range []string{"autoscale", "batching", "energy", "fig14"} {
+		for _, id := range []string{"autoscale", "batching", "energy", "fig14", "spill"} {
 			if want, got := renderExperiment(t, seq, id), renderExperiment(t, par, id); got != want {
 				t.Errorf("%s: two workers diverge from one\n--- one worker\n%s--- two workers\n%s", id, want, got)
 			}

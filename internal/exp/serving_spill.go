@@ -154,14 +154,15 @@ func runSpill(s *Suite) ([]*Table, error) {
 	}
 	// One job per run: its workload is drawn once and simulated against
 	// every pool, each simulation owning its policy, selector and
-	// checkpoint-memory manager; the results are reduced per pool in run
-	// order.
+	// checkpoint-memory manager and refilling the run's one slab of
+	// entries; the results are reduced per pool in run order.
 	perRun := make([]spillRun, len(pools)*runs)
 	err := s.ForEach(runs, func(r int) error {
 		tasks, err := s.Gen.Generate(spec, workload.RNGFor(s.Seed^0x5B111, r))
 		if err != nil {
 			return err
 		}
+		entries := workload.Slab(len(tasks))
 		for pi, pool := range pools {
 			opt := sim.Options{Sched: s.Sched}
 			if pool.bytes > 0 {
@@ -173,7 +174,7 @@ func runSpill(s *Suite) ([]*Table, error) {
 				}
 				opt.CkptMem = mem
 			}
-			res, err := s.simulate(sched.Spec{Policy: "PREMA", Preemptive: true}, opt, workload.Entries(tasks))
+			res, err := s.simulate(sched.Spec{Policy: "PREMA", Preemptive: true}, opt, workload.Refill(entries, tasks))
 			if err != nil {
 				return err
 			}

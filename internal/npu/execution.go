@@ -24,8 +24,9 @@ import (
 // only its latency is scaled, rounded up so no instruction loses work to
 // rounding. The program itself is never modified.
 //
-// The zero value is not usable; construct with NewExecution or
-// NewScaledExecution.
+// The zero value is not usable: Start positions a cursor in place (a
+// scheduler entry holds its cursor by value), and NewExecution and
+// NewScaledExecution return a new one.
 type Execution struct {
 	prog *Program
 	run  int32 // run of the in-flight instruction; len(Runs) once done
@@ -47,8 +48,8 @@ type Execution struct {
 // NewExecution returns a cursor positioned at the start of prog, running
 // at nominal speed.
 func NewExecution(prog *Program) *Execution {
-	e := &Execution{prog: prog, factor: 1, total: prog.TotalCycles}
-	e.reset()
+	e := new(Execution)
+	e.Start(prog, 1)
 	return e
 }
 
@@ -61,28 +62,35 @@ func NewExecution(prog *Program) *Execution {
 const MaxSpeedFactor = 1000
 
 // NewScaledExecution returns a cursor positioned at the start of prog on
-// an NPU that takes factor× the nominal service time: each instruction
-// runs ceil(Cycles × factor) cycles. factor must lie in
-// (0, MaxSpeedFactor].
+// an NPU that takes factor× the nominal service time (see Start).
 func NewScaledExecution(prog *Program, factor float64) *Execution {
+	e := new(Execution)
+	e.Start(prog, factor)
+	return e
+}
+
+// Start positions e, in place, at the start of prog on an NPU that takes
+// factor× the nominal service time: each instruction runs
+// ceil(Cycles × factor) cycles. Whatever e held before is discarded.
+// factor must lie in (0, MaxSpeedFactor].
+func (e *Execution) Start(prog *Program, factor float64) {
 	if !(factor > 0 && factor <= MaxSpeedFactor) {
 		panic(fmt.Sprintf("npu: speed factor %v outside (0, %d]", factor, MaxSpeedFactor))
 	}
-	if factor == 1 {
-		return NewExecution(prog)
-	}
-	e := &Execution{prog: prog, factor: factor}
-	for _, r := range prog.Runs {
-		var body int64
-		for _, s := range r.Body {
-			for _, in := range prog.block(s) {
-				body += e.cycles(in.Cycles)
+	*e = Execution{prog: prog, factor: factor, total: prog.TotalCycles}
+	if factor != 1 {
+		e.total = 0
+		for _, r := range prog.Runs {
+			var body int64
+			for _, s := range r.Body {
+				for _, in := range prog.block(s) {
+					body += e.cycles(in.Cycles)
+				}
 			}
+			e.total += body * int64(r.Times)
 		}
-		e.total += body * int64(r.Times)
 	}
 	e.reset()
-	return e
 }
 
 // cycles returns an instruction's latency at the cursor's speed. The

@@ -196,8 +196,8 @@ func FuzzScaledExecution(f *testing.F) {
 	})
 }
 
-// An Execution stays in the 80-byte size class: the simulator copies
-// every in-flight cursor on each projection.
+// An Execution stays at 80 bytes: every scheduler entry holds one, and
+// the simulator copies every in-flight entry on each projection.
 func TestExecutionSize(t *testing.T) {
 	if size := unsafe.Sizeof(npu.Execution{}); size > 80 {
 		t.Errorf("npu.Execution is %d bytes, want at most 80", size)

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/npu"
 	"repro/internal/preempt"
@@ -25,6 +27,18 @@ func makeTask(id int, prio Priority, arrival, totalCycles int64) *Task {
 	prog.AppendLayer(block...)
 	exec := npu.NewExecution(prog)
 	return NewTask(id, "synthetic", 1, prio, arrival, exec, totalCycles)
+}
+
+// An entry is one 240-byte object with its cursor inside: a stream's
+// slab holds one per request, and the simulator copies every in-flight
+// entry on each projection.
+func TestTaskSize(t *testing.T) {
+	if size := unsafe.Sizeof(Task{}); size > 240 {
+		t.Errorf("sched.Task is %d bytes, want at most 240", size)
+	}
+	if f, _ := reflect.TypeOf(Task{}).FieldByName("Exec"); f.Type != reflect.TypeOf(npu.Execution{}) {
+		t.Errorf("sched.Task.Exec is a %v, want the npu.Execution itself", f.Type)
+	}
 }
 
 func TestPriorityTokens(t *testing.T) {

@@ -73,7 +73,9 @@ func (s State) String() string {
 
 // Task is one inference request tracked by the scheduler — an entry of
 // the inference task context table (Figure 4) together with the compiled
-// program and execution cursor the simulator drives.
+// program and execution cursor the simulator drives. The entry holds its
+// cursor by value, so it is one object, and Init makes it a fresh entry
+// again in place.
 type Task struct {
 	// ID is the TaskID (also the memory-protection ASID, Section IV-A).
 	ID int
@@ -96,7 +98,7 @@ type Task struct {
 	IsolatedCycles int64
 
 	// Exec is the execution cursor over the compiled program.
-	Exec *npu.Execution
+	Exec npu.Execution
 
 	// Token is the scheduling-token balance (Algorithm 2).
 	Token float64
@@ -133,18 +135,28 @@ type Task struct {
 	PendingOverhead int64
 }
 
-// NewTask initializes a context-table entry. The initial token grant is
-// the task's priority level (Algorithm 2, initialization).
+// NewTask initializes a context-table entry over a copy of exec (see
+// Init).
 func NewTask(id int, model string, batch int, prio Priority, arrival int64, exec *npu.Execution, estimated int64) *Task {
-	return &Task{
+	t := &Task{Exec: *exec}
+	t.Init(id, model, batch, prio, arrival, estimated)
+	return t
+}
+
+// Init makes t, in place, a fresh context-table entry over its cursor
+// t.Exec, which the caller has positioned at the start of its program:
+// every other field is overwritten. The initial token grant is the
+// task's priority level (Algorithm 2, initialization).
+func (t *Task) Init(id int, model string, batch int, prio Priority, arrival, estimated int64) {
+	*t = Task{
 		ID:              id,
 		Model:           model,
 		Batch:           batch,
 		Priority:        prio,
 		Arrival:         arrival,
 		EstimatedCycles: estimated,
-		IsolatedCycles:  exec.TotalCycles(),
-		Exec:            exec,
+		IsolatedCycles:  t.Exec.TotalCycles(),
+		Exec:            t.Exec,
 		Token:           prio.Tokens(),
 		State:           Waiting,
 		lastWake:        arrival,

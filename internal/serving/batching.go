@@ -51,9 +51,10 @@ type BatchStats struct {
 
 // RunBatched generates a batch-1 request stream, coalesces it per the
 // batching window, and runs the batched tasks under every given
-// scheduler, each on fresh entries of the same coalesced stream. It
-// returns one result per scheduler, in order. Latency statistics are
-// computed per original request (member), not per fused task.
+// scheduler, each on the coalesced stream's one slab of entries
+// refilled. It returns one result per scheduler, in order. Latency
+// statistics are computed per original request (member), not per fused
+// task.
 func (s *Server) RunBatched(bs BatchSpec, schedulers []sched.Spec, rng *rand.Rand) ([]BatchStats, error) {
 	if len(schedulers) == 0 {
 		return nil, errNoSchedulers
@@ -66,8 +67,9 @@ func (s *Server) RunBatched(bs BatchSpec, schedulers []sched.Spec, rng *rand.Ran
 	out := make([]BatchStats, len(schedulers))
 	var sm sampleSet
 	var sorted []float64
+	entries := workload.Slab(len(dispatched))
 	for i, scheduler := range schedulers {
-		res, err := s.simulate(scheduler, workload.Entries(dispatched))
+		res, err := s.simulate(scheduler, workload.Refill(entries, dispatched))
 		if err != nil {
 			return nil, err
 		}

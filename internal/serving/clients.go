@@ -101,9 +101,9 @@ func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64,
 	// NPU. IDs continue the submission indices: the replay (compute)
 	// numbers its entries with exactly these IDs, keeping every
 	// tie-break identical between generation and replay.
-	entries := make([]*sched.Task, 0, len(ss.reqs)+spec.Clients)
-	for i, t := range ss.reqs {
-		entries = append(entries, t.Entry(i, t.Arrival, ss.factor(i)))
+	entries := workload.Slab(len(ss.reqs))
+	for i, e := range entries {
+		ss.reqs[i].Fill(e, i, ss.reqs[i].Arrival, ss.factor(i))
 	}
 	nextID := len(ss.reqs)
 	var realized []*workload.Task

@@ -333,9 +333,9 @@ func (s *Server) warmupCut(horizon time.Duration, warmup float64) int64 {
 }
 
 // Run generates one sustained-load stream and runs it under every given
-// scheduler, each on fresh entries of the same requests, so the
-// schedulers are compared on the identical stream. It returns one
-// steady-state result per scheduler, in order.
+// scheduler, each on the stream's one slab of entries refilled over the
+// same requests, so the schedulers are compared on the identical stream.
+// It returns one steady-state result per scheduler, in order.
 func (s *Server) Run(spec Spec, schedulers []sched.Spec, rng *rand.Rand) ([]Stats, error) {
 	if len(schedulers) == 0 {
 		return nil, errNoSchedulers
@@ -348,8 +348,9 @@ func (s *Server) Run(spec Spec, schedulers []sched.Spec, rng *rand.Rand) ([]Stat
 	out := make([]Stats, len(schedulers))
 	var sm sampleSet
 	var sorted []float64
+	entries := workload.Slab(len(tasks))
 	for i, scheduler := range schedulers {
-		res, err := s.simulate(scheduler, workload.Entries(tasks))
+		res, err := s.simulate(scheduler, workload.Refill(entries, tasks))
 		if err != nil {
 			return nil, err
 		}

@@ -57,7 +57,7 @@ type Session struct {
 	cfg SessionConfig
 
 	// reqs are the submitted requests in submission order. Simulations
-	// build their own scheduler entries from them (workload.Task.Entry),
+	// build their own scheduler entries from them (workload.Task.Fill),
 	// so a request is never mutated by a simulation. count is how many
 	// there are; it outlives reqs, which Close drops.
 	reqs  []*workload.Task
@@ -359,13 +359,13 @@ func (ss *Session) advanceLive() error {
 	return nil
 }
 
-// entries builds fresh scheduler entries for reqs[from:], each numbered
-// by its submission index and running at its factor.
+// entries builds fresh scheduler entries for reqs[from:] in one slab,
+// each numbered by its submission index and running at its factor.
 func (ss *Session) entries(from int) []*sched.Task {
-	out := make([]*sched.Task, 0, len(ss.reqs)-from)
-	for i := from; i < len(ss.reqs); i++ {
-		t := ss.reqs[i]
-		out = append(out, t.Entry(i, t.Arrival, ss.factor(i)))
+	out := workload.Slab(len(ss.reqs) - from)
+	for k, e := range out {
+		i := from + k
+		ss.reqs[i].Fill(e, i, ss.reqs[i].Arrival, ss.factor(i))
 	}
 	ss.materialized += len(out)
 	return out

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -90,8 +91,10 @@ func checkSimInvariants(t *testing.T, res *Result, preemptive bool, label string
 // knobs (workload seed, policy, task count, arrival window, quantum,
 // preemption mechanism) and every generated run must satisfy the same
 // invariants. Each input also runs with Options.Record off, which must
-// change nothing but the records (checkRecordOff). ci.sh exercises the
-// seed corpus plus a short fuzz burst on every run
+// change nothing but the records (checkRecordOff), and once more on
+// entries refilled after a preemptive run under another policy, which
+// must run exactly as the fresh entries did. ci.sh exercises the seed
+// corpus plus a short fuzz burst on every run
 // (`go test -fuzz=FuzzSimInvariants -fuzztime=5s`).
 func FuzzSimInvariants(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2), uint16(10), uint16(500), false, uint8(0))
@@ -102,6 +105,8 @@ func FuzzSimInvariants(f *testing.F) {
 	policies := []string{"FCFS", "RRB", "HPF", "TOKEN", "SJF", "PREMA"}
 	selectors := []string{"static-checkpoint", "static-kill", "static-drain",
 		"static-kill-layer", "dynamic", "dynamic-kill", "dynamic-kill-layer"}
+	// preempting are the mechanisms that always service a preemption.
+	preempting := []string{"static-checkpoint", "static-kill", "static-kill-layer"}
 
 	f.Fuzz(func(t *testing.T, seed uint64, policyIdx, nTasks uint8,
 		windowMs, quantumUs uint16, preemptive bool, selectorIdx uint8) {
@@ -135,12 +140,29 @@ func FuzzSimInvariants(f *testing.F) {
 		}
 		bare := runScenarioRecord(t, cfg, scfg, policy, preemptive, selector, again, false)
 		checkRecordOff(t, bare, res, label)
+
+		// The same tasks on one slab that a run under another preemptive
+		// policy has left finished, and checkpointed or killed wherever
+		// it preempted: refilled, it must run as the fresh entries did.
+		dirty := "HPF"
+		if policy == dirty {
+			dirty = "SJF"
+		}
+		entries := workload.Entries(tasks)
+		runEntries(t, cfg, scfg, dirty, true, preempting[int(selectorIdx)%len(preempting)], entries, false)
+		refilled := runEntries(t, cfg, scfg, policy, preemptive, selector, workload.Refill(entries, tasks), true)
+		checkSameRun(t, refilled, res, label+" on refilled entries")
+		if !slices.Equal(refilled.Preemptions, res.Preemptions) ||
+			!slices.Equal(refilled.Timeline.Spans(), res.Timeline.Spans()) {
+			t.Fatalf("%s on refilled entries: preemptions %+v and timeline %+v, want %+v and %+v", label,
+				refilled.Preemptions, refilled.Timeline.Spans(), res.Preemptions, res.Timeline.Spans())
+		}
 	})
 }
 
 // checkRecordOff asserts that a run with Options.Record off differs from
 // the recorded run of the same tasks only in the records: every task
-// matches field by field (its execution cursor by value), Cycles and
+// matches by value (its execution cursor is part of it), Cycles and
 // Wakes match, and Preemptions and Timeline are nil.
 func checkRecordOff(t *testing.T, bare, rec *Result, label string) {
 	t.Helper()
@@ -148,21 +170,24 @@ func checkRecordOff(t *testing.T, bare, rec *Result, label string) {
 		t.Fatalf("%s: a run with Record off kept %d preemptions and timeline %v",
 			label, len(bare.Preemptions), bare.Timeline)
 	}
-	if len(bare.Tasks) != len(rec.Tasks) {
-		t.Fatalf("%s: %d tasks with Record off, %d with it on", label, len(bare.Tasks), len(rec.Tasks))
+	checkSameRun(t, bare, rec, label+" with Record off")
+}
+
+// checkSameRun asserts that got ran as want did: every task equal by
+// value and in the same order, and the same Cycles and Wakes.
+func checkSameRun(t *testing.T, got, want *Result, label string) {
+	t.Helper()
+	if len(got.Tasks) != len(want.Tasks) {
+		t.Fatalf("%s: %d tasks, want %d", label, len(got.Tasks), len(want.Tasks))
 	}
-	for i, g := range bare.Tasks {
-		w := rec.Tasks[i]
-		gv, wv := *g, *w
-		gv.Exec, wv.Exec = nil, nil
-		if gv != wv || *g.Exec != *w.Exec {
-			t.Fatalf("%s: task %d with Record off: %+v (cursor %+v), with it on: %+v (cursor %+v)",
-				label, i, gv, *g.Exec, wv, *w.Exec)
+	for i, g := range got.Tasks {
+		if w := want.Tasks[i]; *g != *w {
+			t.Fatalf("%s: task %d is %+v, want %+v", label, i, *g, *w)
 		}
 	}
-	if bare.Cycles != rec.Cycles || bare.Wakes != rec.Wakes {
-		t.Fatalf("%s: Record off ran %d cycles and %d wakes, on %d and %d",
-			label, bare.Cycles, bare.Wakes, rec.Cycles, rec.Wakes)
+	if got.Cycles != want.Cycles || got.Wakes != want.Wakes {
+		t.Fatalf("%s: ran %d cycles and %d wakes, want %d and %d",
+			label, got.Cycles, got.Wakes, want.Cycles, want.Wakes)
 	}
 }
 

@@ -452,7 +452,7 @@ func TestAdvanceRunningSplitExact(t *testing.T) {
 		got := sims[0].advanceRunning(a) + sims[0].advanceRunning(b)
 		used := sims[1].advanceRunning(a + b)
 		x, y := sims[0].running, sims[1].running
-		if got != used || x.PendingOverhead != y.PendingOverhead || *x.Exec != *y.Exec {
+		if got != used || x.PendingOverhead != y.PendingOverhead || x.Exec != y.Exec {
 			t.Fatalf("overhead %d: advanceRunning(%d)+(%d) used %d (overhead left %d, executed %d); whole used %d (%d, %d)",
 				overhead, a, b, got, x.PendingOverhead, x.Executed(), used, y.PendingOverhead, y.Executed())
 		}

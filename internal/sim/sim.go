@@ -32,8 +32,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ckptmem"
@@ -159,7 +161,11 @@ type Sim struct {
 const open = math.MaxInt64
 
 // New validates the options and prepares a simulator over the given
-// tasks. The task slice is owned by the simulator afterwards.
+// tasks. The task slice and its entries are owned by the simulator
+// afterwards, and a Result's Tasks are that slice: the caller's own
+// entries, not copies. A refill of those entries for another run
+// (workload.Refill) overwrites them, so a Result is read before its
+// entries are refilled.
 func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 	if err := opt.NPU.Validate(); err != nil {
 		return nil, err
@@ -193,11 +199,11 @@ func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 		s.result.Timeline = &trace.Timeline{}
 	}
 	s.pending = append(s.pending, tasks...)
-	sort.Slice(s.pending, func(i, j int) bool {
-		if s.pending[i].Arrival != s.pending[j].Arrival {
-			return s.pending[i].Arrival < s.pending[j].Arrival
+	slices.SortFunc(s.pending, func(a, b *sched.Task) int {
+		if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+			return c
 		}
-		return s.pending[i].ID < s.pending[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	s.tasks = tasks
 	return s, nil
@@ -262,13 +268,9 @@ func (s *Sim) Project(onDone func(t *sched.Task, now int64)) (int64, error) {
 		p.opt.CkptMem = s.opt.CkptMem.Clone()
 	}
 	tasks := make([]sched.Task, 0, s.remaining)
-	execs := make([]npu.Execution, 0, s.remaining)
 	clone := func(t *sched.Task) *sched.Task {
-		execs = append(execs, *t.Exec)
 		tasks = append(tasks, *t)
-		c := &tasks[len(tasks)-1]
-		c.Exec = &execs[len(execs)-1]
-		return c
+		return &tasks[len(tasks)-1]
 	}
 	p.pending = make([]*sched.Task, 0, len(s.pending)-s.pendHead)
 	for _, t := range s.pending[s.pendHead:] {
@@ -485,7 +487,7 @@ func (s *Sim) apply(dec sched.Decision) error {
 	}
 
 	victim := s.running
-	cost := preempt.Apply(s.opt.NPU, mech, victim.Exec)
+	cost := preempt.Apply(s.opt.NPU, mech, &victim.Exec)
 	// Completing the in-flight instruction and draining the checkpoint
 	// DMA occupy the NPU.
 	s.now += cost.BoundaryCycles + cost.SaveCycles

@@ -35,6 +35,13 @@ func runScenario(t *testing.T, cfg npu.Config, scfg sched.Config, policy string,
 func runScenarioRecord(t *testing.T, cfg npu.Config, scfg sched.Config, policy string,
 	preemptive bool, selector string, tasks []*workload.Task, record bool) *Result {
 	t.Helper()
+	return runEntries(t, cfg, scfg, policy, preemptive, selector, workload.Entries(tasks), record)
+}
+
+// runEntries is runScenarioRecord over entries the caller built.
+func runEntries(t *testing.T, cfg npu.Config, scfg sched.Config, policy string,
+	preemptive bool, selector string, entries []*sched.Task, record bool) *Result {
+	t.Helper()
 	pol, err := sched.ByName(policy, scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +53,7 @@ func runScenarioRecord(t *testing.T, cfg npu.Config, scfg sched.Config, policy s
 		}
 	}
 	s, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol,
-		Preemptive: preemptive, Selector: sel, Record: record}, workload.Entries(tasks))
+		Preemptive: preemptive, Selector: sel, Record: record}, entries)
 	if err != nil {
 		t.Fatal(err)
 	}

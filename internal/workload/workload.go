@@ -8,9 +8,12 @@
 // length (Section VI's methodology).
 //
 // A generated task is a request record (Task); a simulation builds the
-// scheduler's context-table entries from it (Task.Entry, Entries) and
-// never changes the record, so one workload can be simulated under any
-// number of scheduler configurations.
+// scheduler's context-table entries from it (Task.Fill) and never
+// changes the record, so one workload can be simulated under any number
+// of scheduler configurations. A stream's entries live in one slab
+// (Slab, Entries), and the configurations compared on one stream take
+// turns on the same slab, each refilling it in place (Refill) over the
+// same records rather than allocating entries of its own.
 package workload
 
 import (
@@ -78,7 +81,7 @@ func (oracleEstimator) Estimate(*dnn.Model, int, int) (int64, error) {
 // asked for (model, batch, priority, arrival), what the predictor
 // estimated, and how the request was realized (sampled sequence lengths,
 // compiled program). No simulation runs or mutates a Task: each one
-// builds its own scheduler entry from it (Entry), so the same Task can
+// builds its own scheduler entry from it (Fill), so the same Task can
 // be simulated any number of times.
 type Task struct {
 	// ID is the request's index in its workload: the TaskID its
@@ -108,14 +111,22 @@ type Task struct {
 	ModelID int
 }
 
-// Entry builds a fresh scheduler entry for the request: a context-table
-// entry (Figure 4) with TaskID id, arriving at cycle at, over a new
-// execution cursor at factor× the nominal service time, with the
-// estimate scaled to match (EstimateAt). Every simulation takes its
-// entries from here; at factor 1 the cursor is npu.NewExecution's.
+// Fill makes e, in place, a fresh scheduler entry for the request: a
+// context-table entry (Figure 4) with TaskID id, arriving at cycle at,
+// its cursor at the start of the program at factor× the nominal service
+// time, with the estimate scaled to match (EstimateAt). Whatever e held
+// before is overwritten. The program builds every scheduler entry here;
+// at factor 1 the cursor is npu.NewExecution's.
+func (t *Task) Fill(e *sched.Task, id int, at int64, factor float64) {
+	e.Exec.Start(t.Program, factor)
+	e.Init(id, t.Model, t.Batch, t.Priority, at, t.EstimateAt(factor))
+}
+
+// Entry builds a new scheduler entry for the request (see Fill).
 func (t *Task) Entry(id int, at int64, factor float64) *sched.Task {
-	return sched.NewTask(id, t.Model, t.Batch, t.Priority, at,
-		npu.NewScaledExecution(t.Program, factor), t.EstimateAt(factor))
+	e := new(sched.Task)
+	t.Fill(e, id, at, factor)
+	return e
 }
 
 // EstimateAt answers the request's estimate at factor× the nominal
@@ -258,7 +269,7 @@ func (g *Generator) Sample(m *dnn.Model, batch int, rng *rand.Rand) (
 // Instance compiles one concrete request of a model: RNN lengths are
 // sampled from the profile corpus; the returned record carries both the
 // ground-truth program and the predictor's estimate. It builds no
-// scheduler entry (see Task.Entry).
+// scheduler entry (see Task.Fill).
 func (g *Generator) Instance(id int, m *dnn.Model, batch int, prio sched.Priority,
 	arrival int64, est Estimator, rng *rand.Rand) (*Task, error) {
 	prog, inLen, actualOut, predictedOut, err := g.Sample(m, batch, rng)
@@ -354,15 +365,37 @@ func (g *Generator) Generate(spec Spec, rng *rand.Rand) ([]*Task, error) {
 	return tasks, nil
 }
 
-// Entries builds a fresh nominal-speed scheduler entry for every task,
-// keeping its ID and arrival (see Task.Entry): new entries on every
-// call, so the same tasks can be simulated again.
-func Entries(ts []*Task) []*sched.Task {
-	out := make([]*sched.Task, len(ts))
-	for i, t := range ts {
-		out[i] = t.Entry(t.ID, t.Arrival, 1)
+// Slab returns pointers to n scheduler entries laid out in one new
+// array, for the caller to fill (Task.Fill, Refill): two allocations
+// however long the stream.
+func Slab(n int) []*sched.Task {
+	slab, out := make([]sched.Task, n), make([]*sched.Task, n)
+	for i := range slab {
+		out[i] = &slab[i]
 	}
 	return out
+}
+
+// Entries builds a fresh nominal-speed scheduler entry for every task,
+// keeping its ID and arrival, in one new slab: new entries on every
+// call, for a caller that keeps a run's entries past the next run (the
+// experiment engine's cached runs). A caller that is done with a run
+// before the next refills one slab instead (Refill).
+func Entries(ts []*Task) []*sched.Task {
+	return Refill(Slab(len(ts)), ts)
+}
+
+// Refill makes entries[i], in place, a fresh nominal-speed scheduler
+// entry for ts[i], keeping its ID and arrival (see Task.Fill), and
+// returns entries; it allocates nothing. Every configuration compared on
+// one stream refills the stream's slab in turn. The refill overwrites the
+// previous run's entries, and so the Tasks of the Result that run
+// returned: read it first.
+func Refill(entries []*sched.Task, ts []*Task) []*sched.Task {
+	for i, t := range ts {
+		t.Fill(entries[i], t.ID, t.Arrival, 1)
+	}
+	return entries
 }
 
 // RNGFor derives a deterministic per-run RNG from an experiment seed and

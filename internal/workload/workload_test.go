@@ -198,15 +198,38 @@ func TestEntriesAreFresh(t *testing.T) {
 			e.EstimatedCycles != task.EstimatedCycles || e.IsolatedCycles != task.Program.TotalCycles {
 			t.Errorf("entry %d does not carry its task: %+v", i, e)
 		}
-		if e == second[i] || e.Exec == second[i].Exec {
+		if e == second[i] {
 			t.Errorf("entry %d is shared between calls", i)
 		}
 	}
-	// Running one call's entries leaves the next call's untouched.
+	// Running one call's entries leaves the next call's untouched, and a
+	// refill makes them fresh again in place.
 	first[0].Exec.Advance(100)
 	first[0].Start, first[0].Completion = 0, 1
 	if again := Entries(tasks)[0]; again.Exec.Executed() != 0 || again.Start != -1 || again.Completion != -1 {
 		t.Error("a simulated entry leaked into a later call")
+	}
+	entry := first[0]
+	if Refill(first, tasks); first[0] != entry || *entry != *second[0] {
+		t.Errorf("a refilled entry is %+v, want %+v in place", *first[0], *second[0])
+	}
+}
+
+// TestEntriesAllocs pins a stream's entries to one slab: n entries cost
+// two allocations (the entries and the pointers to them), and refilling
+// them for the next configuration compared on the stream costs none.
+func TestEntriesAllocs(t *testing.T) {
+	g := newGen(t)
+	tasks, err := g.Generate(Spec{Tasks: 16}, RNGFor(7, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []*sched.Task
+	if allocs := testing.AllocsPerRun(100, func() { entries = Entries(tasks) }); allocs != 2 {
+		t.Errorf("Entries of %d tasks made %v allocations, want 2", len(tasks), allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Refill(entries, tasks) }); allocs != 0 {
+		t.Errorf("Refill of %d entries made %v allocations, want 0", len(tasks), allocs)
 	}
 }
 
@@ -229,7 +252,7 @@ func TestEntryMatchesNewTask(t *testing.T) {
 			}
 		}
 	}
-	if e := tasks[0].Entry(0, 0, 1); !reflect.DeepEqual(e.Exec, npu.NewExecution(tasks[0].Program)) {
+	if e := tasks[0].Entry(0, 0, 1); e.Exec != *npu.NewExecution(tasks[0].Program) {
 		t.Error("a nominal-speed entry's cursor differs from npu.NewExecution's")
 	}
 }

@@ -191,14 +191,27 @@ for workers in 1 2; do
 	grep -v "completed in" "$tmpdir/paired-$workers.raw" > "$tmpdir/paired-$workers.txt"
 done
 cmp "$tmpdir/paired-1.txt" "$tmpdir/paired-2.txt"
-# A persisted cache answers a repeated run in full, and a cache
-# directory keeps one file per configuration: the file an older,
-# unversioned cache format left there is deleted.
+# A persisted cache answers a repeated run in full with the cold run's
+# tables (the experiments read the cached ANTT/STP/fairness, NTTs and
+# wasted cycles; only the wall-time and cache-stats lines differ), and a
+# cache directory keeps one file per configuration: the files older
+# cache formats left there, unversioned or versioned, are deleted.
 cachedir="$tmpdir/cachedir"
 mkdir "$cachedir"
 : > "$cachedir/prema-cache-0123456789abcdef.gob"
-"$tmpdir/premabench" -exp fig11 -runs 2 -cachedir "$cachedir" -cachestats >/dev/null
-"$tmpdir/premabench" -exp fig11 -runs 2 -cachedir "$cachedir" -cachestats | grep -q '12 hits, 0 misses'
+: > "$cachedir/prema-cache-v2-0123456789abcdef.gob"
+for run in cold warm; do
+	"$tmpdir/premabench" -exp fig11,fig13,killgranularity -runs 2 -cachedir "$cachedir" -cachestats \
+		> "$tmpdir/cache-$run.raw"
+	grep -v -e "completed in" -e " cache: " "$tmpdir/cache-$run.raw" > "$tmpdir/cache-$run.txt"
+done
+grep -q ", 0 misses;" "$tmpdir/cache-warm.raw"
+if grep " cache: " "$tmpdir/cache-warm.raw" | grep -qv ", 0 misses;"; then
+	echo "premabench -cachedir: the warm run missed the cache:" >&2
+	grep " cache: " "$tmpdir/cache-warm.raw" >&2
+	exit 1
+fi
+cmp "$tmpdir/cache-cold.txt" "$tmpdir/cache-warm.txt"
 if [ "$(ls -A "$cachedir" | wc -l)" -ne 1 ]; then
 	echo "premabench -cachedir: want exactly one cache file, have:" >&2
 	ls -A "$cachedir" >&2

@@ -179,26 +179,18 @@ func (p *Plane) segBoundary(idx int) int64 {
 }
 
 // generateSegment samples the next segment's Poisson arrival window at
-// the current offered load into the buffer. Idle (zero-load) segments
-// consume no randomness and an empty sampled window is not an error —
-// both mirror OfferRamp, keeping the RNG stream identical to a ramp's.
+// the current offered load into the buffer, by the ramp's own segment
+// rule (serving.Server.GenerateSegment), so the RNG stream is identical
+// to a ramp's.
 func (p *Plane) generateSegment() error {
 	idx := p.segIdx
 	p.segIdx++
-	if p.load <= 0 {
-		return nil
-	}
-	tasks, err := p.srv.Generate(serving.Spec{
-		Horizon:     p.cfg.Segment,
-		Offset:      time.Duration(idx) * p.cfg.Segment,
-		OfferedLoad: p.load,
-		Models:      p.cfg.Models,
-		BatchSizes:  []int{1},
-	}, p.rng)
+	tasks, err := p.srv.GenerateSegment(serving.Spec{
+		Horizon:    p.cfg.Segment,
+		Models:     p.cfg.Models,
+		BatchSizes: []int{1},
+	}, idx, p.load, p.rng)
 	if err != nil {
-		if errors.Is(err, serving.ErrNoArrivals) {
-			return nil
-		}
 		return fmt.Errorf("ctl: segment %d (load %v): %w", idx, p.load, err)
 	}
 	p.buffer = append(p.buffer, tasks...)

@@ -9,7 +9,7 @@ package exp
 // protocol. The cache keys each engine run by everything that determines
 // its outcome and lets overlapping sweeps share results.
 //
-// A run's outcome is a pure function of (policy, selector, preemptive,
+// A run's metrics are a pure function of (policy, selector, preemptive,
 // scheduler configuration, workload spec, seed, run index) for a fixed
 // Suite: run r's workload is drawn from workload.RNGFor(seed, r) once per
 // RunConfigs call, on the call's first miss for r, and read by every
@@ -18,10 +18,11 @@ package exp
 // profile seed) is deliberately NOT part of the key — the cache lives on
 // the Suite and never outlives it.
 //
-// Cached outcomes are immutable by contract: consumers only aggregate
-// (metrics averaging, task pooling, SLA/tail statistics), so the same
-// runOutcome — including its task slice — may be handed to any number of
-// experiments. Nothing in internal/exp mutates a completed task.
+// An entry is the run's metrics.Run and nothing else: no scheduler entry
+// outlives its run. Cached metrics are immutable by contract: consumers
+// only aggregate them (averaging, NTT pooling, SLA statistics), so the
+// same metrics.Run — including its NTT slice — may be handed to any
+// number of experiments.
 //
 // Specs are canonicalized before fingerprinting (empty model/batch pools
 // and a zero arrival window resolve to the same defaults workload.Generate
@@ -38,22 +39,24 @@ import (
 	"time"
 
 	"repro/internal/dnn"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// runKey identifies one cacheable simulation run.
+// runKey identifies one cacheable simulation run. Its fields are
+// exported for the disk cache's gob encoding.
 type runKey struct {
-	policy     string
-	selector   string
-	preemptive bool
-	// schedFP is the canonical sched.Config fingerprint (quantum and
+	Policy     string
+	Selector   string
+	Preemptive bool
+	// SchedFP is the canonical sched.Config fingerprint (quantum and
 	// exact token-threshold level bits).
-	schedFP string
-	// specFP is the canonical workload.Spec fingerprint.
-	specFP string
-	seed   uint64
-	run    int
+	SchedFP string
+	// SpecFP is the canonical workload.Spec fingerprint.
+	SpecFP string
+	Seed   uint64
+	Run    int
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -62,23 +65,23 @@ type CacheStats struct {
 	Hits int64
 	// Misses counts cacheable lookups that had to simulate.
 	Misses int64
-	// Entries is the number of stored outcomes.
+	// Entries is the number of stored runs.
 	Entries int64
 }
 
-// RunCache memoizes engine run outcomes across experiments. It is safe
-// for concurrent use by the engine's worker pool; stored outcomes are
+// RunCache memoizes engine run metrics across experiments. It is safe
+// for concurrent use by the engine's worker pool; stored metrics are
 // immutable by contract (see the file comment).
 type RunCache struct {
 	mu      sync.Mutex
-	entries map[runKey]runOutcome
+	entries map[runKey]metrics.Run
 	hits    int64
 	misses  int64
 }
 
 // NewRunCache builds an empty cache.
 func NewRunCache() *RunCache {
-	return &RunCache{entries: make(map[runKey]runOutcome)}
+	return &RunCache{entries: make(map[runKey]metrics.Run)}
 }
 
 // Stats snapshots the hit/miss counters and entry count.
@@ -88,28 +91,28 @@ func (c *RunCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: int64(len(c.entries))}
 }
 
-// lookup returns the cached outcome for a key, counting the access as a
+// lookup returns the cached metrics for a key, counting the access as a
 // hit or miss.
-func (c *RunCache) lookup(k runKey) (runOutcome, bool) {
+func (c *RunCache) lookup(k runKey) (metrics.Run, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o, ok := c.entries[k]
+	m, ok := c.entries[k]
 	if ok {
 		c.hits++
 	} else {
 		c.misses++
 	}
-	return o, ok
+	return m, ok
 }
 
-// store records a run outcome. A racing duplicate (two workers simulating
-// the same key concurrently) keeps the first entry; both outcomes are
+// store records a run's metrics. A racing duplicate (two workers
+// simulating the same key concurrently) keeps the first entry; both are
 // identical by the engine's determinism contract.
-func (c *RunCache) store(k runKey, o runOutcome) {
+func (c *RunCache) store(k runKey, m metrics.Run) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[k]; !dup {
-		c.entries[k] = o
+		c.entries[k] = m
 	}
 }
 
@@ -194,12 +197,12 @@ func (s *Suite) cacheKey(cfg SchedulerConfig, scfg sched.Config, spec workload.S
 		return runKey{}, false
 	}
 	return runKey{
-		policy:     cfg.Policy,
-		selector:   cfg.Selector,
-		preemptive: cfg.Preemptive,
-		schedFP:    schedFingerprint(scfg),
-		specFP:     specFP,
-		seed:       s.Seed,
-		run:        run,
+		Policy:     cfg.Policy,
+		Selector:   cfg.Selector,
+		Preemptive: cfg.Preemptive,
+		SchedFP:    schedFingerprint(scfg),
+		SpecFP:     specFP,
+		Seed:       s.Seed,
+		Run:        run,
 	}, true
 }

@@ -134,7 +134,8 @@ func TestDiskCachePrunesOtherVersions(t *testing.T) {
 	if err := other.FlushDiskCache(); err != nil {
 		t.Fatal(err)
 	}
-	stale := []string{"prema-cache-0123456789abcdef.gob", "prema-cache-v1-0123456789abcdef.gob"}
+	stale := []string{"prema-cache-0123456789abcdef.gob", "prema-cache-v1-0123456789abcdef.gob",
+		"prema-cache-v2-0123456789abcdef.gob"}
 	for _, name := range append(slices.Clone(stale), "notes.gob") {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)

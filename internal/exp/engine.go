@@ -12,23 +12,22 @@ package exp
 //  1. Per-run isolation. Every run constructs its own policy and
 //     mechanism-selector instances (policies keep scratch state; see the
 //     sched.Policy contract) and its own slab of scheduler entries
-//     (workload.Entries), which it keeps: the run cache and
-//     MultiResult.Tasks hold a run's entries, so unlike the harnesses
-//     that compare configurations within one job, the engine never
-//     refills a slab for another configuration. Run r's workload is
-//     drawn from workload.RNGFor(seed, r) once per call and read by
-//     every configuration: a drawn workload.Task is a record no
+//     (workload.Entries), which no other run sees. A run leaves only its
+//     metrics.Run behind: no run keeps its slab, and the run cache and
+//     MultiResult hold numbers, never a scheduler entry. Run r's
+//     workload is drawn from workload.RNGFor(seed, r) once per call and
+//     read by every configuration: a drawn workload.Task is a record no
 //     simulation changes, so no mutable state crosses runs.
 //  2. Stable assembly. Worker completion order is nondeterministic, so
 //     outcomes are written into an index-addressed slice and reduced
 //     sequentially in (configuration, run) order afterwards — float
-//     accumulation order and pooled task order both match the sequential
-//     loop exactly.
+//     accumulation order and the pooled NTTs' run order both match the
+//     sequential loop exactly.
 //  3. Shared read-mostly state. The state shared across workers is the
 //     Suite's workload.Generator and its optional RunCache; both are
 //     mutex-guarded, and cache hits/misses cannot influence results
-//     (programs and run outcomes are deterministic functions of their
-//     keys, and cached outcomes are immutable by contract — see
+//     (programs and run metrics are deterministic functions of their
+//     keys, and cached metrics are immutable by contract — see
 //     cache.go).
 //
 // First-error policy: once any run fails, runs not yet started are
@@ -115,12 +114,6 @@ func (s *Suite) ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// runOutcome is one simulation run's contribution to a MultiResult.
-type runOutcome struct {
-	metrics metrics.Run
-	tasks   []*sched.Task
-}
-
 // drawnRun is one run's workload within one RunConfigsSched call: drawn
 // on the first cache miss for the run and then read by every
 // configuration of the call that misses on it.
@@ -143,46 +136,43 @@ func (s *Suite) draw(d *drawnRun, spec workload.Spec, run int) ([]*workload.Task
 }
 
 // runOne resolves the run-th simulation of cfg: a cache hit returns the
-// memoized outcome (immutable by contract; see cache.go), a miss — or a
+// memoized metrics (immutable by contract; see cache.go), a miss — or a
 // non-cacheable run — simulates the run's workload (drawn through d)
-// and populates the cache. Cached and simulated outcomes are
+// and populates the cache. Cached and simulated metrics are
 // bit-identical, so the engine's determinism contract is unaffected by
 // the cache state.
-func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spec, run int, d *drawnRun) (runOutcome, error) {
+func (s *Suite) runOne(cfg SchedulerConfig, scfg sched.Config, spec workload.Spec, run int, d *drawnRun) (metrics.Run, error) {
 	key, cacheable := s.cacheKey(cfg, scfg, spec, run)
 	if cacheable {
-		if o, ok := s.Cache.lookup(key); ok {
-			return o, nil
+		if m, ok := s.Cache.lookup(key); ok {
+			return m, nil
 		}
 	}
 	tasks, err := s.draw(d, spec, run)
 	if err != nil {
-		return runOutcome{}, err
+		return metrics.Run{}, err
 	}
-	o, err := s.simulateOne(cfg, scfg, tasks, run)
+	m, err := s.simulateOne(cfg, scfg, tasks, run)
 	if err != nil {
-		return runOutcome{}, err
+		return metrics.Run{}, err
 	}
 	if cacheable {
-		s.Cache.store(key, o)
+		s.Cache.store(key, m)
 	}
-	return o, nil
+	return m, nil
 }
 
-// simulateOne executes the run-th simulation of cfg: a new slab of
-// entries for the run's workload, which the outcome keeps, on one
-// simulator with fresh policy and selector instances.
-func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, tasks []*workload.Task, run int) (runOutcome, error) {
+// simulateOne executes the run-th simulation of cfg on a new slab of
+// entries for the run's workload, on one simulator with fresh policy and
+// selector instances, and answers the run's metrics; the slab is
+// garbage once they are derived.
+func (s *Suite) simulateOne(cfg SchedulerConfig, scfg sched.Config, tasks []*workload.Task, run int) (metrics.Run, error) {
 	atomic.AddInt64(&s.simulations, 1)
 	res, err := s.simulate(cfg.Spec, sim.Options{Sched: scfg}, workload.Entries(tasks))
 	if err != nil {
-		return runOutcome{}, fmt.Errorf("%s run %d: %w", cfg.Label, run, err)
+		return metrics.Run{}, fmt.Errorf("%s run %d: %w", cfg.Label, run, err)
 	}
-	m, err := metrics.FromTasks(res.Tasks)
-	if err != nil {
-		return runOutcome{}, err
-	}
-	return runOutcome{metrics: m, tasks: res.Tasks}, nil
+	return metrics.FromTasks(res.Tasks)
 }
 
 // simulate runs one simulation of entries under spec on the suite's NPU
@@ -226,13 +216,13 @@ func (s *Suite) RunConfigsSched(cfgs []SchedulerConfig, scfg sched.Config, spec 
 		}
 	}
 	draws := make([]drawnRun, runs)
-	outcomes := make([]runOutcome, len(cfgs)*runs)
-	err := s.ForEach(len(outcomes), func(i int) error {
-		o, err := s.runOne(cfgs[i/runs], scfg, spec, i%runs, &draws[i%runs])
+	perRun := make([]metrics.Run, len(cfgs)*runs)
+	err := s.ForEach(len(perRun), func(i int) error {
+		m, err := s.runOne(cfgs[i/runs], scfg, spec, i%runs, &draws[i%runs])
 		if err != nil {
 			return err
 		}
-		outcomes[i] = o
+		perRun[i] = m
 		return nil
 	})
 	if err != nil {
@@ -240,14 +230,12 @@ func (s *Suite) RunConfigsSched(cfgs []SchedulerConfig, scfg sched.Config, spec 
 	}
 	results := make([]*MultiResult, len(cfgs))
 	for ci, cfg := range cfgs {
-		out := &MultiResult{Config: cfg}
-		perRun := make([]metrics.Run, runs)
-		for r := 0; r < runs; r++ {
-			o := outcomes[ci*runs+r]
-			perRun[r] = o.metrics
-			out.Tasks = append(out.Tasks, o.tasks...)
+		runsOf := perRun[ci*runs : (ci+1)*runs]
+		out := &MultiResult{Config: cfg, Agg: metrics.Averaged(runsOf)}
+		for _, m := range runsOf {
+			out.NTTs = append(out.NTTs, m.NTTs...)
+			out.WastedCycles += m.WastedCycles
 		}
-		out.Agg = metrics.Averaged(perRun)
 		results[ci] = out
 	}
 	return results, nil

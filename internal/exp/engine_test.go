@@ -13,16 +13,16 @@ import (
 
 // fingerprint renders every observable field of a MultiResult with exact
 // float bit patterns, so two results compare equal only when they are
-// bit-identical: aggregate metrics and pooled task order and timing.
+// bit-identical: aggregate metrics, wasted cycles and the pooled NTTs in
+// order.
 func fingerprint(m *MultiResult) string {
 	var b strings.Builder
 	bits := func(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }
-	fmt.Fprintf(&b, "cfg=%s agg={runs=%d antt=%s stp=%s fair=%s}\n",
-		m.Config.Label, m.Agg.Runs, bits(m.Agg.ANTT), bits(m.Agg.STP), bits(m.Agg.Fairness))
-	for i, t := range m.Tasks {
-		fmt.Fprintf(&b, "task[%d]={id=%d model=%s batch=%d prio=%d arrival=%d est=%d iso=%d token=%s start=%d completion=%d waited=%d preemptions=%d}\n",
-			i, t.ID, t.Model, t.Batch, t.Priority, t.Arrival, t.EstimatedCycles,
-			t.IsolatedCycles, bits(t.Token), t.Start, t.Completion, t.Waited, t.Preemptions)
+	fmt.Fprintf(&b, "cfg=%s agg={runs=%d antt=%s stp=%s fair=%s} wasted=%d\n",
+		m.Config.Label, m.Agg.Runs, bits(m.Agg.ANTT), bits(m.Agg.STP), bits(m.Agg.Fairness),
+		m.WastedCycles)
+	for i, ntt := range m.NTTs {
+		fmt.Fprintf(&b, "ntt[%d]=%s\n", i, bits(ntt))
 	}
 	return b.String()
 }

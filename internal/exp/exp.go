@@ -15,11 +15,12 @@
 // workload is drawn from workload.RNGFor(Suite.Seed, r) once per call
 // and read by every configuration (a drawn workload.Task is a record no
 // simulation changes), each simulation constructs its own
-// policy/selector instances and scheduler entries, outcomes are written into
+// policy/selector instances and scheduler entries, and an engine run
+// leaves only its metrics.Run behind. Outcomes are written into
 // index-addressed slices, and all reductions happen sequentially in
 // (configuration, run) order after the fan-out joins — so parallel
 // results are byte-identical to a sequential execution (Workers = 1),
-// including float accumulation order and pooled task/preemption order.
+// including float accumulation order and the run order of pooled NTTs.
 // On the first error the engine stops claiming new runs and reports the
 // lowest-indexed failure among the runs that executed (the identity of
 // that error may vary with worker count; the byte-identical guarantee
@@ -145,7 +146,7 @@ type Suite struct {
 	// GOMAXPROCS, 1 forces sequential execution. Results are identical
 	// for every value (see the package comment).
 	Workers int
-	// Cache memoizes engine run outcomes across experiments (see
+	// Cache memoizes engine run metrics across experiments (see
 	// cache.go); nil disables caching. Cached and freshly simulated
 	// results are bit-identical, so enabling the cache never changes
 	// any table.
@@ -257,9 +258,11 @@ func DynamicKill(policy string) SchedulerConfig {
 type MultiResult struct {
 	Config SchedulerConfig
 	Agg    metrics.Aggregate
-	// Tasks pools every completed task of every run (for SLA and tail
-	// statistics across the whole experiment).
-	Tasks []*sched.Task
+	// NTTs pools every run's per-task normalized turnaround times, in
+	// run order (for SLA statistics across the whole experiment).
+	NTTs []float64
+	// WastedCycles sums every run's KILL re-execution cycles.
+	WastedCycles int64
 }
 
 // Experiment is a runnable evaluation entry.

@@ -103,8 +103,8 @@ func TestRunMultiComparesIdenticalWorkloads(t *testing.T) {
 	if a.Agg.ANTT != b.Agg.ANTT || a.Agg.STP != b.Agg.STP {
 		t.Error("repeated identical configuration should reproduce exactly")
 	}
-	if len(a.Tasks) != 8 {
-		t.Errorf("pooled %d tasks, want 2 runs x 4", len(a.Tasks))
+	if len(a.NTTs) != 8 {
+		t.Errorf("pooled %d NTTs, want 2 runs x 4", len(a.NTTs))
 	}
 }
 

@@ -106,7 +106,7 @@ func runCluster(s *Suite) ([]*Table, error) {
 			res := results[ci*runs+r]
 			antt += res.Metrics.ANTT / runs
 			stp += res.Metrics.STP / runs
-			sla += metrics.SLAViolationRate(res.Tasks, 4) / runs
+			sla += metrics.SLAViolationRate(res.Metrics.NTTs, 4) / runs
 			preempts += float64(res.Preemptions) / runs
 		}
 		t.AddRow(fmt.Sprintf("%d", cell.npus), cell.routing.String(), cell.local.Label,
@@ -143,11 +143,7 @@ func runKillGranularity(s *Suite) ([]*Table, error) {
 	for i, mech := range mechs {
 		res := results[i+1]
 		imp := metrics.Relative(res.Agg, base.Agg)
-		var wasted float64
-		for _, task := range res.Tasks {
-			wasted += float64(task.WastedCycles)
-		}
-		wasted /= float64(s.Runs)
+		wasted := float64(res.WastedCycles) / float64(s.Runs)
 		t.AddRow(mech,
 			fmt.Sprintf("%.2fx", imp.ANTT),
 			fmt.Sprintf("%.2fx", imp.Fairness),

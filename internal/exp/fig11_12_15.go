@@ -162,7 +162,7 @@ func runOracle(s *Suite) ([]*Table, error) {
 	}
 
 	slaAt := func(r *MultiResult, target float64) float64 {
-		return metrics.SLAViolationRate(r.Tasks, target)
+		return metrics.SLAViolationRate(r.NTTs, target)
 	}
 	t := &Table{
 		ID:    "oracle",

@@ -57,7 +57,7 @@ func runFig13(s *Suite) ([]*Table, error) {
 	for _, target := range targets {
 		row := []string{fmt.Sprintf("%.0f", target)}
 		for _, r := range results {
-			rate := metrics.SLAViolationRate(r.Tasks, target)
+			rate := metrics.SLAViolationRate(r.NTTs, target)
 			row = append(row, fmt.Sprintf("%.1f", rate*100))
 		}
 		t.AddRow(row...)

@@ -12,7 +12,8 @@ import (
 	"repro/internal/sched"
 )
 
-// Run summarizes one multi-tasked simulation.
+// Run summarizes one multi-tasked simulation: everything a finished run
+// leaves behind for the paper's figures of merit.
 type Run struct {
 	// ANTT is the average normalized turnaround time (lower is better).
 	ANTT float64
@@ -21,8 +22,11 @@ type Run struct {
 	// Fairness is min_{i,j} PP_i / PP_j (Equation 2; higher is better,
 	// 1.0 is perfectly proportional progress).
 	Fairness float64
-	// NTTs are the per-task normalized turnaround times.
+	// NTTs are the per-task normalized turnaround times, in task order;
+	// SLAViolationRate counts over them.
 	NTTs []float64
+	// WastedCycles sums the tasks' KILL re-execution cycles.
+	WastedCycles int64
 }
 
 // FromTasks derives the Run metrics from completed context-table entries.
@@ -45,6 +49,7 @@ func FromTasks(tasks []*sched.Task) (Run, error) {
 	for _, t := range tasks {
 		ntt := t.NTT()
 		run.NTTs = append(run.NTTs, ntt)
+		run.WastedCycles += t.WastedCycles
 		run.ANTT += ntt
 		run.STP += 1 / ntt
 		pp := (1 / ntt) / (t.Priority.Tokens() / prioritySum)
@@ -60,20 +65,20 @@ func FromTasks(tasks []*sched.Task) (Run, error) {
 	return run, nil
 }
 
-// SLAViolationRate returns the fraction of tasks whose turnaround
-// exceeded target x their isolated execution time (Section VI-C's
-// Time_isolated x N definition).
-func SLAViolationRate(tasks []*sched.Task, target float64) float64 {
-	if len(tasks) == 0 {
+// SLAViolationRate returns the fraction of normalized turnaround times
+// above target: the tasks whose turnaround exceeded target x their
+// isolated execution time (Section VI-C's Time_isolated x N definition).
+func SLAViolationRate(ntts []float64, target float64) float64 {
+	if len(ntts) == 0 {
 		return 0
 	}
 	violated := 0
-	for _, t := range tasks {
-		if t.NTT() > target {
+	for _, ntt := range ntts {
+		if ntt > target {
 			violated++
 		}
 	}
-	return float64(violated) / float64(len(tasks))
+	return float64(violated) / float64(len(ntts))
 }
 
 // Aggregate averages Run metrics across repeated simulation runs (the

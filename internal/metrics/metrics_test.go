@@ -26,6 +26,7 @@ func TestFromTasksEquation1(t *testing.T) {
 		doneTask(1, sched.Medium, 100, 200),
 		doneTask(2, sched.Medium, 100, 400),
 	}
+	tasks[0].WastedCycles, tasks[1].WastedCycles = 30, 12
 	run, err := FromTasks(tasks)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +39,9 @@ func TestFromTasksEquation1(t *testing.T) {
 	}
 	if len(run.NTTs) != 2 || run.NTTs[0] != 2 || run.NTTs[1] != 4 {
 		t.Errorf("NTTs = %v", run.NTTs)
+	}
+	if run.WastedCycles != 42 {
+		t.Errorf("WastedCycles = %d, want 42", run.WastedCycles)
 	}
 }
 
@@ -89,12 +93,7 @@ func TestFromTasksErrors(t *testing.T) {
 }
 
 func TestSLAViolationRate(t *testing.T) {
-	tasks := []*sched.Task{
-		doneTask(1, sched.Low, 100, 150),  // NTT 1.5
-		doneTask(2, sched.Low, 100, 500),  // NTT 5
-		doneTask(3, sched.Low, 100, 2500), // NTT 25
-		doneTask(4, sched.Low, 100, 100),  // NTT 1
-	}
+	ntts := []float64{1.5, 5, 25, 1}
 	cases := []struct {
 		target float64
 		want   float64
@@ -102,7 +101,7 @@ func TestSLAViolationRate(t *testing.T) {
 		{2, 0.5}, {10, 0.25}, {30, 0}, {1, 0.75},
 	}
 	for _, c := range cases {
-		if got := SLAViolationRate(tasks, c.target); got != c.want {
+		if got := SLAViolationRate(ntts, c.target); got != c.want {
 			t.Errorf("SLA@%v = %v, want %v", c.target, got, c.want)
 		}
 	}
@@ -112,14 +111,10 @@ func TestSLAViolationRate(t *testing.T) {
 }
 
 func TestSLAMonotoneInTarget(t *testing.T) {
-	tasks := []*sched.Task{
-		doneTask(1, sched.Low, 100, 300),
-		doneTask(2, sched.Low, 100, 900),
-		doneTask(3, sched.Low, 100, 1800),
-	}
+	ntts := []float64{3, 9, 18}
 	prev := 1.0
 	for target := 2.0; target <= 20; target++ {
-		got := SLAViolationRate(tasks, target)
+		got := SLAViolationRate(ntts, target)
 		if got > prev {
 			t.Fatalf("violation rate increased with looser target at %v", target)
 		}

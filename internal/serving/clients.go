@@ -64,8 +64,8 @@ func (ss *Session) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error) {
 // offerClients is OfferClients on an NPU that serves the clients'
 // requests at factor× their nominal service time. A non-nil stamp sees
 // each realized request, in realization order, before it is submitted,
-// and answers its trace request ID (a traced node records its submit
-// event there).
+// and answers its trace request ID (a traced node records its submit,
+// route and stretch events there).
 func (ss *Session) offerClients(spec ClientSpec, rng *rand.Rand, factor float64, stamp func(*workload.Task) int) (int, error) {
 	if ss.closed {
 		return 0, fmt.Errorf("serving: session closed")

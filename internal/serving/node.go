@@ -319,10 +319,7 @@ func (ns *NodeSession) route(t *workload.Task, id int) error {
 	ns.estRing[ns.estCount%estWindow] = est
 	ns.estCount++
 	if tr := ns.tracer(); tr != nil {
-		tr.RecordRoute(t.Arrival, id, target, ns.tierSym(target), est)
-		if factor > 1 {
-			tr.RecordStretch(t.Arrival, id, target, ns.tierSym(target), factor)
-		}
+		ns.traceRoute(tr, t, id, target, est)
 	}
 	return nil
 }
@@ -337,10 +334,10 @@ func (ns *NodeSession) Offer(spec Spec, rng *rand.Rand) (int, error) {
 
 // OfferRamp drives a piecewise-constant offered-load profile — the
 // diurnal/burst scenario autoscaling exists for: it generates the ramp's
-// stream (Server.GenerateRamp, which sets the segment, idle-window and
-// empty-trough rules) and routes it through the node's router in
-// arrival order. It returns how many requests arrived across the whole
-// ramp.
+// stream (Server.GenerateRamp, whose segments follow
+// Server.GenerateSegment's idle-window and empty-trough rule) and routes
+// it through the node's router in arrival order. It returns how many
+// requests arrived across the whole ramp.
 func (ns *NodeSession) OfferRamp(base Spec, loads []float64, rng *rand.Rand) (int, error) {
 	return ns.offer(func() ([]*workload.Task, error) { return ns.srv.GenerateRamp(base, loads, rng) })
 }
@@ -407,14 +404,21 @@ func (ns *NodeSession) OfferClients(spec ClientSpec, rng *rand.Rand) (int, error
 		perNPU[routable[ns.clientNext%len(routable)]]++
 		ns.clientNext++
 	}
-	var stamp func(*workload.Task) int
-	if tr := ns.tracer(); tr != nil {
-		stamp = func(t *workload.Task) int { return ns.traceSubmit(tr, t) }
-	}
+	tr := ns.tracer()
 	total := 0
 	for i, clients := range perNPU {
 		if clients == 0 {
 			continue
+		}
+		var stamp func(*workload.Task) int
+		if tr != nil {
+			// A pinned request never passes the router, so its route
+			// edge carries no fluid estimate.
+			stamp = func(t *workload.Task) int {
+				id := ns.traceSubmit(tr, t)
+				ns.traceRoute(tr, t, id, i, 0)
+				return id
+			}
 		}
 		sub := spec
 		sub.Clients = clients

@@ -389,17 +389,8 @@ func (s *Server) GenerateRamp(base Spec, loads []float64, rng *rand.Rand) ([]*wo
 		if load < 0 {
 			return nil, fmt.Errorf("serving: ramp segment %d has negative load %v", i, load)
 		}
-		if load == 0 {
-			continue // an idle window offers nothing
-		}
-		seg := base
-		seg.OfferedLoad = load
-		seg.Offset = base.Offset + time.Duration(i)*base.Horizon
-		segment, err := s.Generate(seg, rng)
+		segment, err := s.GenerateSegment(base, i, load, rng)
 		if err != nil {
-			if errors.Is(err, ErrNoArrivals) {
-				continue
-			}
 			return nil, fmt.Errorf("serving: ramp segment %d (load %v): %w", i, load, err)
 		}
 		tasks = append(tasks, segment...)
@@ -408,4 +399,24 @@ func (s *Server) GenerateRamp(base Spec, loads []float64, rng *rand.Rand) ([]*wo
 		return nil, fmt.Errorf("serving: ramp produced no requests")
 	}
 	return tasks, nil
+}
+
+// GenerateSegment draws segment i of a ramp over base: load offered
+// over [Offset+i*Horizon, Offset+(i+1)*Horizon). It is the one segment
+// rule of GenerateRamp and the control plane's segment generator, and
+// so fixes the order in which their streams read rng: a segment at no
+// load is an idle window that draws nothing, and a sampled window that
+// holds no arrival yields no request rather than ErrNoArrivals.
+func (s *Server) GenerateSegment(base Spec, i int, load float64, rng *rand.Rand) ([]*workload.Task, error) {
+	if load <= 0 {
+		return nil, nil
+	}
+	seg := base
+	seg.OfferedLoad = load
+	seg.Offset = base.Offset + time.Duration(i)*base.Horizon
+	tasks, err := s.Generate(seg, rng)
+	if errors.Is(err, ErrNoArrivals) {
+		return nil, nil
+	}
+	return tasks, err
 }

@@ -65,6 +65,18 @@ func (ns *NodeSession) traceSubmit(tr *telemetry.Tracer, t *workload.Task) int {
 	return id
 }
 
+// traceRoute records request id's route edge to backend npu at t's
+// arrival, carrying the fluid latency estimate est, and a stretch edge
+// when the backend runs slowed: routed submissions, re-routes and pinned
+// closed-loop client requests alike.
+func (ns *NodeSession) traceRoute(tr *telemetry.Tracer, t *workload.Task, id, npu int, est float64) {
+	tier := ns.tierSym(npu)
+	tr.RecordRoute(t.Arrival, id, npu, tier, est)
+	if factor := ns.speed[npu]; factor > 1 {
+		tr.RecordStretch(t.Arrival, id, npu, tier, factor)
+	}
+}
+
 // modelSym answers the Sym for t's model name. Generator-built tasks
 // carry a small 1-based ModelID, so the steady-state lookup is one
 // slice index; the first sight of each model (and any task built

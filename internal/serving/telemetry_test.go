@@ -313,10 +313,17 @@ func TestTieredScaleDownFollowsWeights(t *testing.T) {
 // TestClientRequestsTraced: on a traced node, closed-loop client
 // requests take their own trace IDs after the open-loop stream's, so
 // every request of the node submits once and completes exactly once.
+// Routed and pinned requests alike have one route event, on the NPU
+// they complete on, and one stretch event exactly when that NPU is
+// slowed (the slow tier's).
 func TestClientRequestsTraced(t *testing.T) {
 	s := newServer(t)
+	tiers, err := FleetFromTemplate(npu.DefaultConfig(), "50%:fast,50%:slow")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ns, err := s.OpenNode(NodeConfig{
-		NPUs: 2, Routing: cluster.LeastWork,
+		NPUs: 2, Fleet: tiers, Routing: cluster.LeastWork,
 		Session: SessionConfig{Policy: "PREMA", Preemptive: true},
 		Trace:   telemetry.New(),
 	})
@@ -337,13 +344,21 @@ func TestClientRequestsTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submits, completes := map[int]int{}, map[int]int{}
+	submits, routes, stretches, completes := map[int]int{}, map[int]int{}, map[int]int{}, map[int]int{}
+	routedTo, completedOn, slow := map[int]int{}, map[int]int{}, map[int]bool{}
 	for _, e := range events {
 		switch e.Kind {
 		case telemetry.KindSubmit:
 			submits[e.Req]++
+		case telemetry.KindRoute:
+			routes[e.Req]++
+			routedTo[e.Req] = e.NPU
+		case telemetry.KindStretch:
+			stretches[e.Req]++
 		case telemetry.KindComplete:
 			completes[e.Req]++
+			completedOn[e.Req] = e.NPU
+			slow[e.Req] = e.Tier == "slow"
 		}
 	}
 	total := open + clients
@@ -352,9 +367,21 @@ func TestClientRequestsTraced(t *testing.T) {
 			open, clients, len(submits), len(completes))
 	}
 	for id := 0; id < total; id++ {
-		if submits[id] != 1 || completes[id] != 1 {
-			t.Errorf("request %d: %d submit and %d complete events, want one of each",
-				id, submits[id], completes[id])
+		if submits[id] != 1 || routes[id] != 1 || completes[id] != 1 {
+			t.Errorf("request %d: %d submit, %d route and %d complete events, want one of each",
+				id, submits[id], routes[id], completes[id])
+			continue
+		}
+		if routedTo[id] != completedOn[id] {
+			t.Errorf("request %d routed to NPU %d but completed on NPU %d", id, routedTo[id], completedOn[id])
+		}
+		want := 0
+		if slow[id] {
+			want = 1
+		}
+		if stretches[id] != want {
+			t.Errorf("request %d: %d stretch events on NPU %d (slow tier: %v), want %d",
+				id, stretches[id], completedOn[id], slow[id], want)
 		}
 	}
 }

@@ -61,10 +61,6 @@ type Options struct {
 	// policy-recommended preemption. Ignored when Preemptive is false;
 	// required otherwise.
 	Selector sched.MechanismSelector
-	// MaxCycles aborts a runaway simulation (0 means a generous
-	// default past the latest arrival); exceeding it is an error so
-	// scheduler livelock cannot masquerade as a result.
-	MaxCycles int64
 	// CkptMem, when non-nil, tracks checkpointed contexts against a
 	// finite NPU-local memory pool (Section VI-G): oversubscription
 	// migrates contexts to host memory and charges the transfer
@@ -134,6 +130,11 @@ type Sim struct {
 	// lastArrival is the latest arrival of any task in the run,
 	// injected ones included.
 	lastArrival int64
+	// maxCycles aborts a runaway simulation: exceeding it is an error,
+	// so scheduler livelock cannot masquerade as a result. New sets it
+	// past the latest arrival with generous slack, and insert extends it
+	// for every task admitted or injected later.
+	maxCycles int64
 
 	// bound is the last AdvanceTo bound: every event strictly before it
 	// has run, and Admit takes only arrivals at or after it.
@@ -184,17 +185,15 @@ func New(opt Options, tasks []*sched.Task) (*Sim, error) {
 		last = max(last, t.Arrival)
 		total += t.IsolatedCycles
 	}
-	if opt.MaxCycles == 0 {
-		// Generous bound: the latest arrival, then full serialization
-		// plus 100x slack for overheads and KILL re-execution.
-		opt.MaxCycles = last + total*100 + opt.NPU.Cycles(opt.Sched.Quantum)*1000
-	}
 	quantum := opt.NPU.Cycles(opt.Sched.Quantum)
 	if quantum <= 0 {
 		quantum = 1
 	}
 	s := &Sim{opt: opt, quantum: quantum, remaining: len(tasks),
-		lastArrival: last, bound: math.MinInt64}
+		lastArrival: last, bound: math.MinInt64,
+		// The latest arrival, then full serialization plus 100x slack
+		// for overheads and KILL re-execution.
+		maxCycles: last + total*100 + opt.NPU.Cycles(opt.Sched.Quantum)*1000}
 	if opt.Record {
 		s.result.Timeline = &trace.Timeline{}
 	}
@@ -259,7 +258,7 @@ func (s *Sim) Project(onDone func(t *sched.Task, now int64)) (int64, error) {
 	}
 	p := &Sim{
 		opt: s.opt, quantum: s.quantum, now: s.now, runSince: s.runSince,
-		remaining: s.remaining, lastArrival: s.lastArrival, bound: s.bound,
+		remaining: s.remaining, lastArrival: s.lastArrival, maxCycles: s.maxCycles, bound: s.bound,
 		stepping: s.stepping, stepStart: s.stepStart, waiting: s.waiting,
 		onDone: onDone,
 	}
@@ -319,9 +318,9 @@ func (s *Sim) advance(bound int64) error {
 			continue
 		}
 		if !s.stepping {
-			if s.now > s.opt.MaxCycles {
+			if s.now > s.maxCycles {
 				return fmt.Errorf("sim: exceeded max cycles %d (policy %s): likely livelock",
-					s.opt.MaxCycles, s.opt.Policy.Name())
+					s.maxCycles, s.opt.Policy.Name())
 			}
 			if s.now >= bound {
 				return nil
@@ -416,7 +415,7 @@ func (s *Sim) complete() error {
 // insert queues one arrival — admitted or injected by the OnComplete
 // hook — at its (arrival, ID) sort position, and extends the livelock
 // bound by its own work and by how far it moves the latest arrival, so a
-// stream that grows after New cannot trip a MaxCycles sized for the
+// stream that grows after New cannot trip a bound sized for the
 // initial tasks only.
 func (s *Sim) insert(t *sched.Task) {
 	tail := s.pending[s.pendHead:]
@@ -432,9 +431,9 @@ func (s *Sim) insert(t *sched.Task) {
 	s.pending[pos] = t
 	s.tasks = append(s.tasks, t)
 	s.remaining++
-	s.opt.MaxCycles += t.IsolatedCycles * 100
+	s.maxCycles += t.IsolatedCycles * 100
 	if t.Arrival > s.lastArrival {
-		s.opt.MaxCycles += t.Arrival - s.lastArrival
+		s.maxCycles += t.Arrival - s.lastArrival
 		s.lastArrival = t.Arrival
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -374,17 +375,40 @@ func TestQuantumControlsWakeRate(t *testing.T) {
 	}
 }
 
+// restartEachOther recommends preempting the runner at every wake: under
+// static-kill, two tasks longer than a quantum restart each other forever.
+type restartEachOther struct{}
+
+func (restartEachOther) Name() string        { return "restart-each-other" }
+func (restartEachOther) UsesPredictor() bool { return false }
+func (restartEachOther) Pick(ready []*sched.Task, current *sched.Task, _ int64) sched.Decision {
+	return sched.Decision{Candidate: ready[0], Preempt: current != nil}
+}
+
+// TestMaxCyclesGuard: a livelocked schedule runs into the bound New
+// derives from the tasks and is reported as an error, not a result.
 func TestMaxCyclesGuard(t *testing.T) {
 	cfg, scfg, gen := fixtures(t)
-	tasks := twoTasks(t, gen, cfg)
-	pol, _ := sched.ByName("FCFS", scfg)
-	s, err := New(Options{NPU: cfg, Sched: scfg, Policy: pol, MaxCycles: 10},
-		workload.Entries(tasks))
+	rng := workload.RNGFor(1, 1)
+	var tasks []*workload.Task
+	for id := range 2 {
+		task, err := gen.InstanceByName(id, "CNN-VN", 16, sched.Low, 0, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task)
+	}
+	sel, err := sched.SelectorByName("static-kill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(); err == nil {
-		t.Error("exceeding MaxCycles must be reported as an error")
+	s, err := New(Options{NPU: cfg, Sched: scfg, Policy: restartEachOther{},
+		Preemptive: true, Selector: sel}, workload.Entries(tasks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "likely livelock") {
+		t.Errorf("two tasks killing each other at every wake: err %v, want the livelock guard", err)
 	}
 }
 

@@ -36,7 +36,9 @@ const (
 	KindSubmit = "submit"
 	// KindRoute marks a routing decision: NPU and Tier identify the
 	// chosen backend and EstMS its fluid latency estimate (queueing plus
-	// service) at the decision instant.
+	// service) at the decision instant. A closed-loop client request
+	// pinned to its backend gets one at its arrival too, naming that
+	// backend with no estimate (EstMS 0): it never passes the router.
 	KindRoute = "route"
 	// KindStretch marks a request landing on a slowed backend: it runs
 	// at Factor times its nominal service time.

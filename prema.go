@@ -268,7 +268,7 @@ func (s *System) Simulate(cfg Scheduler, tasks []*Instance) (*Result, error) {
 // SLAViolationRate reports the fraction of tasks violating an SLA target
 // expressed as a multiple of each task's isolated execution time.
 func (r *Result) SLAViolationRate(target float64) float64 {
-	return metrics.SLAViolationRate(r.Tasks, target)
+	return metrics.SLAViolationRate(r.Metrics.NTTs, target)
 }
 
 // ServicedPreemptions counts the preemption events that actually
@@ -299,7 +299,7 @@ type NodeResult struct {
 // SLAViolationRate reports the fraction of tasks violating an SLA target
 // expressed as a multiple of each task's isolated execution time.
 func (r *NodeResult) SLAViolationRate(target float64) float64 {
-	return metrics.SLAViolationRate(r.Tasks, target)
+	return metrics.SLAViolationRate(r.Metrics.NTTs, target)
 }
 
 // SimulateNode routes the workload across the node's NPUs and simulates
